@@ -1,7 +1,8 @@
 """Deterministic scalar and small-dimension maximizers.
 
-No stochastic search anywhere: coarse grids pick a bracket, golden-section
-refines it, ties break toward the lowest index.  Identical inputs give
+No stochastic search anywhere: coarse grids pick a bracket or a start
+point, golden-section (or, for the Klyshko sum, exact per-angle and Newton
+steps) refines it, ties break toward the lowest index.  Identical inputs give
 bit-identical results.
 """
 from __future__ import annotations
@@ -24,6 +25,7 @@ class ScanResult:
     max_value: float
     evaluations: int
     bracket: NDArray[np.float64]
+    converged: bool = False
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float,
@@ -63,14 +65,15 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, coarse - 1)])
     evals = coarse
-    if b > a:
+    converged = b > a
+    if converged:
         x, v, n = _golden_max(f, a, b, tol)
         evals += n
         if v > best_v:
             best_x, best_v = x, v
     return ScanResult(
         arg_max=np.array([best_x]), max_value=best_v,
-        evaluations=evals, bracket=np.array([b - a]),
+        evaluations=evals, bracket=np.array([b - a]), converged=converged,
     )
 
 
@@ -115,6 +118,7 @@ def maximize_angles(f: Callable[[NDArray], NDArray], dim: int,
         return float(f(t[None, :])[0])
 
     width = np.full(dim, step)
+    converged = False
     for _ in range(max_passes):
         improved = 0.0
         for k in range(dim):
@@ -126,8 +130,54 @@ def maximize_angles(f: Callable[[NDArray], NDArray], dim: int,
                 theta[k] = x
             width[k] = tol
         if improved < tol:
+            converged = True
             break
-    return ScanResult(arg_max=theta, max_value=best_v, evaluations=evals, bracket=width)
+    return ScanResult(arg_max=theta, max_value=best_v, evaluations=evals, bracket=width,
+                      converged=converged)
+
+
+# The Klyshko sum over theta = (a, b, c, a', b', c'),
+#     B = E(a, b, c') + E(a, b', c) + E(a', b, c) - E(a', b', c'),
+# one (party-1 angle, party-2 angle, party-3 angle, sign) entry per term.
+_KLYSHKO_TERMS = ((0, 1, 5, 1.0), (0, 4, 2, 1.0), (3, 1, 2, 1.0), (3, 4, 5, -1.0))
+_KLYSHKO_SLOTS = np.array([term[:3] for term in _KLYSHKO_TERMS]).T    # angle per party and term
+_KLYSHKO_ROUNDS = 100
+_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _klyshko_scatter() -> NDArray[np.float64]:
+    """Matrix that sums the term derivatives r[t, a, b, c] into (B, grad, Hessian).
+
+    Index a (b, c) is 1 where term t's party-1 (2, 3) unit vector
+    u = (cos, sin) is differentiated once.  Each term is linear in each of
+    its vectors and u'' = -u, so first and mixed derivatives are single
+    entries of r and a diagonal second derivative is minus the term.
+    """
+    m = np.zeros((1 + 6 + 36, len(_KLYSHKO_TERMS), 2, 2, 2))
+    for t, (x, y, z, sign) in enumerate(_KLYSHKO_TERMS):
+        m[0, t, 0, 0, 0] += sign
+        for k, d in ((x, (1, 0, 0)), (y, (0, 1, 0)), (z, (0, 0, 1))):
+            m[(1 + k, t) + d] += sign
+            m[7 + 7 * k, t, 0, 0, 0] -= sign
+        for p, q, d in ((x, y, (1, 1, 0)), (x, z, (1, 0, 1)), (y, z, (0, 1, 1))):
+            m[(7 + 6 * p + q, t) + d] += sign
+            m[(7 + 6 * q + p, t) + d] += sign
+    return m.reshape(m.shape[0], -1)
+
+
+_KLYSHKO_SCATTER = _klyshko_scatter()
+
+
+def _klyshko_derivatives(tensor: NDArray[np.float64], theta: NDArray[np.float64]
+                         ) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
+    """Value, gradient and Hessian of the Klyshko sum at ``theta``, for the
+    correlator E(u_1, u_2, u_3) = tensor[i, j, k] u_1i u_2j u_3k."""
+    c, s = np.cos(theta), np.sin(theta)
+    v = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)  # (u, u')
+    x, y, z = _KLYSHKO_SLOTS
+    r = np.einsum("ijk,tai,tbj,tck->tabc", tensor, v[x], v[y], v[z])
+    out = _KLYSHKO_SCATTER @ r.ravel()
+    return float(out[0]), out[1:7], out[7:].reshape(6, 6)
 
 
 def klyshko_max(mags: Sequence[float], grid: int = 32,
@@ -137,7 +187,19 @@ def klyshko_max(mags: Sequence[float], grid: int = 32,
         E = cos cos cos - g1 cos sin sin - g2 sin cos sin - g3 sin sin cos
 
     over the six polar angles.  The full grid^6 scan is computed exactly via
-    pairwise max-tensors in O(grid^4) memory, then refined coordinate-wise.
+    pairwise max-tensors in O(grid^4) memory and O(grid^5) time.  From its
+    best point the refinement repeats three steps.  An exact per-angle sweep:
+    the sum is affine in (cos, sin) of each angle, so each angle's global
+    maximum is one atan2 of its gradient and minus its Hessian diagonal.  A
+    Newton step on all six angles, or, where the Hessian has a positive
+    eigenvalue, an uphill step along that eigenvector to leave the saddle.
+    Newton and saddle steps are halved until they are accepted.
+
+    ``converged`` is True when the returned point has ||grad||_inf <= tol and
+    a Hessian whose largest eigenvalue is <= tol (negative semidefinite to
+    within tol).  ``evaluations`` counts the grid^3 correlator table, the
+    grid^4 max-tensor cells and one per derivative evaluation of the
+    refinement.
     """
     g1, g2, g3 = (float(g) for g in mags)
     th = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
@@ -162,37 +224,44 @@ def klyshko_max(mags: Sequence[float], grid: int = 32,
     kp = int(np.argmax(T2[i * n + j] - T2[ip * n + jp]))
     k = int(np.argmax(T2[i * n + jp] + T2[ip * n + j]))
     theta = np.array([th[i], th[j], th[k], th[ip], th[jp], th[kp]])
-    evals = n**3 + 2 * n**3
+    evals = n**3 + n**4
 
-    def corr(a: float, b: float, cth: float) -> float:
-        return (math.cos(a) * math.cos(b) * math.cos(cth)
-                - g1 * math.cos(a) * math.sin(b) * math.sin(cth)
-                - g2 * math.sin(a) * math.cos(b) * math.sin(cth)
-                - g3 * math.sin(a) * math.sin(b) * math.cos(cth))
-
-    def bell(t: NDArray) -> float:
-        return (corr(t[0], t[1], t[5]) + corr(t[0], t[4], t[2])
-                + corr(t[3], t[1], t[2]) - corr(t[3], t[4], t[5]))
-
-    best_v = bell(theta)
-    step = 2.0 * np.pi / grid
-    for _ in range(80):
-        improved = 0.0
-        for kk in range(6):
-            def f1(u: float, kk=kk) -> float:
-                t = theta.copy()
-                t[kk] = u
-                return bell(t)
-            x, v, nn = _golden_max(f1, theta[kk] - step, theta[kk] + step, tol)
-            evals += nn
-            if v > best_v:
-                improved = max(improved, v - best_v)
-                best_v = v
-                theta[kk] = x
-        if improved < tol:
+    tensor = np.zeros((2, 2, 2))
+    tensor[0, 0, 0], tensor[0, 1, 1], tensor[1, 0, 1], tensor[1, 1, 0] = 1.0, -g1, -g2, -g3
+    value, grad, hess = _klyshko_derivatives(tensor, theta)
+    evals += 1
+    converged = False
+    for _ in range(_KLYSHKO_ROUNDS):
+        lam, vecs = np.linalg.eigh(hess)
+        newton = lam[-1] <= tol
+        if newton and np.max(np.abs(grad)) <= tol:
+            converged = True
             break
-    return ScanResult(arg_max=theta, max_value=best_v, evaluations=evals,
-                      bracket=np.full(6, tol))
+        if newton:      # Newton step in the strictly concave subspace
+            keep = lam < -tol
+            step = -vecs[:, keep] @ ((vecs[:, keep].T @ grad) / lam[keep])
+        else:           # saddle escape: uphill along the positive-curvature direction
+            step = vecs[:, -1] if grad @ vecs[:, -1] >= 0.0 else -vecs[:, -1]
+        accepted = False
+        for halving in range(30):
+            trial = theta + 0.5**halving * step
+            t_value, t_grad, t_hess = _klyshko_derivatives(tensor, trial)
+            evals += 1
+            # near the maximum a Newton step moves B by less than rounding;
+            # there it must shrink the gradient instead
+            if t_value > value or (newton and t_value >= value - _ROUNDING * abs(value)
+                                   and np.max(np.abs(t_grad)) < np.max(np.abs(grad))):
+                theta, value, grad, hess = trial, t_value, t_grad, t_hess
+                accepted = True
+                break
+        if newton and accepted:
+            continue
+        for kk in range(6):     # exact per-angle maxima
+            theta[kk] += math.atan2(grad[kk], -hess[kk, kk])
+            value, grad, hess = _klyshko_derivatives(tensor, theta)
+            evals += 1
+    return ScanResult(arg_max=theta, max_value=value, evaluations=evals,
+                      bracket=np.full(6, tol), converged=converged)
 
 
 def log_j_maximize(f_of_j: Callable[[float], float], j_lo: float = 1e-8,
@@ -204,7 +273,8 @@ def log_j_maximize(f_of_j: Callable[[float], float], j_lo: float = 1e-8,
     res = maximize_scalar(lambda u: f_of_j(math.exp(u)),
                           math.log(j_lo), math.log(j_hi), tol)
     return ScanResult(arg_max=np.exp(res.arg_max), max_value=res.max_value,
-                      evaluations=res.evaluations, bracket=res.bracket)
+                      evaluations=res.evaluations, bracket=res.bracket,
+                      converged=res.converged)
 
 
 def asymptote_relations() -> list[dict]:

@@ -7,11 +7,48 @@ from cvbell import (
     InvalidParameterError,
     asymptote_relations,
     b3_su21_closed,
+    ghz_pi_coeffs,
+    ghz_r_from_photons,
     klyshko_max,
     log_j_maximize,
     maximize_angles,
     maximize_scalar,
+    su21_pi_coeffs,
 )
+
+
+def klyshko_sum(theta, g):
+    """The Klyshko sum written out, independent of klyshko_max's derivatives."""
+    def corr(a, b, c):
+        return (np.cos(a) * np.cos(b) * np.cos(c)
+                - g[0] * np.cos(a) * np.sin(b) * np.sin(c)
+                - g[1] * np.sin(a) * np.cos(b) * np.sin(c)
+                - g[2] * np.sin(a) * np.sin(b) * np.cos(c))
+
+    t = theta
+    return (corr(t[0], t[1], t[5]) + corr(t[0], t[4], t[2])
+            + corr(t[3], t[1], t[2]) - corr(t[3], t[4], t[5]))
+
+
+def bfgs_klyshko_max(g, starts=12, seed=0):
+    """Best of BFGS runs on the Klyshko sum from seeded uniform starts."""
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(seed)
+    return max(-minimize(lambda t: -klyshko_sum(t, g), rng.uniform(0, 2 * np.pi, 6),
+                         method="BFGS", options={"gtol": 1e-12}).fun
+               for _ in range(starts))
+
+
+# point-operator coefficient triples of the B3PS figure over N in [0.01, 100],
+# including the GHZ (N >= 13.6) and su21 (N >= 46.4) cells whose grid start
+# point is a saddle at B = 2
+B3PS_TRIPLES = [
+    pytest.param(coeffs(n).magnitudes(), id=f"{name}-N{n:g}")
+    for n in (0.01, 0.1, 1.0, 5.0, 13.6, 46.4, 100.0)
+    for name, coeffs in (("su21", su21_pi_coeffs),
+                         ("ghz", lambda n: ghz_pi_coeffs(ghz_r_from_photons(n))))
+]
 
 
 class TestMaximizeScalar:
@@ -23,6 +60,10 @@ class TestMaximizeScalar:
     def test_bell_objective(self):
         res = log_j_maximize(lambda j: b3_su21_closed(1e4, j).value, 1e-9, 1e-2)
         assert res.max_value == pytest.approx(2.89, abs=0.01)
+
+    def test_reports_convergence(self):
+        res = maximize_scalar(lambda x: -((x - 1.0) ** 2), 0.0, 2.0, tol=1e-10)
+        assert res.converged
 
     def test_refinement_never_below_coarse(self):
         f = lambda x: math.sin(5 * x) + 0.3 * x
@@ -65,6 +106,14 @@ class TestMaximizeAngles:
         dense = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                          axis=-1).reshape(-1, 3)
         assert res.max_value >= float(f(dense).max()) - 1e-4
+
+    def test_convergence_flag(self):
+        def f(pts):
+            return (np.cos(pts[:, 0] + pts[:, 1]) * np.cos(pts[:, 2])
+                    + 0.4 * np.sin(pts[:, 0]) * np.sin(pts[:, 2]))
+
+        assert maximize_angles(f, dim=3, grid=16, tol=1e-9).converged
+        assert not maximize_angles(f, dim=3, grid=16, tol=1e-9, max_passes=1).converged
 
     def test_dimension_guard(self):
         with pytest.raises(InvalidParameterError):
@@ -126,6 +175,29 @@ class TestKlyshko:
         b = klyshko_max((0.5, 0.5, 0.5))
         assert np.array_equal(a.arg_max, b.arg_max)
         assert a.max_value == b.max_value
+
+    @pytest.mark.parametrize("g", B3PS_TRIPLES)
+    def test_matches_multistart_bfgs(self, g):
+        res = klyshko_max(g, grid=16)
+        assert res.converged
+        assert res.max_value == pytest.approx(bfgs_klyshko_max(g), abs=1e-10)
+        assert klyshko_sum(res.arg_max, g) == pytest.approx(res.max_value, abs=1e-12)
+
+    def test_escapes_saddle_at_two(self):
+        """The grid-16 start point is a saddle at B = 2; the maximum is above it."""
+        res = klyshko_max((0.03497065747255589,) * 3, grid=16)
+        assert res.converged
+        assert res.max_value == pytest.approx(2.003592395997792, abs=1e-10)
+
+    @pytest.mark.parametrize("g", [(0.4, 0.6, 0.2), (0.5, 0.5, 0.5)])
+    def test_grid_independence(self, g):
+        coarse, fine = klyshko_max(g, grid=16), klyshko_max(g, grid=32)
+        assert coarse.converged and fine.converged
+        assert coarse.max_value == pytest.approx(fine.max_value, abs=1e-10)
+
+    def test_evaluations_count_scan_and_refinement(self):
+        res = klyshko_max((0.4, 0.6, 0.2), grid=8)
+        assert res.evaluations > 8**3 + 8**4
 
 
 class TestAsymptoteRelations:

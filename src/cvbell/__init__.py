@@ -81,7 +81,15 @@ from .bell_ps import (
     su21_pi_coeffs,
     su21_ps_coeffs,
 )
-from .homodyne import HomodyneSetting, b2_h, classical_reference, e_h_conditional, e_h_gaussian
+from .homodyne import (
+    HomodyneSetting,
+    b2_h,
+    chsh_h,
+    classical_reference,
+    e_h,
+    e_h_conditional,
+    e_h_gaussian,
+)
 from .optim import ScanResult, asymptote_relations, klyshko_max, log_j_maximize, maximize_angles, maximize_scalar
 
 __version__ = "0.1.0"

@@ -68,8 +68,10 @@ class RunConfig:
             )
         if self.state == "ghz" and self.r is None and self.n is None:
             raise UsageError("state 'ghz' needs --r or --n")
-        if self.state in ("su21", "twb") and self.n is None and self.n2 is None:
-            raise UsageError(f"state {self.state!r} needs --n (or --n2/--n3)")
+        if self.state == "su21" and self.n is None and self.n2 is None:
+            raise UsageError("state 'su21' needs --n (or --n2/--n3)")
+        if self.state == "twb" and self.n is None:
+            raise UsageError("state 'twb' needs --n")
         if self.state == "conditional" and self.n2 is None:
             raise UsageError("state 'conditional' needs --n2 (and usually --n3, --eta)")
         if self.j is None and not self.optimize and self.test in ("dp2", "dp3"):
@@ -132,19 +134,11 @@ def _point_value(cfg: RunConfig) -> dict:
         return {"value": bell_ps.b2_ps_from_f(f).value, "f": f}
     # homodyne: deterministic angle maximization of the CHSH combination
     if state == "twb":
-        st = gaussian.twb_state(cfg.n)
-        corr = lambda th, ph: homodyne.e_h_gaussian(st, th, ph)
+        target = gaussian.twb_state(cfg.n)
     else:
-        p = conditional.ConditionalParams(cfg.n2, cfg.n3 or 0.0, cfg.phi2, cfg.phi3, cfg.eta)
-        corr = lambda th, ph: homodyne.e_h_conditional(p, homodyne.HomodyneSetting(th, ph))
-
-    def chsh(pts: np.ndarray) -> np.ndarray:
-        out = np.empty(pts.shape[0])
-        for i, (t1, t2, p1, p2) in enumerate(pts):
-            out[i] = abs(corr(t1, p1) + corr(t1, p2) + corr(t2, p1) - corr(t2, p2))
-        return out
-
-    res = optim.maximize_angles(chsh, dim=4, grid=12, tol=cfg.tol)
+        target = conditional.ConditionalParams(cfg.n2, cfg.n3 or 0.0, cfg.phi2, cfg.phi3, cfg.eta)
+    res = optim.maximize_angles(lambda pts: homodyne.chsh_h(target, pts),
+                                dim=4, grid=12, tol=cfg.tol)
     return {"value": res.max_value, "settings": [float(a) for a in res.arg_max]}
 
 
@@ -227,13 +221,10 @@ def _figure_table(figure_id: str) -> tuple[dict, list[str], list[list[float]]]:
     if figure_id == "E2H":
         meta.update({"n3": 0.5, "eta": 1.0})
         psis = np.linspace(-np.pi, np.pi, 201)
-        rows = []
-        for psi in psis:
-            row = [psi, homodyne.classical_reference(psi)]
-            for n2 in (0.5, 1.0, 5.0):
-                p = conditional.ConditionalParams(n2=n2, n3=0.5, eta=1.0)
-                row.append(homodyne.e_h_conditional(p, homodyne.HomodyneSetting(psi, 0.0)))
-            rows.append(row)
+        curves = [homodyne.e_h(conditional.ConditionalParams(n2=n2, n3=0.5, eta=1.0), psis, 0.0)
+                  for n2 in (0.5, 1.0, 5.0)]
+        rows = [[psi, homodyne.classical_reference(psi), *es]
+                for psi, *es in zip(psis, *curves)]
         return meta, ["psi", "e_classical", "e_n2_0.5", "e_n2_1", "e_n2_5"], rows
     raise UsageError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
 
@@ -455,14 +446,11 @@ def _verify_checks(cutoff: int, tol: float) -> tuple[list[_Check], list[str]]:
     add("heralded homodyne below the classical sawtooth", "<= 0", chk_sawtooth)
 
     def chk_homodyne_chsh():
-        rng = np.random.default_rng(11)
+        angles = np.random.default_rng(11).uniform(-math.pi, math.pi, (10000, 4))
         p = conditional.ConditionalParams(n2=1.0, n3=0.5, eta=1.0)
         tw = gaussian.twb_state(3.0)
-        mx = 0.0
-        for _ in range(10000):
-            t1, t2, p1, p2 = rng.uniform(-math.pi, math.pi, 4)
-            mx = max(mx, homodyne.b2_h(p, t1, t2, p1, p2).value)
-            mx = max(mx, homodyne.b2_h(tw, t1, t2, p1, p2).value)
+        mx = max(float(np.max(homodyne.chsh_h(p, angles))),
+                 float(np.max(homodyne.chsh_h(tw, angles))))
         return mx <= 2.0, f"max CHSH = {mx:.6f} over 1e4 random settings"
     add("homodyne CHSH never exceeds 2", "2", chk_homodyne_chsh)
 
@@ -545,6 +533,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except CvBellError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

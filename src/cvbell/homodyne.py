@@ -12,11 +12,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike, NDArray
 
 from .conditional import ConditionalParams, two_gaussian_form
 from .errors import InvalidParameterError, PrecisionError
 from .gaussian import GaussianState
 from .bell_dp import BellValue
+
+# columns of [theta, theta', phi, phi'] for the four CHSH pairs, in summation order
+_THETA_COLS = np.array([0, 0, 1, 1])
+_PHI_COLS = np.array([2, 3, 2, 3])
 
 
 @dataclass(frozen=True)
@@ -27,12 +32,8 @@ class HomodyneSetting:
     phi: float
 
     def __post_init__(self):
-        if not np.isfinite([self.theta, self.phi]).all():
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise InvalidParameterError("phases must be finite")
-
-    def combined(self, phi2: float = 0.0) -> float:
-        """The angle the heralded-state correlator actually depends on."""
-        return self.theta + self.phi + phi2
 
 
 def classical_reference(psi: float) -> float:
@@ -44,64 +45,94 @@ def classical_reference(psi: float) -> float:
     return 1.0 - 2.0 * abs(w) / math.pi
 
 
-def e_h_gaussian(s: GaussianState, theta: float, phi: float) -> float:
-    """Sign-binned quadrature correlator of a two-mode Gaussian state:
-    (2/pi) arcsin(rho) with rho read off the covariance matrix."""
+def e_h(target: ConditionalParams | GaussianState,
+        theta: ArrayLike, phi: ArrayLike) -> NDArray[np.float64]:
+    """Sign-binned quadrature correlator at local-oscillator phases ``theta``
+    (mode 1) and ``phi`` (mode 2), broadcast elementwise over arrays of them.
+
+    A two-mode ``GaussianState`` gives (2/pi) arcsin(rho), with the quadrature
+    variances and covariance written out from its covariance matrix.  A
+    ``ConditionalParams`` gives the heralded state's closed two-arctangent form
+    in psi = theta + phi + phi2.  The overall sign is fixed by the Fock orthant
+    oracle (positive correlation at psi = 0); it vanishes at psi = pi/2 by the
+    odd symmetry in cos(psi).  Raises ``InvalidParameterError`` on a
+    non-finite phase and ``PrecisionError`` if any element leaves the arcsine
+    or arctangent domain.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise InvalidParameterError("phases must be finite")
+    if isinstance(target, ConditionalParams):
+        return _e_h_heralded(target, theta + phi + target.phi2)
+    return _e_h_orthant(target, theta, phi)
+
+
+def _e_h_orthant(s: GaussianState, theta: NDArray, phi: NDArray) -> NDArray[np.float64]:
     if s.n_modes != 2:
         raise InvalidParameterError("two-mode Gaussian state required")
-    v1 = np.array([math.cos(theta), 0.0, math.sin(theta), 0.0])
-    v2 = np.array([0.0, math.cos(phi), 0.0, math.sin(phi)])
-    var1 = float(v1 @ s.cov @ v1)
-    var2 = float(v2 @ s.cov @ v2)
-    cov = float(v1 @ s.cov @ v2)
-    rho = cov / math.sqrt(var1 * var2)
-    if abs(rho) > 1.0 + 1e-12:
-        raise PrecisionError(f"quadrature correlation {rho} outside [-1, 1]")
-    rho = max(-1.0, min(1.0, rho))
-    return (2.0 / math.pi) * math.asin(rho)
+    (c00, c01, c02, c03), (_, c11, c12, c13), (_, _, c22, c23), (_, _, _, c33) = s.cov.tolist()
+    c1, s1 = np.cos(theta), np.sin(theta)     # mode 1 quadrature x1 cos + y1 sin
+    c2, s2 = np.cos(phi), np.sin(phi)         # mode 2 quadrature x2 cos + y2 sin
+    var1 = c00 * c1 * c1 + 2.0 * c02 * c1 * s1 + c22 * s1 * s1
+    var2 = c11 * c2 * c2 + 2.0 * c13 * c2 * s2 + c33 * s2 * s2
+    cov = c01 * c1 * c2 + c03 * c1 * s2 + c12 * s1 * c2 + c23 * s1 * s2
+    rho = cov / np.sqrt(var1 * var2)
+    worst = np.max(np.abs(rho), initial=0.0)
+    if worst > 1.0 + 1e-12:
+        raise PrecisionError(f"quadrature correlation {worst} outside [-1, 1]")
+    return (2.0 / math.pi) * np.arcsin(np.clip(rho, -1.0, 1.0))
 
 
-def e_h_conditional(p: ConditionalParams, setting: HomodyneSetting) -> float:
-    """Sign-binned quadrature correlator of the heralded state.
-
-    Closed two-arctangent form in psi = theta + phi + phi2.  The overall sign
-    is fixed by the Fock orthant oracle (positive correlation at psi = 0);
-    zero at psi = pi/2 by the odd symmetry in cos(psi).
-    """
+def _e_h_heralded(p: ConditionalParams, psi: NDArray) -> NDArray[np.float64]:
     if p.eta <= 0.0:
         raise InvalidParameterError("eta must be > 0 for the heralded state")
     if p.n2 <= 0.0 or p.n3 <= 0.0:
         raise PrecisionError("the closed form needs n2 > 0 and n3 > 0")
-    psi = setting.combined(p.phi2)
     n1, n2, n3, eta = p.n2 + p.n3, p.n2, p.n3, p.eta
     form = two_gaussian_form(p)
     det_vp, det_d = form.norm_a, form.norm_b
-    cs = math.cos(psi)
+    cs = np.cos(psi)
     z1 = (1 + 2 * n1) * (1 + 2 * n2) / ((1 + n1) * n2)
     z2 = (1 + 2 * n1 - n3 * eta) * (1 + 2 * n2 + n3 * eta) / ((1 + n1) * n2)
-    for z in (z1, z2):
-        if z - 4 * cs * cs <= 0:
-            raise PrecisionError("arctangent argument left its domain")
+    d1, d2 = z1 - 4 * cs * cs, z2 - 4 * cs * cs
+    if not ((d1 > 0).all() and (d2 > 0).all()):
+        raise PrecisionError("arctangent argument left its domain")
     pref = (1 + eta * n3) / (4 * eta * n3)
     t1 = -(2 / math.pi) ** 2 / math.sqrt(det_vp) * (
-        2 * (1 + 2 * n3) * math.pi * math.atan(2 * cs / math.sqrt(z1 - 4 * cs * cs)))
+        2 * (1 + 2 * n3) * math.pi * np.arctan(2 * cs / np.sqrt(d1)))
     t2 = -(1 / eta) * (2 / math.pi) ** 2 * 2 / math.sqrt(det_d) * (
         2 * math.pi * (-1 + n3 * (eta - 2)) / (1 + n3 * eta)
-        * math.atan(2 * cs / math.sqrt(z2 - 4 * cs * cs)))
+        * np.arctan(2 * cs / np.sqrt(d2)))
     # the printed closed form carries a global minus sign relative to the
     # orthant oracle; return the oracle-signed value
     return -pref * (t1 + t2)
 
 
+def chsh_h(target: ConditionalParams | GaussianState, angles: ArrayLike) -> NDArray[np.float64]:
+    """|E(t, p) + E(t, p') + E(t', p) - E(t', p')| for each row [t, t', p, p']
+    of an (m, 4) array of phases, from one stacked call of ``e_h``."""
+    a = np.asarray(angles, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 4:
+        raise InvalidParameterError(f"angles must have shape (m, 4), got {a.shape}")
+    e = e_h(target, a.take(_THETA_COLS, axis=1), a.take(_PHI_COLS, axis=1))
+    return np.abs(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
+
+
+def e_h_gaussian(s: GaussianState, theta: float, phi: float) -> float:
+    """Sign-binned quadrature correlator of a two-mode Gaussian state:
+    (2/pi) arcsin(rho) with rho read off the covariance matrix."""
+    return float(e_h(s, theta, phi))
+
+
+def e_h_conditional(p: ConditionalParams, setting: HomodyneSetting) -> float:
+    """Sign-binned quadrature correlator of the heralded state, a closed form
+    in psi = theta + phi + phi2 (see ``e_h``)."""
+    return float(e_h(p, setting.theta, setting.phi))
+
+
 def b2_h(target: ConditionalParams | GaussianState,
          theta: float, theta_p: float, phi: float, phi_p: float) -> BellValue:
     """CHSH combination of four sign-binned quadrature correlators."""
-    if isinstance(target, ConditionalParams):
-        def corr(th, ph):
-            return e_h_conditional(target, HomodyneSetting(th, ph))
-    else:
-        def corr(th, ph):
-            return e_h_gaussian(target, th, ph)
-    val = abs(corr(theta, phi) + corr(theta, phi_p)
-              + corr(theta_p, phi) - corr(theta_p, phi_p))
-    return BellValue(val, 2, (theta, theta_p, phi, phi_p))
+    value = float(chsh_h(target, [[theta, theta_p, phi, phi_p]])[0])
+    return BellValue(value, 2, (theta, theta_p, phi, phi_p))

@@ -89,6 +89,41 @@ class TestPoint:
         with pytest.raises(UsageError):
             cfg.validate()
 
+    # values printed by the per-correlator scalar loop this batched path replaced
+    @pytest.mark.parametrize("argv,value", [
+        (["--state", "twb", "--n", "2"], 1.8582362175901606),
+        (["--state", "conditional", "--n2", "1", "--n3", "0.5", "--eta", "1"],
+         1.8307866780542155),
+        (["--state", "conditional", "--n2", "0.7", "--n3", "0.2", "--eta", "0.6",
+          "--phi2", "0.3"], 1.7755307279500596),
+    ])
+    def test_homodyne_values_pinned(self, argv, value, capsys):
+        assert main(["point", "--test", "homodyne", *argv]) == 0
+        rec = json.loads(capsys.readouterr().out.strip())
+        assert rec["value"] == pytest.approx(value, abs=1e-12)
+        assert len(rec["settings"]) == 4
+
+    def test_twb_needs_n(self, capsys):
+        cfg = RunConfig(state="twb", test="dp2", n2=1.0, j=0.1)
+        with pytest.raises(UsageError, match="--n"):
+            cfg.validate()
+        assert main(["point", "--state", "twb", "--test", "dp2", "--n2", "1", "--j", "0.1"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize("argv,kind", [
+        (["--state", "twb", "--test", "ps2", "--n", "-1"], "InvalidParameterError"),
+        (["--state", "conditional", "--test", "ps2", "--n2", "1"], "InvalidParameterError"),
+        (["--state", "conditional", "--test", "homodyne", "--n2", "1", "--n3", "0"],
+         "PrecisionError"),
+    ])
+    def test_maps_to_exit_4(self, argv, kind, capsys):
+        assert main(["point", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {kind}: ")
+
 
 class TestVerify:
     def test_fresh_run_passes(self, capsys):
@@ -97,6 +132,7 @@ class TestVerify:
         assert "FAIL" not in out
         # the sign finding is reported, not failed
         assert "all-z pseudospin correlator" in out
+        assert "max CHSH = 1.919982 over 1e4 random settings" in out
 
     def test_small_cutoff_fails(self, capsys):
         assert main(["verify", "--cutoff", "4"]) == 1

@@ -3,18 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from cvbell import (
     ConditionalParams,
     GaussianState,
     HomodyneSetting,
+    InvalidParameterError,
+    PrecisionError,
     TripartitePhotonNumbers,
     b2_h,
+    chsh_h,
     classical_reference,
+    e_h,
     e_h_conditional,
     e_h_gaussian,
     onoff_condition,
     quadrature_orthant_expect,
+    reduce_state,
     su21_fock,
+    su21_state,
     twb_state,
 )
 
@@ -122,3 +130,91 @@ class TestChsh:
     def test_vacuum_trivial(self):
         vac = GaussianState(2, np.eye(4))
         assert b2_h(vac, 0.1, 0.5, 0.2, 0.9).value == 0.0
+
+
+# the twin beam, a two-mode Gaussian with unequal modes and x1-y2 / y1-x2
+# correlations, and a heralded state with a phase offset
+ASYMMETRIC = reduce_state(su21_state(TripartitePhotonNumbers(0.8, 0.3, 0.7, -0.4)), [0, 1])
+HERALDED = ConditionalParams(0.6, 0.4, phi2=0.9, eta=0.7)
+TARGETS = [twb_state(3.0), ASYMMETRIC, HERALDED]
+
+
+def scalar_e_h(target, theta, phi):
+    if isinstance(target, ConditionalParams):
+        return e_h_conditional(target, HomodyneSetting(theta, phi))
+    return e_h_gaussian(target, theta, phi)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("target", TARGETS, ids=["twb", "su21_reduced", "heralded"])
+    def test_matches_scalar_wrappers(self, target):
+        rng = np.random.default_rng(5)
+        th, ph = rng.uniform(-math.pi, math.pi, (2, 1000))
+        batch = e_h(target, th, ph)
+        assert batch.shape == (1000,)
+        scalar = np.array([scalar_e_h(target, t, p) for t, p in zip(th, ph)])
+        assert np.max(np.abs(batch - scalar)) <= 1e-15
+
+    def test_broadcasts_over_angle_grids(self):
+        th = np.linspace(-3.0, 3.0, 7)[:, None]
+        ph = np.linspace(-1.0, 1.0, 5)[None, :]
+        grid = e_h(ASYMMETRIC, th, ph)
+        assert grid.shape == (7, 5)
+        assert grid[2, 3] == pytest.approx(e_h_gaussian(ASYMMETRIC, th[2, 0], ph[0, 3]),
+                                           abs=1e-15)
+
+    def test_gaussian_matches_matrix_quadratic_forms(self):
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(4, 4))
+        general = GaussianState(2, m @ m.T + np.eye(4))   # every entry nonzero
+        for s in (ASYMMETRIC, general):
+            for th, ph in rng.uniform(-math.pi, math.pi, (50, 2)):
+                v1 = np.array([math.cos(th), 0.0, math.sin(th), 0.0])
+                v2 = np.array([0.0, math.cos(ph), 0.0, math.sin(ph)])
+                rho = (v1 @ s.cov @ v2) / math.sqrt((v1 @ s.cov @ v1) * (v2 @ s.cov @ v2))
+                assert e_h_gaussian(s, th, ph) == pytest.approx(
+                    (2 / math.pi) * math.asin(rho), abs=1e-13)
+
+    @pytest.mark.parametrize("target", TARGETS, ids=["twb", "su21_reduced", "heralded"])
+    def test_chsh_matches_b2_row_by_row(self, target):
+        angles = np.random.default_rng(9).uniform(-math.pi, math.pi, (300, 4))
+        values = chsh_h(target, angles)
+        assert values.shape == (300,)
+        for row, value in zip(angles, values):
+            assert value == pytest.approx(b2_h(target, *row).value, abs=1e-15)
+
+    def test_chsh_rejects_bad_shape(self):
+        with pytest.raises(InvalidParameterError):
+            chsh_h(HERALDED, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("target", TARGETS, ids=["twb", "su21_reduced", "heralded"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_one_non_finite_phase_fails_the_batch(self, target, bad):
+        theta = np.array([0.1, 0.4, bad, -0.2])
+        with pytest.raises(InvalidParameterError):
+            e_h(target, theta, 0.3)
+        with pytest.raises(InvalidParameterError):
+            scalar_e_h(target, bad, 0.3)
+        with pytest.raises(InvalidParameterError):
+            chsh_h(target, [[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, bad, 0.4]])
+
+    def test_one_element_outside_the_arcsine_domain_fails_the_batch(self):
+        # not positive definite: the x quadratures correlate beyond 1
+        bad = SimpleNamespace(n_modes=2, cov=np.array(
+            [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+        assert abs(e_h(bad, math.pi / 2, 0.0)) < 1e-15
+        with pytest.raises(PrecisionError):
+            e_h(bad, np.array([math.pi / 2, math.pi / 2, 0.0]), 0.0)
+        with pytest.raises(PrecisionError):
+            e_h_gaussian(bad, 0.0, 0.0)
+
+    def test_heralded_domain_errors_match_the_scalar_call(self):
+        empty = ConditionalParams(1.0, 0.0, eta=1.0)
+        with pytest.raises(PrecisionError):
+            e_h(empty, np.zeros(5), 0.0)
+        with pytest.raises(PrecisionError):
+            e_h_conditional(empty, HomodyneSetting(0.0, 0.0))
+
+    def test_three_mode_state_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            e_h(su21_state(TripartitePhotonNumbers(0.3, 0.3)), np.zeros(2), 0.0)

@@ -10,24 +10,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import bell_dp, bell_ps, conditional, fock, gaussian, homodyne, optim
 from .errors import CvBellError
-
-FIGURE_IDS = ("B3DPVLBGen", "B3DPT", "B3DPN", "B3PS", "B2DPTWBA", "B2PS", "E2H")
-
-_STATES = ("ghz", "su21", "twb", "conditional")
-_TESTS = ("dp2", "dp3", "ps2", "ps3", "homodyne")
-_VALID_COMBOS = {
-    "dp3": ("ghz", "su21"),
-    "ps3": ("ghz", "su21"),
-    "dp2": ("twb", "conditional"),
-    "ps2": ("twb", "conditional"),
-    "homodyne": ("twb", "conditional"),
-}
 
 
 class UsageError(Exception):
@@ -38,46 +26,136 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+# ---------------------------------------------------------------------------
+# point evaluations: one table entry per (state, test) pair
+
+_PARAMS = ("r", "n", "n2", "n3", "phi2", "phi3", "eta", "j")   # listed in a record's params
+_FLAGS = (*_PARAMS, "optimize", "tol")
+_DEFAULTS = {"n3": 0.0, "phi2": 0.0, "phi3": 0.0, "eta": 1.0, "tol": 1e-8}
+
+
+class _Pair(NamedTuple):
+    """What one (state, test) pair reads and how it is evaluated.
+
+    Exactly one form of each group is read.  A form is a tuple of flag names,
+    chosen when its first name is given or has a default; unset names take
+    their ``_DEFAULTS``.  ``--grid`` sweeps the first name of the first form."""
+    groups: tuple[tuple[tuple[str, ...], ...], ...]
+    evaluate: Callable[[dict], dict]
+
+
+def _ghz_r(p: dict) -> float:
+    return p["r"] if "r" in p else gaussian.ghz_r_from_photons(p["n"])
+
+
+def _heralded(p: dict) -> conditional.ConditionalParams:
+    return conditional.ConditionalParams(p["n2"], p["n3"], p["phi2"], p["phi3"], p["eta"])
+
+
+def _dp(target: Callable[[dict], object], value: Callable[[object, float], float]):
+    """A displaced-parity evaluator: ``value(target(p), j)`` at ``--j``, or its
+    maximum over J with ``--optimize``."""
+    def evaluate(p: dict) -> dict:
+        t = target(p)
+        if "j" in p:
+            return {"value": value(t, p["j"])}
+        res = optim.log_j_maximize(lambda j: value(t, j), 1e-9, 10.0, tol=p["tol"])
+        return {"value": res.max_value, "j_opt": float(res.arg_max[0]),
+                "evaluations": res.evaluations}
+    return evaluate
+
+
+def _ps2(f: float) -> dict:
+    return {"value": bell_ps.b2_ps_from_f(f).value, "f": f}
+
+
+def _su21_ps3(p: dict) -> dict:
+    n2, n3 = (p["n2"], p["n3"]) if "n2" in p else (p["n"] / 4.0, p["n"] / 4.0)
+    return {"value": bell_ps.b3_ps(n2, n3, tol=p["tol"]).value}
+
+
+def _homodyne(target, tol: float) -> dict:
+    res = optim.maximize_angles(lambda pts: homodyne.chsh_h(target, pts),
+                                dim=4, grid=12, tol=tol)
+    return {"value": res.max_value, "settings": [float(a) for a in res.arg_max]}
+
+
+_N = (("n",),)
+_GHZ = (("n",), ("r",))
+_HERALDED = (("n2", "n3", "phi2", "phi3", "eta"),)
+_DP = (("j",), ("optimize", "tol"))
+_TOL = (("tol",),)
+
+_PAIRS = {
+    ("ghz", "dp3"): _Pair((_GHZ, _DP), _dp(
+        _ghz_r, lambda r, j: bell_dp.b3_ghz_closed(r, j).value)),
+    # the trilinear closed form is the symmetric one: it reads the total N only
+    ("su21", "dp3"): _Pair((_N, _DP), _dp(
+        lambda p: p["n"], lambda n, j: bell_dp.b3_su21_closed(n, j).value)),
+    ("twb", "dp2"): _Pair((_N, _DP), _dp(
+        lambda p: p["n"], lambda n, j: bell_dp.b2_twb_dp(n, j).value)),
+    ("conditional", "dp2"): _Pair((_HERALDED, _DP), _dp(
+        _heralded, lambda hp, j: bell_dp.b2_conditional_dp(hp, j).value)),
+    ("ghz", "ps3"): _Pair((_GHZ,), lambda p: {
+        "value": bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(_ghz_r(p))).value}),
+    ("su21", "ps3"): _Pair(((("n",), ("n2", "n3")), _TOL), _su21_ps3),
+    ("twb", "ps2"): _Pair((_N,), lambda p: _ps2(bell_ps.f_twb(p["n"]))),
+    ("conditional", "ps2"): _Pair((_HERALDED, _TOL), lambda p: _ps2(
+        bell_ps.f_conditional(_heralded(p), tol=p["tol"]))),
+    ("twb", "homodyne"): _Pair((_N, _TOL), lambda p: _homodyne(
+        gaussian.twb_state(p["n"]), p["tol"])),
+    ("conditional", "homodyne"): _Pair((_HERALDED, _TOL), lambda p: _homodyne(
+        _heralded(p), p["tol"])),
+}
+
+
 @dataclass
 class RunConfig:
+    """One ``point`` query.  A flag left at None (``optimize`` at False) is
+    unset; the pair's ``_PAIRS`` entry says which flags it reads."""
     state: str
     test: str
     r: float | None = None
     n: float | None = None
     n2: float | None = None
     n3: float | None = None
-    phi2: float = 0.0
-    phi3: float = 0.0
-    eta: float = 1.0
+    phi2: float | None = None
+    phi3: float | None = None
+    eta: float | None = None
     j: float | None = None
     optimize: bool = False
+    tol: float | None = None
     grid: tuple[float, float, int] | None = None
-    cutoff: int = 30
-    tol: float = 1e-8
-    out: str | None = None
-    format: str = "csv"
 
-    def validate(self) -> None:
-        if self.state not in _STATES:
-            raise UsageError(f"unknown state {self.state!r}; choose from {_STATES}")
-        if self.test not in _TESTS:
-            raise UsageError(f"unknown test {self.test!r}; choose from {_TESTS}")
-        if self.state not in _VALID_COMBOS[self.test]:
-            raise UsageError(
-                f"test {self.test!r} needs a state in {_VALID_COMBOS[self.test]}, got {self.state!r}"
-            )
-        if self.state == "ghz" and self.r is None and self.n is None:
-            raise UsageError("state 'ghz' needs --r or --n")
-        if self.state == "su21" and self.n is None and self.n2 is None:
-            raise UsageError("state 'su21' needs --n (or --n2/--n3)")
-        if self.state == "twb" and self.n is None:
-            raise UsageError("state 'twb' needs --n")
-        if self.state == "conditional" and self.n2 is None:
-            raise UsageError("state 'conditional' needs --n2 (and usually --n3, --eta)")
-        if self.j is None and not self.optimize and self.test in ("dp2", "dp3"):
-            raise UsageError("displaced-parity tests need --j or --optimize")
-        if self.format not in ("csv", "json"):
-            raise UsageError("format must be csv or json")
+    def validate(self) -> dict:
+        """Return the values the pair's evaluator reads, unset ones at their
+        defaults; raise ``UsageError`` for a flag it would not read."""
+        pair = _PAIRS.get((self.state, self.test))
+        if pair is None:
+            raise UsageError(f"no test {self.test!r} for state {self.state!r}; choose from "
+                             + ", ".join(f"{s} {t}" for s, t in _PAIRS))
+        name, sweep = f"{self.state} {self.test}", pair.groups[0][0][0]
+        given = {k for k, v in vars(self).items()
+                 if k in _FLAGS and v is not None and v is not False}
+        if self.grid is not None:
+            if self.grid[2] < 1:
+                raise UsageError("--grid needs at least one step")
+            given.add(sweep)
+        values: dict = {}
+        for forms in pair.groups:
+            chosen = [f for f in forms if f[0] in given or f[0] in _DEFAULTS]
+            if len(chosen) > 1:
+                hint = f" (--grid sweeps --{sweep})" if self.grid is not None else ""
+                raise UsageError(f"{name} takes --{chosen[0][0]} or --{chosen[1][0]}, not both{hint}")
+            for f in chosen:
+                values.update({k: getattr(self, k) if k in given else _DEFAULTS[k] for k in f})
+        unread = [f"--{k}" for k in _FLAGS if k in given and k not in values]
+        if unread:
+            raise UsageError(f"{name} does not read {', '.join(unread)}")
+        for forms in pair.groups:
+            if not any(f[0] in values for f in forms):
+                raise UsageError(f"{name} needs " + " or ".join(f"--{f[0]}" for f in forms))
+        return values
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -85,153 +163,94 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, steps = text.split(":")
         return float(lo), float(hi), int(steps)
     except ValueError as exc:
-        raise UsageError(f"bad --grid {text!r}, expected lo:hi:steps") from exc
-
-
-# ---------------------------------------------------------------------------
-# point evaluations
-
-def _point_value(cfg: RunConfig) -> dict:
-    meta: dict = {}
-
-    def optimize_j(f: Callable[[float], float], j_lo=1e-9, j_hi=10.0):
-        res = optim.log_j_maximize(f, j_lo, j_hi, tol=cfg.tol)
-        meta.update({"j_opt": float(res.arg_max[0]), "evaluations": res.evaluations})
-        return res.max_value
-
-    state, test = cfg.state, cfg.test
-    if test == "dp3":
-        if state == "ghz":
-            r = cfg.r if cfg.r is not None else gaussian.ghz_r_from_photons(cfg.n)
-            fn = lambda j: bell_dp.b3_ghz_closed(r, j).value
-        else:
-            n = cfg.n if cfg.n is not None else 2.0 * (cfg.n2 + (cfg.n3 or 0.0))
-            fn = lambda j: bell_dp.b3_su21_closed(n, j).value
-        return {"value": optimize_j(fn) if cfg.optimize else fn(cfg.j), **meta}
-    if test == "dp2":
-        if state == "twb":
-            fn = lambda j: bell_dp.b2_twb_dp(cfg.n, j).value
-        else:
-            p = conditional.ConditionalParams(cfg.n2, cfg.n3 or 0.0, cfg.phi2, cfg.phi3, cfg.eta)
-            fn = lambda j: bell_dp.b2_conditional_dp(p, j).value
-        return {"value": optimize_j(fn) if cfg.optimize else fn(cfg.j), **meta}
-    if test == "ps3":
-        if state == "su21":
-            if cfg.n2 is not None:
-                bv = bell_ps.b3_ps(cfg.n2, cfg.n3 or 0.0, tol=cfg.tol)
-            else:
-                bv = bell_ps.b3_ps(cfg.n / 4.0, cfg.n / 4.0, tol=cfg.tol)
-        else:
-            r = cfg.r if cfg.r is not None else gaussian.ghz_r_from_photons(cfg.n)
-            bv = bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(r))
-        return {"value": bv.value}
-    if test == "ps2":
-        if state == "twb":
-            f = bell_ps.f_twb(cfg.n)
-        else:
-            p = conditional.ConditionalParams(cfg.n2, cfg.n3 or 0.0, cfg.phi2, cfg.phi3, cfg.eta)
-            f = bell_ps.f_conditional(p, tol=cfg.tol)
-        return {"value": bell_ps.b2_ps_from_f(f).value, "f": f}
-    # homodyne: deterministic angle maximization of the CHSH combination
-    if state == "twb":
-        target = gaussian.twb_state(cfg.n)
-    else:
-        target = conditional.ConditionalParams(cfg.n2, cfg.n3 or 0.0, cfg.phi2, cfg.phi3, cfg.eta)
-    res = optim.maximize_angles(lambda pts: homodyne.chsh_h(target, pts),
-                                dim=4, grid=12, tol=cfg.tol)
-    return {"value": res.max_value, "settings": [float(a) for a in res.arg_max]}
+        raise argparse.ArgumentTypeError(f"bad --grid {text!r}, expected lo:hi:steps") from exc
 
 
 def run_point(cfg: RunConfig) -> int:
     """Evaluate one configuration (or a sweep) and print JSON records to stdout."""
-    cfg.validate()
-    base = {
-        "state": cfg.state, "test": cfg.test,
-        "params": {k: getattr(cfg, k) for k in ("r", "n", "n2", "n3", "phi2", "phi3", "eta", "j")
-                   if getattr(cfg, k) is not None},
-    }
-    if cfg.grid is None:
-        rec = dict(base)
-        rec.update(_point_value(cfg))
-        print(json.dumps(rec, sort_keys=True))
-        return 0
-    lo, hi, steps = cfg.grid
-    sweep_key = "n2" if cfg.state == "conditional" else "n"
-    for v in np.linspace(lo, hi, steps):
-        sub = RunConfig(**{**cfg.__dict__, sweep_key: float(v), "grid": None})
-        rec = dict(base)
-        rec["params"] = dict(base["params"], **{sweep_key: float(v)})
-        rec.update(_point_value(sub))
+    values = cfg.validate()
+    pair = _PAIRS[cfg.state, cfg.test]
+    sweep = pair.groups[0][0][0]
+    steps = [values] if cfg.grid is None else [
+        {**values, sweep: float(v)} for v in np.linspace(*cfg.grid)]
+    for p in steps:
+        rec = {"state": cfg.state, "test": cfg.test,
+               "params": {k: p[k] for k in _PARAMS if k in p}, **pair.evaluate(p)}
         print(json.dumps(rec, sort_keys=True))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# figures
+# figures: each builder returns (meta, column names, rows)
 
-def _figure_table(figure_id: str) -> tuple[dict, list[str], list[list[float]]]:
-    meta: dict = {"figure": figure_id}
-    if figure_id == "B3DPVLBGen":
-        rs = np.linspace(0.0, 3.0, 61)
-        js = np.concatenate([[0.0], np.logspace(-4, 0, 40)])
-        rows = [[r, j, bell_dp.b3_ghz_closed(r, j).value] for r in rs for j in js]
-        return meta, ["r", "j", "b3_dp"], rows
-    if figure_id == "B3DPT":
-        ns = np.logspace(-1, 3, 33)
-        js = np.logspace(-5, 0, 33)
-        rows = [[n, j, bell_dp.b3_su21_opt_dp(n, j).value] for n in ns for j in js]
-        return meta, ["n", "j", "b3_dp"], rows
-    if figure_id == "B3DPN":
-        ns = np.logspace(-2, 5, 71)
-        rows = []
-        for n in ns:
-            r = gaussian.ghz_r_from_photons(n)
-            g = optim.log_j_maximize(lambda j: bell_dp.b3_ghz_closed(r, j).value, 1e-9, 10.0).max_value
-            t = optim.log_j_maximize(lambda j: bell_dp.b3_su21_closed(n, j).value, 1e-9, 10.0).max_value
-            rows.append([n, g, t])
-        return meta, ["n", "b3_dp_ghz_opt", "b3_dp_su21_opt"], rows
-    if figure_id == "B3PS":
-        ns = np.logspace(-2, 2, 61)
-        rows = []
-        for n in ns:
-            t = bell_ps.b3_ps_from_coeffs(bell_ps.su21_pi_coeffs(n), grid=16).value
-            g = bell_ps.b3_ps_from_coeffs(
-                bell_ps.ghz_pi_coeffs(gaussian.ghz_r_from_photons(n)), grid=16).value
-            rows.append([n, t, g])
-        return meta, ["n", "b3_ps_pi_su21", "b3_ps_pi_ghz"], rows
-    if figure_id == "B2DPTWBA":
-        meta.update({"n3": "1e-2/n2", "eta": 1.0})
-        n2s = np.logspace(0, 4, 25)
-        js = np.logspace(-6, -1, 33)
-        rows = []
-        for n2 in n2s:
-            p = conditional.ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-            for j in js:
-                rows.append([n2, j, bell_dp.b2_conditional_dp(p, j).value])
-        return meta, ["n2", "j", "b2_dp"], rows
-    if figure_id == "B2PS":
-        meta.update({"eta": 0.8, "n3": 0.1, "note": "f_1/f_tr swept in n2 at fixed n3"})
-        ns = np.linspace(0.05, 10.0, 100)
-        rows = []
-        for n in ns:
-            p = conditional.ConditionalParams(n2=n, n3=0.1, eta=0.8)
-            rows.append([n, bell_ps.f_twb(n), bell_ps.f_conditional(p),
-                         bell_ps.f_traced(p)])
-        return meta, ["n", "f_twb", "f_1", "f_tr"], rows
-    if figure_id == "E2H":
-        meta.update({"n3": 0.5, "eta": 1.0})
-        psis = np.linspace(-np.pi, np.pi, 201)
-        curves = [homodyne.e_h(conditional.ConditionalParams(n2=n2, n3=0.5, eta=1.0), psis, 0.0)
-                  for n2 in (0.5, 1.0, 5.0)]
-        rows = [[psi, homodyne.classical_reference(psi), *es]
-                for psi, *es in zip(psis, *curves)]
-        return meta, ["psi", "e_classical", "e_n2_0.5", "e_n2_1", "e_n2_5"], rows
-    raise UsageError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
+def _b3dpvlbgen():
+    rs = np.linspace(0.0, 3.0, 61)
+    js = np.concatenate([[0.0], np.logspace(-4, 0, 40)])
+    rows = [[r, j, bell_dp.b3_ghz_closed(r, j).value] for r in rs for j in js]
+    return {}, ["r", "j", "b3_dp"], rows
+
+
+def _b3dpt():
+    ns = np.logspace(-1, 3, 33)
+    js = np.logspace(-5, 0, 33)
+    rows = [[n, j, bell_dp.b3_su21_opt_dp(n, j).value] for n in ns for j in js]
+    return {}, ["n", "j", "b3_dp"], rows
+
+
+def _b3dpn():
+    best = {"optimize": True, "tol": _DEFAULTS["tol"]}   # point --test dp3 --optimize
+    rows = [[n, *(_PAIRS[s, "dp3"].evaluate({"n": n, **best})["value"] for s in ("ghz", "su21"))]
+            for n in np.logspace(-2, 5, 71)]
+    return {}, ["n", "b3_dp_ghz_opt", "b3_dp_su21_opt"], rows
+
+
+def _b3ps():
+    rows = []
+    for n in np.logspace(-2, 2, 61):
+        t = bell_ps.b3_ps_from_coeffs(bell_ps.su21_pi_coeffs(n), grid=16).value
+        g = bell_ps.b3_ps_from_coeffs(
+            bell_ps.ghz_pi_coeffs(gaussian.ghz_r_from_photons(n)), grid=16).value
+        rows.append([n, t, g])
+    return {}, ["n", "b3_ps_pi_su21", "b3_ps_pi_ghz"], rows
+
+
+def _b2dptwba():
+    js = np.logspace(-6, -1, 33)
+    rows = []
+    for n2 in np.logspace(0, 4, 25):
+        p = conditional.ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
+        for j in js:
+            rows.append([n2, j, bell_dp.b2_conditional_dp(p, j).value])
+    return {"n3": "1e-2/n2", "eta": 1.0}, ["n2", "j", "b2_dp"], rows
+
+
+def _b2ps():
+    rows = []
+    for n in np.linspace(0.05, 10.0, 100):
+        p = conditional.ConditionalParams(n2=n, n3=0.1, eta=0.8)
+        rows.append([n, bell_ps.f_twb(n), bell_ps.f_conditional(p), bell_ps.f_traced(p)])
+    meta = {"eta": 0.8, "n3": 0.1, "note": "f_1/f_tr swept in n2 at fixed n3"}
+    return meta, ["n", "f_twb", "f_1", "f_tr"], rows
+
+
+def _e2h():
+    psis = np.linspace(-np.pi, np.pi, 201)
+    curves = [homodyne.e_h(conditional.ConditionalParams(n2=n2, n3=0.5, eta=1.0), psis, 0.0)
+              for n2 in (0.5, 1.0, 5.0)]
+    rows = [[psi, homodyne.classical_reference(psi), *es] for psi, *es in zip(psis, *curves)]
+    return {"n3": 0.5, "eta": 1.0}, ["psi", "e_classical", "e_n2_0.5", "e_n2_1", "e_n2_5"], rows
+
+
+_FIGURES = {"B3DPVLBGen": _b3dpvlbgen, "B3DPT": _b3dpt, "B3DPN": _b3dpn, "B3PS": _b3ps,
+            "B2DPTWBA": _b2dptwba, "B2PS": _b2ps, "E2H": _e2h}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def run_figure(figure_id: str, out: str | None = None, fmt: str = "csv") -> int:
     """Write one figure's data table to ``out`` (default <id>.<fmt>)."""
-    meta, cols, rows = _figure_table(figure_id)
+    if figure_id not in _FIGURES:
+        raise UsageError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
+    meta, cols, rows = _FIGURES[figure_id]()
     path = out or f"{figure_id}.{fmt}"
     try:
         with open(path, "w") as fh:
@@ -240,7 +259,7 @@ def run_figure(figure_id: str, out: str | None = None, fmt: str = "csv") -> int:
                     fh.write(json.dumps({c: float(_fmt(v)) for c, v in zip(cols, row)},
                                         sort_keys=True) + "\n")
             else:
-                for k, v in sorted(meta.items()):
+                for k, v in sorted({"figure": figure_id, **meta}.items()):
                     fh.write(f"# {k}={v}\n")
                 fh.write(",".join(cols) + "\n")
                 for row in rows:
@@ -263,7 +282,7 @@ class _Check:
     detail: str
 
 
-def _verify_checks(cutoff: int, tol: float) -> tuple[list[_Check], list[str]]:
+def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
     checks: list[_Check] = []
     notes: list[str] = []
 
@@ -433,15 +452,13 @@ def _verify_checks(cutoff: int, tol: float) -> tuple[list[_Check], list[str]]:
 
     def chk_sawtooth():
         psis = np.linspace(-math.pi, math.pi, 200)
-        worst = -math.inf
-        for n2 in (0.5, 1.0, 5.0):
-            p = conditional.ConditionalParams(n2=n2, n3=0.5, eta=1.0)
-            for psi in psis:
-                eh = homodyne.e_h_conditional(p, homodyne.HomodyneSetting(psi, 0.0))
-                cl = homodyne.classical_reference(psi)
-                worst = max(worst, abs(eh) - abs(cl))
-                if eh * cl < -1e-12:
-                    return False, f"sign mismatch at psi={psi}"
+        cl = np.array([homodyne.classical_reference(psi) for psi in psis])
+        eh = np.array([homodyne.e_h(conditional.ConditionalParams(n2=n2, n3=0.5, eta=1.0), psis, 0.0)
+                       for n2 in (0.5, 1.0, 5.0)])
+        mismatch = np.nonzero(eh * cl < -1e-12)[1]   # psi indices, in (n2, psi) order
+        if mismatch.size:
+            return False, f"sign mismatch at psi={psis[mismatch[0]]}"
+        worst = float(np.max(np.abs(eh) - np.abs(cl)))
         return worst <= 1e-12, f"max(|E_H| - |sawtooth|) = {worst:.2e}"
     add("heralded homodyne below the classical sawtooth", "<= 0", chk_sawtooth)
 
@@ -457,15 +474,13 @@ def _verify_checks(cutoff: int, tol: float) -> tuple[list[_Check], list[str]]:
     return checks, notes
 
 
-def run_verify(cutoff: int = 30, tol: float = 1e-8) -> int:
+def run_verify(cutoff: int = 30) -> int:
     """Run the oracle-equivalence and invariant suite; exit 1 on any failure."""
-    checks, notes = _verify_checks(cutoff, tol)
+    checks, notes = _verify_checks(cutoff)
     width = max(len(c.name) for c in checks)
-    failures = 0
+    failures = sum(not c.passed for c in checks)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
-        if not c.passed:
-            failures += 1
         print(f"[{status}] {c.name:<{width}}  tol {c.tolerance:<16} {c.detail}")
     for note in notes:
         print(f"[NOTE] {note}")
@@ -487,19 +502,15 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--format", choices=("csv", "json"), default="csv")
 
     pt = sub.add_parser("point", help="evaluate one configuration")
-    pt.add_argument("--state", required=True)
-    pt.add_argument("--test", required=True)
-    for flag in ("--r", "--n", "--n2", "--n3", "--phi2", "--phi3", "--eta", "--j", "--tol"):
-        pt.add_argument(flag, type=float, default=None)
+    pt.add_argument("--state", required=True, choices=sorted({s for s, _ in _PAIRS}))
+    pt.add_argument("--test", required=True, choices=sorted({t for _, t in _PAIRS}))
+    for flag in (*_PARAMS, "tol"):
+        pt.add_argument(f"--{flag}", type=float, default=None)
     pt.add_argument("--optimize", action="store_true")
-    pt.add_argument("--grid", type=str, default=None, help="lo:hi:steps sweep of the energy")
-    pt.add_argument("--cutoff", type=int, default=30)
-    pt.add_argument("--out", default=None)
-    pt.add_argument("--format", choices=("csv", "json"), default="json")
+    pt.add_argument("--grid", type=_parse_grid, help="lo:hi:steps sweep of --n, or of --n2")
 
     ver = sub.add_parser("verify", help="run the oracle-equivalence suite")
     ver.add_argument("--cutoff", type=int, default=30)
-    ver.add_argument("--tol", type=float, default=1e-8)
     return ap
 
 
@@ -513,20 +524,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "figure":
             return run_figure(args.id, args.out, args.format)
         if args.command == "point":
-            cfg = RunConfig(
-                state=args.state, test=args.test, r=args.r, n=args.n,
-                n2=args.n2, n3=args.n3,
-                phi2=args.phi2 if args.phi2 is not None else 0.0,
-                phi3=args.phi3 if args.phi3 is not None else 0.0,
-                eta=args.eta if args.eta is not None else 1.0,
-                j=args.j, optimize=args.optimize,
-                grid=_parse_grid(args.grid) if args.grid else None,
-                cutoff=args.cutoff,
-                tol=args.tol if args.tol is not None else 1e-8,
-                out=args.out, format=args.format,
-            )
-            return run_point(cfg)
-        return run_verify(args.cutoff, args.tol)
+            return run_point(RunConfig(**{k: v for k, v in vars(args).items() if k != "command"}))
+        return run_verify(args.cutoff)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,14 @@
+import importlib.util
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cvbell.cli import FIGURE_IDS, RunConfig, UsageError, main, run_figure, run_point
+from cvbell.cli import FIGURE_IDS, RunConfig, UsageError, _PAIRS, main, run_figure, run_point
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestFigures:
@@ -117,6 +122,7 @@ class TestLibraryErrors:
         (["--state", "conditional", "--test", "ps2", "--n2", "1"], "InvalidParameterError"),
         (["--state", "conditional", "--test", "homodyne", "--n2", "1", "--n3", "0"],
          "PrecisionError"),
+        (["--state", "twb", "--test", "homodyne", "--n", "1e8"], "InvalidParameterError"),
     ])
     def test_maps_to_exit_4(self, argv, kind, capsys):
         assert main(["point", *argv]) == 4
@@ -138,3 +144,82 @@ class TestVerify:
         assert main(["verify", "--cutoff", "4"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+
+class TestFlagTable:
+    # each input is one flag (or flag combination) the evaluator would not read
+    @pytest.mark.parametrize("argv", [
+        ["point", "--state", "su21", "--test", "dp3", "--n2", "1", "--n3", "0", "--optimize"],
+        ["point", "--state", "su21", "--test", "dp3", "--n2", ".5", "--n3", ".5", "--phi2", "1",
+         "--optimize"],
+        ["point", "--state", "ghz", "--test", "dp3", "--r", "1", "--grid", "1:3:3", "--optimize"],
+        ["point", "--state", "su21", "--test", "ps3", "--n2", ".3", "--n3", ".3",
+         "--grid", "0.1:1:2"],
+        ["point", "--state", "twb", "--test", "dp2", "--n", "1", "--j", "3", "--optimize"],
+        ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--n2", "5", "--j", "3",
+         "--optimize"],
+        ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--grid", "0:1:0"],
+        ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--cutoff", "7"],
+        ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--out", "x"],
+        ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--format", "csv"],
+        ["verify", "--tol", "1e-3"],
+    ], ids=" ".join)
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err
+
+    MINIMAL = {
+        ("ghz", "dp3"): ["--n", "1", "--j", "0.1"],
+        ("su21", "dp3"): ["--n", "1", "--j", "0.1"],
+        ("twb", "dp2"): ["--n", "1", "--j", "0.1"],
+        ("conditional", "dp2"): ["--n2", "1", "--n3", "0.5", "--j", "0.1"],
+        ("ghz", "ps3"): ["--n", "1"],
+        ("su21", "ps3"): ["--n", "1"],
+        ("twb", "ps2"): ["--n", "1"],
+        ("conditional", "ps2"): ["--n2", "1", "--n3", "0.5"],
+        ("twb", "homodyne"): ["--n", "1"],
+        ("conditional", "homodyne"): ["--n2", "1", "--n3", "0.5"],
+    }
+
+    def test_minimal_covers_the_table(self):
+        assert set(self.MINIMAL) == set(_PAIRS)
+
+    @pytest.mark.parametrize("pair", list(_PAIRS), ids=" ".join)
+    def test_pair_runs_with_minimal_flags(self, pair, capsys):
+        state, test = pair
+        assert main(["point", "--state", state, "--test", test, *self.MINIMAL[pair]]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        consumed = {k for forms in _PAIRS[pair].groups for form in forms for k in form}
+        assert set(rec["params"]) <= consumed
+        assert math.isfinite(rec["value"])
+
+
+def _load_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks",
+                                                  ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_figure_matches_stored_table(figure_id, tmp_path):
+    out = tmp_path / f"{figure_id}.csv"
+    assert run_figure(figure_id, str(out)) == 0
+    ref = (ROOT / "perfbench" / "ref" / f"{figure_id}.csv").read_text()
+    assert _load_checks().check_figure(figure_id, out.read_text(), ref) == ""
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("cvbell ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_example_exit_code(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == (1 if argv == ["verify", "--cutoff", "4"] else 0)

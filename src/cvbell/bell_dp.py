@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike, NDArray
 
 from .conditional import ConditionalParams, two_gaussian_form
 from .errors import InvalidParameterError
@@ -26,12 +27,31 @@ from .gaussian import (
     ghz_state,
     su21_state,
     twb_state,
-    _inverse,
 )
 
 _SQRT2 = math.sqrt(2.0)
 _B2_BOUND = 2.0 * _SQRT2 + 1e-9
 _B3_BOUND = 4.0 + 1e-9
+
+# Bell combinations, one row per correlator term giving the setting each party
+# measures (0 unprimed, 1 primed); the terms are summed with TERM_SIGNS.
+#   CHSH:     E(a,b) + E(a,b') + E(a',b) - E(a',b')
+#   Klyshko:  E(a,b,c') + E(a,b',c) + E(a',b,c) - E(a',b',c')
+CHSH_TERMS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+KLYSHKO_TERMS = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]])
+TERM_SIGNS = (1.0, 1.0, 1.0, -1.0)
+
+
+def _bell_sum(e):
+    """|sum_t TERM_SIGNS[t] e[..., t]| of the four stacked term correlators."""
+    return np.abs(e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3])
+
+
+def _check_j(j_mag: float) -> float:
+    """The displacement magnitude J, which must be finite and >= 0."""
+    if not 0.0 <= j_mag < math.inf:
+        raise InvalidParameterError(f"J must be finite and >= 0, got {j_mag}")
+    return j_mag
 
 
 @dataclass(frozen=True)
@@ -45,10 +65,10 @@ class DpSettings:
     def __post_init__(self):
         if len(self.unprimed) != len(self.primed):
             raise InvalidParameterError("unprimed and primed settings must have equal length")
-        if self.j_mag is not None and self.j_mag < 0:
-            raise InvalidParameterError("j_mag must be >= 0")
-        object.__setattr__(self, "unprimed", tuple(complex(a) for a in self.unprimed))
-        object.__setattr__(self, "primed", tuple(complex(a) for a in self.primed))
+        if self.j_mag is not None:
+            _check_j(self.j_mag)
+        object.__setattr__(self, "unprimed", tuple(map(complex, self.unprimed)))
+        object.__setattr__(self, "primed", tuple(map(complex, self.primed)))
 
 
 @dataclass(frozen=True)
@@ -67,23 +87,35 @@ class BellValue:
             )
 
 
-def e_dp_gaussian(s: GaussianState, alphas: Sequence[complex]) -> float:
-    """Displaced-parity correlator of a Gaussian state; in (0, 1]."""
-    if len(alphas) != s.n_modes:
-        raise InvalidParameterError("one displacement per mode required")
+def _phase_space(alphas: ArrayLike, n_modes: int) -> NDArray[np.float64]:
+    """(Re alpha_1..Re alpha_n, Im alpha_1..Im alpha_n) along the last axis."""
     al = np.asarray(alphas, dtype=complex)
-    u = np.concatenate([al.real, al.imag])
-    inv = _inverse(s.cov)
-    return float(s.det() ** -0.5 * np.exp(-2.0 * u @ inv @ u))
+    if al.ndim == 0 or al.shape[-1] != n_modes:
+        raise InvalidParameterError(f"one displacement per mode required ({n_modes} modes)")
+    return np.concatenate([al.real, al.imag], axis=-1)
 
 
-def e_dp_conditional(p: ConditionalParams, alphas: Sequence[complex]) -> float:
-    """Displaced-parity correlator of the heralded two-mode state; in [-1, 1]."""
-    if len(alphas) != 2:
-        raise InvalidParameterError("the heralded state has two modes")
-    al = np.asarray(alphas, dtype=complex)
-    v = _SQRT2 * np.concatenate([al.real, al.imag])
-    return float(np.pi**2 * two_gaussian_form(p).eval(v))
+def e_dp_gaussian(s: GaussianState, alphas: ArrayLike) -> float | NDArray[np.float64]:
+    """Displaced-parity correlator of a Gaussian state; in (0, 1].
+
+    ``alphas`` holds one displacement per mode along its last axis: a
+    (..., n_modes) array gives shape (...), a single row gives a float.  The
+    quadratic form is one stacked vector-matrix product with the state's
+    cached inverse; ``vecmat``/``vecdot`` keep each row's summation order, so
+    a batch is bit-identical to row-by-row calls.
+    """
+    u = _phase_space(alphas, s.n_modes)
+    inv, det = s.factors
+    out = det ** -0.5 * np.exp(np.vecdot(np.vecmat(-2.0 * u, inv), u))
+    return float(out) if out.ndim == 0 else out
+
+
+def e_dp_conditional(p: ConditionalParams, alphas: ArrayLike) -> float | NDArray[np.float64]:
+    """Displaced-parity correlator of the heralded two-mode state; in [-1, 1].
+
+    Batched like ``e_dp_gaussian`` over (..., 2) arrays of displacements.
+    """
+    return np.pi**2 * two_gaussian_form(p).eval(_SQRT2 * _phase_space(alphas, 2))
 
 
 def e_dp_ghz_closed(r: float, alphas: Sequence[complex]) -> float:
@@ -130,25 +162,18 @@ def large_squeezing_residual(settings: DpSettings) -> float:
     return float(total)
 
 
-def _assemble(correlator, settings: DpSettings, n: int) -> float:
-    a, ap = settings.unprimed, settings.primed
-    if n == 3:
-        return abs(correlator([a[0], a[1], ap[2]])
-                   + correlator([a[0], ap[1], a[2]])
-                   + correlator([ap[0], a[1], a[2]])
-                   - correlator([ap[0], ap[1], ap[2]]))
-    return abs(correlator([a[0], a[1]])
-               + correlator([a[0], ap[1]])
-               + correlator([ap[0], a[1]])
-               - correlator([ap[0], ap[1]]))
+def _assemble(correlator, target, settings: DpSettings) -> float:
+    """Bell combination of one ``correlator`` call on the four stacked term rows."""
+    terms = KLYSHKO_TERMS if len(settings.unprimed) == 3 else CHSH_TERMS
+    choices = np.array([settings.unprimed, settings.primed])     # (setting, mode)
+    return float(_bell_sum(correlator(target, choices[terms, np.arange(terms.shape[1])])))
 
 
 def b3_dp_general(s: GaussianState, settings: DpSettings) -> BellValue:
     """Three-party Bell-Klyshko combination from displaced-parity correlators."""
     if s.n_modes != 3 or len(settings.unprimed) != 3:
         raise InvalidParameterError("b3_dp_general needs a three-mode state and settings")
-    val = _assemble(lambda al: e_dp_gaussian(s, al), settings, 3)
-    return BellValue(val, 3, settings)
+    return BellValue(_assemble(e_dp_gaussian, s, settings), 3, settings)
 
 
 def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> BellValue:
@@ -156,13 +181,12 @@ def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> Be
     if len(settings.unprimed) != 2:
         raise InvalidParameterError("two-mode settings required")
     if isinstance(target, ConditionalParams):
-        corr = lambda al: e_dp_conditional(target, al)
+        corr = e_dp_conditional
     else:
         if target.n_modes != 2:
             raise InvalidParameterError("b2_dp needs a two-mode state")
-        corr = lambda al: e_dp_gaussian(target, al)
-    val = _assemble(corr, settings, 2)
-    return BellValue(val, 2, settings)
+        corr = e_dp_gaussian
+    return BellValue(_assemble(corr, target, settings), 2, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +201,9 @@ def b3_ghz_closed(r: float, j_mag: float) -> BellValue:
     from the explicit correlator; tends to 3 for large r at fixed J > 0 and
     equals 2 exactly at J = 0.
     """
-    if r < 0 or j_mag < 0:
-        raise InvalidParameterError("r and J must be >= 0")
+    if not 0.0 <= r < math.inf:
+        raise InvalidParameterError(f"r must be finite and >= 0, got {r}")
+    _check_j(j_mag)
     val = 3.0 * math.exp(-12.0 * math.exp(-2.0 * r) * j_mag) \
         - math.exp(-24.0 * math.exp(2.0 * r) * j_mag)
     return BellValue(abs(val), 3, ghz_dp_settings(j_mag))
@@ -187,8 +212,9 @@ def b3_ghz_closed(r: float, j_mag: float) -> BellValue:
 def b3_su21_closed(n: float, j_mag: float) -> BellValue:
     """Closed-form B3 of the trilinear state, symmetric split n2 = n3 = N/4,
     under the symmetric displacement family (J in phase-space units)."""
-    if n < 0 or j_mag < 0:
-        raise InvalidParameterError("N and J must be >= 0")
+    if not 0.0 <= n < math.inf:
+        raise InvalidParameterError(f"N must be finite and >= 0, got {n}")
+    _check_j(j_mag)
     q = math.sqrt(n * (2.0 + n))
     s2 = math.sqrt(2.0)
     # the ratio of exponentials folded into three non-positive exponents so the
@@ -205,7 +231,7 @@ def b3_su21_closed(n: float, j_mag: float) -> BellValue:
 def ghz_dp_settings(j_mag: float) -> DpSettings:
     """Symmetric family for the GHZ-type state: real sqrt(J)(1,1,1) and
     -2 sqrt(J)(1,1,1); J in coherent-amplitude units."""
-    w = math.sqrt(j_mag)
+    w = math.sqrt(_check_j(j_mag))
     return DpSettings((w, w, w), (-2 * w, -2 * w, -2 * w), j_mag)
 
 
@@ -213,7 +239,7 @@ def su21_sym_dp_settings(j_mag: float) -> DpSettings:
     """Symmetric family for the trilinear state with phases phi2 = phi3 = pi:
     real sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1); J in phase-space units
     (coherent amplitude sqrt(J/2))."""
-    w = math.sqrt(j_mag / 2.0)
+    w = math.sqrt(_check_j(j_mag) / 2.0)
     return DpSettings((w, w, w), (-2 * w, -2 * w, -2 * w), j_mag)
 
 
@@ -221,28 +247,28 @@ def su21_opt_dp_settings(j_mag: float) -> DpSettings:
     """Numerically optimized family for the trilinear state with phases
     phi2 = 0, phi3 = pi: imaginary (2/3, 0, 0) and (0, -1, 1) times
     sqrt(J/2); J in phase-space units."""
-    w = 1j * math.sqrt(j_mag / 2.0)
+    w = 1j * math.sqrt(_check_j(j_mag) / 2.0)
     return DpSettings((2.0 / 3.0 * w, 0.0, 0.0), (0.0, -w, w), j_mag)
 
 
 def twb_dp_settings(j_mag: float) -> DpSettings:
     """Optimal twin-beam family: real (sqrt(J), -sqrt(J)) and
     (-3, 3) sqrt(J); J in coherent-amplitude units."""
-    w = math.sqrt(j_mag)
+    w = math.sqrt(_check_j(j_mag))
     return DpSettings((w, -w), (-3 * w, 3 * w), j_mag)
 
 
 def twb_bw_dp_settings(j_mag: float) -> DpSettings:
     """Original two-settings family: zero displacements against
     real (sqrt(J), -sqrt(J)); J in coherent-amplitude units."""
-    w = math.sqrt(j_mag)
+    w = math.sqrt(_check_j(j_mag))
     return DpSettings((0.0, 0.0), (w, -w), j_mag)
 
 
 def conditional_dp_settings(j_mag: float) -> DpSettings:
     """Optimized family for the heralded state: real (1, 2) and (3, 0) times
     sqrt(J/2); J in phase-space units."""
-    w = math.sqrt(j_mag / 2.0)
+    w = math.sqrt(_check_j(j_mag) / 2.0)
     return DpSettings((w, 2 * w), (3 * w, 0.0), j_mag)
 
 

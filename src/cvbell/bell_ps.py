@@ -125,8 +125,8 @@ def su21_ps_coeffs(n2: float, n3: float, tol: float = 1e-8) -> PsCoefficients:
     and c3 are positive.  Factorials evaluated in log space; anti-diagonal
     summation with a geometric tail bound.
     """
-    if n2 < 0 or n3 < 0 or tol <= 0:
-        raise InvalidParameterError("need n2, n3 >= 0 and tol > 0")
+    if n2 < 0 or n3 < 0 or not 0 < tol < math.inf:
+        raise InvalidParameterError("need n2, n3 >= 0 and tol finite and > 0")
     n1 = n2 + n3
     x = n2 / (1 + n1)
     y = n3 / (1 + n1)
@@ -163,8 +163,8 @@ def f_twb(n: float) -> float:
 
 def f_traced(p: ConditionalParams, tol: float = 1e-8) -> float:
     """Spin-flip coefficient of the mode-3-discarded two-mode state."""
-    if tol <= 0:
-        raise InvalidParameterError("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError("tol must be finite and > 0")
     n1 = p.n2 + p.n3
     x = p.n2 / (1 + n1)
     y = p.n3 / (1 + n1)
@@ -185,8 +185,8 @@ def f_conditional(p: ConditionalParams, tol: float = 1e-8) -> float:
     Series over the spin-pair index and the detector photon number p, the
     latter weighted by 1 - (1-eta)^p.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError("tol must be finite and > 0")
     if p.eta == 0 or p.n3 == 0:
         raise InvalidParameterError("heralding requires eta > 0 and n3 > 0")
     n1 = p.n2 + p.n3

@@ -93,7 +93,8 @@ _PAIRS = {
     ("su21", "dp3"): _Pair((_N, _DP), _dp(
         lambda p: p["n"], lambda n, j: bell_dp.b3_su21_closed(n, j).value)),
     ("twb", "dp2"): _Pair((_N, _DP), _dp(
-        lambda p: p["n"], lambda n, j: bell_dp.b2_twb_dp(n, j).value)),
+        lambda p: gaussian.twb_state(p["n"]),
+        lambda s, j: bell_dp.b2_dp(s, bell_dp.twb_dp_settings(j)).value)),
     ("conditional", "dp2"): _Pair((_HERALDED, _DP), _dp(
         _heralded, lambda hp, j: bell_dp.b2_conditional_dp(hp, j).value)),
     ("ghz", "ps3"): _Pair((_GHZ,), lambda p: {
@@ -193,7 +194,11 @@ def _b3dpvlbgen():
 def _b3dpt():
     ns = np.logspace(-1, 3, 33)
     js = np.logspace(-5, 0, 33)
-    rows = [[n, j, bell_dp.b3_su21_opt_dp(n, j).value] for n in ns for j in js]
+    rows = []
+    for n in ns:
+        s = bell_dp.su21_opt_state(n)
+        rows += [[n, j, bell_dp.b3_dp_general(s, bell_dp.su21_opt_dp_settings(j)).value]
+                 for j in js]
     return {}, ["n", "j", "b3_dp"], rows
 
 

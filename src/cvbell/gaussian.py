@@ -12,6 +12,7 @@ pure states with det(C) = 1; reductions of entangled states are mixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -28,6 +29,10 @@ class GaussianState:
 
     ``cov`` is the 2n x 2n symmetric positive-definite covariance matrix in
     the (x_1..x_n, y_1..y_n) ordering, dimensionless with vacuum = identity.
+    Construction checks it; the inverse and determinant that correlators and
+    ``wigner_eval`` read are computed on first use and cached, so an
+    ill-conditioned state constructs and raises ``ConditioningError`` at its
+    first correlator.
     """
 
     n_modes: int
@@ -53,8 +58,22 @@ class GaussianState:
         cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)
 
+    @cached_property
+    def factors(self) -> tuple[NDArray[np.float64], float]:
+        """``(inverse, det)`` of ``cov``; ``ConditioningError`` above ``COND_LIMIT``."""
+        cond = np.linalg.cond(self.cov)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise ConditioningError(
+                f"covariance condition number {cond:.3e} exceeds guard {COND_LIMIT:.0e}"
+            )
+        # SPD inverse through Cholesky
+        inv_chol = np.linalg.inv(np.linalg.cholesky(self.cov))
+        inv = inv_chol.T @ inv_chol
+        inv.setflags(write=False)
+        return inv, float(np.linalg.det(self.cov))
+
     def det(self) -> float:
-        return float(np.linalg.det(self.cov))
+        return self.factors[1]
 
 
 @dataclass(frozen=True)
@@ -192,18 +211,6 @@ def coupling_to_photons(c: CouplingParams) -> TripartitePhotonNumbers:
     return TripartitePhotonNumbers(n2=float(n2), n3=float(n3))
 
 
-def _inverse(cov: NDArray[np.float64]) -> NDArray[np.float64]:
-    cond = np.linalg.cond(cov)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(
-            f"covariance condition number {cond:.3e} exceeds guard {COND_LIMIT:.0e}"
-        )
-    # SPD inverse through Cholesky
-    chol = np.linalg.cholesky(cov)
-    inv_chol = np.linalg.inv(chol)
-    return inv_chol.T @ inv_chol
-
-
 def wigner_eval(s: GaussianState, point: NDArray[np.float64]) -> float | NDArray[np.float64]:
     """Wigner function at ``point`` = (x_1..x_n, y_1..y_n); strictly positive.
 
@@ -213,9 +220,9 @@ def wigner_eval(s: GaussianState, point: NDArray[np.float64]) -> float | NDArray
     d = 2 * s.n_modes
     if pt.shape[-1] != d:
         raise InvalidParameterError(f"point must have length {d}")
-    inv = _inverse(s.cov)
+    inv, det = s.factors
     quad = np.einsum("...i,ij,...j->...", pt, inv, pt)
-    out = np.pi ** (-s.n_modes) * s.det() ** -0.5 * np.exp(-quad)
+    out = np.pi ** (-s.n_modes) * det ** -0.5 * np.exp(-quad)
     return float(out) if out.ndim == 0 else out
 
 

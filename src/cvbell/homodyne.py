@@ -17,11 +17,11 @@ from numpy.typing import ArrayLike, NDArray
 from .conditional import ConditionalParams, two_gaussian_form
 from .errors import InvalidParameterError, PrecisionError
 from .gaussian import GaussianState
-from .bell_dp import BellValue
+from .bell_dp import CHSH_TERMS, BellValue, _bell_sum
 
-# columns of [theta, theta', phi, phi'] for the four CHSH pairs, in summation order
-_THETA_COLS = np.array([0, 0, 1, 1])
-_PHI_COLS = np.array([2, 3, 2, 3])
+# columns of [theta, theta', phi, phi'] for the four CHSH terms
+_THETA_COLS = CHSH_TERMS[:, 0]
+_PHI_COLS = 2 + CHSH_TERMS[:, 1]
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def chsh_h(target: ConditionalParams | GaussianState, angles: ArrayLike) -> NDAr
     if a.ndim != 2 or a.shape[1] != 4:
         raise InvalidParameterError(f"angles must have shape (m, 4), got {a.shape}")
     e = e_h(target, a.take(_THETA_COLS, axis=1), a.take(_PHI_COLS, axis=1))
-    return np.abs(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
+    return _bell_sum(e)
 
 
 def e_h_gaussian(s: GaussianState, theta: float, phi: float) -> float:

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .bell_dp import KLYSHKO_TERMS, TERM_SIGNS
 from .errors import InvalidParameterError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -28,15 +29,24 @@ class ScanResult:
     converged: bool = False
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+
+
 def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> tuple[float, float, int]:
-    """Golden-section maximum on [lo, hi]; returns (x, f(x), evaluations)."""
+                tol: float) -> tuple[float, float, int, float]:
+    """Golden-section maximum on [lo, hi]; returns (x, f(x), evaluations,
+    final bracket width).  Stops at width ``tol``, or earlier once rounding
+    keeps the bracket from shrinking."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     evals = 2
-    while (b - a) > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -48,12 +58,17 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
         evals += 1
     x = c if fc >= fd else d
     fx = fc if fc >= fd else fd
-    return x, fx, evals
+    return x, fx, evals, b - a
 
 
 def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
                     tol: float = 1e-8, coarse: int = 256) -> ScanResult:
-    """Coarse scan then golden-section refinement of a scalar function."""
+    """Coarse scan then golden-section refinement of a scalar function.
+
+    ``converged`` is True when the golden-section bracket has shrunk to
+    ``tol`` (finite and > 0).
+    """
+    _check_tol(tol)
     if not lo < hi:
         raise InvalidParameterError("need lo < hi")
     xs = np.linspace(lo, hi, coarse)
@@ -65,10 +80,11 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, coarse - 1)])
     evals = coarse
-    converged = b > a
-    if converged:
-        x, v, n = _golden_max(f, a, b, tol)
+    converged = False
+    if b > a:
+        x, v, n, width = _golden_max(f, a, b, tol)
         evals += n
+        converged = width <= tol
         if v > best_v:
             best_x, best_v = x, v
     return ScanResult(
@@ -84,7 +100,10 @@ def maximize_angles(f: Callable[[NDArray], NDArray], dim: int,
     """Full product-grid scan plus coordinate-wise golden-section passes.
 
     ``f`` must be vectorized: it receives an (m, dim) array and returns (m,).
+    ``tol`` (finite and > 0) bounds each golden-section bracket and the last
+    pass's gain.
     """
+    _check_tol(tol)
     if dim < 1 or dim > 6:
         raise InvalidParameterError("dim must lie in 1..6")
     axis = np.linspace(lo, hi, grid, endpoint=False)
@@ -122,25 +141,23 @@ def maximize_angles(f: Callable[[NDArray], NDArray], dim: int,
     for _ in range(max_passes):
         improved = 0.0
         for k in range(dim):
-            x, v, n = _golden_max(lambda u: f1(u, k), theta[k] - step, theta[k] + step, tol)
+            x, v, n, width[k] = _golden_max(lambda u: f1(u, k), theta[k] - step,
+                                            theta[k] + step, tol)
             evals += n
             if v > best_v:
                 improved = max(improved, v - best_v)
                 best_v = v
                 theta[k] = x
-            width[k] = tol
         if improved < tol:
-            converged = True
+            converged = bool(np.all(width <= tol))
             break
     return ScanResult(arg_max=theta, max_value=best_v, evaluations=evals, bracket=width,
                       converged=converged)
 
 
-# The Klyshko sum over theta = (a, b, c, a', b', c'),
-#     B = E(a, b, c') + E(a, b', c) + E(a', b, c) - E(a', b', c'),
-# one (party-1 angle, party-2 angle, party-3 angle, sign) entry per term.
-_KLYSHKO_TERMS = ((0, 1, 5, 1.0), (0, 4, 2, 1.0), (3, 1, 2, 1.0), (3, 4, 5, -1.0))
-_KLYSHKO_SLOTS = np.array([term[:3] for term in _KLYSHKO_TERMS]).T    # angle per party and term
+# The Klyshko sum (``bell_dp.KLYSHKO_TERMS``) over theta = (a, b, c, a', b', c'):
+# party p measuring its primed setting reads angle p + 3.
+_KLYSHKO_SLOTS = (np.arange(3) + 3 * KLYSHKO_TERMS).T    # angle per party and term
 _KLYSHKO_ROUNDS = 100
 _ROUNDING = 4.0 * np.finfo(float).eps
 
@@ -153,8 +170,8 @@ def _klyshko_scatter() -> NDArray[np.float64]:
     its vectors and u'' = -u, so first and mixed derivatives are single
     entries of r and a diagonal second derivative is minus the term.
     """
-    m = np.zeros((1 + 6 + 36, len(_KLYSHKO_TERMS), 2, 2, 2))
-    for t, (x, y, z, sign) in enumerate(_KLYSHKO_TERMS):
+    m = np.zeros((1 + 6 + 36, len(TERM_SIGNS), 2, 2, 2))
+    for t, ((x, y, z), sign) in enumerate(zip(_KLYSHKO_SLOTS.T.tolist(), TERM_SIGNS)):
         m[0, t, 0, 0, 0] += sign
         for k, d in ((x, (1, 0, 0)), (y, (0, 1, 0)), (z, (0, 0, 1))):
             m[(1 + k, t) + d] += sign
@@ -268,7 +285,8 @@ def log_j_maximize(f_of_j: Callable[[float], float], j_lo: float = 1e-8,
                    j_hi: float = 10.0, tol: float = 1e-8) -> ScanResult:
     """Maximize over the displacement magnitude on a logarithmic axis.
 
-    The optima move across decades with energy, so the scan runs in log J.
+    The optima move across decades with energy, so the scan runs in log J;
+    ``tol`` (finite and > 0) is the bracket width in log J.
     """
     res = maximize_scalar(lambda u: f_of_j(math.exp(u)),
                           math.log(j_lo), math.log(j_hi), tol)
@@ -284,6 +302,7 @@ def asymptote_relations() -> list[dict]:
     """
     from . import bell_dp
     from .conditional import ConditionalParams
+    from .gaussian import twb_state
 
     rows: list[dict] = []
 
@@ -298,7 +317,9 @@ def asymptote_relations() -> list[dict]:
     })
 
     n = 1e5
-    res = log_j_maximize(lambda j: bell_dp.b3_su21_opt_dp(n, j).value, 1e-8, 1.0)
+    s = bell_dp.su21_opt_state(n)
+    res = log_j_maximize(lambda j: bell_dp.b3_dp_general(
+        s, bell_dp.su21_opt_dp_settings(j)).value, 1e-8, 1.0)
     pred = 3.21 / n
     rows.append({
         "name": "su21_opt_dp_jn", "energy": n, "j_opt": float(res.arg_max[0]),
@@ -308,7 +329,9 @@ def asymptote_relations() -> list[dict]:
 
     r = 5.0
     n = 2.0 * math.sinh(r) ** 2
-    res = log_j_maximize(lambda j: bell_dp.b2_twb_dp(n, j).value, 1e-10, 1.0)
+    s = twb_state(n)
+    res = log_j_maximize(lambda j: bell_dp.b2_dp(s, bell_dp.twb_dp_settings(j)).value,
+                         1e-10, 1.0)
     pred = math.log(3.0) / 32.0 * math.exp(-2.0 * r)
     rows.append({
         "name": "twb_dp_exp2r_j", "energy": n, "j_opt": float(res.arg_max[0]),

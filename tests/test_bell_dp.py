@@ -5,7 +5,9 @@ import pytest
 
 from cvbell import (
     ConditionalParams,
+    ConditioningError,
     DpSettings,
+    GaussianState,
     InvalidParameterError,
     b2_conditional_dp,
     b2_dp,
@@ -17,6 +19,7 @@ from cvbell import (
     b3_su21_closed,
     b3_su21_opt_dp,
     b3_su21_sym_dp,
+    conditional_dp_settings,
     displaced_parity_expect,
     e_dp_conditional,
     e_dp_gaussian,
@@ -27,7 +30,11 @@ from cvbell import (
     log_j_maximize,
     onoff_condition,
     su21_fock,
+    su21_opt_dp_settings,
     su21_state,
+    su21_sym_dp_settings,
+    twb_bw_dp_settings,
+    twb_dp_settings,
     twb_state,
     TripartitePhotonNumbers,
 )
@@ -187,3 +194,111 @@ class TestConditionalFamily:
         res = log_j_maximize(lambda j: b2_conditional_dp(p, j).value, 1e-9, 1e-2)
         assert res.max_value == pytest.approx(2.41, abs=0.01)
         assert res.arg_max[0] * n2 == pytest.approx(0.042, rel=0.15)
+
+
+def _random_spd(rng, d):
+    """A random symmetric positive-definite matrix with every entry nonzero."""
+    a = rng.normal(size=(d, d))
+    cov = a @ a.T + d * np.eye(d)
+    assert np.all(cov != 0.0)
+    return cov
+
+
+def _random_alphas(rng, m, n_modes):
+    return rng.normal(0, 0.6, (m, n_modes)) + 1j * rng.normal(0, 0.6, (m, n_modes))
+
+
+class TestBatchedCorrelators:
+    @pytest.mark.parametrize("make", [
+        lambda: ghz_state(1.2),
+        lambda: su21_state(TripartitePhotonNumbers(0.4, 1.3, 0.7, -1.9)),
+        lambda: twb_state(3.0),
+        lambda: GaussianState(3, _random_spd(np.random.default_rng(5), 6)),
+    ], ids=["ghz", "su21", "twb", "random-spd"])
+    def test_gaussian_batch_matches_rows(self, make):
+        s = make()
+        al = _random_alphas(np.random.default_rng(17), 1000, s.n_modes)
+        batch = e_dp_gaussian(s, al)
+        rows = np.array([e_dp_gaussian(s, row) for row in al])
+        assert batch.shape == (1000,)
+        assert all(isinstance(e_dp_gaussian(s, row), float) for row in al[:3])
+        assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
+
+    def test_conditional_batch_matches_rows(self):
+        p = ConditionalParams(0.8, 0.4, phi2=0.9, eta=0.7)
+        al = _random_alphas(np.random.default_rng(23), 1000, 2)
+        batch = e_dp_conditional(p, al)
+        rows = np.array([e_dp_conditional(p, row) for row in al])
+        assert isinstance(e_dp_conditional(p, al[0]), float)
+        assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
+
+    def test_leading_axes_broadcast(self):
+        s = ghz_state(0.7)
+        al = _random_alphas(np.random.default_rng(3), 6, 3).reshape(2, 3, 3)
+        out = e_dp_gaussian(s, al)
+        assert out.shape == (2, 3)
+        assert out[1, 2] == e_dp_gaussian(s, al[1, 2])
+
+    @pytest.mark.parametrize("alphas", [0.1, [0.1, 0.2, 0.3], np.zeros((4, 3))])
+    def test_wrong_mode_count(self, alphas):
+        with pytest.raises(InvalidParameterError):
+            e_dp_gaussian(twb_state(1.0), alphas)
+        with pytest.raises(InvalidParameterError):
+            e_dp_conditional(ConditionalParams(1.0, 0.5), alphas)
+
+    def test_assembly_is_the_four_term_sum(self):
+        rng = np.random.default_rng(8)
+        s3, s2 = su21_state(TripartitePhotonNumbers(0.5, 0.2, 0.3, 1.0)), twb_state(1.5)
+        for _ in range(20):
+            a, ap = _random_alphas(rng, 2, 3)
+            e = lambda *al: e_dp_gaussian(s3, list(al))
+            want = abs(e(a[0], a[1], ap[2]) + e(a[0], ap[1], a[2])
+                       + e(ap[0], a[1], a[2]) - e(ap[0], ap[1], ap[2]))
+            assert b3_dp_general(s3, DpSettings(tuple(a), tuple(ap))).value == want
+            e = lambda *al: e_dp_gaussian(s2, list(al))
+            want = abs(e(a[0], a[1]) + e(a[0], ap[1]) + e(ap[0], a[1]) - e(ap[0], ap[1]))
+            assert b2_dp(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).value == want
+
+
+class TestFactorization:
+    def test_factored_once(self, monkeypatch):
+        s = twb_state(2.0)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+        first = e_dp_gaussian(s, [0.1, -0.2j])
+        assert len(calls) == 1
+        b2_twb = b2_dp(s, twb_dp_settings(0.01)).value
+        assert e_dp_gaussian(s, [0.1, -0.2j]) == first
+        assert s.det() == pytest.approx(1.0, abs=1e-9)
+        assert len(calls) == 1
+        assert b2_twb == b2_twb_dp(2.0, 0.01).value
+
+    def test_ill_conditioned_state_raises_at_first_correlator(self):
+        s = twb_state(1e6)
+        with pytest.raises(ConditioningError, match="exceeds guard 1e\\+12"):
+            e_dp_gaussian(s, [0.0, 0.0])
+        with pytest.raises(ConditioningError):
+            b2_dp(s, twb_dp_settings(1e-7))
+
+
+class TestJDomain:
+    BAD = [-1.0, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("j", BAD)
+    @pytest.mark.parametrize("family", [
+        ghz_dp_settings, su21_sym_dp_settings, su21_opt_dp_settings,
+        twb_dp_settings, twb_bw_dp_settings, conditional_dp_settings,
+        lambda j: b3_ghz_closed(1.0, j), lambda j: b3_su21_closed(2.0, j),
+        lambda j: DpSettings((0.1, 0.2), (0.3, 0.4), j),
+    ])
+    def test_rejected(self, family, j):
+        with pytest.raises(InvalidParameterError, match="J must be finite"):
+            family(j)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_closed_forms_reject_bad_state_parameter(self, bad):
+        with pytest.raises(InvalidParameterError):
+            b3_ghz_closed(bad, 0.1)
+        with pytest.raises(InvalidParameterError):
+            b3_su21_closed(bad, 0.1)

@@ -108,6 +108,19 @@ class TestPoint:
         assert rec["value"] == pytest.approx(value, abs=1e-12)
         assert len(rec["settings"]) == 4
 
+    # values printed by the per-correlator loop this stacked path replaced
+    @pytest.mark.parametrize("argv,value", [
+        (["--state", "twb", "--n", "2"], 2.297248665435837),
+        (["--state", "conditional", "--n2", "1", "--n3", "0.5"], 1.1465409549315868),
+        (["--state", "conditional", "--n2", "1", "--n3", "0.5", "--phi2", "0.9"],
+         1.0000583085679176),
+    ])
+    def test_dp2_optimized_values_pinned(self, argv, value, capsys):
+        assert main(["point", "--test", "dp2", "--optimize", *argv]) == 0
+        rec = json.loads(capsys.readouterr().out.strip())
+        assert rec["value"] == pytest.approx(value, abs=1e-12)
+        assert rec["evaluations"] == 293
+
     def test_twb_needs_n(self, capsys):
         cfg = RunConfig(state="twb", test="dp2", n2=1.0, j=0.1)
         with pytest.raises(UsageError, match="--n"):
@@ -129,6 +142,34 @@ class TestLibraryErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {kind}: ")
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--state", "twb", "--test", "dp2", "--n", "1", "--optimize", "--tol", "0"],
+        ["--state", "twb", "--test", "homodyne", "--n", "1", "--tol", "-1"],
+        ["--state", "twb", "--test", "dp2", "--n", "1", "--optimize", "--tol", "nan"],
+        ["--state", "su21", "--test", "ps3", "--n", "1", "--tol", "nan"],
+        ["--state", "conditional", "--test", "ps2", "--n2", "1", "--n3", "0.5", "--tol", "nan"],
+        ["--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", "0.1", "--j", "-1"],
+        ["--state", "twb", "--test", "dp2", "--n", "1", "--j", "-1"],
+        ["--state", "twb", "--test", "dp2", "--n", "1", "--j", "nan"],
+        ["--state", "ghz", "--test", "dp3", "--r", "1", "--j", "nan"],
+        ["--state", "ghz", "--test", "dp3", "--r", "1", "--j", "inf"],
+        ["--state", "ghz", "--test", "dp3", "--r", "nan", "--j", "0.1"],
+        ["--state", "su21", "--test", "dp3", "--n", "inf", "--j", "0.1"],
+    ], ids=" ".join)
+    def test_bad_tol_or_j_exits_4(self, argv, deadline, capsys):
+        with deadline(30):
+            assert main(["point", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidParameterError: ")
+
+    def test_ill_conditioned_twb_dp2(self, capsys):
+        assert main(["point", "--state", "twb", "--test", "dp2", "--n", "1e6", "--optimize"]) == 4
+        assert capsys.readouterr().err == (
+            "error: ConditioningError: covariance condition number 3.999e+12 "
+            "exceeds guard 1e+12\n")
 
 
 class TestVerify:

@@ -208,3 +208,24 @@ class TestAsymptoteRelations:
         assert abs(by_name["twb_dp_exp2r_j"]["ratio"] - 1.0) < 0.10
         assert abs(by_name["su21_opt_dp_jn"]["ratio"] - 1.0) < 0.15
         assert abs(by_name["conditional_dp_jn2"]["ratio"] - 1.0) < 0.15
+
+
+class TestToleranceDomain:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("run", [
+        lambda tol: maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=tol),
+        lambda tol: maximize_angles(lambda t: np.cos(t[:, 0]), dim=1, grid=8, tol=tol),
+        lambda tol: log_j_maximize(lambda j: -(math.log(j) + 2.0) ** 2, 1e-3, 1.0, tol=tol),
+    ], ids=["maximize_scalar", "maximize_angles", "log_j_maximize"])
+    def test_rejected(self, run, tol, deadline):
+        with deadline(10), pytest.raises(InvalidParameterError, match="tol must be finite"):
+            run(tol)
+
+    def test_tolerance_below_rounding_stops(self, deadline):
+        with deadline(10):
+            res = maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=1e-300)
+            angles = maximize_angles(lambda t: np.cos(t[:, 0] - 1.0), dim=1, grid=8,
+                                     tol=1e-300)
+        assert res.arg_max[0] == pytest.approx(0.3, abs=1e-7)
+        assert angles.arg_max[0] == pytest.approx(1.0, abs=1e-7)
+        assert not res.converged and not angles.converged

@@ -204,8 +204,11 @@ def b3_ghz_closed(r: float, j_mag: float) -> BellValue:
     if not 0.0 <= r < math.inf:
         raise InvalidParameterError(f"r must be finite and >= 0, got {r}")
     _check_j(j_mag)
+    # 24 e^{2r} J is formed in log space so that it cannot overflow; past
+    # e^7 its exponential underflows to 0 anyway
+    log_second = 2.0 * r + math.log(24.0 * j_mag) if j_mag > 0.0 else -math.inf
     val = 3.0 * math.exp(-12.0 * math.exp(-2.0 * r) * j_mag) \
-        - math.exp(-24.0 * math.exp(2.0 * r) * j_mag)
+        - math.exp(-math.exp(min(log_second, 7.0)))
     return BellValue(abs(val), 3, ghz_dp_settings(j_mag))
 
 

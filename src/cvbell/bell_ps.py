@@ -125,8 +125,8 @@ def su21_ps_coeffs(n2: float, n3: float, tol: float = 1e-8) -> PsCoefficients:
     and c3 are positive.  Factorials evaluated in log space; anti-diagonal
     summation with a geometric tail bound.
     """
-    if n2 < 0 or n3 < 0 or not 0 < tol < math.inf:
-        raise InvalidParameterError("need n2, n3 >= 0 and tol finite and > 0")
+    if not (0 <= n2 < math.inf and 0 <= n3 < math.inf and 0 < tol < math.inf):
+        raise InvalidParameterError("need n2, n3 finite and >= 0 and tol finite and > 0")
     n1 = n2 + n3
     x = n2 / (1 + n1)
     y = n3 / (1 + n1)
@@ -213,8 +213,8 @@ def f_conditional(p: ConditionalParams, tol: float = 1e-8) -> float:
 def su21_pi_coeffs(n: float) -> PsCoefficients:
     """Point-operator coefficients of the trilinear state, symmetric split
     n2 = n3 = N/4, as functions of the total photon number."""
-    if n < 0:
-        raise InvalidParameterError("photon number must be >= 0")
+    if not 0 <= n < math.inf:
+        raise InvalidParameterError(f"photon number must be finite and >= 0, got {n}")
     c1 = 2.0 * math.atan(n / (2.0 * math.sqrt(1.0 + n))) / (math.pi * (1.0 + n))
     c23 = 2.0 * math.atan(math.sqrt(n)) / (math.pi * (1.0 + n / 2.0))
     return PsCoefficients(-c1, c23, c23)
@@ -222,8 +222,8 @@ def su21_pi_coeffs(n: float) -> PsCoefficients:
 
 def ghz_pi_coeffs(r: float) -> PsCoefficients:
     """Point-operator coefficients of the GHZ-type state (all three equal)."""
-    if r < 0:
-        raise InvalidParameterError("squeezing must be >= 0")
+    if not 0 <= r < math.inf:
+        raise InvalidParameterError(f"squeezing must be finite and >= 0, got {r}")
     num = -6.0 * math.atan(4.0 * math.cosh(r) * math.sinh(r)
                            / math.sqrt(3.0 * (2.0 + math.exp(4.0 * r))))
     c = num / (math.pi * math.sqrt(5.0 + 4.0 * math.cosh(4.0 * r)))
@@ -281,16 +281,16 @@ def e_ps3(c: PsCoefficients, thetas, phis) -> float:
             * (math.cos(p1) * math.cos(p2) + math.sin(p1) * math.sin(p2)))
 
 
-def b3_ps_from_coeffs(c: PsCoefficients, grid: int = 32,
-                      tol: float = 1e-10) -> BellValue:
-    """Maximal Bell-Klyshko value over the polar angles.
+def b3_ps_from_coeffs(c: PsCoefficients, tol: float = 1e-10) -> BellValue:
+    """Maximal Bell-Klyshko value over the polar angles, from ``klyshko_max``
+    (a fixed 6^6 start grid, then exact refinement to ``tol``).
 
     Azimuthal freedom reduces any coefficient sign pattern to the canonical
     all-negative-magnitude form, so only |c_i| matter; the canonical form is
     realized by the (0, pi, pi) azimuthal preset for the ladder-representation
     signs.
     """
-    res = klyshko_max(c.magnitudes(), grid=grid, tol=tol)
+    res = klyshko_max(c.magnitudes(), tol=tol)
     settings = PsSettings(
         thetas=tuple(res.arg_max[:3]), phis=AZIMUTHAL_PRESET,
         thetas_primed=tuple(res.arg_max[3:]), phis_primed=AZIMUTHAL_PRESET,
@@ -299,13 +299,15 @@ def b3_ps_from_coeffs(c: PsCoefficients, grid: int = 32,
 
 
 def b3_ps(n2: float, n3: float, representation: Representation = Representation.S_REP,
-          tol: float = 1e-8, grid: int = 32) -> BellValue:
-    """Angle-maximized three-party pseudospin Bell value of the trilinear state."""
+          tol: float = 1e-8) -> BellValue:
+    """Angle-maximized three-party pseudospin Bell value of the trilinear state:
+    ``b3_ps_from_coeffs`` of its ladder (S_REP) or point-operator (PI_REP)
+    coefficients."""
     if representation is Representation.S_REP:
         coeffs = su21_ps_coeffs(n2, n3, tol)
     else:
         coeffs = su21_pi_coeffs(2.0 * (n2 + n3))
-    return b3_ps_from_coeffs(coeffs, grid=grid, tol=min(tol, 1e-8))
+    return b3_ps_from_coeffs(coeffs, tol=min(tol, 1e-8))
 
 
 def b2_ps_from_f(f: float) -> BellValue:

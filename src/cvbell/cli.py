@@ -75,8 +75,7 @@ def _su21_ps3(p: dict) -> dict:
 
 
 def _homodyne(target, tol: float) -> dict:
-    res = optim.maximize_angles(lambda pts: homodyne.chsh_h(target, pts),
-                                dim=4, grid=12, tol=tol)
+    res = optim.maximize_angles(lambda pts: homodyne.chsh_h(target, pts), dim=4, tol=tol)
     return {"value": res.max_value, "settings": [float(a) for a in res.arg_max]}
 
 
@@ -162,9 +161,12 @@ class RunConfig:
 def _parse_grid(text: str) -> tuple[float, float, int]:
     try:
         lo, hi, steps = text.split(":")
-        return float(lo), float(hi), int(steps)
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --grid {text!r}, expected lo:hi:steps") from exc
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise argparse.ArgumentTypeError(f"bad --grid {text!r}, bounds must be finite")
+    return lo, hi, steps
 
 
 def run_point(cfg: RunConfig) -> int:
@@ -212,9 +214,8 @@ def _b3dpn():
 def _b3ps():
     rows = []
     for n in np.logspace(-2, 2, 61):
-        t = bell_ps.b3_ps_from_coeffs(bell_ps.su21_pi_coeffs(n), grid=16).value
-        g = bell_ps.b3_ps_from_coeffs(
-            bell_ps.ghz_pi_coeffs(gaussian.ghz_r_from_photons(n)), grid=16).value
+        t = bell_ps.b3_ps_from_coeffs(bell_ps.su21_pi_coeffs(n)).value
+        g = bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(gaussian.ghz_r_from_photons(n))).value
         rows.append([n, t, g])
     return {}, ["n", "b3_ps_pi_su21", "b3_ps_pi_ghz"], rows
 

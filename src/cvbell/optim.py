@@ -93,43 +93,33 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
     )
 
 
-def maximize_angles(f: Callable[[NDArray], NDArray], dim: int,
-                    grid: int = 32, tol: float = 1e-8,
-                    lo: float = 0.0, hi: float = 2.0 * math.pi,
-                    max_passes: int = 60, chunk: int = 1 << 20) -> ScanResult:
-    """Full product-grid scan plus coordinate-wise golden-section passes.
+# One product grid per angle maximizer: _ANGLE_GRID^dim points for
+# ``maximize_angles`` (dim <= 4), _KLYSHKO_GRID^6 for ``klyshko_max``.
+_ANGLE_GRID = 12
+_KLYSHKO_GRID = 6
+
+
+def maximize_angles(f: Callable[[NDArray], NDArray], dim: int, tol: float = 1e-8,
+                    max_passes: int = 60) -> ScanResult:
+    """Full 12^dim product-grid scan over [0, 2 pi)^dim plus coordinate-wise
+    golden-section passes.
 
     ``f`` must be vectorized: it receives an (m, dim) array and returns (m,).
+    ``dim`` lies in 1..4, so the scan is one call of at most 20,736 points.
     ``tol`` (finite and > 0) bounds each golden-section bracket and the last
     pass's gain.
     """
     _check_tol(tol)
-    if dim < 1 or dim > 6:
-        raise InvalidParameterError("dim must lie in 1..6")
-    axis = np.linspace(lo, hi, grid, endpoint=False)
-    best_v = -np.inf
-    best_idx = None
-    total = grid**dim
-    n_lead = int(np.ceil(np.log(max(total // chunk, 1)) / np.log(grid))) if total > chunk else 0
-    tail_dims = dim - n_lead
-    tail_pts = np.stack(
-        np.meshgrid(*([axis] * tail_dims), indexing="ij"), axis=-1
-    ).reshape(-1, tail_dims) if tail_dims else np.zeros((1, 0))
-    evals = 0
-    lead_shape = (grid,) * n_lead
-    for lead in np.ndindex(*lead_shape) if n_lead else [()]:
-        lead_vals = np.array([axis[k] for k in lead])
-        pts = np.empty((tail_pts.shape[0], dim))
-        pts[:, :n_lead] = lead_vals
-        pts[:, n_lead:] = tail_pts
-        vals = np.asarray(f(pts), dtype=float)
-        evals += pts.shape[0]
-        j = int(np.argmax(vals))
-        if vals[j] > best_v:
-            best_v = float(vals[j])
-            best_idx = pts[j].copy()
-    theta = np.asarray(best_idx, dtype=float)
-    step = (hi - lo) / grid
+    if dim < 1 or dim > 4:
+        raise InvalidParameterError("dim must lie in 1..4")
+    axis = np.linspace(0.0, 2.0 * math.pi, _ANGLE_GRID, endpoint=False)
+    pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    vals = np.asarray(f(pts), dtype=float)
+    evals = pts.shape[0]
+    j = int(np.argmax(vals))
+    best_v = float(vals[j])
+    theta = pts[j].copy()
+    step = 2.0 * math.pi / _ANGLE_GRID
 
     def f1(x: float, k: int) -> float:
         t = theta.copy()
@@ -197,54 +187,44 @@ def _klyshko_derivatives(tensor: NDArray[np.float64], theta: NDArray[np.float64]
     return float(out[0]), out[1:7], out[7:].reshape(6, 6)
 
 
-def klyshko_max(mags: Sequence[float], grid: int = 32,
-                tol: float = 1e-10) -> ScanResult:
+def _klyshko_start(tensor: NDArray[np.float64]) -> tuple[NDArray[np.float64], int]:
+    """Best point of the Klyshko sum on the full 6^6 angle grid, and the
+    number of grid values computed (the 6^3 correlator table plus the 6^6
+    sums)."""
+    th = np.linspace(0.0, 2.0 * np.pi, _KLYSHKO_GRID, endpoint=False)
+    u = np.stack([np.cos(th), np.sin(th)], axis=1)
+    E = np.einsum("ijk,ai,bj,ck->abc", tensor, u, u, u)
+    B = np.zeros((_KLYSHKO_GRID,) * 6)
+    for slots, sign in zip(_KLYSHKO_SLOTS.T.tolist(), TERM_SIGNS):
+        # party p's axis of E goes to angle slot slots[p]; the other three broadcast
+        order = np.argsort(slots)
+        B += sign * np.expand_dims(E.transpose(order), [k for k in range(6) if k not in slots])
+    idx = np.unravel_index(int(np.argmax(B)), B.shape)
+    return th[list(idx)], E.size + B.size
+
+
+def klyshko_max(mags: Sequence[float], tol: float = 1e-10) -> ScanResult:
     """Maximal three-party Bell-Klyshko combination for the correlator family
 
         E = cos cos cos - g1 cos sin sin - g2 sin cos sin - g3 sin sin cos
 
-    over the six polar angles.  The full grid^6 scan is computed exactly via
-    pairwise max-tensors in O(grid^4) memory and O(grid^5) time.  From its
-    best point the refinement repeats three steps.  An exact per-angle sweep:
-    the sum is affine in (cos, sin) of each angle, so each angle's global
-    maximum is one atan2 of its gradient and minus its Hessian diagonal.  A
-    Newton step on all six angles, or, where the Hessian has a positive
-    eigenvalue, an uphill step along that eigenvector to leave the saddle.
-    Newton and saddle steps are halved until they are accepted.
+    over the six polar angles.  The start is the best point of a full 6^6
+    grid over [0, 2 pi)^6.  From it the refinement repeats three steps.  An
+    exact per-angle sweep: the sum is affine in (cos, sin) of each angle, so
+    each angle's global maximum is one atan2 of its gradient and minus its
+    Hessian diagonal.  A Newton step on all six angles, or, where the Hessian
+    has a positive eigenvalue, an uphill step along that eigenvector to leave
+    the saddle.  Newton and saddle steps are halved until they are accepted.
 
     ``converged`` is True when the returned point has ||grad||_inf <= tol and
     a Hessian whose largest eigenvalue is <= tol (negative semidefinite to
-    within tol).  ``evaluations`` counts the grid^3 correlator table, the
-    grid^4 max-tensor cells and one per derivative evaluation of the
-    refinement.
+    within tol).  ``evaluations`` counts the 6^3 correlator table, the 6^6
+    grid sums and one per derivative evaluation of the refinement.
     """
     g1, g2, g3 = (float(g) for g in mags)
-    th = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    c, s = np.cos(th), np.sin(th)
-    E = (np.einsum("i,j,k->ijk", c, c, c)
-         - g1 * np.einsum("i,j,k->ijk", c, s, s)
-         - g2 * np.einsum("i,j,k->ijk", s, c, s)
-         - g3 * np.einsum("i,j,k->ijk", s, s, c))
-    n = grid
-    T2 = E.reshape(n * n, n)
-    U = np.full((n * n, n * n), -np.inf)
-    W = np.full((n * n, n * n), -np.inf)
-    for k in range(n):
-        col = T2[:, k]
-        np.maximum(U, col[:, None] - col[None, :], out=U)
-        np.maximum(W, col[:, None] + col[None, :], out=W)
-    U4 = U.reshape(n, n, n, n)                  # [i, j, i', j']
-    W4 = W.reshape(n, n, n, n).transpose(0, 3, 2, 1)  # -> [i, j, i', j']
-    B4 = U4 + W4
-    flat = int(np.argmax(B4))
-    i, j, ip, jp = np.unravel_index(flat, B4.shape)
-    kp = int(np.argmax(T2[i * n + j] - T2[ip * n + jp]))
-    k = int(np.argmax(T2[i * n + jp] + T2[ip * n + j]))
-    theta = np.array([th[i], th[j], th[k], th[ip], th[jp], th[kp]])
-    evals = n**3 + n**4
-
     tensor = np.zeros((2, 2, 2))
     tensor[0, 0, 0], tensor[0, 1, 1], tensor[1, 0, 1], tensor[1, 1, 0] = 1.0, -g1, -g2, -g3
+    theta, evals = _klyshko_start(tensor)
     value, grad, hess = _klyshko_derivatives(tensor, theta)
     evals += 1
     converged = False

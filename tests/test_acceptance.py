@@ -59,12 +59,12 @@ def test_criterion_3_tripartite_ps():
     degen = cb.b3_ps(10.0, 1e-3, tol=1e-10)
     ok &= abs(degen.value - 2 * SQRT2) <= 0.01
     pi_t = cb.maximize_scalar(
-        lambda ln: cb.b3_ps_from_coeffs(cb.su21_pi_coeffs(math.exp(ln)), grid=16).value,
+        lambda ln: cb.b3_ps_from_coeffs(cb.su21_pi_coeffs(math.exp(ln))).value,
         math.log(0.05), math.log(20.0), tol=1e-6, coarse=48)
     n_t = math.exp(pi_t.arg_max[0])
     ok &= abs(pi_t.max_value - 2.22) <= 0.02 and abs(n_t - 1.0) <= 0.3
     pi_g = cb.maximize_scalar(
-        lambda r: cb.b3_ps_from_coeffs(cb.ghz_pi_coeffs(r), grid=16).value,
+        lambda r: cb.b3_ps_from_coeffs(cb.ghz_pi_coeffs(r)).value,
         0.05, 2.0, tol=1e-6, coarse=48)
     ok &= abs(pi_g.max_value - 2.09) <= 0.02 and abs(pi_g.arg_max[0] - 0.42) <= 0.05
     dt = time.time() - t0
@@ -270,7 +270,7 @@ def test_criterion_8_quantum_bounds():
     for f in np.linspace(0, 1, 21):
         b2max = max(b2max, cb.b2_ps_from_f(f).value)
     for mags in ((1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (0.2, 0.9, 0.4)):
-        b3max = max(b3max, cb.klyshko_max(mags, grid=16).max_value)
+        b3max = max(b3max, cb.klyshko_max(mags).max_value)
     ok = b2max <= 2 * SQRT2 + 1e-9 and b3max <= 4.0 + 1e-9
     _report(8, ok, f"max B2 = {b2max:.9f} <= 2sqrt2 + 1e-9, "
                    f"max B3 = {b3max:.9f} <= 4 + 1e-9")

@@ -86,6 +86,12 @@ class TestGhzClosedForm:
             assert b3_ghz_closed(r, j).value == pytest.approx(
                 b3_ghz_dp(r, j).value, abs=1e-10)
 
+    @pytest.mark.parametrize("j", [0.0, 1e-3, 0.1])
+    def test_finite_at_huge_squeezing(self, j):
+        """e^{2r} alone overflows a float at r = 400; the value does not."""
+        value = b3_ghz_closed(400.0, j).value
+        assert math.isfinite(value) and 2.0 <= value <= 3.0
+
     @pytest.mark.parametrize("j", [1e-3, 1e-2, 0.1])
     def test_monotone_in_squeezing(self, j):
         rs = np.linspace(1.0, 4.0, 13)

@@ -101,7 +101,7 @@ class TestBellCombination:
 
     def test_pi_representation_maximum(self):
         res = maximize_scalar(
-            lambda ln: b3_ps_from_coeffs(su21_pi_coeffs(math.exp(ln)), grid=16).value,
+            lambda ln: b3_ps_from_coeffs(su21_pi_coeffs(math.exp(ln))).value,
             math.log(0.05), math.log(20.0), tol=1e-6, coarse=48)
         assert res.max_value == pytest.approx(2.22, abs=0.02)
         assert math.exp(res.arg_max[0]) == pytest.approx(1.0, abs=0.25)
@@ -144,7 +144,7 @@ class TestPiCoefficients:
 
     def test_ghz_maximum_violation(self):
         res = maximize_scalar(
-            lambda r: b3_ps_from_coeffs(ghz_pi_coeffs(r), grid=16).value,
+            lambda r: b3_ps_from_coeffs(ghz_pi_coeffs(r)).value,
             0.05, 2.0, tol=1e-6, coarse=48)
         assert res.max_value == pytest.approx(2.09, abs=0.02)
         assert res.arg_max[0] == pytest.approx(0.42, abs=0.03)

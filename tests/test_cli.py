@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -157,6 +158,10 @@ class TestLibraryErrors:
         ["--state", "ghz", "--test", "dp3", "--r", "1", "--j", "inf"],
         ["--state", "ghz", "--test", "dp3", "--r", "nan", "--j", "0.1"],
         ["--state", "su21", "--test", "dp3", "--n", "inf", "--j", "0.1"],
+        ["--state", "su21", "--test", "ps3", "--n", "inf"],
+        ["--state", "su21", "--test", "ps3", "--n", "nan"],
+        ["--state", "su21", "--test", "ps3", "--n2", "inf", "--n3", "1"],
+        ["--state", "ghz", "--test", "ps3", "--r", "inf"],
     ], ids=" ".join)
     def test_bad_tol_or_j_exits_4(self, argv, deadline, capsys):
         with deadline(30):
@@ -164,6 +169,13 @@ class TestLibraryErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: InvalidParameterError: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--r", "400", "--j", "0.1"], ["--r", "400", "--optimize"], ["--r", "355", "--j", "0"],
+    ], ids=" ".join)
+    def test_ghz_dp3_huge_squeezing_exits_0(self, argv, capsys):
+        assert main(["point", "--state", "ghz", "--test", "dp3", *argv]) == 0
+        assert 2.0 <= json.loads(capsys.readouterr().out)["value"] <= 3.0
 
     def test_ill_conditioned_twb_dp2(self, capsys):
         assert main(["point", "--state", "twb", "--test", "dp2", "--n", "1e6", "--optimize"]) == 4
@@ -188,7 +200,8 @@ class TestVerify:
 
 
 class TestFlagTable:
-    # each input is one flag (or flag combination) the evaluator would not read
+    # each input is one flag (or flag combination) the evaluator would not read,
+    # or a --grid the CLI cannot sweep
     @pytest.mark.parametrize("argv", [
         ["point", "--state", "su21", "--test", "dp3", "--n2", "1", "--n3", "0", "--optimize"],
         ["point", "--state", "su21", "--test", "dp3", "--n2", ".5", "--n3", ".5", "--phi2", "1",
@@ -200,6 +213,8 @@ class TestFlagTable:
         ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--n2", "5", "--j", "3",
          "--optimize"],
         ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--grid", "0:1:0"],
+        ["point", "--state", "su21", "--test", "ps3", "--grid", "0:nan:2"],
+        ["point", "--state", "twb", "--test", "ps2", "--grid", "0:inf:2"],
         ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--cutoff", "7"],
         ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--out", "x"],
         ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--format", "csv"],
@@ -245,12 +260,21 @@ def _load_checks():
     return checks
 
 
+# the figure contract: first 16 hex digits of the sha256 of each CSV table
+FIGURE_HASHES = {
+    "B3DPVLBGen": "16351053a7866a97", "B3DPT": "a4d011751cc66e2c", "B3DPN": "e96d035520d317b3",
+    "B3PS": "09f6edd1def2a5f9", "B2DPTWBA": "bd230c455934e4a6", "B2PS": "5b7a44b0345e81f6",
+    "E2H": "953480b9d7e73127",
+}
+
+
 @pytest.mark.parametrize("figure_id", FIGURE_IDS)
 def test_figure_matches_stored_table(figure_id, tmp_path):
     out = tmp_path / f"{figure_id}.csv"
     assert run_figure(figure_id, str(out)) == 0
     ref = (ROOT / "perfbench" / "ref" / f"{figure_id}.csv").read_text()
     assert _load_checks().check_figure(figure_id, out.read_text(), ref) == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == FIGURE_HASHES[figure_id]
 
 
 def _readme_commands():

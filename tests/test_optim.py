@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cvbell import optim
 from cvbell import (
     InvalidParameterError,
     asymptote_relations,
@@ -51,6 +54,16 @@ B3PS_TRIPLES = [
 ]
 
 
+# klyshko_max maxima recorded, as repr strings, from the pairwise max-tensor
+# grid-32 start this package used before its 6^6 start grid: the 122 B3PS
+# triples (N = 0.01..100, 61 per state, 20 of them grid saddles at B = 2), 40
+# seeded uniform triples in [0, 1]^3 and 20 in [0.9, 1]^3
+GRID32_SWEEP = [
+    pytest.param(tuple(map(float, row["mags"])), float(row["max_value"]), id=row["id"])
+    for row in json.loads((Path(__file__).parent / "data" / "klyshko_grid32.json").read_text())
+]
+
+
 class TestMaximizeScalar:
     def test_parabola(self):
         res = maximize_scalar(lambda x: -((x - 1.0) ** 2), 0.0, 2.0, tol=1e-10)
@@ -93,7 +106,7 @@ class TestMaximizeAngles:
         def f(pts):
             return np.cos(pts[:, 0]) + np.cos(pts[:, 1] - 1.0)
 
-        res = maximize_angles(f, dim=2, grid=32, tol=1e-9)
+        res = maximize_angles(f, dim=2, tol=1e-9)
         assert res.max_value == pytest.approx(2.0, abs=1e-8)
 
     def test_matches_dense_grid_three_dim(self):
@@ -101,7 +114,7 @@ class TestMaximizeAngles:
             return (np.cos(pts[:, 0] + pts[:, 1]) * np.cos(pts[:, 2])
                     + 0.4 * np.sin(pts[:, 0]) * np.sin(pts[:, 2]))
 
-        res = maximize_angles(f, dim=3, grid=32, tol=1e-9)
+        res = maximize_angles(f, dim=3, tol=1e-9)
         axis = np.linspace(0, 2 * np.pi, 128, endpoint=False)
         dense = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                          axis=-1).reshape(-1, 3)
@@ -112,12 +125,13 @@ class TestMaximizeAngles:
             return (np.cos(pts[:, 0] + pts[:, 1]) * np.cos(pts[:, 2])
                     + 0.4 * np.sin(pts[:, 0]) * np.sin(pts[:, 2]))
 
-        assert maximize_angles(f, dim=3, grid=16, tol=1e-9).converged
-        assert not maximize_angles(f, dim=3, grid=16, tol=1e-9, max_passes=1).converged
+        assert maximize_angles(f, dim=3, tol=1e-9).converged
+        assert not maximize_angles(f, dim=3, tol=1e-9, max_passes=1).converged
 
     def test_dimension_guard(self):
-        with pytest.raises(InvalidParameterError):
-            maximize_angles(lambda p: p[:, 0], dim=7)
+        for dim in (0, 5, 7):
+            with pytest.raises(InvalidParameterError):
+                maximize_angles(lambda p: p[:, 0], dim=dim)
 
 
 class TestKlyshko:
@@ -148,7 +162,7 @@ class TestKlyshko:
         """Pin one case against a dense 128^3 scan of the unprimed angles with
         the primed angles frozen at the refined optimum."""
         g = (0.5, 0.5, 0.5)
-        res = klyshko_max(g, grid=32)
+        res = klyshko_max(g)
         tp = res.arg_max[3:]
         axis = np.linspace(0, 2 * np.pi, 128, endpoint=False)
         A, B, C = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -165,11 +179,6 @@ class TestKlyshko:
         assert res.max_value >= dense - 1e-4
         assert res.max_value == pytest.approx(dense, abs=1e-3)
 
-    def test_grid_consistency(self):
-        a = klyshko_max((0.4, 0.6, 0.2), grid=16).max_value
-        b = klyshko_max((0.4, 0.6, 0.2), grid=32).max_value
-        assert a == pytest.approx(b, abs=1e-7)
-
     def test_deterministic(self):
         a = klyshko_max((0.5, 0.5, 0.5))
         b = klyshko_max((0.5, 0.5, 0.5))
@@ -178,26 +187,35 @@ class TestKlyshko:
 
     @pytest.mark.parametrize("g", B3PS_TRIPLES)
     def test_matches_multistart_bfgs(self, g):
-        res = klyshko_max(g, grid=16)
+        res = klyshko_max(g)
         assert res.converged
         assert res.max_value == pytest.approx(bfgs_klyshko_max(g), abs=1e-10)
         assert klyshko_sum(res.arg_max, g) == pytest.approx(res.max_value, abs=1e-12)
 
     def test_escapes_saddle_at_two(self):
-        """The grid-16 start point is a saddle at B = 2; the maximum is above it."""
-        res = klyshko_max((0.03497065747255589,) * 3, grid=16)
+        """The 6^6 grid start point is a saddle at B = 2; the maximum is above it."""
+        res = klyshko_max((0.03497065747255589,) * 3)
         assert res.converged
         assert res.max_value == pytest.approx(2.003592395997792, abs=1e-10)
 
-    @pytest.mark.parametrize("g", [(0.4, 0.6, 0.2), (0.5, 0.5, 0.5)])
-    def test_grid_independence(self, g):
-        coarse, fine = klyshko_max(g, grid=16), klyshko_max(g, grid=32)
-        assert coarse.converged and fine.converged
-        assert coarse.max_value == pytest.approx(fine.max_value, abs=1e-10)
+    @pytest.mark.parametrize("g,reference", GRID32_SWEEP)
+    def test_matches_grid32_sweep(self, g, reference):
+        res = klyshko_max(g)
+        assert res.converged
+        assert res.max_value == pytest.approx(reference, abs=1e-12)
 
-    def test_evaluations_count_scan_and_refinement(self):
-        res = klyshko_max((0.4, 0.6, 0.2), grid=8)
-        assert res.evaluations > 8**3 + 8**4
+    def test_evaluations_count_scan_and_refinement(self, monkeypatch):
+        calls = []
+        derivatives = optim._klyshko_derivatives
+
+        def counted(*args):
+            calls.append(args)
+            return derivatives(*args)
+
+        monkeypatch.setattr(optim, "_klyshko_derivatives", counted)
+        res = klyshko_max((0.4, 0.6, 0.2))
+        assert calls
+        assert res.evaluations == 6**3 + 6**6 + len(calls)
 
 
 class TestAsymptoteRelations:
@@ -214,7 +232,7 @@ class TestToleranceDomain:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("run", [
         lambda tol: maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=tol),
-        lambda tol: maximize_angles(lambda t: np.cos(t[:, 0]), dim=1, grid=8, tol=tol),
+        lambda tol: maximize_angles(lambda t: np.cos(t[:, 0]), dim=1, tol=tol),
         lambda tol: log_j_maximize(lambda j: -(math.log(j) + 2.0) ** 2, 1e-3, 1.0, tol=tol),
     ], ids=["maximize_scalar", "maximize_angles", "log_j_maximize"])
     def test_rejected(self, run, tol, deadline):
@@ -224,8 +242,7 @@ class TestToleranceDomain:
     def test_tolerance_below_rounding_stops(self, deadline):
         with deadline(10):
             res = maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=1e-300)
-            angles = maximize_angles(lambda t: np.cos(t[:, 0] - 1.0), dim=1, grid=8,
-                                     tol=1e-300)
+            angles = maximize_angles(lambda t: np.cos(t[:, 0] - 1.0), dim=1, tol=1e-300)
         assert res.arg_max[0] == pytest.approx(0.3, abs=1e-7)
         assert angles.arg_max[0] == pytest.approx(1.0, abs=1e-7)
         assert not res.converged and not angles.converged

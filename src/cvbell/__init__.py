@@ -29,6 +29,7 @@ from .gaussian import (
 from .fock import (
     FockDensityOperator,
     FockPureState,
+    click_probability,
     displaced_parity_expect,
     onoff_condition,
     orthant_probabilities,

@@ -118,6 +118,12 @@ def _sum_diagonals(log_term, x: float, y: float, tol: float,
     return total
 
 
+def _log_t_spin_flip(s, t):
+    """log[C(2s+2t, 2s) sqrt((2s+2t+1)/(2s+1))]: the term of c3 and of ``f_traced``."""
+    return (gammaln(2 * s + 2 * t + 1) - gammaln(2 * s + 1) - gammaln(2 * t + 1)
+            + 0.5 * (np.log(2 * s + 2 * t + 1) - np.log(2 * s + 1)))
+
+
 def su21_ps_coeffs(n2: float, n3: float, tol: float = 1e-8) -> PsCoefficients:
     """Ladder-representation coefficients of the trilinear state by double series.
 
@@ -139,10 +145,6 @@ def su21_ps_coeffs(n2: float, n3: float, tol: float = 1e-8) -> PsCoefficients:
         return (gammaln(2 * s + 2 * t + 1) - gammaln(2 * s + 1) - gammaln(2 * t + 1)
                 + 0.5 * (np.log(2 * s + 2 * t + 1) - np.log(2 * t + 1)))
 
-    def log_t3(s, t):
-        return (gammaln(2 * s + 2 * t + 1) - gammaln(2 * s + 1) - gammaln(2 * t + 1)
-                + 0.5 * (np.log(2 * s + 2 * t + 1) - np.log(2 * s + 1)))
-
     # tail budgets are on the final coefficients, so each series tolerance is
     # scaled down by its prefactor
     p1 = 2.0 * math.sqrt(n2 * n3) / (1 + n1) ** 2
@@ -150,7 +152,7 @@ def su21_ps_coeffs(n2: float, n3: float, tol: float = 1e-8) -> PsCoefficients:
     p3 = 2.0 * math.sqrt(n2) / (1 + n1) ** 1.5
     c1 = -p1 * _sum_diagonals(log_t1, x, y**2, tol / p1) if p1 > 0 else 0.0
     c2 = p2 * _sum_diagonals(log_t2, x, y**2, tol / p2) if p2 > 0 else 0.0
-    c3 = p3 * _sum_diagonals(log_t3, x, y**2, tol / p3) if p3 > 0 else 0.0
+    c3 = p3 * _sum_diagonals(_log_t_spin_flip, x, y**2, tol / p3) if p3 > 0 else 0.0
     return PsCoefficients(c1, c2, c3)
 
 
@@ -169,14 +171,10 @@ def f_traced(p: ConditionalParams, tol: float = 1e-8) -> float:
     x = p.n2 / (1 + n1)
     y = p.n3 / (1 + n1)
 
-    def log_t(s, t):
-        return (gammaln(2 * s + 2 * t + 1) - gammaln(2 * s + 1) - gammaln(2 * t + 1)
-                + 0.5 * (np.log(2 * s + 2 * t + 1) - np.log(2 * s + 1)))
-
     pref = 2.0 * math.sqrt(x) / (1 + n1)
     if pref == 0.0:
         return 0.0
-    return pref * _sum_diagonals(log_t, x, y**2, tol / pref)
+    return pref * _sum_diagonals(_log_t_spin_flip, x, y**2, tol / pref)
 
 
 def f_conditional(p: ConditionalParams, tol: float = 1e-8) -> float:
@@ -224,9 +222,10 @@ def ghz_pi_coeffs(r: float) -> PsCoefficients:
     """Point-operator coefficients of the GHZ-type state (all three equal)."""
     if not 0 <= r < math.inf:
         raise InvalidParameterError(f"squeezing must be finite and >= 0, got {r}")
-    num = -6.0 * math.atan(4.0 * math.cosh(r) * math.sinh(r)
-                           / math.sqrt(3.0 * (2.0 + math.exp(4.0 * r))))
-    c = num / (math.pi * math.sqrt(5.0 + 4.0 * math.cosh(4.0 * r)))
+    # e^{4r} factored out with q = e^{-4r}, so large r cannot overflow
+    q = math.exp(-4.0 * r)
+    num = -6.0 * math.atan((1.0 - q) / math.sqrt(3.0 * (1.0 + 2.0 * q)))
+    c = num * math.exp(-2.0 * r) / (math.pi * math.sqrt(2.0 + 5.0 * q + 2.0 * q * q))
     return PsCoefficients(c, c, c)
 
 

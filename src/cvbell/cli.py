@@ -345,7 +345,7 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
             st = st_cache.setdefault(n3, fock.su21_fock(
                 gaussian.TripartitePhotonNumbers(0.3, n3), cutoff))
             for eta in (0.2, 0.6, 1.0):
-                prob, _ = fock.onoff_condition(st, 2, eta)
+                prob = fock.click_probability(st, 2, eta)
                 closed = conditional.p_click(
                     conditional.ConditionalParams(0.3, n3, eta=eta))
                 worst = max(worst, abs(prob - closed))
@@ -362,12 +362,9 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
         from numpy.polynomial.legendre import leggauss
         xg, wg = leggauss(28)
         xs, ws = xg * 6.0, wg * 6.0
-        g2 = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-        w2 = np.outer(ws, ws).ravel()
-        total = 0.0
-        for i, (x1, x2) in enumerate(g2):
-            pts = np.concatenate([np.broadcast_to([x1, x2], (g2.shape[0], 2)), g2], axis=1)
-            total += w2[i] * float(np.dot(conditional.w1_eval(params, pts), w2))
+        grid = np.stack(np.meshgrid(xs, xs, xs, xs, indexing="ij"), axis=-1)
+        total = float(np.einsum("abcd,a,b,c,d->", conditional.w1_eval(params, grid),
+                                ws, ws, ws, ws))
         wmin = float(np.min(conditional.w1_eval(
             conditional.ConditionalParams(1.0, 0.5, eta=1.0),
             np.stack(np.meshgrid(np.linspace(-1, 1, 21), np.linspace(-1, 1, 21),

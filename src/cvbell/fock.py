@@ -8,6 +8,7 @@ closed forms they are used to check.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -170,11 +171,17 @@ def _apply_mode_op(amps: NDArray, op: NDArray, mode: int) -> NDArray:
     return np.moveaxis(out, 0, mode)
 
 
-def _expect_product(state: FockPureState, ops: Sequence[NDArray]) -> float:
-    phi = state.amps
-    for j, op in enumerate(ops):
-        phi = _apply_mode_op(phi, op, j)
-    return float(np.real(np.sum(state.amps.conj() * phi)))
+def _expect(state: FockPureState | FockDensityOperator, ops: Sequence[NDArray]) -> float:
+    """<psi| (x)ops |psi> for a pure state, Tr[rho (x)ops] for a density operator."""
+    if isinstance(state, FockPureState):
+        phi = state.amps
+        for j, op in enumerate(ops):
+            phi = _apply_mode_op(phi, op, j)
+        return float(np.real(np.sum(state.amps.conj() * phi)))
+    n = state.n_modes
+    ket, bra = string.ascii_letters[:n], string.ascii_letters[n:2 * n]
+    subscripts = ket + bra + "," + ",".join(b + k for k, b in zip(ket, bra)) + "->"
+    return float(np.real(np.einsum(subscripts, state.tensor(), *ops)))
 
 
 def displaced_parity_expect(state: FockPureState | FockDensityOperator,
@@ -194,31 +201,11 @@ def displaced_parity_expect(state: FockPureState | FockDensityOperator,
                 f"|alpha|^2 = {abs(a)**2:.3f} exceeds cutoff/10 = {cutoff / 10:.1f}"
             )
     par = _parity(cutoff)
-    if isinstance(state, FockPureState):
-        phi = state.amps
-        for j, a in enumerate(alphas):
-            phi = _apply_mode_op(phi, displacement(a, cutoff).conj().T, j)
-        w = np.abs(phi) ** 2
-        for j in range(state.n_modes):
-            shape = [1] * state.n_modes
-            shape[j] = cutoff
-            w = w * par.reshape(shape)
-        return float(np.sum(w))
     ops = []
     for a in alphas:
         d = displacement(a, cutoff)
         ops.append(d @ (par[:, None] * d.conj().T))
-    return _expect_density(state, ops)
-
-
-def _expect_density(state: FockDensityOperator, ops: Sequence[NDArray]) -> float:
-    rho = state.tensor()
-    n = state.n_modes
-    if n == 2:
-        return float(np.real(np.einsum("abcd,ca,db->", rho, ops[0], ops[1])))
-    if n == 3:
-        return float(np.real(np.einsum("abcdef,da,eb,fc->", rho, ops[0], ops[1], ops[2])))
-    raise InvalidParameterError("density-operator expectations support 2 or 3 modes")
+    return _expect(state, ops)
 
 
 def pseudospin_expect(state: FockPureState | FockDensityOperator,
@@ -228,10 +215,27 @@ def pseudospin_expect(state: FockPureState | FockDensityOperator,
         raise InvalidParameterError("pseudospin requires an even cutoff")
     if len(axes) != state.n_modes:
         raise InvalidParameterError("one (theta, phi) pair per mode required")
-    ops = [pseudospin_axis_op(th, ph, state.cutoff) for th, ph in axes]
-    if isinstance(state, FockPureState):
-        return _expect_product(state, ops)
-    return _expect_density(state, ops)
+    return _expect(state, [pseudospin_axis_op(th, ph, state.cutoff) for th, ph in axes])
+
+
+def _click_weights(cutoff: int, eta: float) -> NDArray[np.float64]:
+    # diagonal of Pi_1 = I - sum_n (1-eta)^n |n><n|
+    return 1.0 - (1.0 - eta) ** np.arange(cutoff)
+
+
+def click_probability(state: FockPureState, mode: int, eta: float) -> float:
+    """Probability that an ON/OFF detector of efficiency ``eta`` on ``mode`` fires.
+
+    Weighs the squared norm of each number-outcome slice of ``mode``; no
+    conditioned state is formed.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise InvalidParameterError("eta must lie in [0, 1]")
+    if not 0 <= mode < state.n_modes:
+        raise InvalidParameterError("mode index out of range")
+    others = tuple(j for j in range(state.n_modes) if j != mode)
+    slice_norms = np.sum(np.abs(state.amps) ** 2, axis=others)
+    return float(np.sum(_click_weights(state.cutoff, eta) * slice_norms))
 
 
 def onoff_condition(state: FockPureState, mode: int,
@@ -242,21 +246,13 @@ def onoff_condition(state: FockPureState, mode: int,
     mode out and renormalizes.  Returns (click probability, conditioned
     operator); the operator is None in the degenerate eta=0 case.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidParameterError("eta must lie in [0, 1]")
-    if not 0 <= mode < state.n_modes:
-        raise InvalidParameterError("mode index out of range")
-    cutoff = state.cutoff
-    w = 1.0 - (1.0 - eta) ** np.arange(cutoff)
-    amps = np.moveaxis(state.amps, mode, -1)
-    rest = state.n_modes - 1
-    flat = amps.reshape(cutoff**rest, cutoff)
-    blocks = flat.conj().T @ flat  # overlap of the per-outcome slices
-    prob = float(np.real(np.sum(w * np.diag(blocks).real)))
-    if eta == 0.0 or prob <= 0.0:
+    prob = click_probability(state, mode, eta)
+    if prob <= 0.0:
         return 0.0, None
-    rho = (flat * w) @ flat.conj().T / prob
-    return prob, FockDensityOperator(rest, cutoff, rho)
+    cutoff = state.cutoff
+    flat = np.moveaxis(state.amps, mode, -1).reshape(-1, cutoff)
+    rho = (flat * _click_weights(cutoff, eta)) @ flat.conj().T / prob
+    return prob, FockDensityOperator(state.n_modes - 1, cutoff, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +293,10 @@ def _half_line_matrices(cutoff: int, n_nodes: int = 800) -> tuple[NDArray, NDArr
     return H, G
 
 
-def _rotated(state: FockPureState | FockDensityOperator, thetas: Sequence[float]):
-    """Apply per-mode phase rotations so x^theta becomes the plain x quadrature."""
-    cutoff = state.cutoff
-    n = np.arange(cutoff)
-    if isinstance(state, FockPureState):
-        amps = state.amps.astype(complex)
-        for j, th in enumerate(thetas):
-            shape = [1] * state.n_modes
-            shape[j] = cutoff
-            amps = amps * np.exp(-1j * th * n).reshape(shape)
-        return FockPureState(state.n_modes, cutoff, amps)
-    rho = state.tensor().astype(complex)
-    nm = state.n_modes
-    for j, th in enumerate(thetas):
-        ph = np.exp(-1j * th * n)
-        shape = [1] * (2 * nm)
-        shape[j] = cutoff
-        rho = rho * ph.reshape(shape)
-        shape = [1] * (2 * nm)
-        shape[nm + j] = cutoff
-        rho = rho * ph.conj().reshape(shape)
-    dim = cutoff**nm
-    return FockDensityOperator(nm, cutoff, rho.reshape(dim, dim))
+def _rotated(op: NDArray, theta: float) -> NDArray[np.complex128]:
+    """R^dag op R with R = exp(-i theta n), so x^theta becomes the plain x quadrature."""
+    ph = np.exp(1j * theta * np.arange(op.shape[0]))
+    return ph[:, None] * op * ph.conj()
 
 
 def orthant_probabilities(state: FockPureState | FockDensityOperator,
@@ -328,20 +305,10 @@ def orthant_probabilities(state: FockPureState | FockDensityOperator,
     if state.n_modes != 2:
         raise InvalidParameterError("orthant probabilities are defined for two modes")
     H, _ = _half_line_matrices(state.cutoff)
-    rot = _rotated(state, [theta, phi])
-    eye = np.eye(state.cutoff)
-    Hm = H
-    Hp = eye - H
-
-    def ex(o1, o2):
-        if isinstance(rot, FockPureState):
-            return _expect_product(rot, [o1, o2])
-        return _expect_density(rot, [o1, o2])
-
-    ppp = ex(Hm, Hm)
-    ppm = ex(Hm, Hp)
-    pmp = ex(Hp, Hm)
-    pmm = ex(Hp, Hp)
+    Hp = np.eye(state.cutoff) - H
+    a = (_rotated(H, theta), _rotated(Hp, theta))
+    b = (_rotated(H, phi), _rotated(Hp, phi))
+    ppp, ppm, pmp, pmm = (_expect(state, [a[i], b[j]]) for i in (0, 1) for j in (0, 1))
     total = ppp + ppm + pmp + pmm
     if abs(total - 1.0) > 1e-6:
         raise PrecisionError(f"orthant probabilities sum to {total}, quadrature did not converge")
@@ -354,10 +321,7 @@ def quadrature_orthant_expect(state: FockPureState | FockDensityOperator,
     if state.n_modes != 2:
         raise InvalidParameterError("the homodyne correlator is defined for two modes")
     _, G = _half_line_matrices(state.cutoff)
-    rot = _rotated(state, [theta, phi])
-    if isinstance(rot, FockPureState):
-        return _expect_product(rot, [G, G])
-    return _expect_density(rot, [G, G])
+    return _expect(state, [_rotated(G, theta), _rotated(G, phi)])
 
 
 def wigner_reconstruct(state: FockPureState | FockDensityOperator,

@@ -137,6 +137,13 @@ class TestPiCoefficients:
             assert cq.c1 == pytest.approx(cc.c1, abs=1e-10)
             assert cq.c2 == pytest.approx(cc.c2, abs=1e-10)
 
+    @pytest.mark.parametrize("r", [178.0, 400.0])
+    def test_ghz_finite_at_huge_squeezing(self, r):
+        # e^{4r} overflows a float above r ~ 177; the coefficient decays like e^{-2r}
+        c = ghz_pi_coeffs(r)
+        for v in (c.c1, c.c2, c.c3):
+            assert math.isfinite(v) and abs(v) <= 1.0
+
     def test_ghz_coefficient_peaks_near_042(self):
         rs = np.linspace(0.1, 1.2, 111)
         mags = [abs(ghz_pi_coeffs(r).c1) for r in rs]
@@ -171,6 +178,12 @@ class TestFFunctions:
     def test_zero_bright_mode(self):
         assert f_conditional(ConditionalParams(0.0, 0.2, eta=0.8)) == 0.0
         assert f_traced(ConditionalParams(0.0, 0.2)) == 0.0
+
+    @pytest.mark.parametrize("n2,n3", [(0.3, 0.3), (1.0, 0.5), (0.2, 2.0), (4.0, 1.0)])
+    def test_traced_equals_su21_c3(self, n2, n3):
+        # both sum the same spin-flip series over (x, y^2)
+        assert f_traced(ConditionalParams(n2, n3)) == pytest.approx(
+            su21_ps_coeffs(n2, n3).c3, rel=1e-14)
 
     def test_heralded_dominates_traced(self):
         for n in np.geomspace(0.1, 10.0, 12):

@@ -177,6 +177,11 @@ class TestLibraryErrors:
         assert main(["point", "--state", "ghz", "--test", "dp3", *argv]) == 0
         assert 2.0 <= json.loads(capsys.readouterr().out)["value"] <= 3.0
 
+    @pytest.mark.parametrize("argv", [["--r", "178"], ["--n", "1e300"]], ids=" ".join)
+    def test_ghz_ps3_huge_squeezing_exits_0(self, argv, capsys):
+        assert main(["point", "--state", "ghz", "--test", "ps3", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 2.0
+
     def test_ill_conditioned_twb_dp2(self, capsys):
         assert main(["point", "--state", "twb", "--test", "dp2", "--n", "1e6", "--optimize"]) == 4
         assert capsys.readouterr().err == (

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from cvbell import (
+    ConditionalParams,
     CutoffTooSmallError,
+    FockDensityOperator,
+    FockPureState,
     InvalidParameterError,
     PrecisionError,
     TripartitePhotonNumbers,
+    click_probability,
     displaced_parity_expect,
     e_dp_gaussian,
     f_twb,
     onoff_condition,
     orthant_probabilities,
+    p_click,
     pseudospin_expect,
     quadrature_orthant_expect,
     su21_fock,
@@ -172,3 +177,71 @@ class TestOrthant:
     def test_expectation_bounded(self, twb_fock_n1):
         for th in np.linspace(0, 2 * math.pi, 7):
             assert abs(quadrature_orthant_expect(twb_fock_n1, th, 0.3)) <= 1.0 + 1e-9
+
+
+def _density(state):
+    flat = state.amps.ravel()
+    return FockDensityOperator(state.n_modes, state.cutoff, np.outer(flat, flat.conj()))
+
+
+def _product_state(cutoff=20):
+    rng = np.random.default_rng(3)
+    decay = 0.6 ** np.arange(cutoff)
+    a, b = (decay * (rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff))
+            for _ in range(2))
+    amps = np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    return FockPureState(2, cutoff, amps)
+
+
+class TestExpectationKernel:
+    """Pure and density forms of one state give the same expectations."""
+
+    @pytest.fixture(params=["twb", "product"])
+    def pure(self, request, twb_fock_n1):
+        return twb_fock_n1 if request.param == "twb" else _product_state()
+
+    def test_density_matches_pure(self, pure):
+        rho = _density(pure)
+        cases = [
+            (displaced_parity_expect, ([0.2 + 0.1j, -0.3j],)),
+            (pseudospin_expect, ([(0.7, 0.4), (1.9, -1.1)],)),
+            (orthant_probabilities, (0.4, -0.9)),
+            (quadrature_orthant_expect, (1.1, 0.6)),
+        ]
+        for fn, args in cases:
+            want = np.asarray(fn(pure, *args))
+            assert np.max(np.abs(np.asarray(fn(rho, *args)) - want)) < 1e-12, fn.__name__
+
+    def test_rotation_acts_like_a_rotated_state(self, pure):
+        # R = exp(-i theta n) on each mode, applied to the amplitudes instead
+        th, ph = 0.8, -1.3
+        n = np.arange(pure.cutoff)
+        amps = pure.amps * np.outer(np.exp(-1j * th * n), np.exp(-1j * ph * n))
+        rotated = FockPureState(2, pure.cutoff, amps)
+        assert quadrature_orthant_expect(pure, th, ph) == pytest.approx(
+            quadrature_orthant_expect(rotated, 0.0, 0.0), abs=1e-13)
+        assert orthant_probabilities(pure, th, ph) == pytest.approx(
+            orthant_probabilities(rotated, 0.0, 0.0), abs=1e-13)
+
+    def test_single_mode_density_coherent_parity(self):
+        rho = np.zeros((30, 30), dtype=complex)
+        rho[0, 0] = 1.0
+        assert displaced_parity_expect(FockDensityOperator(1, 30, rho), [0.5]) == pytest.approx(
+            math.exp(-0.5), abs=1e-10)
+
+
+class TestClickProbability:
+    @pytest.mark.parametrize("eta", [0.2, 0.6, 1.0])
+    def test_matches_conditioning_and_closed_form(self, su21_fock_03, eta):
+        prob = click_probability(su21_fock_03, 2, eta)
+        assert prob == onoff_condition(su21_fock_03, 2, eta)[0]
+        assert prob == pytest.approx(p_click(ConditionalParams(0.3, 0.3, eta=eta)), abs=1e-9)
+
+    def test_zero_efficiency(self, su21_fock_03):
+        assert click_probability(su21_fock_03, 2, 0.0) == 0.0
+
+    @pytest.mark.parametrize("mode,eta", [(2, -0.1), (2, 1.5), (2, math.nan), (3, 0.5),
+                                          (-1, 0.5)])
+    def test_rejects_bad_eta_or_mode(self, su21_fock_03, mode, eta):
+        with pytest.raises(InvalidParameterError):
+            click_probability(su21_fock_03, mode, eta)

@@ -43,16 +43,10 @@ from .conditional import ConditionalParams, TwoGaussianWigner, p_click, w1_eval,
 from .bell_dp import (
     BellValue,
     DpSettings,
-    b2_conditional_dp,
     b2_dp,
-    b2_twb_bw_dp,
-    b2_twb_dp,
     b3_dp_general,
     b3_ghz_closed,
-    b3_ghz_dp,
     b3_su21_closed,
-    b3_su21_opt_dp,
-    b3_su21_sym_dp,
     conditional_dp_settings,
     e_dp_conditional,
     e_dp_gaussian,
@@ -69,7 +63,6 @@ from .bell_dp import (
 from .bell_ps import (
     PsCoefficients,
     PsSettings,
-    Representation,
     b2_ps_from_f,
     b3_ps,
     b3_ps_from_coeffs,
@@ -82,15 +75,7 @@ from .bell_ps import (
     su21_pi_coeffs,
     su21_ps_coeffs,
 )
-from .homodyne import (
-    HomodyneSetting,
-    b2_h,
-    chsh_h,
-    classical_reference,
-    e_h,
-    e_h_conditional,
-    e_h_gaussian,
-)
+from .homodyne import chsh_h, classical_reference, e_h
 from .optim import ScanResult, asymptote_relations, klyshko_max, log_j_maximize, maximize_angles, maximize_scalar
 
 __version__ = "0.1.0"

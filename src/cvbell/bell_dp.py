@@ -21,13 +21,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .conditional import ConditionalParams, two_gaussian_form
 from .errors import InvalidParameterError
-from .gaussian import (
-    GaussianState,
-    TripartitePhotonNumbers,
-    ghz_state,
-    su21_state,
-    twb_state,
-)
+from .gaussian import GaussianState, TripartitePhotonNumbers, su21_state
 
 _SQRT2 = math.sqrt(2.0)
 _B2_BOUND = 2.0 * _SQRT2 + 1e-9
@@ -60,26 +54,26 @@ class DpSettings:
 
     unprimed: tuple[complex, ...]
     primed: tuple[complex, ...]
-    j_mag: float | None = None
 
     def __post_init__(self):
         if len(self.unprimed) != len(self.primed):
             raise InvalidParameterError("unprimed and primed settings must have equal length")
-        if self.j_mag is not None:
-            _check_j(self.j_mag)
         object.__setattr__(self, "unprimed", tuple(map(complex, self.unprimed)))
         object.__setattr__(self, "primed", tuple(map(complex, self.primed)))
 
 
 @dataclass(frozen=True)
 class BellValue:
-    """A Bell-combination value together with the settings that produced it."""
+    """A Bell-combination value, with the settings that produced it where the
+    caller has them."""
 
     value: float
     n_parties: int
     settings: object = None
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise InvalidParameterError(f"Bell value must be finite, got {self.value}")
         bound = _B2_BOUND if self.n_parties == 2 else _B3_BOUND
         if abs(self.value) > bound:
             raise InvalidParameterError(
@@ -88,11 +82,15 @@ class BellValue:
 
 
 def _phase_space(alphas: ArrayLike, n_modes: int) -> NDArray[np.float64]:
-    """(Re alpha_1..Re alpha_n, Im alpha_1..Im alpha_n) along the last axis."""
+    """(Re alpha_1..Re alpha_n, Im alpha_1..Im alpha_n) along the last axis;
+    every displacement must be finite."""
     al = np.asarray(alphas, dtype=complex)
     if al.ndim == 0 or al.shape[-1] != n_modes:
         raise InvalidParameterError(f"one displacement per mode required ({n_modes} modes)")
-    return np.concatenate([al.real, al.imag], axis=-1)
+    u = np.concatenate([al.real, al.imag], axis=-1)
+    if not np.isfinite(u).all():
+        raise InvalidParameterError("displacements must be finite")
+    return u
 
 
 def e_dp_gaussian(s: GaussianState, alphas: ArrayLike) -> float | NDArray[np.float64]:
@@ -209,7 +207,7 @@ def b3_ghz_closed(r: float, j_mag: float) -> BellValue:
     log_second = 2.0 * r + math.log(24.0 * j_mag) if j_mag > 0.0 else -math.inf
     val = 3.0 * math.exp(-12.0 * math.exp(-2.0 * r) * j_mag) \
         - math.exp(-math.exp(min(log_second, 7.0)))
-    return BellValue(abs(val), 3, ghz_dp_settings(j_mag))
+    return BellValue(abs(val), 3)
 
 
 def b3_su21_closed(n: float, j_mag: float) -> BellValue:
@@ -225,7 +223,7 @@ def b3_su21_closed(n: float, j_mag: float) -> BellValue:
     val = (2.0 * math.exp(-j_mag * (6.0 + 1.5 * n - s2 * q))
            + math.exp(-2.0 * j_mag * (3.0 + 3.0 * n - 2.0 * s2 * q))
            - math.exp(-4.0 * j_mag * (3.0 + 3.0 * n + 2.0 * s2 * q)))
-    return BellValue(abs(val), 3, su21_sym_dp_settings(j_mag))
+    return BellValue(abs(val), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +233,7 @@ def ghz_dp_settings(j_mag: float) -> DpSettings:
     """Symmetric family for the GHZ-type state: real sqrt(J)(1,1,1) and
     -2 sqrt(J)(1,1,1); J in coherent-amplitude units."""
     w = math.sqrt(_check_j(j_mag))
-    return DpSettings((w, w, w), (-2 * w, -2 * w, -2 * w), j_mag)
+    return DpSettings((w, w, w), (-2 * w, -2 * w, -2 * w))
 
 
 def su21_sym_dp_settings(j_mag: float) -> DpSettings:
@@ -243,7 +241,7 @@ def su21_sym_dp_settings(j_mag: float) -> DpSettings:
     real sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1); J in phase-space units
     (coherent amplitude sqrt(J/2))."""
     w = math.sqrt(_check_j(j_mag) / 2.0)
-    return DpSettings((w, w, w), (-2 * w, -2 * w, -2 * w), j_mag)
+    return DpSettings((w, w, w), (-2 * w, -2 * w, -2 * w))
 
 
 def su21_opt_dp_settings(j_mag: float) -> DpSettings:
@@ -251,36 +249,32 @@ def su21_opt_dp_settings(j_mag: float) -> DpSettings:
     phi2 = 0, phi3 = pi: imaginary (2/3, 0, 0) and (0, -1, 1) times
     sqrt(J/2); J in phase-space units."""
     w = 1j * math.sqrt(_check_j(j_mag) / 2.0)
-    return DpSettings((2.0 / 3.0 * w, 0.0, 0.0), (0.0, -w, w), j_mag)
+    return DpSettings((2.0 / 3.0 * w, 0.0, 0.0), (0.0, -w, w))
 
 
 def twb_dp_settings(j_mag: float) -> DpSettings:
     """Optimal twin-beam family: real (sqrt(J), -sqrt(J)) and
     (-3, 3) sqrt(J); J in coherent-amplitude units."""
     w = math.sqrt(_check_j(j_mag))
-    return DpSettings((w, -w), (-3 * w, 3 * w), j_mag)
+    return DpSettings((w, -w), (-3 * w, 3 * w))
 
 
 def twb_bw_dp_settings(j_mag: float) -> DpSettings:
     """Original two-settings family: zero displacements against
     real (sqrt(J), -sqrt(J)); J in coherent-amplitude units."""
     w = math.sqrt(_check_j(j_mag))
-    return DpSettings((0.0, 0.0), (w, -w), j_mag)
+    return DpSettings((0.0, 0.0), (w, -w))
 
 
 def conditional_dp_settings(j_mag: float) -> DpSettings:
     """Optimized family for the heralded state: real (1, 2) and (3, 0) times
     sqrt(J/2); J in phase-space units."""
     w = math.sqrt(_check_j(j_mag) / 2.0)
-    return DpSettings((w, 2 * w), (3 * w, 0.0), j_mag)
+    return DpSettings((w, 2 * w), (3 * w, 0.0))
 
 
 # ---------------------------------------------------------------------------
-# convenience evaluators for the built-in families
-
-def b3_ghz_dp(r: float, j_mag: float) -> BellValue:
-    return b3_dp_general(ghz_state(r), ghz_dp_settings(j_mag))
-
+# states the trilinear families assume
 
 def su21_sym_state(n: float) -> GaussianState:
     """Trilinear state at the symmetric split n2 = n3 = N/4 with the phases
@@ -292,23 +286,3 @@ def su21_opt_state(n: float) -> GaussianState:
     """Trilinear state at the symmetric split with phases (0, pi) assumed by
     the optimized displacement family."""
     return su21_state(TripartitePhotonNumbers(n / 4.0, n / 4.0, 0.0, math.pi))
-
-
-def b3_su21_sym_dp(n: float, j_mag: float) -> BellValue:
-    return b3_dp_general(su21_sym_state(n), su21_sym_dp_settings(j_mag))
-
-
-def b3_su21_opt_dp(n: float, j_mag: float) -> BellValue:
-    return b3_dp_general(su21_opt_state(n), su21_opt_dp_settings(j_mag))
-
-
-def b2_twb_dp(n: float, j_mag: float) -> BellValue:
-    return b2_dp(twb_state(n), twb_dp_settings(j_mag))
-
-
-def b2_twb_bw_dp(n: float, j_mag: float) -> BellValue:
-    return b2_dp(twb_state(n), twb_bw_dp_settings(j_mag))
-
-
-def b2_conditional_dp(p: ConditionalParams, j_mag: float) -> BellValue:
-    return b2_dp(p, conditional_dp_settings(j_mag))

@@ -1,7 +1,8 @@
 """Pseudospin correlators: series coefficients, closed forms, Bell combinations.
 
 Two inequivalent operator representations are covered: the number-parity
-ladder operators (S_REP) and the quadrature-sign/point operators (PI_REP).
+ladder operators (the double series) and the quadrature-sign/point operators
+(the ``*_pi_coeffs`` closed forms).
 Coefficient signs follow the closed-form convention in which the all-z
 correlator is +1; the Fock oracle, which uses the ladder definition verbatim
 (odd number states +1), reports the opposite global sign, so oracle
@@ -10,25 +11,19 @@ the coefficient magnitudes once the azimuthal angles are free.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .conditional import ConditionalParams
+from .conditional import ConditionalParams, _check_click
 from .errors import InvalidParameterError, PrecisionError
 from .gaussian import GaussianState
 from .bell_dp import BellValue
 from .optim import klyshko_max
 
 _MAX_TERMS = 10**7
-
-
-class Representation(enum.Enum):
-    S_REP = "s"
-    PI_REP = "pi"
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,6 @@ class PsSettings:
     phis: tuple[float, ...]
     thetas_primed: tuple[float, ...]
     phis_primed: tuple[float, ...]
-    representation: Representation = Representation.S_REP
 
     def __post_init__(self):
         arrs = (self.thetas, self.phis, self.thetas_primed, self.phis_primed)
@@ -185,8 +179,7 @@ def f_conditional(p: ConditionalParams, tol: float = 1e-8) -> float:
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError("tol must be finite and > 0")
-    if p.eta == 0 or p.n3 == 0:
-        raise InvalidParameterError("heralding requires eta > 0 and n3 > 0")
+    _check_click(p)
     n1 = p.n2 + p.n3
     x = p.n2 / (1 + n1)
     y = p.n3 / (1 + n1)
@@ -297,16 +290,10 @@ def b3_ps_from_coeffs(c: PsCoefficients, tol: float = 1e-10) -> BellValue:
     return BellValue(res.max_value, 3, settings)
 
 
-def b3_ps(n2: float, n3: float, representation: Representation = Representation.S_REP,
-          tol: float = 1e-8) -> BellValue:
+def b3_ps(n2: float, n3: float, tol: float = 1e-8) -> BellValue:
     """Angle-maximized three-party pseudospin Bell value of the trilinear state:
-    ``b3_ps_from_coeffs`` of its ladder (S_REP) or point-operator (PI_REP)
-    coefficients."""
-    if representation is Representation.S_REP:
-        coeffs = su21_ps_coeffs(n2, n3, tol)
-    else:
-        coeffs = su21_pi_coeffs(2.0 * (n2 + n3))
-    return b3_ps_from_coeffs(coeffs, tol=min(tol, 1e-8))
+    ``b3_ps_from_coeffs`` of its ladder-operator coefficients."""
+    return b3_ps_from_coeffs(su21_ps_coeffs(n2, n3, tol), tol=min(tol, 1e-8))
 
 
 def b2_ps_from_f(f: float) -> BellValue:

@@ -95,7 +95,7 @@ _PAIRS = {
         lambda p: gaussian.twb_state(p["n"]),
         lambda s, j: bell_dp.b2_dp(s, bell_dp.twb_dp_settings(j)).value)),
     ("conditional", "dp2"): _Pair((_HERALDED, _DP), _dp(
-        _heralded, lambda hp, j: bell_dp.b2_conditional_dp(hp, j).value)),
+        _heralded, lambda hp, j: bell_dp.b2_dp(hp, bell_dp.conditional_dp_settings(j)).value)),
     ("ghz", "ps3"): _Pair((_GHZ,), lambda p: {
         "value": bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(_ghz_r(p))).value}),
     ("su21", "ps3"): _Pair(((("n",), ("n2", "n3")), _TOL), _su21_ps3),
@@ -226,7 +226,7 @@ def _b2dptwba():
     for n2 in np.logspace(0, 4, 25):
         p = conditional.ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
         for j in js:
-            rows.append([n2, j, bell_dp.b2_conditional_dp(p, j).value])
+            rows.append([n2, j, bell_dp.b2_dp(p, bell_dp.conditional_dp_settings(j)).value])
     return {"n3": "1e-2/n2", "eta": 1.0}, ["n2", "j", "b2_dp"], rows
 
 
@@ -417,13 +417,12 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
         worst = 0.0
         for th, ph in ((0.0, 0.0), (0.4, 0.3), (1.1, -0.6)):
             worst = max(worst, abs(fock.quadrature_orthant_expect(tw, th, ph)
-                                   - homodyne.e_h_gaussian(gw, th, ph)))
+                                   - float(homodyne.e_h(gw, th, ph))))
         prob, rho = fock.onoff_condition(fock.su21_fock(phot, min(cutoff, 26)), 2, 0.8)
         worst_c = 0.0
         for th in (0.0, 0.7, 1.9):
-            worst_c = max(worst_c, abs(
-                fock.quadrature_orthant_expect(rho, th, 0.0)
-                - homodyne.e_h_conditional(params, homodyne.HomodyneSetting(th, 0.0))))
+            worst_c = max(worst_c, abs(fock.quadrature_orthant_expect(rho, th, 0.0)
+                                       - float(homodyne.e_h(params, th, 0.0))))
         ps = fock.orthant_probabilities(tw, 0.3, 0.2)
         notes.append(
             "documented finding: the heralded-state homodyne closed form is "

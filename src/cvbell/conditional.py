@@ -72,13 +72,19 @@ def p_click(p: ConditionalParams) -> float:
     return p.eta * p.n3 / (1.0 + p.eta * p.n3)
 
 
-@lru_cache(maxsize=256)
-def two_gaussian_form(p: ConditionalParams) -> TwoGaussianWigner:
-    """Assemble the heralded-state Wigner function pieces (cached per params)."""
+def _check_click(p: ConditionalParams) -> None:
+    """Raise ``UndefinedStateError`` where no click is possible (eta = 0 or
+    n3 = 0), so the heralded state does not exist."""
     if p.eta == 0.0:
         raise UndefinedStateError("eta = 0 admits no click; the heralded state is undefined")
     if p.n3 == 0.0:
         raise UndefinedStateError("n3 = 0 admits no click; the heralded state is undefined")
+
+
+@lru_cache(maxsize=256)
+def two_gaussian_form(p: ConditionalParams) -> TwoGaussianWigner:
+    """Assemble the heralded-state Wigner function pieces (cached per params)."""
+    _check_click(p)
     V = su21_state(p.photons()).cov
     broaden = (2.0 - p.eta) / p.eta
     D = V + np.diag([0.0, 0.0, broaden, 0.0, 0.0, broaden])

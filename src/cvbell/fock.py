@@ -74,8 +74,7 @@ class FockDensityOperator:
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
 
-def su21_fock(p: TripartitePhotonNumbers, cutoff: int,
-              tail_budget: float = TAIL_BUDGET) -> FockPureState:
+def su21_fock(p: TripartitePhotonNumbers, cutoff: int) -> FockPureState:
     """Number-basis amplitudes of the interlinked-interaction state.
 
     Support is |p+q, p, q> with amplitude
@@ -86,10 +85,10 @@ def su21_fock(p: TripartitePhotonNumbers, cutoff: int,
         raise InvalidParameterError("cutoff must be >= 2")
     n1 = p.n1
     tail = (n1 / (1 + n1)) ** cutoff if n1 > 0 else 0.0
-    if tail > tail_budget:
-        need = math.ceil(math.log(tail_budget) / math.log(n1 / (1 + n1)))
+    if tail > TAIL_BUDGET:
+        need = math.ceil(math.log(TAIL_BUDGET) / math.log(n1 / (1 + n1)))
         raise CutoffTooSmallError(
-            f"tail mass {tail:.3e} exceeds {tail_budget:.1e}; use cutoff >= {need}", need
+            f"tail mass {tail:.3e} exceeds {TAIL_BUDGET:.1e}; use cutoff >= {need}", need
         )
     x = p.n2 / (1 + n1)
     y = p.n3 / (1 + n1)
@@ -106,17 +105,17 @@ def su21_fock(p: TripartitePhotonNumbers, cutoff: int,
     return FockPureState(3, cutoff, amps)
 
 
-def twb_fock(x: float, cutoff: int, tail_budget: float = TAIL_BUDGET) -> FockPureState:
+def twb_fock(x: float, cutoff: int) -> FockPureState:
     """Twin beam sqrt(1-X^2) sum_n X^n |n,n> truncated at ``cutoff``."""
     if not 0.0 <= x < 1.0:
         raise InvalidParameterError("X must lie in [0, 1)")
     if cutoff < 2:
         raise InvalidParameterError("cutoff must be >= 2")
     tail = x ** (2 * cutoff)
-    if tail > tail_budget:
-        need = math.ceil(math.log(tail_budget) / (2 * math.log(x)))
+    if tail > TAIL_BUDGET:
+        need = math.ceil(math.log(TAIL_BUDGET) / (2 * math.log(x)))
         raise CutoffTooSmallError(
-            f"tail mass {tail:.3e} exceeds {tail_budget:.1e}; use cutoff >= {need}", need
+            f"tail mass {tail:.3e} exceeds {TAIL_BUDGET:.1e}; use cutoff >= {need}", need
         )
     amps = np.zeros((cutoff, cutoff), dtype=complex)
     amps[np.arange(cutoff), np.arange(cutoff)] = np.sqrt(1 - x**2) * x ** np.arange(cutoff)
@@ -269,8 +268,11 @@ def _hermite_psi(cutoff: int, xs: NDArray) -> NDArray:
     return out
 
 
+_HALF_LINE_NODES = 800     # Gauss-Legendre nodes of the half-line integrals
+
+
 @lru_cache(maxsize=16)
-def _half_line_matrices(cutoff: int, n_nodes: int = 800) -> tuple[NDArray, NDArray]:
+def _half_line_matrices(cutoff: int) -> tuple[NDArray, NDArray]:
     """(H, G): H_{nm} = int_0^inf psi_n psi_m, G = sgn-quadrature matrix 2H - I restricted.
 
     Gauss-Legendre on [0, R] with R past the classical turning point of the
@@ -279,7 +281,7 @@ def _half_line_matrices(cutoff: int, n_nodes: int = 800) -> tuple[NDArray, NDArr
     from numpy.polynomial.legendre import leggauss
 
     R = np.sqrt(2.0 * cutoff) + 8.0
-    xg, wg = leggauss(n_nodes)
+    xg, wg = leggauss(_HALF_LINE_NODES)
     xs = (xg + 1) * R / 2
     ws = wg * R / 2
     psi = _hermite_psi(cutoff, xs)

@@ -9,7 +9,6 @@ below the classical sawtooth in magnitude everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -17,23 +16,11 @@ from numpy.typing import ArrayLike, NDArray
 from .conditional import ConditionalParams, two_gaussian_form
 from .errors import InvalidParameterError, PrecisionError
 from .gaussian import GaussianState
-from .bell_dp import CHSH_TERMS, BellValue, _bell_sum
+from .bell_dp import CHSH_TERMS, _bell_sum
 
 # columns of [theta, theta', phi, phi'] for the four CHSH terms
 _THETA_COLS = CHSH_TERMS[:, 0]
 _PHI_COLS = 2 + CHSH_TERMS[:, 1]
-
-
-@dataclass(frozen=True)
-class HomodyneSetting:
-    """Local-oscillator phases of the two homodyne detectors."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise InvalidParameterError("phases must be finite")
 
 
 def classical_reference(psi: float) -> float:
@@ -56,8 +43,9 @@ def e_h(target: ConditionalParams | GaussianState,
     in psi = theta + phi + phi2.  The overall sign is fixed by the Fock orthant
     oracle (positive correlation at psi = 0); it vanishes at psi = pi/2 by the
     odd symmetry in cos(psi).  Raises ``InvalidParameterError`` on a
-    non-finite phase and ``PrecisionError`` if any element leaves the arcsine
-    or arctangent domain.
+    non-finite phase, ``UndefinedStateError`` for a heralded state that admits
+    no click (eta = 0 or n3 = 0), and ``PrecisionError`` if any element leaves
+    the arcsine or arctangent domain.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -85,12 +73,10 @@ def _e_h_orthant(s: GaussianState, theta: NDArray, phi: NDArray) -> NDArray[np.f
 
 
 def _e_h_heralded(p: ConditionalParams, psi: NDArray) -> NDArray[np.float64]:
-    if p.eta <= 0.0:
-        raise InvalidParameterError("eta must be > 0 for the heralded state")
-    if p.n2 <= 0.0 or p.n3 <= 0.0:
-        raise PrecisionError("the closed form needs n2 > 0 and n3 > 0")
-    n1, n2, n3, eta = p.n2 + p.n3, p.n2, p.n3, p.eta
     form = two_gaussian_form(p)
+    if p.n2 <= 0.0:
+        raise PrecisionError("the closed form needs n2 > 0")
+    n1, n2, n3, eta = p.n2 + p.n3, p.n2, p.n3, p.eta
     det_vp, det_d = form.norm_a, form.norm_b
     cs = np.cos(psi)
     z1 = (1 + 2 * n1) * (1 + 2 * n2) / ((1 + n1) * n2)
@@ -117,22 +103,3 @@ def chsh_h(target: ConditionalParams | GaussianState, angles: ArrayLike) -> NDAr
         raise InvalidParameterError(f"angles must have shape (m, 4), got {a.shape}")
     e = e_h(target, a.take(_THETA_COLS, axis=1), a.take(_PHI_COLS, axis=1))
     return _bell_sum(e)
-
-
-def e_h_gaussian(s: GaussianState, theta: float, phi: float) -> float:
-    """Sign-binned quadrature correlator of a two-mode Gaussian state:
-    (2/pi) arcsin(rho) with rho read off the covariance matrix."""
-    return float(e_h(s, theta, phi))
-
-
-def e_h_conditional(p: ConditionalParams, setting: HomodyneSetting) -> float:
-    """Sign-binned quadrature correlator of the heralded state, a closed form
-    in psi = theta + phi + phi2 (see ``e_h``)."""
-    return float(e_h(p, setting.theta, setting.phi))
-
-
-def b2_h(target: ConditionalParams | GaussianState,
-         theta: float, theta_p: float, phi: float, phi_p: float) -> BellValue:
-    """CHSH combination of four sign-binned quadrature correlators."""
-    value = float(chsh_h(target, [[theta, theta_p, phi, phi_p]])[0])
-    return BellValue(value, 2, (theta, theta_p, phi, phi_p))

@@ -61,9 +61,12 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     return x, fx, evals, b - a
 
 
+_COARSE = 256       # scan points of ``maximize_scalar``
+
+
 def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-8, coarse: int = 256) -> ScanResult:
-    """Coarse scan then golden-section refinement of a scalar function.
+                    tol: float = 1e-8) -> ScanResult:
+    """256-point scan then golden-section refinement of a scalar function.
 
     ``converged`` is True when the golden-section bracket has shrunk to
     ``tol`` (finite and > 0).
@@ -71,15 +74,15 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
     _check_tol(tol)
     if not lo < hi:
         raise InvalidParameterError("need lo < hi")
-    xs = np.linspace(lo, hi, coarse)
+    xs = np.linspace(lo, hi, _COARSE)
     vals = np.array([f(x) for x in xs], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise InvalidParameterError("objective returned non-finite values on the scan grid")
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, coarse - 1)])
-    evals = coarse
+    b = float(xs[min(i + 1, _COARSE - 1)])
+    evals = _COARSE
     converged = False
     if b > a:
         x, v, n, width = _golden_max(f, a, b, tol)
@@ -97,12 +100,12 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
 # ``maximize_angles`` (dim <= 4), _KLYSHKO_GRID^6 for ``klyshko_max``.
 _ANGLE_GRID = 12
 _KLYSHKO_GRID = 6
+_ANGLE_PASSES = 60  # most coordinate passes of ``maximize_angles``
 
 
-def maximize_angles(f: Callable[[NDArray], NDArray], dim: int, tol: float = 1e-8,
-                    max_passes: int = 60) -> ScanResult:
-    """Full 12^dim product-grid scan over [0, 2 pi)^dim plus coordinate-wise
-    golden-section passes.
+def maximize_angles(f: Callable[[NDArray], NDArray], dim: int, tol: float = 1e-8) -> ScanResult:
+    """Full 12^dim product-grid scan over [0, 2 pi)^dim plus up to 60
+    coordinate-wise golden-section passes.
 
     ``f`` must be vectorized: it receives an (m, dim) array and returns (m,).
     ``dim`` lies in 1..4, so the scan is one call of at most 20,736 points.
@@ -128,7 +131,7 @@ def maximize_angles(f: Callable[[NDArray], NDArray], dim: int, tol: float = 1e-8
 
     width = np.full(dim, step)
     converged = False
-    for _ in range(max_passes):
+    for _ in range(_ANGLE_PASSES):
         improved = 0.0
         for k in range(dim):
             x, v, n, width[k] = _golden_max(lambda u: f1(u, k), theta[k] - step,
@@ -321,7 +324,8 @@ def asymptote_relations() -> list[dict]:
 
     n2 = 1e3
     p = ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-    res = log_j_maximize(lambda j: bell_dp.b2_conditional_dp(p, j).value, 1e-9, 1.0)
+    res = log_j_maximize(lambda j: bell_dp.b2_dp(p, bell_dp.conditional_dp_settings(j)).value,
+                         1e-9, 1.0)
     pred = 0.042 / n2
     rows.append({
         "name": "conditional_dp_jn2", "energy": n2, "j_opt": float(res.arg_max[0]),

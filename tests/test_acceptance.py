@@ -29,7 +29,8 @@ def test_criterion_1_tripartite_dp_ghz():
     for _ in range(100):
         r = rng.uniform(0.0, 3.0)
         j = rng.uniform(0.0, 0.5)
-        worst = max(worst, abs(cb.b3_ghz_closed(r, j).value - cb.b3_ghz_dp(r, j).value))
+        assembled = cb.b3_dp_general(cb.ghz_state(r), cb.ghz_dp_settings(j)).value
+        worst = max(worst, abs(cb.b3_ghz_closed(r, j).value - assembled))
     ok &= worst < 1e-10
     dt = time.time() - t0
     ok &= dt < 1.0
@@ -41,7 +42,9 @@ def test_criterion_2_tripartite_dp_su21():
     t0 = time.time()
     sym = cb.log_j_maximize(lambda j: cb.b3_su21_closed(1e4, j).value, 1e-9, 1e-2)
     ok = abs(sym.max_value - 2.89) <= 0.01
-    opt = cb.log_j_maximize(lambda j: cb.b3_su21_opt_dp(1e5, j).value, 1e-8, 1e-1)
+    s = cb.su21_opt_state(1e5)
+    opt = cb.log_j_maximize(lambda j: cb.b3_dp_general(s, cb.su21_opt_dp_settings(j)).value,
+                            1e-8, 1e-1)
     ok &= abs(opt.max_value - 2.99) <= 0.01
     jn = opt.arg_max[0] * 1e5
     ok &= abs(jn - 3.21) <= 0.15 * 3.21
@@ -60,12 +63,12 @@ def test_criterion_3_tripartite_ps():
     ok &= abs(degen.value - 2 * SQRT2) <= 0.01
     pi_t = cb.maximize_scalar(
         lambda ln: cb.b3_ps_from_coeffs(cb.su21_pi_coeffs(math.exp(ln))).value,
-        math.log(0.05), math.log(20.0), tol=1e-6, coarse=48)
+        math.log(0.05), math.log(20.0), tol=1e-6)
     n_t = math.exp(pi_t.arg_max[0])
     ok &= abs(pi_t.max_value - 2.22) <= 0.02 and abs(n_t - 1.0) <= 0.3
     pi_g = cb.maximize_scalar(
         lambda r: cb.b3_ps_from_coeffs(cb.ghz_pi_coeffs(r)).value,
-        0.05, 2.0, tol=1e-6, coarse=48)
+        0.05, 2.0, tol=1e-6)
     ok &= abs(pi_g.max_value - 2.09) <= 0.02 and abs(pi_g.arg_max[0] - 0.42) <= 0.05
     dt = time.time() - t0
     ok &= dt < 60.0
@@ -79,16 +82,18 @@ def test_criterion_4_bipartite_dp():
     t0 = time.time()
     r = 5.0
     n = 2 * math.sinh(r) ** 2
-    bw = cb.log_j_maximize(lambda j: cb.b2_twb_bw_dp(n, j).value, 1e-10, 1e-1)
+    s = cb.twb_state(n)
+    bw = cb.log_j_maximize(lambda j: cb.b2_dp(s, cb.twb_bw_dp_settings(j)).value, 1e-10, 1e-1)
     ok = abs(bw.max_value - 2.19) <= 0.01
-    imp = cb.log_j_maximize(lambda j: cb.b2_twb_dp(n, j).value, 1e-10, 1e-1)
+    imp = cb.log_j_maximize(lambda j: cb.b2_dp(s, cb.twb_dp_settings(j)).value, 1e-10, 1e-1)
     ok &= abs(imp.max_value - 2.32) <= 0.01
     scaling = math.exp(2 * r) * imp.arg_max[0]
     target = math.log(3.0) / 32.0
     ok &= abs(scaling - target) <= 0.10 * target
     n2 = 1e3
     p = cb.ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-    cond = cb.log_j_maximize(lambda j: cb.b2_conditional_dp(p, j).value, 1e-9, 1e-2)
+    cond = cb.log_j_maximize(lambda j: cb.b2_dp(p, cb.conditional_dp_settings(j)).value,
+                             1e-9, 1e-2)
     ok &= abs(cond.max_value - 2.41) <= 0.01
     jn2 = cond.arg_max[0] * n2
     ok &= abs(jn2 - 0.042) <= 0.15 * 0.042
@@ -161,7 +166,7 @@ def test_criterion_6_homodyne():
     for n2 in (0.5, 1.0, 5.0):
         p = cb.ConditionalParams(n2=n2, n3=0.5, eta=1.0)
         for psi in psis:
-            eh = cb.e_h_conditional(p, cb.HomodyneSetting(psi, 0.0))
+            eh = float(cb.e_h(p, psi, 0.0))
             cl = cb.classical_reference(psi)
             below &= abs(eh) <= abs(cl) + 1e-12 and eh * cl >= -1e-12
     rng = np.random.default_rng(600)
@@ -170,9 +175,9 @@ def test_criterion_6_homodyne():
     violations = 0
     for _ in range(10000):
         t1, t2, p1, p2 = rng.uniform(-math.pi, math.pi, 4)
-        if cb.b2_h(p, t1, t2, p1, p2).value > 2.0:
+        if cb.chsh_h(p, [[t1, t2, p1, p2]])[0] > 2.0:
             violations += 1
-        if cb.b2_h(tw, t1, t2, p1, p2).value > 2.0:
+        if cb.chsh_h(tw, [[t1, t2, p1, p2]])[0] > 2.0:
             violations += 1
     ok = below and violations == 0
     dt = time.time() - t0
@@ -215,13 +220,13 @@ def test_criterion_7_oracle_equivalence():
     worst_h = 0.0
     for th, ph in ((0.0, 0.0), (0.6, -0.4), (1.3, 0.8)):
         worst_h = max(worst_h, abs(cb.quadrature_orthant_expect(tw, th, ph)
-                                   - cb.e_h_gaussian(gw, th, ph)))
+                                   - float(cb.e_h(gw, th, ph))))
     params = cb.ConditionalParams(0.5, 0.5, eta=0.8)
     _, rho = cb.onoff_condition(st, 2, 0.8)
     for th in (0.0, 0.7, 1.9):
         worst_h = max(worst_h, abs(
             cb.quadrature_orthant_expect(rho, th, 0.0)
-            - cb.e_h_conditional(params, cb.HomodyneSetting(th, 0.0))))
+            - float(cb.e_h(params, th, 0.0))))
     ok &= worst_h < 1e-4
 
     worst_p1 = 0.0

@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from cvbell import (
+    BellValue,
     ConditionalParams,
     ConditioningError,
     DpSettings,
     GaussianState,
     InvalidParameterError,
-    b2_conditional_dp,
     b2_dp,
-    b2_twb_bw_dp,
-    b2_twb_dp,
     b3_dp_general,
     b3_ghz_closed,
-    b3_ghz_dp,
     b3_su21_closed,
-    b3_su21_opt_dp,
-    b3_su21_sym_dp,
     conditional_dp_settings,
     displaced_parity_expect,
     e_dp_conditional,
@@ -31,8 +26,10 @@ from cvbell import (
     onoff_condition,
     su21_fock,
     su21_opt_dp_settings,
+    su21_opt_state,
     su21_state,
     su21_sym_dp_settings,
+    su21_sym_state,
     twb_bw_dp_settings,
     twb_dp_settings,
     twb_state,
@@ -84,7 +81,7 @@ class TestGhzClosedForm:
             r = rng.uniform(0.0, 3.0)
             j = rng.uniform(0.0, 0.5)
             assert b3_ghz_closed(r, j).value == pytest.approx(
-                b3_ghz_dp(r, j).value, abs=1e-10)
+                b3_dp_general(ghz_state(r), ghz_dp_settings(j)).value, abs=1e-10)
 
     @pytest.mark.parametrize("j", [0.0, 1e-3, 0.1])
     def test_finite_at_huge_squeezing(self, j):
@@ -109,7 +106,7 @@ class TestSu21ClosedForm:
             n = rng.uniform(0.1, 20.0)
             j = rng.uniform(0.0, 0.3)
             assert b3_su21_closed(n, j).value == pytest.approx(
-                b3_su21_sym_dp(n, j).value, abs=1e-10)
+                b3_dp_general(su21_sym_state(n), su21_sym_dp_settings(j)).value, abs=1e-10)
 
     def test_optimum_at_large_energy(self):
         res = log_j_maximize(lambda j: b3_su21_closed(1e4, j).value, 1e-9, 1e-2)
@@ -131,7 +128,9 @@ class TestSu21ClosedForm:
 
 class TestOptimizedFamily:
     def test_asymptotic_value_and_scaling(self):
-        res = log_j_maximize(lambda j: b3_su21_opt_dp(1e5, j).value, 1e-8, 1e-1)
+        s = su21_opt_state(1e5)
+        res = log_j_maximize(lambda j: b3_dp_general(s, su21_opt_dp_settings(j)).value,
+                             1e-8, 1e-1)
         assert res.max_value == pytest.approx(2.99, abs=0.01)
         assert res.arg_max[0] * 1e5 == pytest.approx(3.21, rel=0.15)
 
@@ -182,14 +181,16 @@ class TestTwbFamilies:
     def test_improved_asymptote_and_scaling(self):
         r = 5.0
         n = 2 * math.sinh(r) ** 2
-        res = log_j_maximize(lambda j: b2_twb_dp(n, j).value, 1e-10, 1e-1)
+        s = twb_state(n)
+        res = log_j_maximize(lambda j: b2_dp(s, twb_dp_settings(j)).value, 1e-10, 1e-1)
         assert res.max_value == pytest.approx(2.32, abs=0.01)
         assert math.exp(2 * r) * res.arg_max[0] == pytest.approx(
             math.log(3.0) / 32.0, rel=0.10)
 
     def test_bw_asymptote(self):
         n = 2 * math.sinh(5.0) ** 2
-        res = log_j_maximize(lambda j: b2_twb_bw_dp(n, j).value, 1e-10, 1e-1)
+        s = twb_state(n)
+        res = log_j_maximize(lambda j: b2_dp(s, twb_bw_dp_settings(j)).value, 1e-10, 1e-1)
         assert res.max_value == pytest.approx(2.19, abs=0.01)
 
 
@@ -197,7 +198,7 @@ class TestConditionalFamily:
     def test_asymptote_and_scaling(self):
         n2 = 1e3
         p = ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-        res = log_j_maximize(lambda j: b2_conditional_dp(p, j).value, 1e-9, 1e-2)
+        res = log_j_maximize(lambda j: b2_dp(p, conditional_dp_settings(j)).value, 1e-9, 1e-2)
         assert res.max_value == pytest.approx(2.41, abs=0.01)
         assert res.arg_max[0] * n2 == pytest.approx(0.042, rel=0.15)
 
@@ -278,7 +279,7 @@ class TestFactorization:
         assert e_dp_gaussian(s, [0.1, -0.2j]) == first
         assert s.det() == pytest.approx(1.0, abs=1e-9)
         assert len(calls) == 1
-        assert b2_twb == b2_twb_dp(2.0, 0.01).value
+        assert b2_twb == b2_dp(twb_state(2.0), twb_dp_settings(0.01)).value
 
     def test_ill_conditioned_state_raises_at_first_correlator(self):
         s = twb_state(1e6)
@@ -296,7 +297,6 @@ class TestJDomain:
         ghz_dp_settings, su21_sym_dp_settings, su21_opt_dp_settings,
         twb_dp_settings, twb_bw_dp_settings, conditional_dp_settings,
         lambda j: b3_ghz_closed(1.0, j), lambda j: b3_su21_closed(2.0, j),
-        lambda j: DpSettings((0.1, 0.2), (0.3, 0.4), j),
     ])
     def test_rejected(self, family, j):
         with pytest.raises(InvalidParameterError, match="J must be finite"):
@@ -308,3 +308,24 @@ class TestJDomain:
             b3_ghz_closed(bad, 0.1)
         with pytest.raises(InvalidParameterError):
             b3_su21_closed(bad, 0.1)
+
+
+class TestNonFiniteDisplacements:
+    """A non-finite displacement is an error, not a NaN or a 0 correlator."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: e_dp_gaussian(twb_state(1.0), [math.nan, 0.0]),
+        lambda: e_dp_gaussian(ghz_state(1.0), [[0.1, 0.2, 0.3], [0.0, math.inf, 0.0]]),
+        lambda: e_dp_conditional(ConditionalParams(1.0, 0.5), [1j * math.inf, 0.0]),
+        lambda: b2_dp(twb_state(1.0), DpSettings((math.nan, 0.0), (0.0, 0.0))),
+        lambda: b2_dp(ConditionalParams(1.0, 0.5), DpSettings((1j * math.inf, 0.0), (0.0, 0.0))),
+        lambda: b3_dp_general(ghz_state(1.0), DpSettings((math.inf, 0.0, 0.0), (0.0, 0.0, 0.0))),
+    ], ids=["gaussian", "gaussian-batch", "conditional", "b2-gaussian", "b2-conditional", "b3"])
+    def test_rejected(self, call):
+        with pytest.raises(InvalidParameterError, match="displacements must be finite"):
+            call()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_bell_value_must_be_finite(self, value):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            BellValue(value, 2)

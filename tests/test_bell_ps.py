@@ -9,7 +9,6 @@ from cvbell import (
     ConditionalParams,
     InvalidParameterError,
     PsCoefficients,
-    Representation,
     b2_ps_from_f,
     b3_ps,
     b3_ps_from_coeffs,
@@ -102,13 +101,9 @@ class TestBellCombination:
     def test_pi_representation_maximum(self):
         res = maximize_scalar(
             lambda ln: b3_ps_from_coeffs(su21_pi_coeffs(math.exp(ln))).value,
-            math.log(0.05), math.log(20.0), tol=1e-6, coarse=48)
+            math.log(0.05), math.log(20.0), tol=1e-6)
         assert res.max_value == pytest.approx(2.22, abs=0.02)
         assert math.exp(res.arg_max[0]) == pytest.approx(1.0, abs=0.25)
-
-    def test_pi_representation_selector(self):
-        direct = b3_ps_from_coeffs(su21_pi_coeffs(1.0)).value
-        assert b3_ps(0.25, 0.25, Representation.PI_REP).value == pytest.approx(direct)
 
 
 class TestPiCoefficients:
@@ -152,7 +147,7 @@ class TestPiCoefficients:
     def test_ghz_maximum_violation(self):
         res = maximize_scalar(
             lambda r: b3_ps_from_coeffs(ghz_pi_coeffs(r)).value,
-            0.05, 2.0, tol=1e-6, coarse=48)
+            0.05, 2.0, tol=1e-6)
         assert res.max_value == pytest.approx(2.09, abs=0.02)
         assert res.arg_max[0] == pytest.approx(0.42, abs=0.03)
 

@@ -133,9 +133,9 @@ class TestPoint:
 class TestLibraryErrors:
     @pytest.mark.parametrize("argv,kind", [
         (["--state", "twb", "--test", "ps2", "--n", "-1"], "InvalidParameterError"),
-        (["--state", "conditional", "--test", "ps2", "--n2", "1"], "InvalidParameterError"),
+        (["--state", "conditional", "--test", "ps2", "--n2", "1"], "UndefinedStateError"),
         (["--state", "conditional", "--test", "homodyne", "--n2", "1", "--n3", "0"],
-         "PrecisionError"),
+         "UndefinedStateError"),
         (["--state", "twb", "--test", "homodyne", "--n", "1e8"], "InvalidParameterError"),
     ])
     def test_maps_to_exit_4(self, argv, kind, capsys):
@@ -144,6 +144,16 @@ class TestLibraryErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {kind}: ")
 
+    @pytest.mark.parametrize("clickless", [["--n3", "0"], ["--eta", "0"]], ids=" ".join)
+    @pytest.mark.parametrize("test", [["dp2", "--j", "0.1"], ["ps2"], ["homodyne"]], ids=" ".join)
+    def test_clickless_heralded_state_is_undefined(self, test, clickless, capsys):
+        """Every test of the heralded state reports a detector that cannot click
+        the same way."""
+        argv = ["point", "--state", "conditional", "--test", *test, "--n2", "1", *clickless]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: UndefinedStateError: ")
 
     @pytest.mark.parametrize("argv", [
         ["--state", "twb", "--test", "dp2", "--n", "1", "--optimize", "--tol", "0"],

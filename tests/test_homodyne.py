@@ -8,16 +8,13 @@ from types import SimpleNamespace
 from cvbell import (
     ConditionalParams,
     GaussianState,
-    HomodyneSetting,
     InvalidParameterError,
     PrecisionError,
+    UndefinedStateError,
     TripartitePhotonNumbers,
-    b2_h,
     chsh_h,
     classical_reference,
     e_h,
-    e_h_conditional,
-    e_h_gaussian,
     onoff_condition,
     quadrature_orthant_expect,
     reduce_state,
@@ -25,6 +22,11 @@ from cvbell import (
     su21_state,
     twb_state,
 )
+
+
+def scalar_e_h(target, theta, phi):
+    """One ``e_h`` call at scalar phases, as a float."""
+    return float(e_h(target, theta, phi))
 
 
 class TestClassicalReference:
@@ -42,20 +44,20 @@ class TestGaussianCorrelator:
     def test_vacuum_uncorrelated(self):
         vac = GaussianState(2, np.eye(4))
         for th, ph in ((0.0, 0.0), (0.7, 1.9), (-0.4, 0.2)):
-            assert e_h_gaussian(vac, th, ph) == 0.0
+            assert scalar_e_h(vac, th, ph) == 0.0
 
     def test_twb_arcsine_value(self):
         # n = 2: sinh^2 r = 1, correlation sinh2r/cosh2r at aligned phases
         r = math.asinh(1.0)
         expected = (2 / math.pi) * math.asin(math.sinh(2 * r) / math.cosh(2 * r))
-        assert e_h_gaussian(twb_state(2.0), 0.0, 0.0) == pytest.approx(expected)
+        assert scalar_e_h(twb_state(2.0), 0.0, 0.0) == pytest.approx(expected)
 
     def test_twb_phase_dependence_is_cosine(self):
         s = twb_state(3.0)
         r = math.asinh(math.sqrt(1.5))
         for th, ph in ((0.4, 0.9), (1.0, -0.3)):
             rho = math.tanh(2 * r) * math.cos(th + ph)
-            assert e_h_gaussian(s, th, ph) == pytest.approx(
+            assert scalar_e_h(s, th, ph) == pytest.approx(
                 (2 / math.pi) * math.asin(rho), abs=1e-12)
 
     def test_monte_carlo_cross_check(self):
@@ -66,14 +68,12 @@ class TestGaussianCorrelator:
         q1 = samples[:, 0] * math.cos(th) + samples[:, 2] * math.sin(th)
         q2 = samples[:, 1] * math.cos(ph) + samples[:, 3] * math.sin(ph)
         mc = float(np.mean(np.sign(q1) * np.sign(q2)))
-        assert e_h_gaussian(s, th, ph) == pytest.approx(mc, abs=5e-3)
+        assert scalar_e_h(s, th, ph) == pytest.approx(mc, abs=5e-3)
 
     def test_chsh_bounded_for_gaussian(self):
         s = twb_state(5.0)
-        rng = np.random.default_rng(23)
-        for _ in range(2000):
-            t1, t2, p1, p2 = rng.uniform(-math.pi, math.pi, 4)
-            assert b2_h(s, t1, t2, p1, p2).value <= 2.0 + 1e-9
+        angles = np.random.default_rng(23).uniform(-math.pi, math.pi, (2000, 4))
+        assert np.max(chsh_h(s, angles)) <= 2.0 + 1e-9
 
 
 class TestHeraldedCorrelator:
@@ -81,7 +81,7 @@ class TestHeraldedCorrelator:
 
     def test_quarter_turn_vanishes(self):
         for p in (self.params, ConditionalParams(1.0, 0.5, eta=1.0)):
-            assert e_h_conditional(p, HomodyneSetting(math.pi / 2, 0.0)) == pytest.approx(
+            assert scalar_e_h(p, math.pi / 2, 0.0) == pytest.approx(
                 0.0, abs=1e-14)
 
     def test_matches_orthant_oracle(self):
@@ -89,47 +89,43 @@ class TestHeraldedCorrelator:
                                  2, 0.8)
         for th in (0.0, 0.7, 1.9, -1.1):
             oracle = quadrature_orthant_expect(rho, th, 0.0)
-            assert e_h_conditional(self.params, HomodyneSetting(th, 0.0)) == pytest.approx(
+            assert scalar_e_h(self.params, th, 0.0) == pytest.approx(
                 oracle, abs=1e-3)
 
     def test_combined_angle_only(self):
-        a = e_h_conditional(self.params, HomodyneSetting(0.9, 0.4))
-        b = e_h_conditional(self.params, HomodyneSetting(0.1, 1.2))
+        a = scalar_e_h(self.params, 0.9, 0.4)
+        b = scalar_e_h(self.params, 0.1, 1.2)
         assert a == pytest.approx(b, abs=1e-14)
 
     def test_phase_offset_enters_psi(self):
         p = ConditionalParams(0.3, 0.3, phi2=0.5, eta=0.8)
         base = ConditionalParams(0.3, 0.3, eta=0.8)
-        assert e_h_conditional(p, HomodyneSetting(0.2, 0.0)) == pytest.approx(
-            e_h_conditional(base, HomodyneSetting(0.7, 0.0)), abs=1e-14)
+        assert scalar_e_h(p, 0.2, 0.0) == pytest.approx(
+            scalar_e_h(base, 0.7, 0.0), abs=1e-14)
 
     @pytest.mark.parametrize("n2", [0.5, 1.0, 5.0])
     def test_never_exceeds_the_sawtooth(self, n2):
         p = ConditionalParams(n2=n2, n3=0.5, eta=1.0)
         for psi in np.linspace(-math.pi, math.pi, 200):
-            eh = e_h_conditional(p, HomodyneSetting(psi, 0.0))
+            eh = scalar_e_h(p, psi, 0.0)
             cl = classical_reference(psi)
             assert abs(eh) <= abs(cl) + 1e-12
             assert eh * cl >= -1e-12  # same sign region
 
     def test_bounded(self):
         for psi in np.linspace(-math.pi, math.pi, 50):
-            assert abs(e_h_conditional(self.params, HomodyneSetting(psi, 0.0))) <= 1.0
+            assert abs(scalar_e_h(self.params, psi, 0.0)) <= 1.0
 
 
 class TestChsh:
     def test_heralded_state_never_violates(self):
         p = ConditionalParams(1.0, 0.5, eta=1.0)
-        rng = np.random.default_rng(31)
-        mx = 0.0
-        for _ in range(10000):
-            t1, t2, p1, p2 = rng.uniform(-math.pi, math.pi, 4)
-            mx = max(mx, b2_h(p, t1, t2, p1, p2).value)
-        assert mx <= 2.0
+        angles = np.random.default_rng(31).uniform(-math.pi, math.pi, (10000, 4))
+        assert np.max(chsh_h(p, angles)) <= 2.0
 
     def test_vacuum_trivial(self):
         vac = GaussianState(2, np.eye(4))
-        assert b2_h(vac, 0.1, 0.5, 0.2, 0.9).value == 0.0
+        assert chsh_h(vac, [[0.1, 0.5, 0.2, 0.9]])[0] == 0.0
 
 
 # the twin beam, a two-mode Gaussian with unequal modes and x1-y2 / y1-x2
@@ -139,15 +135,12 @@ HERALDED = ConditionalParams(0.6, 0.4, phi2=0.9, eta=0.7)
 TARGETS = [twb_state(3.0), ASYMMETRIC, HERALDED]
 
 
-def scalar_e_h(target, theta, phi):
-    if isinstance(target, ConditionalParams):
-        return e_h_conditional(target, HomodyneSetting(theta, phi))
-    return e_h_gaussian(target, theta, phi)
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("target", TARGETS, ids=["twb", "su21_reduced", "heralded"])
     def test_matches_scalar_wrappers(self, target):
+        """The batch equals elementwise scalar ``e_h`` calls."""
         rng = np.random.default_rng(5)
         th, ph = rng.uniform(-math.pi, math.pi, (2, 1000))
         batch = e_h(target, th, ph)
@@ -160,7 +153,7 @@ class TestBatchedKernel:
         ph = np.linspace(-1.0, 1.0, 5)[None, :]
         grid = e_h(ASYMMETRIC, th, ph)
         assert grid.shape == (7, 5)
-        assert grid[2, 3] == pytest.approx(e_h_gaussian(ASYMMETRIC, th[2, 0], ph[0, 3]),
+        assert grid[2, 3] == pytest.approx(scalar_e_h(ASYMMETRIC, th[2, 0], ph[0, 3]),
                                            abs=1e-15)
 
     def test_gaussian_matches_matrix_quadratic_forms(self):
@@ -172,7 +165,7 @@ class TestBatchedKernel:
                 v1 = np.array([math.cos(th), 0.0, math.sin(th), 0.0])
                 v2 = np.array([0.0, math.cos(ph), 0.0, math.sin(ph)])
                 rho = (v1 @ s.cov @ v2) / math.sqrt((v1 @ s.cov @ v1) * (v2 @ s.cov @ v2))
-                assert e_h_gaussian(s, th, ph) == pytest.approx(
+                assert scalar_e_h(s, th, ph) == pytest.approx(
                     (2 / math.pi) * math.asin(rho), abs=1e-13)
 
     @pytest.mark.parametrize("target", TARGETS, ids=["twb", "su21_reduced", "heralded"])
@@ -181,7 +174,7 @@ class TestBatchedKernel:
         values = chsh_h(target, angles)
         assert values.shape == (300,)
         for row, value in zip(angles, values):
-            assert value == pytest.approx(b2_h(target, *row).value, abs=1e-15)
+            assert value == pytest.approx(chsh_h(target, [row])[0], abs=1e-15)
 
     def test_chsh_rejects_bad_shape(self):
         with pytest.raises(InvalidParameterError):
@@ -206,14 +199,18 @@ class TestBatchedKernel:
         with pytest.raises(PrecisionError):
             e_h(bad, np.array([math.pi / 2, math.pi / 2, 0.0]), 0.0)
         with pytest.raises(PrecisionError):
-            e_h_gaussian(bad, 0.0, 0.0)
+            scalar_e_h(bad, 0.0, 0.0)
 
     def test_heralded_domain_errors_match_the_scalar_call(self):
-        empty = ConditionalParams(1.0, 0.0, eta=1.0)
-        with pytest.raises(PrecisionError):
-            e_h(empty, np.zeros(5), 0.0)
-        with pytest.raises(PrecisionError):
-            e_h_conditional(empty, HomodyneSetting(0.0, 0.0))
+        # no click is possible, so the heralded state does not exist
+        for clickless in (ConditionalParams(1.0, 0.0), ConditionalParams(1.0, 0.5, eta=0.0)):
+            with pytest.raises(UndefinedStateError):
+                e_h(clickless, np.zeros(5), 0.0)
+            with pytest.raises(UndefinedStateError):
+                scalar_e_h(clickless, 0.0, 0.0)
+        # the closed form itself needs n2 > 0
+        with pytest.raises(PrecisionError, match="n2 > 0"):
+            e_h(ConditionalParams(0.0, 0.5), np.zeros(5), 0.0)
 
     def test_three_mode_state_rejected(self):
         with pytest.raises(InvalidParameterError):

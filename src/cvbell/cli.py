@@ -31,7 +31,7 @@ def _fmt(x: float) -> str:
 
 _PARAMS = ("r", "n", "n2", "n3", "phi2", "phi3", "eta", "j")   # listed in a record's params
 _FLAGS = (*_PARAMS, "optimize", "tol")
-_DEFAULTS = {"n3": 0.0, "phi2": 0.0, "phi3": 0.0, "eta": 1.0, "tol": 1e-8}
+_DEFAULTS = {"phi2": 0.0, "phi3": 0.0, "eta": 1.0, "tol": 1e-8}
 
 
 class _Pair(NamedTuple):
@@ -39,7 +39,8 @@ class _Pair(NamedTuple):
 
     Exactly one form of each group is read.  A form is a tuple of flag names,
     chosen when its first name is given or has a default; unset names take
-    their ``_DEFAULTS``.  ``--grid`` sweeps the first name of the first form."""
+    their ``_DEFAULTS``, and a chosen form's name without one must be given.
+    ``--grid`` sweeps the first name of the first form."""
     groups: tuple[tuple[tuple[str, ...], ...], ...]
     evaluate: Callable[[dict], dict]
 
@@ -71,7 +72,7 @@ def _ps2(f: float) -> dict:
 
 def _su21_ps3(p: dict) -> dict:
     n2, n3 = (p["n2"], p["n3"]) if "n2" in p else (p["n"] / 4.0, p["n"] / 4.0)
-    return {"value": bell_ps.b3_ps(n2, n3, tol=p["tol"]).value}
+    return {"value": bell_ps.b3_ps(n2, n3).value}
 
 
 def _homodyne(target, tol: float) -> dict:
@@ -98,10 +99,10 @@ _PAIRS = {
         _heralded, lambda hp, j: bell_dp.b2_dp(hp, bell_dp.conditional_dp_settings(j)).value)),
     ("ghz", "ps3"): _Pair((_GHZ,), lambda p: {
         "value": bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(_ghz_r(p))).value}),
-    ("su21", "ps3"): _Pair(((("n",), ("n2", "n3")), _TOL), _su21_ps3),
+    ("su21", "ps3"): _Pair(((("n",), ("n2", "n3")),), _su21_ps3),
     ("twb", "ps2"): _Pair((_N,), lambda p: _ps2(bell_ps.f_twb(p["n"]))),
-    ("conditional", "ps2"): _Pair((_HERALDED, _TOL), lambda p: _ps2(
-        bell_ps.f_conditional(_heralded(p), tol=p["tol"]))),
+    ("conditional", "ps2"): _Pair((_HERALDED,), lambda p: _ps2(
+        bell_ps.f_conditional(_heralded(p)))),
     ("twb", "homodyne"): _Pair((_N, _TOL), lambda p: _homodyne(
         gaussian.twb_state(p["n"]), p["tol"])),
     ("conditional", "homodyne"): _Pair((_HERALDED, _TOL), lambda p: _homodyne(
@@ -148,6 +149,9 @@ class RunConfig:
                 hint = f" (--grid sweeps --{sweep})" if self.grid is not None else ""
                 raise UsageError(f"{name} takes --{chosen[0][0]} or --{chosen[1][0]}, not both{hint}")
             for f in chosen:
+                missing = [k for k in f if k not in given and k not in _DEFAULTS]
+                if missing:
+                    raise UsageError(f"{name} needs " + ", ".join(f"--{k}" for k in missing))
                 values.update({k: getattr(self, k) if k in given else _DEFAULTS[k] for k in f})
         unread = [f"--{k}" for k in _FLAGS if k in given and k not in values]
         if unread:
@@ -376,7 +380,7 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
     def chk_ps():
         st = fock.su21_fock(phot, cutoff if cutoff % 2 == 0 else cutoff + 1)
         X, Z = (math.pi / 2, 0.0), (0.0, 0.0)
-        c = bell_ps.su21_ps_coeffs(0.3, 0.3, tol=1e-10)
+        c = bell_ps.su21_ps_coeffs(0.3, 0.3)
         o1 = fock.pseudospin_expect(st, [Z, X, X])
         o2 = fock.pseudospin_expect(st, [X, Z, X])
         o3 = fock.pseudospin_expect(st, [X, X, Z])

@@ -59,7 +59,7 @@ def test_criterion_3_tripartite_ps():
     t0 = time.time()
     sym = cb.b3_ps(100.0, 100.0)                        # total N = 400
     ok = abs(sym.value - 2.63) <= 0.02
-    degen = cb.b3_ps(10.0, 1e-3, tol=1e-10)
+    degen = cb.b3_ps(10.0, 1e-3)
     ok &= abs(degen.value - 2 * SQRT2) <= 0.01
     pi_t = cb.maximize_scalar(
         lambda ln: cb.b3_ps_from_coeffs(cb.su21_pi_coeffs(math.exp(ln))).value,
@@ -208,7 +208,7 @@ def test_criterion_7_oracle_equivalence():
     ok = worst_dp < 1e-4
 
     X, Z = (math.pi / 2, 0.0), (0.0, 0.0)
-    c = cb.su21_ps_coeffs(0.5, 0.5, tol=1e-10)
+    c = cb.su21_ps_coeffs(0.5, 0.5)
     worst_ps = max(
         abs(abs(cb.pseudospin_expect(st, [Z, X, X])) - abs(c.c1)),
         abs(abs(cb.pseudospin_expect(st, [X, Z, X])) - abs(c.c2)),

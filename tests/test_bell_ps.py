@@ -1,4 +1,7 @@
+import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from cvbell import (
     ConditionalParams,
     InvalidParameterError,
+    PrecisionError,
     PsCoefficients,
     b2_ps_from_f,
     b3_ps,
@@ -49,17 +53,107 @@ class TestSeriesCoefficients:
         c = su21_ps_coeffs(0.4, 0.8)
         assert c.c1 < 0 < c.c2 and c.c3 > 0
 
-    def test_tolerance_halving_stability(self):
-        a = su21_ps_coeffs(1.0, 0.7, tol=1e-6)
-        b = su21_ps_coeffs(1.0, 0.7, tol=5e-7)
-        for x, y in zip((a.c1, a.c2, a.c3), (b.c1, b.c2, b.c3)):
-            assert abs(x - y) < 1e-6
-
     @given(n2=st.floats(0.0, 1.5), n3=st.floats(0.0, 1.5))
     @settings(max_examples=40, deadline=None)
     def test_coefficients_bounded(self, n2, n3):
-        c = su21_ps_coeffs(n2, n3, tol=1e-6)
+        c = su21_ps_coeffs(n2, n3)
         assert all(v <= 1.0 + 1e-9 for v in c.magnitudes())
+
+
+SERIES_REF = json.loads((Path(__file__).parent / "data" / "ps_series_ref.json").read_text())
+
+
+def _dense_su21(n2, n3, h=0.014):
+    """(c1, c2, c3) from an independent 440-node exp-sinh product rule in (u, v),
+    with each factor 1 -+ w of (1 + w^2)/(1 - w^2)^2 = [(1-w)^-2 + (1+w)^-2]/2
+    formed from expm1 and eps = 1/(1 + n1)."""
+    t = np.arange(-4.8, 1.35, h)
+    u = np.exp(0.5 * np.pi * np.sinh(t))
+    wt = h * np.cosh(t) * u * np.sqrt(np.pi) * np.exp(-u * u)   # (2/sqrt(pi)) e^{-u^2} du
+    p, m = np.exp(-u * u), -np.expm1(-u * u)
+    pu, mu, pv, mv = p[:, None], m[:, None], p[None, :], m[None, :]
+    n1 = n2 + n3
+    x, y, eps = n2 / (1 + n1), n3 / (1 + n1), 1 / (1 + n1)
+
+    def spin_flip(a, b):        # F(a, b), w = (b + s a Q) P
+        f = [mu + pu * (eps + a * mv), mu + pu * (a + eps + a * pv),
+             1 + (b + a * pv) * pu, mu + pu * (2 * b + eps + a * mv)]
+        return 0.25 * sum(wt @ (1 / g**2) @ wt for g in f)
+
+    # z = x P + s y Q
+    f1 = [x * mu + y * mv + eps, 1 + x * pu + y * pv,
+          x * mu + y + eps + y * pv, x + eps + y * mv + x * pu]
+    k1 = 0.25 * sum(wt @ (1 / g**2) @ wt for g in f1)
+    return (-2 * math.sqrt(n2 * n3) / (1 + n1) ** 2 * k1,
+            2 * math.sqrt(n3) / (1 + n1) ** 1.5 * spin_flip(y, x),
+            2 * math.sqrt(n2) / (1 + n1) ** 1.5 * spin_flip(x, y))
+
+
+class TestQuadrature:
+    """The fixed 2-D quadrature behind ``su21_ps_coeffs``, ``f_traced`` and
+    ``f_conditional``."""
+
+    def test_matches_series_su21(self):
+        for n2, n3, *ref in SERIES_REF["su21"]:
+            c = su21_ps_coeffs(float(n2), float(n3))
+            for got, want in zip((c.c1, c.c2, c.c3), map(float, ref)):
+                assert abs(got - want) <= 1e-12, (n2, n3)
+
+    def test_matches_series_conditional(self):
+        for n2, n3, eta, ref in SERIES_REF["conditional"]:
+            p = ConditionalParams(float(n2), float(n3), eta=float(eta))
+            assert abs(f_conditional(p) - float(ref)) <= 1e-12, (n2, n3, eta)
+
+    def test_matches_series_b2ps_grid(self):
+        for n2, f1, ftr in SERIES_REF["b2ps"]:
+            p = ConditionalParams(float(n2), 0.1, eta=0.8)
+            assert abs(f_conditional(p) - float(f1)) <= 1e-12, n2
+            assert abs(f_traced(p) - float(ftr)) <= 1e-12, n2
+
+    @pytest.mark.parametrize("n1", [1e-2, 1.0, 1e2, 1e4, 1e6, 4e6])
+    @pytest.mark.parametrize("split", [0.5, 0.99])
+    def test_matches_dense_rule(self, n1, split):
+        # the rule is checked to 1e-12 up to n2 + n3 = 4e6
+        c = su21_ps_coeffs(split * n1, (1 - split) * n1)
+        for got, want in zip((c.c1, c.c2, c.c3), _dense_su21(split * n1, (1 - split) * n1)):
+            assert abs(got - want) <= 1e-12
+
+    def test_symmetric_split_approaches_one_half(self):
+        mags = np.array([su21_ps_coeffs(n1 / 2, n1 / 2).magnitudes()
+                         for n1 in np.geomspace(1e2, 1e6, 17)])
+        assert np.all(np.diff(mags[:, 0]) > 0) and np.all(mags[:, 0] < 0.5)
+        # c2 = c3 cross 1/2 near n1 = 2e3 and return to it from below, so only
+        # the largest distance from 1/2 (that of c1) falls monotonically
+        assert np.array_equal(mags[:, 1], mags[:, 2])
+        assert np.all(np.diff(np.max(np.abs(mags - 0.5), axis=1)) < 0)
+        assert np.max(np.abs(mags[-1] - 0.5)) < 1e-5
+
+    @pytest.mark.parametrize("n3", [0.1, 1.0])
+    @pytest.mark.parametrize("eta", [0.2, 0.8, 1.0])
+    def test_heralded_dominates_traced_at_large_n2(self, n3, eta):
+        p = ConditionalParams(1e6, n3, eta=eta)
+        assert f_traced(p) <= f_conditional(p) <= 1.0
+
+    def test_large_n_is_fast(self):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            su21_ps_coeffs(5e5, 5e5)
+            times.append(time.perf_counter() - t0)
+        assert min(times) < 0.01
+
+    def test_above_checked_range_raises(self):
+        with pytest.raises(PrecisionError, match="is above 4e"):
+            su21_ps_coeffs(2e6, 2e6 + 1.0)
+        with pytest.raises(PrecisionError):
+            su21_ps_coeffs(0.0, 4.1e6)
+        with pytest.raises(PrecisionError):
+            f_traced(ConditionalParams(4e6, 0.5))
+        with pytest.raises(PrecisionError):
+            f_conditional(ConditionalParams(4e6, 0.5, eta=0.8))
+        # a zero prefactor returns before the range matters
+        assert f_conditional(ConditionalParams(0.0, 5e6, eta=0.8)) == 0.0
+        assert su21_ps_coeffs(2e6, 2e6).c1 < 0
 
 
 class TestCorrelationFunction:
@@ -95,7 +189,7 @@ class TestBellCombination:
         assert bv.value == pytest.approx(2.63, abs=0.02)
 
     def test_degenerate_limit_is_chsh_maximum(self):
-        bv = b3_ps(10.0, 1e-3, tol=1e-10)
+        bv = b3_ps(10.0, 1e-3)
         assert bv.value == pytest.approx(2 * SQRT2, abs=0.01)
 
     def test_pi_representation_maximum(self):
@@ -176,9 +270,8 @@ class TestFFunctions:
 
     @pytest.mark.parametrize("n2,n3", [(0.3, 0.3), (1.0, 0.5), (0.2, 2.0), (4.0, 1.0)])
     def test_traced_equals_su21_c3(self, n2, n3):
-        # both sum the same spin-flip series over (x, y^2)
-        assert f_traced(ConditionalParams(n2, n3)) == pytest.approx(
-            su21_ps_coeffs(n2, n3).c3, rel=1e-14)
+        # both are the same spin-flip integral with the same prefactor
+        assert f_traced(ConditionalParams(n2, n3)) == su21_ps_coeffs(n2, n3).c3
 
     def test_heralded_dominates_traced(self):
         for n in np.geomspace(0.1, 10.0, 12):

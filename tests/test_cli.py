@@ -133,23 +133,28 @@ class TestPoint:
 class TestLibraryErrors:
     @pytest.mark.parametrize("argv,kind", [
         (["--state", "twb", "--test", "ps2", "--n", "-1"], "InvalidParameterError"),
-        (["--state", "conditional", "--test", "ps2", "--n2", "1"], "UndefinedStateError"),
+        (["--state", "conditional", "--test", "ps2", "--n2", "1"], "UsageError"),
         (["--state", "conditional", "--test", "homodyne", "--n2", "1", "--n3", "0"],
          "UndefinedStateError"),
         (["--state", "twb", "--test", "homodyne", "--n", "1e8"], "InvalidParameterError"),
     ])
     def test_maps_to_exit_4(self, argv, kind, capsys):
-        assert main(["point", *argv]) == 4
+        # the heralded state has no default --n3, so leaving it out is a usage
+        # error (exit 2) before any library call
+        usage = kind == "UsageError"
+        assert main(["point", *argv]) == (2 if usage else 4)
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {kind}: ")
+        assert captured.err.startswith(
+            "usage error: conditional ps2 needs --n3" if usage else f"error: {kind}: ")
 
     @pytest.mark.parametrize("clickless", [["--n3", "0"], ["--eta", "0"]], ids=" ".join)
     @pytest.mark.parametrize("test", [["dp2", "--j", "0.1"], ["ps2"], ["homodyne"]], ids=" ".join)
     def test_clickless_heralded_state_is_undefined(self, test, clickless, capsys):
         """Every test of the heralded state reports a detector that cannot click
         the same way."""
-        argv = ["point", "--state", "conditional", "--test", *test, "--n2", "1", *clickless]
+        n3 = [] if "--n3" in clickless else ["--n3", "0.5"]
+        argv = ["point", "--state", "conditional", "--test", *test, "--n2", "1", *n3, *clickless]
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -159,8 +164,6 @@ class TestLibraryErrors:
         ["--state", "twb", "--test", "dp2", "--n", "1", "--optimize", "--tol", "0"],
         ["--state", "twb", "--test", "homodyne", "--n", "1", "--tol", "-1"],
         ["--state", "twb", "--test", "dp2", "--n", "1", "--optimize", "--tol", "nan"],
-        ["--state", "su21", "--test", "ps3", "--n", "1", "--tol", "nan"],
-        ["--state", "conditional", "--test", "ps2", "--n2", "1", "--n3", "0.5", "--tol", "nan"],
         ["--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", "0.1", "--j", "-1"],
         ["--state", "twb", "--test", "dp2", "--n", "1", "--j", "-1"],
         ["--state", "twb", "--test", "dp2", "--n", "1", "--j", "nan"],
@@ -198,6 +201,42 @@ class TestLibraryErrors:
             "error: ConditioningError: covariance condition number 3.999e+12 "
             "exceeds guard 1e+12\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["--state", "su21", "--test", "ps3", "--n2", "250", "--n3", "250"],
+        ["--state", "su21", "--test", "ps3", "--n2", "500", "--n3", "500"],
+        ["--state", "su21", "--test", "ps3", "--n", "8e6"],
+        ["--state", "su21", "--test", "ps3", "--n2", "1", "--n3", "0"],
+        ["--state", "conditional", "--test", "ps2", "--n2", "1e6", "--n3", "0.1"],
+    ], ids=" ".join)
+    def test_pseudospin_inside_checked_range_exits_0(self, argv, capsys):
+        assert main(["point", *argv]) == 0
+        assert 2.0 <= json.loads(capsys.readouterr().out)["value"] <= 2 * math.sqrt(2) + 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["--state", "su21", "--test", "ps3", "--n2", "2e6", "--n3", "2.000001e6"],
+        ["--state", "su21", "--test", "ps3", "--n", "8.000004e6"],
+        ["--state", "conditional", "--test", "ps2", "--n2", "4e6", "--n3", "0.1"],
+    ], ids=" ".join)
+    def test_pseudospin_above_checked_range_exits_4(self, argv, capsys):
+        assert main(["point", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: PrecisionError: n2 + n3 = 400000")
+        assert "is above 4e+06" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--state", "conditional", "--test", "dp2", "--n2", "1", "--j", "0.1"],
+        ["--state", "conditional", "--test", "ps2", "--n2", "1", "--eta", "0.5"],
+        ["--state", "conditional", "--test", "homodyne", "--n2", "1"],
+        ["--state", "su21", "--test", "ps3", "--n2", "1"],
+    ], ids=" ".join)
+    def test_missing_n3_is_usage_error(self, argv, capsys):
+        # --n3 has no default: at n3 = 0 the heralded state does not exist
+        assert main(["point", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and "needs --n3" in captured.err
+
 
 class TestVerify:
     def test_fresh_run_passes(self, capsys):
@@ -234,6 +273,9 @@ class TestFlagTable:
         ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--out", "x"],
         ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--format", "csv"],
         ["verify", "--tol", "1e-3"],
+        ["point", "--state", "su21", "--test", "ps3", "--n", "1", "--tol", "nan"],
+        ["point", "--state", "conditional", "--test", "ps2", "--n2", "1", "--n3", "0.5",
+         "--tol", "nan"],
     ], ids=" ".join)
     def test_unread_flag_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
@@ -278,7 +320,7 @@ def _load_checks():
 # the figure contract: first 16 hex digits of the sha256 of each CSV table
 FIGURE_HASHES = {
     "B3DPVLBGen": "16351053a7866a97", "B3DPT": "a4d011751cc66e2c", "B3DPN": "e96d035520d317b3",
-    "B3PS": "09f6edd1def2a5f9", "B2DPTWBA": "bd230c455934e4a6", "B2PS": "5b7a44b0345e81f6",
+    "B3PS": "09f6edd1def2a5f9", "B2DPTWBA": "bd230c455934e4a6", "B2PS": "2e1f39f420b246e8",
     "E2H": "953480b9d7e73127",
 }
 

@@ -115,7 +115,7 @@ class TestPseudospin:
         assert f_twb(2.0) == pytest.approx(math.sqrt(8.0) / 3.0)
 
     def test_series_coefficient_magnitudes(self, su21_fock_03):
-        c = su21_ps_coeffs(0.3, 0.3, tol=1e-10)
+        c = su21_ps_coeffs(0.3, 0.3)
         o1 = pseudospin_expect(su21_fock_03, [Z_AXIS, X_AXIS, X_AXIS])
         o2 = pseudospin_expect(su21_fock_03, [X_AXIS, Z_AXIS, X_AXIS])
         o3 = pseudospin_expect(su21_fock_03, [X_AXIS, X_AXIS, Z_AXIS])

@@ -258,16 +258,16 @@ def e_ps3(c: PsCoefficients, thetas, phis) -> float:
             * (math.cos(p1) * math.cos(p2) + math.sin(p1) * math.sin(p2)))
 
 
-def b3_ps_from_coeffs(c: PsCoefficients, tol: float = 1e-10) -> BellValue:
+def b3_ps_from_coeffs(c: PsCoefficients) -> BellValue:
     """Maximal Bell-Klyshko value over the polar angles, from ``klyshko_max``
-    (a fixed 6^6 start grid, then exact refinement to ``tol``).
+    (a fixed 6^6 start grid, then exact refinement to gradient 1e-10).
 
     Azimuthal freedom reduces any coefficient sign pattern to the canonical
     all-negative-magnitude form, so only |c_i| matter; the canonical form is
     realized by the (0, pi, pi) azimuthal preset for the ladder-representation
     signs.
     """
-    res = klyshko_max(c.magnitudes(), tol=tol)
+    res = klyshko_max(c.magnitudes())
     settings = PsSettings(
         thetas=tuple(res.arg_max[:3]), phis=AZIMUTHAL_PRESET,
         thetas_primed=tuple(res.arg_max[3:]), phis_primed=AZIMUTHAL_PRESET,

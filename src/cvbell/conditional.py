@@ -16,7 +16,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError, UndefinedStateError
-from .gaussian import GaussianState, TripartitePhotonNumbers, reduce_state, su21_state
+from .gaussian import (GaussianState, TripartitePhotonNumbers, _check_condition, reduce_state,
+                       su21_state)
 
 _KEEP = (0, 1, 3, 4)  # x1, x2, y1, y2 of the 6x6 (x1 x2 x3 y1 y2 y3) ordering
 
@@ -48,16 +49,13 @@ class TwoGaussianWigner:
     """Precomputed two-Gaussian form of the heralded Wigner function.
 
     weight_a/quad_form_a belong to the restricted-then-inverted Gaussian,
-    weight_b/quad_form_b to the inverted-then-restricted one; norm_a = det V'
-    (4x4), norm_b = det D (6x6).
+    weight_b/quad_form_b to the inverted-then-restricted one.
     """
 
     weight_a: float
     weight_b: float
     quad_form_a: NDArray[np.float64]
     quad_form_b: NDArray[np.float64]
-    norm_a: float
-    norm_b: float
 
     def eval(self, point: NDArray) -> float | NDArray:
         pt = np.asarray(point, dtype=float)
@@ -83,23 +81,21 @@ def _check_click(p: ConditionalParams) -> None:
 
 @lru_cache(maxsize=256)
 def two_gaussian_form(p: ConditionalParams) -> TwoGaussianWigner:
-    """Assemble the heralded-state Wigner function pieces (cached per params)."""
+    """Assemble the heralded-state Wigner function pieces (cached per params);
+    ``ConditioningError`` where V' or D is too ill-conditioned to invert."""
     _check_click(p)
     V = su21_state(p.photons()).cov
     broaden = (2.0 - p.eta) / p.eta
     D = V + np.diag([0.0, 0.0, broaden, 0.0, 0.0, broaden])
     Vp = V[np.ix_(_KEEP, _KEEP)]
-    det_vp = float(np.linalg.det(Vp))
-    det_d = float(np.linalg.det(D))
+    _check_condition(Vp)
+    _check_condition(D)
     pref = (1.0 + p.eta * p.n3) / (4.0 * p.eta * p.n3)
-    wa = pref * (2.0 / np.pi) ** 2 / np.sqrt(det_vp)
-    wb = pref * (1.0 / p.eta) * (2.0 / np.pi) ** 2 * 2.0 / np.sqrt(det_d)
+    wa = pref * (2.0 / np.pi) ** 2 / np.sqrt(np.linalg.det(Vp))
+    wb = pref * (1.0 / p.eta) * (2.0 / np.pi) ** 2 * 2.0 / np.sqrt(np.linalg.det(D))
     qa = np.linalg.inv(Vp)
     qb = np.linalg.inv(D)[np.ix_(_KEEP, _KEEP)]
-    return TwoGaussianWigner(
-        weight_a=wa, weight_b=wb, quad_form_a=qa, quad_form_b=qb,
-        norm_a=det_vp, norm_b=det_d,
-    )
+    return TwoGaussianWigner(weight_a=wa, weight_b=wb, quad_form_a=qa, quad_form_b=qb)
 
 
 def w1_eval(p: ConditionalParams, point: NDArray) -> float | NDArray:

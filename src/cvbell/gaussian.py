@@ -23,6 +23,14 @@ from .errors import ConditioningError, InvalidParameterError, UnsupportedRegimeE
 COND_LIMIT = 1e12
 
 
+def _check_condition(cov: NDArray[np.float64]) -> None:
+    """Raise ``ConditioningError`` if ``cov``'s condition number exceeds ``COND_LIMIT``."""
+    cond = np.linalg.cond(cov)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise ConditioningError(
+            f"covariance condition number {cond:.3e} exceeds guard {COND_LIMIT:.0e}")
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Zero-mean Gaussian state of ``n_modes`` modes.
@@ -61,11 +69,7 @@ class GaussianState:
     @cached_property
     def factors(self) -> tuple[NDArray[np.float64], float]:
         """``(inverse, det)`` of ``cov``; ``ConditioningError`` above ``COND_LIMIT``."""
-        cond = np.linalg.cond(self.cov)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise ConditioningError(
-                f"covariance condition number {cond:.3e} exceeds guard {COND_LIMIT:.0e}"
-            )
+        _check_condition(self.cov)
         # SPD inverse through Cholesky
         inv_chol = np.linalg.inv(np.linalg.cholesky(self.cov))
         inv = inv_chol.T @ inv_chol

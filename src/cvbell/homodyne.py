@@ -2,8 +2,9 @@
 
 Quadrature outcomes are binned by sign.  For Gaussian states the correlator
 is the bivariate-normal orthant arcsine of the quadrature correlation
-coefficient, so it never beats the two-party local bound; the heralded
-non-Gaussian state has a closed form in the combined angle psi and stays
+coefficient, so it never beats the two-party local bound.  The heralded
+non-Gaussian state is the traced Gaussian state minus the one heralded by no
+click, so its correlator is two arcsines in the combined angle psi; it stays
 below the classical sawtooth in magnitude everywhere.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .conditional import ConditionalParams, two_gaussian_form
+from .conditional import ConditionalParams, _check_click
 from .errors import InvalidParameterError, PrecisionError
 from .gaussian import GaussianState
 from .bell_dp import CHSH_TERMS, _bell_sum
@@ -39,13 +40,14 @@ def e_h(target: ConditionalParams | GaussianState,
 
     A two-mode ``GaussianState`` gives (2/pi) arcsin(rho), with the quadrature
     variances and covariance written out from its covariance matrix.  A
-    ``ConditionalParams`` gives the heralded state's closed two-arctangent form
-    in psi = theta + phi + phi2.  The overall sign is fixed by the Fock orthant
-    oracle (positive correlation at psi = 0); it vanishes at psi = pi/2 by the
-    odd symmetry in cos(psi).  Raises ``InvalidParameterError`` on a
-    non-finite phase, ``UndefinedStateError`` for a heralded state that admits
-    no click (eta = 0 or n3 = 0), and ``PrecisionError`` if any element leaves
-    the arcsine or arctangent domain.
+    ``ConditionalParams`` gives, in psi = theta + phi + phi2, the traced
+    state's arcsine minus P_off times the no-click state's, over P_on:
+    (2/pi) [(1 + eta n3) arcsin(r_tr cos psi) - arcsin(r_off cos psi)] / (eta n3),
+    r_tr^2 = 4(1+n1)n2 / ((1+2n1)(1+2n2)), r_off^2 = 4(1+n1)n2 / ((1+2n1-eta n3)
+    (1+2n2+eta n3)); it is zero at n2 = 0.  Raises ``InvalidParameterError`` on a
+    non-finite phase, ``UndefinedStateError`` for a heralded state that admits no
+    click (eta = 0 or n3 = 0), and ``PrecisionError`` if rounding puts a Gaussian
+    state's correlation outside the arcsine domain.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -73,26 +75,21 @@ def _e_h_orthant(s: GaussianState, theta: NDArray, phi: NDArray) -> NDArray[np.f
 
 
 def _e_h_heralded(p: ConditionalParams, psi: NDArray) -> NDArray[np.float64]:
-    form = two_gaussian_form(p)
-    if p.n2 <= 0.0:
-        raise PrecisionError("the closed form needs n2 > 0")
-    n1, n2, n3, eta = p.n2 + p.n3, p.n2, p.n3, p.eta
-    det_vp, det_d = form.norm_a, form.norm_b
-    cs = np.cos(psi)
-    z1 = (1 + 2 * n1) * (1 + 2 * n2) / ((1 + n1) * n2)
-    z2 = (1 + 2 * n1 - n3 * eta) * (1 + 2 * n2 + n3 * eta) / ((1 + n1) * n2)
-    d1, d2 = z1 - 4 * cs * cs, z2 - 4 * cs * cs
-    if not ((d1 > 0).all() and (d2 > 0).all()):
-        raise PrecisionError("arctangent argument left its domain")
-    pref = (1 + eta * n3) / (4 * eta * n3)
-    t1 = -(2 / math.pi) ** 2 / math.sqrt(det_vp) * (
-        2 * (1 + 2 * n3) * math.pi * np.arctan(2 * cs / np.sqrt(d1)))
-    t2 = -(1 / eta) * (2 / math.pi) ** 2 * 2 / math.sqrt(det_d) * (
-        2 * math.pi * (-1 + n3 * (eta - 2)) / (1 + n3 * eta)
-        * np.arctan(2 * cs / np.sqrt(d2)))
-    # the printed closed form carries a global minus sign relative to the
-    # orthant oracle; return the oracle-signed value
-    return -pref * (t1 + t2)
+    # ON-heralded = (traced - P_off * OFF-heralded) / P_on, two Gaussian states with
+    # correlation r cos(psi), r^2 = 4 (1+n1) n2 / (a b) and 1 - r^2 = c / (a b)
+    _check_click(p)
+    n2, n3, eta, en3 = p.n2, p.n3, p.eta, p.eta * p.n3
+    cs, sn2 = np.cos(psi), np.sin(psi) ** 2
+
+    def arcsine(a: float, b: float, c: float) -> NDArray[np.float64]:
+        # arcsin(x) = 2 arcsin(x / sqrt(2 + 2 sqrt(1 - x^2))), where
+        # 1 - x^2 = c/(ab) + r^2 sin^2 psi has no cancellation as |x| nears 1
+        r2 = 4 * (1 + n2 + n3) / a * n2 / b
+        return np.arcsin(math.sqrt(r2 / 2) * cs / np.sqrt(1 + np.sqrt(c / a / b + r2 * sn2)))
+
+    tr = arcsine(1 + 2 * (n2 + n3), 1 + 2 * n2, 1 + 2 * n3)
+    off = arcsine(1 + 2 * n2 + (2 - eta) * n3, 1 + 2 * n2 + en3, 1 + 2 * n3 + (2 - eta) * en3 * n3)
+    return (4 / math.pi / en3) * ((1 + en3) * tr - off)
 
 
 def chsh_h(target: ConditionalParams | GaussianState, angles: ArrayLike) -> NDArray[np.float64]:

@@ -8,7 +8,7 @@ bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,8 +25,7 @@ class ScanResult:
     arg_max: NDArray[np.float64]
     max_value: float
     evaluations: int
-    bracket: NDArray[np.float64]
-    converged: bool = False
+    converged: bool
 
 
 def _check_tol(tol: float) -> None:
@@ -90,10 +89,8 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
         converged = width <= tol
         if v > best_v:
             best_x, best_v = x, v
-    return ScanResult(
-        arg_max=np.array([best_x]), max_value=best_v,
-        evaluations=evals, bracket=np.array([b - a]), converged=converged,
-    )
+    return ScanResult(arg_max=np.array([best_x]), max_value=best_v, evaluations=evals,
+                      converged=converged)
 
 
 # One product grid per angle maximizer: _ANGLE_GRID^dim points for
@@ -118,6 +115,8 @@ def maximize_angles(f: Callable[[NDArray], NDArray], dim: int, tol: float = 1e-8
     axis = np.linspace(0.0, 2.0 * math.pi, _ANGLE_GRID, endpoint=False)
     pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     vals = np.asarray(f(pts), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise InvalidParameterError("objective returned non-finite values on the scan grid")
     evals = pts.shape[0]
     j = int(np.argmax(vals))
     best_v = float(vals[j])
@@ -144,14 +143,14 @@ def maximize_angles(f: Callable[[NDArray], NDArray], dim: int, tol: float = 1e-8
         if improved < tol:
             converged = bool(np.all(width <= tol))
             break
-    return ScanResult(arg_max=theta, max_value=best_v, evaluations=evals, bracket=width,
-                      converged=converged)
+    return ScanResult(arg_max=theta, max_value=best_v, evaluations=evals, converged=converged)
 
 
 # The Klyshko sum (``bell_dp.KLYSHKO_TERMS``) over theta = (a, b, c, a', b', c'):
 # party p measuring its primed setting reads angle p + 3.
 _KLYSHKO_SLOTS = (np.arange(3) + 3 * KLYSHKO_TERMS).T    # angle per party and term
 _KLYSHKO_ROUNDS = 100
+_KLYSHKO_TOL = 1e-10    # gradient and Hessian tolerance of ``klyshko_max``
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
@@ -206,7 +205,7 @@ def _klyshko_start(tensor: NDArray[np.float64]) -> tuple[NDArray[np.float64], in
     return th[list(idx)], E.size + B.size
 
 
-def klyshko_max(mags: Sequence[float], tol: float = 1e-10) -> ScanResult:
+def klyshko_max(mags: Sequence[float]) -> ScanResult:
     """Maximal three-party Bell-Klyshko combination for the correlator family
 
         E = cos cos cos - g1 cos sin sin - g2 sin cos sin - g3 sin sin cos
@@ -219,12 +218,15 @@ def klyshko_max(mags: Sequence[float], tol: float = 1e-10) -> ScanResult:
     has a positive eigenvalue, an uphill step along that eigenvector to leave
     the saddle.  Newton and saddle steps are halved until they are accepted.
 
-    ``converged`` is True when the returned point has ||grad||_inf <= tol and
-    a Hessian whose largest eigenvalue is <= tol (negative semidefinite to
-    within tol).  ``evaluations`` counts the 6^3 correlator table, the 6^6
-    grid sums and one per derivative evaluation of the refinement.
+    ``mags`` is three finite numbers.  ``converged`` is True when the returned
+    point has ||grad||_inf <= 1e-10 and no Hessian eigenvalue above 1e-10.
+    ``evaluations`` counts the 6^3 correlator table, the 6^6 grid sums and
+    one per derivative evaluation of the refinement.
     """
-    g1, g2, g3 = (float(g) for g in mags)
+    g = np.asarray(mags, dtype=float)
+    if g.shape != (3,) or not np.all(np.isfinite(g)):
+        raise InvalidParameterError(f"need three finite magnitudes, got {mags!r}")
+    g1, g2, g3 = g.tolist()
     tensor = np.zeros((2, 2, 2))
     tensor[0, 0, 0], tensor[0, 1, 1], tensor[1, 0, 1], tensor[1, 1, 0] = 1.0, -g1, -g2, -g3
     theta, evals = _klyshko_start(tensor)
@@ -233,12 +235,12 @@ def klyshko_max(mags: Sequence[float], tol: float = 1e-10) -> ScanResult:
     converged = False
     for _ in range(_KLYSHKO_ROUNDS):
         lam, vecs = np.linalg.eigh(hess)
-        newton = lam[-1] <= tol
-        if newton and np.max(np.abs(grad)) <= tol:
+        newton = lam[-1] <= _KLYSHKO_TOL
+        if newton and np.max(np.abs(grad)) <= _KLYSHKO_TOL:
             converged = True
             break
         if newton:      # Newton step in the strictly concave subspace
-            keep = lam < -tol
+            keep = lam < -_KLYSHKO_TOL
             step = -vecs[:, keep] @ ((vecs[:, keep].T @ grad) / lam[keep])
         else:           # saddle escape: uphill along the positive-curvature direction
             step = vecs[:, -1] if grad @ vecs[:, -1] >= 0.0 else -vecs[:, -1]
@@ -260,22 +262,21 @@ def klyshko_max(mags: Sequence[float], tol: float = 1e-10) -> ScanResult:
             theta[kk] += math.atan2(grad[kk], -hess[kk, kk])
             value, grad, hess = _klyshko_derivatives(tensor, theta)
             evals += 1
-    return ScanResult(arg_max=theta, max_value=value, evaluations=evals,
-                      bracket=np.full(6, tol), converged=converged)
+    return ScanResult(arg_max=theta, max_value=value, evaluations=evals, converged=converged)
 
 
-def log_j_maximize(f_of_j: Callable[[float], float], j_lo: float = 1e-8,
-                   j_hi: float = 10.0, tol: float = 1e-8) -> ScanResult:
-    """Maximize over the displacement magnitude on a logarithmic axis.
+def log_j_maximize(f_of_j: Callable[[float], float], j_lo: float, j_hi: float,
+                   tol: float = 1e-8) -> ScanResult:
+    """Maximize over the displacement magnitude J in [j_lo, j_hi], 0 < j_lo < j_hi < inf.
 
     The optima move across decades with energy, so the scan runs in log J;
     ``tol`` (finite and > 0) is the bracket width in log J.
     """
+    if not 0.0 < j_lo < j_hi < math.inf:
+        raise InvalidParameterError(f"need 0 < j_lo < j_hi < inf, got {j_lo}, {j_hi}")
     res = maximize_scalar(lambda u: f_of_j(math.exp(u)),
                           math.log(j_lo), math.log(j_hi), tol)
-    return ScanResult(arg_max=np.exp(res.arg_max), max_value=res.max_value,
-                      evaluations=res.evaluations, bracket=res.bracket,
-                      converged=res.converged)
+    return replace(res, arg_max=np.exp(res.arg_max))
 
 
 def asymptote_relations() -> list[dict]:

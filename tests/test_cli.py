@@ -201,6 +201,23 @@ class TestLibraryErrors:
             "error: ConditioningError: covariance condition number 3.999e+12 "
             "exceeds guard 1e+12\n")
 
+    @pytest.mark.parametrize("n2", ["1e8", "1e10"])
+    def test_ill_conditioned_conditional_dp2(self, n2, capsys):
+        argv = ["point", "--state", "conditional", "--test", "dp2", "--n2", n2, "--n3", "0.5"]
+        assert main([*argv, "--optimize"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ConditioningError: covariance condition number ")
+
+    @pytest.mark.parametrize("n2", ["0", "1e8"])
+    def test_conditional_homodyne_at_any_n2_exits_0(self, n2, capsys):
+        argv = ["point", "--state", "conditional", "--test", "homodyne", "--n2", n2, "--n3", "0.5"]
+        assert main(argv) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        # mode 2 is vacuum at n2 = 0; at large n2 the correlator nears the
+        # classical sawtooth, whose CHSH maximum is 2
+        assert value == 0.0 if n2 == "0" else 2.0 - 1e-6 < value <= 2.0 + 1e-12
+
     @pytest.mark.parametrize("argv", [
         ["--state", "su21", "--test", "ps3", "--n2", "250", "--n3", "250"],
         ["--state", "su21", "--test", "ps3", "--n2", "500", "--n3", "500"],

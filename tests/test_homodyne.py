@@ -24,6 +24,18 @@ from cvbell import (
 )
 
 
+def su21_cov(n2, n3, phi2, phi3):
+    """The su21 covariance matrix without ``GaussianState``'s checks, which
+    reject it as numerically singular near n2 = 1e8."""
+    n1 = n2 + n3
+    a, d = 2 * math.sqrt(n2 * (1 + n1)) * np.array([math.cos(phi2), math.sin(phi2)])
+    b, e = 2 * math.sqrt(n3 * (1 + n1)) * np.array([math.cos(phi3), math.sin(phi3)])
+    c, l = 2 * math.sqrt(n2 * n3) * np.array([math.cos(phi2 - phi3), math.sin(phi2 - phi3)])
+    f, g, h = 2 * n1 + 1, 2 * n2 + 1, 2 * n3 + 1
+    return np.array([[f, a, b, 0, -d, -e], [a, g, c, -d, 0, l], [b, c, h, -e, -l, 0],
+                     [0, -d, -e, f, -a, -b], [-d, 0, -l, -a, g, c], [-e, l, 0, -b, c, h]])
+
+
 def scalar_e_h(target, theta, phi):
     """One ``e_h`` call at scalar phases, as a float."""
     return float(e_h(target, theta, phi))
@@ -115,6 +127,47 @@ class TestHeraldedCorrelator:
     def test_bounded(self):
         for psi in np.linspace(-math.pi, math.pi, 50):
             assert abs(scalar_e_h(self.params, psi, 0.0)) <= 1.0
+
+    @pytest.mark.parametrize("n2", [0.3, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("n3,phi2,phi3,eta", [(0.4, 0.7, -1.1, 0.6), (2.0, -0.3, 0.5, 0.9)])
+    def test_is_the_on_heralded_mixture(self, n2, n3, phi2, phi3, eta):
+        """ON-heralded = (traced - P_off * OFF-heralded) / P_on, each a two-mode
+        Gaussian evaluated by the orthant branch.  OFF heralding conditions
+        on mode 3 through a Gaussian of variance (2 - eta)/eta per quadrature.
+        psi = theta + phi + phi2 keeps |cos psi| <= 0.98: closer to 1 the
+        reference's arcsin of a rounded correlation loses accuracy as n2 grows."""
+        p = ConditionalParams(n2, n3, phi2, phi3, eta)
+        V = su21_cov(n2, n3, phi2, phi3)
+        keep = [0, 1, 3, 4]
+        vp = V[np.ix_(keep, keep)]
+        c = V[np.ix_(keep, [2, 5])]
+        h = V[2, 2] + (2.0 - eta) / eta
+        theta, phi = np.linspace(-3.0, 3.0, 13), 0.85 - phi2    # psi = theta + 0.85
+        e_tr = e_h(SimpleNamespace(n_modes=2, cov=vp), theta, phi)
+        e_off = e_h(SimpleNamespace(n_modes=2, cov=vp - c @ c.T / h), theta, phi)
+        expected = ((1.0 + eta * n3) * e_tr - e_off) / (eta * n3)
+        assert np.max(np.abs(e_h(p, theta, phi) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n2", [1e4, 1e8, 1e12])
+    def test_aligned_phases_at_large_n2(self, n2):
+        """At psi = 0 each arcsine is pi/2 - arcsin(sqrt(1 - r^2)), with 1 - r^2
+        in closed form; r itself rounds to 1 near n2 = 1e8.  Combining the two
+        arcsines scales their rounding by (2 + eta n3)/(eta n3), about 9 here."""
+        n3, eta = 0.4, 0.6
+        e, n1 = eta * n3, n2 + n3
+        q_tr = (1 + 2 * n3) / ((1 + 2 * n1) * (1 + 2 * n2))
+        q_off = (1 + 2 * n3 + (2 - eta) * eta * n3**2) / ((1 + 2 * n1 - e) * (1 + 2 * n2 + e))
+        expected = 1 - (2 / math.pi) * (
+            (1 + e) * math.asin(math.sqrt(q_tr)) - math.asin(math.sqrt(q_off))) / e
+        value = scalar_e_h(ConditionalParams(n2, n3, eta=eta), 0.0, 0.0)
+        assert value == pytest.approx(expected, abs=5e-15)
+        assert value <= 1.0
+
+    def test_reference_covariance_is_su21(self):
+        for n2 in (0.3, 1e4):
+            np.testing.assert_array_equal(
+                su21_cov(n2, 0.4, 0.7, -1.1),
+                su21_state(TripartitePhotonNumbers(n2, 0.4, 0.7, -1.1)).cov)
 
 
 class TestChsh:
@@ -208,9 +261,8 @@ class TestBatchedKernel:
                 e_h(clickless, np.zeros(5), 0.0)
             with pytest.raises(UndefinedStateError):
                 scalar_e_h(clickless, 0.0, 0.0)
-        # the closed form itself needs n2 > 0
-        with pytest.raises(PrecisionError, match="n2 > 0"):
-            e_h(ConditionalParams(0.0, 0.5), np.zeros(5), 0.0)
+        # n2 = 0 leaves mode 2 in vacuum, so the correlator is exactly 0
+        assert np.all(e_h(ConditionalParams(0.0, 0.5, eta=0.7), np.linspace(-3, 3, 5), 0.2) == 0.0)
 
     def test_three_mode_state_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -100,6 +100,10 @@ class TestMaximizeScalar:
         with pytest.raises(InvalidParameterError):
             maximize_scalar(lambda x: float("nan"), 0.0, 1.0)
 
+    def test_log_j_rejects_zero_lower_bound(self):
+        with pytest.raises(InvalidParameterError, match="0 < j_lo < j_hi"):
+            log_j_maximize(lambda j: -(math.log(j) + 2.0) ** 2, 0.0, 1.0)
+
 
 class TestMaximizeAngles:
     def test_two_dimensional_product_cosine(self):
@@ -132,8 +136,18 @@ class TestMaximizeAngles:
             with pytest.raises(InvalidParameterError):
                 maximize_angles(lambda p: p[:, 0], dim=dim)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_objective(self, bad):
+        with pytest.raises(InvalidParameterError, match="non-finite values on the scan grid"):
+            maximize_angles(lambda p: np.full(len(p), bad), 1)
+
 
 class TestKlyshko:
+    @pytest.mark.parametrize("mags", [(math.nan, 0.0, 0.0), (0.5, 0.5)], ids=["nan", "two"])
+    def test_bad_magnitudes(self, mags):
+        with pytest.raises(InvalidParameterError, match="three finite magnitudes"):
+            klyshko_max(mags)
+
     def test_no_coefficients_bound_two(self):
         res = klyshko_max((0.0, 0.0, 0.0))
         assert res.max_value == pytest.approx(2.0, abs=1e-8)

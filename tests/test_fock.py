@@ -1,7 +1,10 @@
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.typing import NDArray
 
 from cvbell import (
     ConditionalParams,
@@ -25,6 +28,7 @@ from cvbell import (
     su21_state,
     twb_fock,
 )
+from cvbell.fock import displacement
 
 X_AXIS = (math.pi / 2, 0.0)
 Z_AXIS = (0.0, 0.0)
@@ -96,6 +100,55 @@ class TestDisplacedParity:
         a = displaced_parity_expect(su21_fock(photons_03, 16), al)
         b = displaced_parity_expect(su21_fock(photons_03, 32), al)
         assert abs(a - b) < 1e-6
+
+
+def _exact_displacement(alpha: complex, cutoff: int) -> NDArray:
+    """<m|D(alpha)|n> from the finite Laguerre sum L_j^(k)(x) = sum_i C(j+k, j-i)(-x)^i/i!,
+    summed exactly in fractions; only the square roots and e^(-x/2) are 40-digit decimals."""
+    def dec(f: Fraction) -> decimal.Decimal:
+        return decimal.Decimal(f.numerator) / f.denominator
+
+    re, im = Fraction(alpha.real), Fraction(alpha.imag)
+    x = re * re + im * im
+    terms = [Fraction(1)]                        # (-x)^i / i!
+    for i in range(1, cutoff):
+        terms.append(terms[-1] * -x / i)
+    powers = {}                                  # base^k for alpha (m >= n) and -alpha* (m < n)
+    for base in ((re, im), (-re, im)):
+        pw = [(Fraction(1), Fraction(0))]
+        for _ in range(1, cutoff):
+            pr, pi = pw[-1]
+            pw.append((pr * base[0] - pi * base[1], pr * base[1] + pi * base[0]))
+        powers[base] = pw
+    out = np.zeros((cutoff, cutoff), dtype=complex)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        env = (-dec(x) / 2).exp()
+        for m in range(cutoff):
+            for n in range(cutoff):
+                lo, hi = min(m, n), max(m, n)
+                lag = sum(math.comb(hi, lo - i) * terms[i] for i in range(lo + 1))
+                pr, pi = powers[(re, im) if m >= n else (-re, im)][hi - lo]
+                mag = (decimal.Decimal(math.factorial(lo)) / math.factorial(hi)).sqrt() * env
+                out[m, n] = complex(mag * dec(lag * pr), mag * dec(lag * pi))
+    return out
+
+
+class TestDisplacementMatrix:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5 + 0.5j, 1.5, 3.0, 5.0, -2.0 + 1.0j, 0.0])
+    def test_matches_exact_laguerre_sum(self, alpha):
+        got = displacement(alpha, 40)
+        assert np.max(np.abs(got - _exact_displacement(complex(alpha), 40))) < 1e-13
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 30, 40])
+    def test_zero_is_exactly_identity(self, cutoff):
+        assert np.array_equal(displacement(0.0, cutoff), np.eye(cutoff))
+
+    @pytest.mark.parametrize("alpha", [0.3 - 0.8j, 2.0, -1.1 + 2.4j])
+    def test_adjoint_is_minus_alpha(self, alpha):
+        # <m|D(alpha)|n> = conj(<n|D(-alpha)|m>), since D(alpha)^dag = D(-alpha)
+        d = displacement(alpha, 30)
+        assert np.max(np.abs(d - displacement(-alpha, 30).conj().T)) < 1e-15
 
 
 class TestPseudospin:

@@ -76,6 +76,6 @@ from .bell_ps import (
     su21_ps_coeffs,
 )
 from .homodyne import chsh_h, classical_reference, e_h
-from .optim import ScanResult, asymptote_relations, klyshko_max, log_j_maximize, maximize_angles, maximize_scalar
+from .optim import ScanResult, asymptote_relations, klyshko_max, log_j_maximize, maximize_scalar
 
 __version__ = "0.1.0"

@@ -75,9 +75,16 @@ def _su21_ps3(p: dict) -> dict:
     return {"value": bell_ps.b3_ps(n2, n3).value}
 
 
-def _homodyne(target, tol: float) -> dict:
-    res = optim.maximize_angles(lambda pts: homodyne.chsh_h(target, pts), dim=4, tol=tol)
-    return {"value": res.max_value, "settings": [float(a) for a in res.arg_max]}
+def _homodyne(target, phi2: float, tol: float) -> dict:
+    """CHSH maximum of a state whose correlator is an even function E of
+    theta + phi + phi2: the settings [0, 2d, -d - phi2, d - phi2] give
+    3E(d) - E(3d), maximized over d in [0, pi] to bracket width ``tol``."""
+    def settings(d: np.ndarray) -> np.ndarray:
+        return np.stack([np.zeros_like(d), 2 * d, -d - phi2, d - phi2], axis=1)
+
+    res = optim.maximize_scalar(lambda d: homodyne.chsh_h(target, settings(d)),
+                                0.0, math.pi, tol)
+    return {"value": res.max_value, "settings": settings(res.arg_max)[0].tolist()}
 
 
 _N = (("n",),)
@@ -104,9 +111,9 @@ _PAIRS = {
     ("conditional", "ps2"): _Pair((_HERALDED,), lambda p: _ps2(
         bell_ps.f_conditional(_heralded(p)))),
     ("twb", "homodyne"): _Pair((_N, _TOL), lambda p: _homodyne(
-        gaussian.twb_state(p["n"]), p["tol"])),
+        gaussian.twb_state(p["n"]), 0.0, p["tol"])),
     ("conditional", "homodyne"): _Pair((_HERALDED, _TOL), lambda p: _homodyne(
-        _heralded(p), p["tol"])),
+        _heralded(p), p["phi2"], p["tol"])),
 }
 
 

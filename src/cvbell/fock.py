@@ -206,17 +206,23 @@ def _expect(state: FockPureState | FockDensityOperator, ops: Sequence[NDArray]) 
     return float(np.real(np.einsum(subscripts, state.tensor(), *ops)))
 
 
+def _check_finite(what: str, values) -> None:
+    if not np.all(np.isfinite(np.asarray(values))):
+        raise InvalidParameterError(f"{what} must be finite, got {values!r}")
+
+
 def displaced_parity_expect(state: FockPureState | FockDensityOperator,
                             alphas: Sequence[complex]) -> float:
     """<prod_j D(a_j)(-1)^{n_j} D^dag(a_j)>, in [-1, 1].
 
     Guard: each |alpha|^2 <= cutoff/10, keeping the displaced state far from
-    the truncation edge.
+    the truncation edge.  A non-finite displacement is an ``InvalidParameterError``.
     """
     cutoff = state.cutoff
     alphas = [complex(a) for a in alphas]
     if len(alphas) != state.n_modes:
         raise InvalidParameterError("one displacement per mode required")
+    _check_finite("displacements", alphas)
     for a in alphas:
         if abs(a) ** 2 > cutoff / 10.0:
             raise PrecisionError(
@@ -232,11 +238,12 @@ def displaced_parity_expect(state: FockPureState | FockDensityOperator,
 
 def pseudospin_expect(state: FockPureState | FockDensityOperator,
                       axes: Sequence[tuple[float, float]]) -> float:
-    """<prod_j d_j . s_j> for one (theta, phi) pair per mode; even cutoff only."""
+    """<prod_j d_j . s_j> for one finite (theta, phi) pair per mode; even cutoff only."""
     if state.cutoff % 2 != 0:
         raise InvalidParameterError("pseudospin requires an even cutoff")
     if len(axes) != state.n_modes:
         raise InvalidParameterError("one (theta, phi) pair per mode required")
+    _check_finite("pseudospin axes", axes)
     return _expect(state, [pseudospin_axis_op(th, ph, state.cutoff) for th, ph in axes])
 
 
@@ -326,9 +333,11 @@ def _rotated(op: NDArray, theta: float) -> NDArray[np.complex128]:
 
 def orthant_probabilities(state: FockPureState | FockDensityOperator,
                           theta: float, phi: float) -> tuple[float, float, float, float]:
-    """(P++, P+-, P-+, P--) of the sign-binned joint quadrature distribution."""
+    """(P++, P+-, P-+, P--) of the sign-binned joint quadrature distribution
+    at finite phases ``theta`` and ``phi``."""
     if state.n_modes != 2:
         raise InvalidParameterError("orthant probabilities are defined for two modes")
+    _check_finite("phases", (theta, phi))
     H, _ = _half_line_matrices(state.cutoff)
     Hp = np.eye(state.cutoff) - H
     a = (_rotated(H, theta), _rotated(Hp, theta))
@@ -342,19 +351,23 @@ def orthant_probabilities(state: FockPureState | FockDensityOperator,
 
 def quadrature_orthant_expect(state: FockPureState | FockDensityOperator,
                               theta: float, phi: float) -> float:
-    """E_H = P++ + P-- - P+- - P-+ with the sign domains fixed to R+/R-."""
+    """E_H = P++ + P-- - P+- - P-+ with the sign domains fixed to R+/R-, at
+    finite phases ``theta`` and ``phi``."""
     if state.n_modes != 2:
         raise InvalidParameterError("the homodyne correlator is defined for two modes")
+    _check_finite("phases", (theta, phi))
     _, G = _half_line_matrices(state.cutoff)
     return _expect(state, [_rotated(G, theta), _rotated(G, phi)])
 
 
 def wigner_reconstruct(state: FockPureState | FockDensityOperator,
                        point: NDArray) -> float:
-    """Wigner value at (x_1..x_n, y_1..y_n) from the displaced-parity identity."""
+    """Wigner value at a finite point (x_1..x_n, y_1..y_n), from the
+    displaced-parity identity."""
     pt = np.asarray(point, dtype=float)
     n = state.n_modes
     if pt.shape != (2 * n,):
         raise InvalidParameterError(f"point must have length {2 * n}")
+    _check_finite("point", pt)
     alphas = (pt[:n] + 1j * pt[n:]) / np.sqrt(2.0)
     return displaced_parity_expect(state, alphas) / np.pi**n

@@ -44,7 +44,9 @@ def e_h(target: ConditionalParams | GaussianState,
     state's arcsine minus P_off times the no-click state's, over P_on:
     (2/pi) [(1 + eta n3) arcsin(r_tr cos psi) - arcsin(r_off cos psi)] / (eta n3),
     r_tr^2 = 4(1+n1)n2 / ((1+2n1)(1+2n2)), r_off^2 = 4(1+n1)n2 / ((1+2n1-eta n3)
-    (1+2n2+eta n3)); it is zero at n2 = 0.  Raises ``InvalidParameterError`` on a
+    (1+2n2+eta n3)); it is zero at n2 = 0, and the difference of the two
+    arcsines is formed without cancellation, so the 1/(eta n3) does not
+    scale rounding as eta n3 -> 0.  Raises ``InvalidParameterError`` on a
     non-finite phase, ``UndefinedStateError`` for a heralded state that admits no
     click (eta = 0 or n3 = 0), and ``PrecisionError`` if rounding puts a Gaussian
     state's correlation outside the arcsine domain.
@@ -76,20 +78,28 @@ def _e_h_orthant(s: GaussianState, theta: NDArray, phi: NDArray) -> NDArray[np.f
 
 def _e_h_heralded(p: ConditionalParams, psi: NDArray) -> NDArray[np.float64]:
     # ON-heralded = (traced - P_off * OFF-heralded) / P_on, two Gaussian states with
-    # correlation r cos(psi), r^2 = 4 (1+n1) n2 / (a b) and 1 - r^2 = c / (a b)
+    # correlation r cos(psi), r^2 = n2 rho, rho = 4 (1+n1) / (a b), 1 - r^2 = c / (a b).
+    # Each arcsin(r cos psi) = 2 arcsin(y), y^2 = (1 - s)/2, s = sqrt(c/(ab) + r^2 sin^2 psi);
+    # E = (4/pi) [arcsin(y_tr) + arcsin(w) / (eta n3)], w = y_tr k_off - y_off k_tr,
+    # k = sqrt(1 - y^2), written through rho_tr - rho_off = rho_tr (2 - eta) eta n3^2 /
+    # (a_off b_off), so that nothing cancels as |r cos psi| -> 1 or eta n3 -> 0
     _check_click(p)
     n2, n3, eta, en3 = p.n2, p.n3, p.eta, p.eta * p.n3
     cs, sn2 = np.cos(psi), np.sin(psi) ** 2
-
-    def arcsine(a: float, b: float, c: float) -> NDArray[np.float64]:
-        # arcsin(x) = 2 arcsin(x / sqrt(2 + 2 sqrt(1 - x^2))), where
-        # 1 - x^2 = c/(ab) + r^2 sin^2 psi has no cancellation as |x| nears 1
-        r2 = 4 * (1 + n2 + n3) / a * n2 / b
-        return np.arcsin(math.sqrt(r2 / 2) * cs / np.sqrt(1 + np.sqrt(c / a / b + r2 * sn2)))
-
-    tr = arcsine(1 + 2 * (n2 + n3), 1 + 2 * n2, 1 + 2 * n3)
-    off = arcsine(1 + 2 * n2 + (2 - eta) * n3, 1 + 2 * n2 + en3, 1 + 2 * n3 + (2 - eta) * en3 * n3)
-    return (4 / math.pi / en3) * ((1 + en3) * tr - off)
+    a_tr, b_tr, c_tr = 1 + 2 * (n2 + n3), 1 + 2 * n2, 1 + 2 * n3
+    a_off, b_off, c_off = 1 + 2 * n2 + (2 - eta) * n3, 1 + 2 * n2 + en3, 1 + 2 * n3 + (2 - eta) * en3 * n3
+    rho_tr, rho_off = 4 * (1 + n2 + n3) / a_tr / b_tr, 4 * (1 + n2 + n3) / a_off / b_off
+    s_tr = np.sqrt(c_tr / a_tr / b_tr + n2 * rho_tr * sn2)
+    s_off = np.sqrt(c_off / a_off / b_off + n2 * rho_off * sn2)
+    y_tr = math.sqrt(n2 * rho_tr / 2) * cs / np.sqrt(1 + s_tr)
+    w = (cs * math.sqrt(n2) * rho_tr * ((2 - eta) * en3 * n3 / a_off / b_off)
+         * np.sqrt((1 + s_tr) * (1 + s_off))
+         / (math.sqrt(rho_tr) * (1 + s_off) + math.sqrt(rho_off) * (1 + s_tr)))
+    # s_tr + s_off = 0 only where c/(ab) underflows (n2 above about 1e154 at
+    # sin psi = 0); w is below 1/n2 there
+    s_sum = s_tr + s_off
+    w = np.divide(w, s_sum, out=np.zeros(np.shape(s_sum)), where=s_sum > 0)
+    return (4 / math.pi) * (np.arcsin(y_tr) + np.arcsin(w) / en3)
 
 
 def chsh_h(target: ConditionalParams | GaussianState, angles: ArrayLike) -> NDArray[np.float64]:

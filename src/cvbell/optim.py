@@ -1,9 +1,11 @@
-"""Deterministic scalar and small-dimension maximizers.
+"""Deterministic maximizers.
 
-No stochastic search anywhere: coarse grids pick a bracket or a start
-point, golden-section (or, for the Klyshko sum, exact per-angle and Newton
-steps) refines it, ties break toward the lowest index.  Identical inputs give
-bit-identical results.
+``maximize_scalar`` is the one general maximizer: a fixed 256-point scan picks
+a bracket and golden section refines it.  Its objective takes a 1-D array of
+points and returns one value per point, so the scan is a single call.
+``log_j_maximize`` runs it in log J; the Klyshko sum has its own exact
+per-angle and Newton steps.  No stochastic search anywhere, ties break toward
+the lowest index, and identical inputs give bit-identical results.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .bell_dp import KLYSHKO_TERMS, TERM_SIGNS
 from .errors import InvalidParameterError
@@ -63,20 +65,26 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
 _COARSE = 256       # scan points of ``maximize_scalar``
 
 
-def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
+def maximize_scalar(f: Callable[[NDArray[np.float64]], ArrayLike], lo: float, hi: float,
                     tol: float = 1e-8) -> ScanResult:
-    """256-point scan then golden-section refinement of a scalar function.
+    """256-point scan then golden-section refinement of a function of one variable.
 
-    ``converged`` is True when the golden-section bracket has shrunk to
-    ``tol`` (finite and > 0).
+    ``f`` takes a 1-D array of points and returns one value per point: the
+    scan is one call on 256 points, each golden-section step one call on one.
+    An objective that does not return one finite value per point raises
+    ``InvalidParameterError``.  ``converged`` is True when the golden-section
+    bracket has shrunk to ``tol`` (finite and > 0).
     """
     _check_tol(tol)
     if not lo < hi:
         raise InvalidParameterError("need lo < hi")
     xs = np.linspace(lo, hi, _COARSE)
-    vals = np.array([f(x) for x in xs], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise InvalidParameterError("objective returned non-finite values on the scan grid")
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise InvalidParameterError(
+            f"objective must return one value per point: {xs.size} points gave shape {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise InvalidParameterError("objective returned non-finite values")
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     a = float(xs[max(i - 1, 0)])
@@ -84,7 +92,13 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
     evals = _COARSE
     converged = False
     if b > a:
-        x, v, n, width = _golden_max(f, a, b, tol)
+        def at(u: float) -> float:
+            (value,) = f(np.array([u]))     # one value per point: the scan checked that
+            if not math.isfinite(value):
+                raise InvalidParameterError("objective returned non-finite values")
+            return float(value)
+
+        x, v, n, width = _golden_max(at, a, b, tol)
         evals += n
         converged = width <= tol
         if v > best_v:
@@ -93,62 +107,10 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
                       converged=converged)
 
 
-# One product grid per angle maximizer: _ANGLE_GRID^dim points for
-# ``maximize_angles`` (dim <= 4), _KLYSHKO_GRID^6 for ``klyshko_max``.
-_ANGLE_GRID = 12
-_KLYSHKO_GRID = 6
-_ANGLE_PASSES = 60  # most coordinate passes of ``maximize_angles``
-
-
-def maximize_angles(f: Callable[[NDArray], NDArray], dim: int, tol: float = 1e-8) -> ScanResult:
-    """Full 12^dim product-grid scan over [0, 2 pi)^dim plus up to 60
-    coordinate-wise golden-section passes.
-
-    ``f`` must be vectorized: it receives an (m, dim) array and returns (m,).
-    ``dim`` lies in 1..4, so the scan is one call of at most 20,736 points.
-    ``tol`` (finite and > 0) bounds each golden-section bracket and the last
-    pass's gain.
-    """
-    _check_tol(tol)
-    if dim < 1 or dim > 4:
-        raise InvalidParameterError("dim must lie in 1..4")
-    axis = np.linspace(0.0, 2.0 * math.pi, _ANGLE_GRID, endpoint=False)
-    pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise InvalidParameterError("objective returned non-finite values on the scan grid")
-    evals = pts.shape[0]
-    j = int(np.argmax(vals))
-    best_v = float(vals[j])
-    theta = pts[j].copy()
-    step = 2.0 * math.pi / _ANGLE_GRID
-
-    def f1(x: float, k: int) -> float:
-        t = theta.copy()
-        t[k] = x
-        return float(f(t[None, :])[0])
-
-    width = np.full(dim, step)
-    converged = False
-    for _ in range(_ANGLE_PASSES):
-        improved = 0.0
-        for k in range(dim):
-            x, v, n, width[k] = _golden_max(lambda u: f1(u, k), theta[k] - step,
-                                            theta[k] + step, tol)
-            evals += n
-            if v > best_v:
-                improved = max(improved, v - best_v)
-                best_v = v
-                theta[k] = x
-        if improved < tol:
-            converged = bool(np.all(width <= tol))
-            break
-    return ScanResult(arg_max=theta, max_value=best_v, evaluations=evals, converged=converged)
-
-
 # The Klyshko sum (``bell_dp.KLYSHKO_TERMS``) over theta = (a, b, c, a', b', c'):
 # party p measuring its primed setting reads angle p + 3.
 _KLYSHKO_SLOTS = (np.arange(3) + 3 * KLYSHKO_TERMS).T    # angle per party and term
+_KLYSHKO_GRID = 6       # points per angle of the start grid
 _KLYSHKO_ROUNDS = 100
 _KLYSHKO_TOL = 1e-10    # gradient and Hessian tolerance of ``klyshko_max``
 _ROUNDING = 4.0 * np.finfo(float).eps
@@ -267,14 +229,16 @@ def klyshko_max(mags: Sequence[float]) -> ScanResult:
 
 def log_j_maximize(f_of_j: Callable[[float], float], j_lo: float, j_hi: float,
                    tol: float = 1e-8) -> ScanResult:
-    """Maximize over the displacement magnitude J in [j_lo, j_hi], 0 < j_lo < j_hi < inf.
+    """Maximize a scalar function of the displacement magnitude J over
+    [j_lo, j_hi], 0 < j_lo < j_hi < inf.
 
-    The optima move across decades with energy, so the scan runs in log J;
-    ``tol`` (finite and > 0) is the bracket width in log J.
+    The optima move across decades with energy, so ``maximize_scalar`` runs in
+    log J, calling ``f_of_j`` once per point; ``tol`` (finite and > 0) is the
+    bracket width in log J.
     """
     if not 0.0 < j_lo < j_hi < math.inf:
         raise InvalidParameterError(f"need 0 < j_lo < j_hi < inf, got {j_lo}, {j_hi}")
-    res = maximize_scalar(lambda u: f_of_j(math.exp(u)),
+    res = maximize_scalar(lambda us: [f_of_j(math.exp(u)) for u in us.tolist()],
                           math.log(j_lo), math.log(j_hi), tol)
     return replace(res, arg_max=np.exp(res.arg_max))
 

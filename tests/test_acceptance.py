@@ -62,12 +62,12 @@ def test_criterion_3_tripartite_ps():
     degen = cb.b3_ps(10.0, 1e-3)
     ok &= abs(degen.value - 2 * SQRT2) <= 0.01
     pi_t = cb.maximize_scalar(
-        lambda ln: cb.b3_ps_from_coeffs(cb.su21_pi_coeffs(math.exp(ln))).value,
+        lambda lns: [cb.b3_ps_from_coeffs(cb.su21_pi_coeffs(math.exp(ln))).value for ln in lns],
         math.log(0.05), math.log(20.0), tol=1e-6)
     n_t = math.exp(pi_t.arg_max[0])
     ok &= abs(pi_t.max_value - 2.22) <= 0.02 and abs(n_t - 1.0) <= 0.3
     pi_g = cb.maximize_scalar(
-        lambda r: cb.b3_ps_from_coeffs(cb.ghz_pi_coeffs(r)).value,
+        lambda rs: [cb.b3_ps_from_coeffs(cb.ghz_pi_coeffs(r)).value for r in rs],
         0.05, 2.0, tol=1e-6)
     ok &= abs(pi_g.max_value - 2.09) <= 0.02 and abs(pi_g.arg_max[0] - 0.42) <= 0.05
     dt = time.time() - t0

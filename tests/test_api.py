@@ -30,8 +30,7 @@ PUBLIC_NAMES = {
     # homodyne
     "chsh_h", "classical_reference", "e_h",
     # optim
-    "ScanResult", "asymptote_relations", "klyshko_max", "log_j_maximize", "maximize_angles",
-    "maximize_scalar",
+    "ScanResult", "asymptote_relations", "klyshko_max", "log_j_maximize", "maximize_scalar",
 }
 
 

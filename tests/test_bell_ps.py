@@ -194,7 +194,7 @@ class TestBellCombination:
 
     def test_pi_representation_maximum(self):
         res = maximize_scalar(
-            lambda ln: b3_ps_from_coeffs(su21_pi_coeffs(math.exp(ln))).value,
+            lambda lns: [b3_ps_from_coeffs(su21_pi_coeffs(math.exp(ln))).value for ln in lns],
             math.log(0.05), math.log(20.0), tol=1e-6)
         assert res.max_value == pytest.approx(2.22, abs=0.02)
         assert math.exp(res.arg_max[0]) == pytest.approx(1.0, abs=0.25)
@@ -240,7 +240,7 @@ class TestPiCoefficients:
 
     def test_ghz_maximum_violation(self):
         res = maximize_scalar(
-            lambda r: b3_ps_from_coeffs(ghz_pi_coeffs(r)).value,
+            lambda rs: [b3_ps_from_coeffs(ghz_pi_coeffs(r)).value for r in rs],
             0.05, 2.0, tol=1e-6)
         assert res.max_value == pytest.approx(2.09, abs=0.02)
         assert res.arg_max[0] == pytest.approx(0.42, abs=0.03)

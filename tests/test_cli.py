@@ -7,9 +7,19 @@ from pathlib import Path
 
 import pytest
 
+from cvbell import ConditionalParams, chsh_h, twb_state
 from cvbell.cli import FIGURE_IDS, RunConfig, UsageError, _PAIRS, main, run_figure, run_point
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Four-angle homodyne CHSH maxima, as repr strings: the 56 homodyne queries of
+# perfbench/ref/points.json and 19 corner states, maximized by the 12^4-grid
+# plus coordinate golden-section search this package used before its
+# one-angle reduction, run on the cancellation-free heralded correlator
+HOMODYNE_4D = [
+    pytest.param(row["argv"], row["eta_n3"], float(row["max_value"]), id=row["id"])
+    for row in json.loads((ROOT / "tests" / "data" / "homodyne_4d.json").read_text())
+]
 
 
 class TestFigures:
@@ -108,6 +118,24 @@ class TestPoint:
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(value, abs=1e-12)
         assert len(rec["settings"]) == 4
+
+    @pytest.mark.parametrize("argv,eta_n3,reference", HOMODYNE_4D)
+    def test_homodyne_matches_four_angle_search(self, argv, eta_n3, reference, capsys):
+        assert main(["point", "--test", "homodyne", *argv]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        tol = 1e-10 if eta_n3 is not None and eta_n3 < 1e-5 else 1e-12
+        assert value == pytest.approx(reference, abs=tol)
+        assert value <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("argv,target", [
+        (["--state", "twb", "--n", "2"], twb_state(2.0)),
+        (["--state", "conditional", "--n2", "0.7", "--n3", "0.2", "--eta", "0.6", "--phi2", "0.3"],
+         ConditionalParams(0.7, 0.2, phi2=0.3, eta=0.6)),
+    ], ids=["twb", "conditional"])
+    def test_homodyne_settings_reproduce_value(self, argv, target, capsys):
+        assert main(["point", "--test", "homodyne", *argv]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert chsh_h(target, [rec["settings"]])[0] == pytest.approx(rec["value"], abs=1e-15)
 
     # values printed by the per-correlator loop this stacked path replaced
     @pytest.mark.parametrize("argv,value", [
@@ -334,11 +362,15 @@ def _load_checks():
     return checks
 
 
-# the figure contract: first 16 hex digits of the sha256 of each CSV table
+# the figure contract: first 16 hex digits of the sha256 of each CSV table.
+# E2H was 953480b9d7e73127 before the heralded correlator took the difference
+# of its two arcsines without cancellation: two n2 = 5 cells (psi = -2.67 and
+# 0.471) moved from 0.69290894858 to the correctly rounded 0.692908948579
+# (50-digit value 0.6929089485794995).
 FIGURE_HASHES = {
     "B3DPVLBGen": "16351053a7866a97", "B3DPT": "a4d011751cc66e2c", "B3DPN": "e96d035520d317b3",
     "B3PS": "09f6edd1def2a5f9", "B2DPTWBA": "bd230c455934e4a6", "B2PS": "2e1f39f420b246e8",
-    "E2H": "953480b9d7e73127",
+    "E2H": "79e76928eaff1643",
 }
 
 

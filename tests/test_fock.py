@@ -27,6 +27,7 @@ from cvbell import (
     su21_ps_coeffs,
     su21_state,
     twb_fock,
+    wigner_reconstruct,
 )
 from cvbell.fock import displacement
 
@@ -298,3 +299,30 @@ class TestClickProbability:
     def test_rejects_bad_eta_or_mode(self, su21_fock_03, mode, eta):
         with pytest.raises(InvalidParameterError):
             click_probability(su21_fock_03, mode, eta)
+
+
+class TestNonFiniteInput:
+    # each entry point with one argument replaced by ``bad``, on the n = 1 twin beam
+    CALLS = {
+        "displaced_parity_expect": lambda st, bad: displaced_parity_expect(st, [bad, 0.0]),
+        "displaced_parity_expect-imag": lambda st, bad: displaced_parity_expect(
+            st, [0.1, complex(0.0, bad)]),
+        "quadrature_orthant_expect": lambda st, bad: quadrature_orthant_expect(st, bad, 0.0),
+        "orthant_probabilities": lambda st, bad: orthant_probabilities(st, 0.3, bad),
+        "pseudospin_expect": lambda st, bad: pseudospin_expect(st, [(bad, 0.0), Z_AXIS]),
+        "pseudospin_expect-phi": lambda st, bad: pseudospin_expect(st, [X_AXIS, (0.2, bad)]),
+        "wigner_reconstruct": lambda st, bad: wigner_reconstruct(st, [0.0, 0.1, bad, 0.0]),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_rejected(self, twb_fock_n1, call, bad):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            call(twb_fock_n1, bad)
+
+    def test_density_operator_rejected(self):
+        prob, rho = onoff_condition(su21_fock(TripartitePhotonNumbers(0.3, 0.3), 20), 2, 0.8)
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            quadrature_orthant_expect(rho, 0.0, math.nan)
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            displaced_parity_expect(rho, [0.0, math.nan])

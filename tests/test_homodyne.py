@@ -163,6 +163,26 @@ class TestHeraldedCorrelator:
         assert value == pytest.approx(expected, abs=5e-15)
         assert value <= 1.0
 
+    # (n2, n3, eta, psi, value): (2/pi) [(1 + eta n3) arcsin(r_tr cos psi)
+    # - arcsin(r_off cos psi)] / (eta n3) evaluated with 50-digit mpmath
+    @pytest.mark.parametrize("n2,n3,eta,psi,value", [
+        (1.0, 1e-05, 0.1, 0.0, "0.78365350418925367"),
+        (1.0, 1e-05, 0.1, 1.1, "0.28132009147063019"),
+        (100000.0, 1e-06, 1.0, 0.0, "0.99999681691546204"),
+        (100000.0, 1e-06, 1.0, 2.5, "-0.59154943090830083"),
+        (10000.0, 2e-06, 0.5, 0.3, "0.80901406571745696"),
+        (5.0, 0.0001, 0.2, -0.7, "0.55124550755336825"),
+        (0.01, 1e-06, 1.0, 0.0, "0.126276410135912"),
+        (100000.0, 0.001, 0.01, 1.4, "0.10873231868401365"),
+        (50.0, 0.01, 0.7, 0.9, "0.42701727440800689"),
+        (0.5, 0.5, 1.0, 0.471238898038469, "0.54561518979908502"),
+    ])
+    def test_small_eta_n3_has_no_cancellation(self, n2, n3, eta, psi, value):
+        """Subtracting the two arcsines and dividing by eta n3 would scale their
+        rounding by about 1/(eta n3): 1e-10 at eta n3 = 1e-6."""
+        assert scalar_e_h(ConditionalParams(n2, n3, eta=eta), psi, 0.0) == pytest.approx(
+            float(value), abs=1e-15)
+
     def test_reference_covariance_is_su21(self):
         for n2 in (0.3, 1e4):
             np.testing.assert_array_equal(

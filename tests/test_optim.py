@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvbell import optim
+from cvbell import cli, optim
 from cvbell import (
     InvalidParameterError,
     asymptote_relations,
@@ -14,9 +14,9 @@ from cvbell import (
     ghz_r_from_photons,
     klyshko_max,
     log_j_maximize,
-    maximize_angles,
     maximize_scalar,
     su21_pi_coeffs,
+    twb_state,
 )
 
 
@@ -79,7 +79,7 @@ class TestMaximizeScalar:
         assert res.converged
 
     def test_refinement_never_below_coarse(self):
-        f = lambda x: math.sin(5 * x) + 0.3 * x
+        f = lambda x: np.sin(5 * x) + 0.3 * x
         coarse = max(f(x) for x in np.linspace(0, 3, 256))
         res = maximize_scalar(f, 0.0, 3.0, tol=1e-9)
         assert res.max_value >= coarse
@@ -98,48 +98,41 @@ class TestMaximizeScalar:
 
     def test_non_finite_objective(self):
         with pytest.raises(InvalidParameterError):
-            maximize_scalar(lambda x: float("nan"), 0.0, 1.0)
+            maximize_scalar(lambda x: np.full(x.shape, np.nan), 0.0, 1.0)
+
+    def test_scan_is_one_call_and_each_step_one_point(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.shape)
+            return -(x - 0.3) ** 2
+
+        res = maximize_scalar(f, 0.0, 1.0, tol=1e-9)
+        assert sizes[0] == (256,)
+        assert set(sizes[1:]) == {(1,)}
+        assert res.evaluations == 256 + len(sizes) - 1
+
+    @pytest.mark.parametrize("objective", [
+        lambda x: 0.5,
+        lambda x: np.zeros(len(x) - 1),
+        lambda x: np.zeros((len(x), 1)),
+    ], ids=["scalar", "short", "column"])
+    def test_one_value_per_point(self, objective):
+        with pytest.raises(InvalidParameterError, match="one value per point"):
+            maximize_scalar(objective, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_a_golden_step(self, bad):
+        # finite on the scan grid, not at the first golden-section point
+        def f(x):
+            return np.where(x.size == 1, bad, -(x - 0.3) ** 2)
+
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            maximize_scalar(f, 0.0, 1.0)
 
     def test_log_j_rejects_zero_lower_bound(self):
         with pytest.raises(InvalidParameterError, match="0 < j_lo < j_hi"):
             log_j_maximize(lambda j: -(math.log(j) + 2.0) ** 2, 0.0, 1.0)
-
-
-class TestMaximizeAngles:
-    def test_two_dimensional_product_cosine(self):
-        def f(pts):
-            return np.cos(pts[:, 0]) + np.cos(pts[:, 1] - 1.0)
-
-        res = maximize_angles(f, dim=2, tol=1e-9)
-        assert res.max_value == pytest.approx(2.0, abs=1e-8)
-
-    def test_matches_dense_grid_three_dim(self):
-        def f(pts):
-            return (np.cos(pts[:, 0] + pts[:, 1]) * np.cos(pts[:, 2])
-                    + 0.4 * np.sin(pts[:, 0]) * np.sin(pts[:, 2]))
-
-        res = maximize_angles(f, dim=3, tol=1e-9)
-        axis = np.linspace(0, 2 * np.pi, 128, endpoint=False)
-        dense = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
-                         axis=-1).reshape(-1, 3)
-        assert res.max_value >= float(f(dense).max()) - 1e-4
-
-    def test_convergence_flag(self):
-        def f(pts):
-            return (np.cos(pts[:, 0] + pts[:, 1]) * np.cos(pts[:, 2])
-                    + 0.4 * np.sin(pts[:, 0]) * np.sin(pts[:, 2]))
-
-        assert maximize_angles(f, dim=3, tol=1e-9).converged
-
-    def test_dimension_guard(self):
-        for dim in (0, 5, 7):
-            with pytest.raises(InvalidParameterError):
-                maximize_angles(lambda p: p[:, 0], dim=dim)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_objective(self, bad):
-        with pytest.raises(InvalidParameterError, match="non-finite values on the scan grid"):
-            maximize_angles(lambda p: np.full(len(p), bad), 1)
 
 
 class TestKlyshko:
@@ -245,9 +238,9 @@ class TestToleranceDomain:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("run", [
         lambda tol: maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=tol),
-        lambda tol: maximize_angles(lambda t: np.cos(t[:, 0]), dim=1, tol=tol),
         lambda tol: log_j_maximize(lambda j: -(math.log(j) + 2.0) ** 2, 1e-3, 1.0, tol=tol),
-    ], ids=["maximize_scalar", "maximize_angles", "log_j_maximize"])
+        lambda tol: cli._homodyne(twb_state(1.0), 0.0, tol),
+    ], ids=["maximize_scalar", "log_j_maximize", "homodyne"])
     def test_rejected(self, run, tol, deadline):
         with deadline(10), pytest.raises(InvalidParameterError, match="tol must be finite"):
             run(tol)
@@ -255,7 +248,8 @@ class TestToleranceDomain:
     def test_tolerance_below_rounding_stops(self, deadline):
         with deadline(10):
             res = maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=1e-300)
-            angles = maximize_angles(lambda t: np.cos(t[:, 0] - 1.0), dim=1, tol=1e-300)
+            homodyne = cli._homodyne(twb_state(1.0), 0.0, 1e-300)
         assert res.arg_max[0] == pytest.approx(0.3, abs=1e-7)
-        assert angles.arg_max[0] == pytest.approx(1.0, abs=1e-7)
-        assert not res.converged and not angles.converged
+        assert not res.converged
+        assert homodyne["value"] == pytest.approx(
+            cli._homodyne(twb_state(1.0), 0.0, 1e-8)["value"], abs=1e-12)

@@ -41,44 +41,51 @@ def _bell_sum(e):
     return np.abs(e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3])
 
 
-def _check_j(j_mag: float) -> float:
-    """The displacement magnitude J, which must be finite and >= 0."""
-    if not 0.0 <= j_mag < math.inf:
-        raise InvalidParameterError(f"J must be finite and >= 0, got {j_mag}")
-    return j_mag
+def _check_j(j_mag: ArrayLike) -> NDArray[np.float64]:
+    """The displacement magnitudes J, of any shape; each must be finite and >= 0."""
+    j = np.asarray(j_mag, dtype=float)
+    bad = ~((0.0 <= j) & (j < math.inf))
+    if bad.any():
+        raise InvalidParameterError(f"J must be finite and >= 0, got {j[bad].flat[0]}")
+    return j
 
 
 @dataclass(frozen=True)
 class DpSettings:
-    """One displacement per mode for each of the two measurement choices."""
+    """One displacement per mode for each of the two measurement choices:
+    complex (..., n_modes) arrays of one shape, a leading axis per batch."""
 
-    unprimed: tuple[complex, ...]
-    primed: tuple[complex, ...]
+    unprimed: NDArray[np.complex128]
+    primed: NDArray[np.complex128]
 
     def __post_init__(self):
-        if len(self.unprimed) != len(self.primed):
-            raise InvalidParameterError("unprimed and primed settings must have equal length")
-        object.__setattr__(self, "unprimed", tuple(map(complex, self.unprimed)))
-        object.__setattr__(self, "primed", tuple(map(complex, self.primed)))
+        unprimed = np.asarray(self.unprimed, dtype=complex)
+        primed = np.asarray(self.primed, dtype=complex)
+        if unprimed.ndim == 0 or unprimed.shape != primed.shape:
+            raise InvalidParameterError("unprimed and primed settings must be arrays of one shape")
+        object.__setattr__(self, "unprimed", unprimed)
+        object.__setattr__(self, "primed", primed)
 
 
 @dataclass(frozen=True)
 class BellValue:
-    """A Bell-combination value, with the settings that produced it where the
-    caller has them."""
+    """A Bell-combination value (a float, or an array for a batch of settings),
+    with the settings that produced it where the caller has them."""
 
-    value: float
+    value: float | NDArray[np.float64]
     n_parties: int
     settings: object = None
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
+        value = np.asarray(self.value, dtype=float)
+        if not np.isfinite(value).all():
             raise InvalidParameterError(f"Bell value must be finite, got {self.value}")
         bound = _B2_BOUND if self.n_parties == 2 else _B3_BOUND
-        if abs(self.value) > bound:
+        if (np.abs(value) > bound).any():
             raise InvalidParameterError(
-                f"|B| = {abs(self.value)} exceeds the {self.n_parties}-party quantum bound"
+                f"|B| = {np.max(np.abs(value))} exceeds the {self.n_parties}-party quantum bound"
             )
+        object.__setattr__(self, "value", float(value) if value.ndim == 0 else value)
 
 
 def _phase_space(alphas: ArrayLike, n_modes: int) -> NDArray[np.float64]:
@@ -87,7 +94,7 @@ def _phase_space(alphas: ArrayLike, n_modes: int) -> NDArray[np.float64]:
     al = np.asarray(alphas, dtype=complex)
     if al.ndim == 0 or al.shape[-1] != n_modes:
         raise InvalidParameterError(f"one displacement per mode required ({n_modes} modes)")
-    u = np.concatenate([al.real, al.imag], axis=-1)
+    u = np.ascontiguousarray(np.concatenate([al.real, al.imag], axis=-1))
     if not np.isfinite(u).all():
         raise InvalidParameterError("displacements must be finite")
     return u
@@ -141,12 +148,10 @@ def large_squeezing_residual(settings: DpSettings) -> float:
     (multiply the package's real family by 1j to land in this frame).  Zero
     exactly when every positive correlator survives the large-r limit.
     """
-    if len(settings.unprimed) != 3:
+    if settings.unprimed.shape != (3,):
         raise InvalidParameterError("three-mode settings required")
-    a = np.asarray(settings.unprimed, dtype=complex)
-    ap = np.asarray(settings.primed, dtype=complex)
-    x, y = a.real, a.imag
-    xp, yp = ap.real, ap.imag
+    x, y = settings.unprimed.real, settings.unprimed.imag
+    xp, yp = settings.primed.real, settings.primed.imag
     total = 0.0
     for k in range(3):
         yk = y.copy()
@@ -160,23 +165,27 @@ def large_squeezing_residual(settings: DpSettings) -> float:
     return float(total)
 
 
-def _assemble(correlator, target, settings: DpSettings) -> float:
-    """Bell combination of one ``correlator`` call on the four stacked term rows."""
-    terms = KLYSHKO_TERMS if len(settings.unprimed) == 3 else CHSH_TERMS
-    choices = np.array([settings.unprimed, settings.primed])     # (setting, mode)
-    return float(_bell_sum(correlator(target, choices[terms, np.arange(terms.shape[1])])))
+def _assemble(correlator, target, settings: DpSettings) -> NDArray[np.float64]:
+    """Bell combinations, shape (...), of one ``correlator`` call on the four
+    stacked term rows of each of the (..., n_modes) settings."""
+    terms = KLYSHKO_TERMS if settings.unprimed.shape[-1] == 3 else CHSH_TERMS
+    # (..., term, mode): each term's row takes the setting its parties measure
+    alphas = np.where(terms == 0, settings.unprimed[..., None, :], settings.primed[..., None, :])
+    return _bell_sum(correlator(target, alphas))
 
 
 def b3_dp_general(s: GaussianState, settings: DpSettings) -> BellValue:
-    """Three-party Bell-Klyshko combination from displaced-parity correlators."""
-    if s.n_modes != 3 or len(settings.unprimed) != 3:
+    """Three-party Bell-Klyshko combination from displaced-parity correlators;
+    (..., 3) settings give a value of shape (...)."""
+    if s.n_modes != 3 or settings.unprimed.shape[-1] != 3:
         raise InvalidParameterError("b3_dp_general needs a three-mode state and settings")
     return BellValue(_assemble(e_dp_gaussian, s, settings), 3, settings)
 
 
 def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> BellValue:
-    """Two-party CHSH combination from displaced-parity correlators."""
-    if len(settings.unprimed) != 2:
+    """Two-party CHSH combination from displaced-parity correlators; (..., 2)
+    settings give a value of shape (...)."""
+    if settings.unprimed.shape[-1] != 2:
         raise InvalidParameterError("two-mode settings required")
     if isinstance(target, ConditionalParams):
         corr = e_dp_conditional
@@ -190,87 +199,95 @@ def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> Be
 # ---------------------------------------------------------------------------
 # closed forms
 
-def b3_ghz_closed(r: float, j_mag: float) -> BellValue:
+def b3_ghz_closed(r: float, j_mag: ArrayLike) -> BellValue:
     """Closed-form B3 of the GHZ-type state under its symmetric displacement family:
 
         B3 = 3 exp(-12 e^{-2r} J) - exp(-24 e^{2r} J).
 
     The sign of the second exponent is fixed by re-deriving the combination
     from the explicit correlator; tends to 3 for large r at fixed J > 0 and
-    equals 2 exactly at J = 0.
+    equals 2 exactly at J = 0.  J of any shape gives a value of that shape.
     """
     if not 0.0 <= r < math.inf:
         raise InvalidParameterError(f"r must be finite and >= 0, got {r}")
-    _check_j(j_mag)
+    j = _check_j(j_mag)
     # 24 e^{2r} J is formed in log space so that it cannot overflow; past
     # e^7 its exponential underflows to 0 anyway
-    log_second = 2.0 * r + math.log(24.0 * j_mag) if j_mag > 0.0 else -math.inf
-    val = 3.0 * math.exp(-12.0 * math.exp(-2.0 * r) * j_mag) \
-        - math.exp(-math.exp(min(log_second, 7.0)))
-    return BellValue(abs(val), 3)
+    log_second = 2.0 * r + np.log(24.0 * j, out=np.full_like(j, -np.inf), where=j > 0.0)
+    val = 3.0 * np.exp(-12.0 * math.exp(-2.0 * r) * j) \
+        - np.exp(-np.exp(np.minimum(log_second, 7.0)))
+    return BellValue(np.abs(val), 3)
 
 
-def b3_su21_closed(n: float, j_mag: float) -> BellValue:
+def b3_su21_closed(n: float, j_mag: ArrayLike) -> BellValue:
     """Closed-form B3 of the trilinear state, symmetric split n2 = n3 = N/4,
-    under the symmetric displacement family (J in phase-space units)."""
+    under the symmetric displacement family (J in phase-space units).  J of
+    any shape gives a value of that shape."""
     if not 0.0 <= n < math.inf:
         raise InvalidParameterError(f"N must be finite and >= 0, got {n}")
-    _check_j(j_mag)
+    j = _check_j(j_mag)
     q = math.sqrt(n * (2.0 + n))
     s2 = math.sqrt(2.0)
     # the ratio of exponentials folded into three non-positive exponents so the
     # expression stays finite at any J*N
-    val = (2.0 * math.exp(-j_mag * (6.0 + 1.5 * n - s2 * q))
-           + math.exp(-2.0 * j_mag * (3.0 + 3.0 * n - 2.0 * s2 * q))
-           - math.exp(-4.0 * j_mag * (3.0 + 3.0 * n + 2.0 * s2 * q)))
-    return BellValue(abs(val), 3)
+    val = (2.0 * np.exp(-j * (6.0 + 1.5 * n - s2 * q))
+           + np.exp(-2.0 * j * (3.0 + 3.0 * n - 2.0 * s2 * q))
+           - np.exp(-4.0 * j * (3.0 + 3.0 * n + 2.0 * s2 * q)))
+    return BellValue(np.abs(val), 3)
 
 
 # ---------------------------------------------------------------------------
-# displacement families (orientation fixed to the covariance construction)
+# displacement families (orientation fixed to the covariance construction);
+# J of any shape gives (..., n_modes) settings
 
-def ghz_dp_settings(j_mag: float) -> DpSettings:
+def _family(unprimed, primed) -> DpSettings:
+    return DpSettings(np.stack(unprimed, axis=-1), np.stack(primed, axis=-1))
+
+
+def ghz_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Symmetric family for the GHZ-type state: real sqrt(J)(1,1,1) and
     -2 sqrt(J)(1,1,1); J in coherent-amplitude units."""
-    w = math.sqrt(_check_j(j_mag))
-    return DpSettings((w, w, w), (-2 * w, -2 * w, -2 * w))
+    w = np.sqrt(_check_j(j_mag))
+    return _family((w, w, w), (-2 * w, -2 * w, -2 * w))
 
 
-def su21_sym_dp_settings(j_mag: float) -> DpSettings:
+def su21_sym_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Symmetric family for the trilinear state with phases phi2 = phi3 = pi:
     real sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1); J in phase-space units
     (coherent amplitude sqrt(J/2))."""
-    w = math.sqrt(_check_j(j_mag) / 2.0)
-    return DpSettings((w, w, w), (-2 * w, -2 * w, -2 * w))
+    w = np.sqrt(_check_j(j_mag) / 2.0)
+    return _family((w, w, w), (-2 * w, -2 * w, -2 * w))
 
 
-def su21_opt_dp_settings(j_mag: float) -> DpSettings:
+def su21_opt_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Numerically optimized family for the trilinear state with phases
     phi2 = 0, phi3 = pi: imaginary (2/3, 0, 0) and (0, -1, 1) times
     sqrt(J/2); J in phase-space units."""
-    w = 1j * math.sqrt(_check_j(j_mag) / 2.0)
-    return DpSettings((2.0 / 3.0 * w, 0.0, 0.0), (0.0, -w, w))
+    w = 1j * np.sqrt(_check_j(j_mag) / 2.0)
+    zero = np.zeros_like(w)
+    return _family((2.0 / 3.0 * w, zero, zero), (zero, -w, w))
 
 
-def twb_dp_settings(j_mag: float) -> DpSettings:
+def twb_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Optimal twin-beam family: real (sqrt(J), -sqrt(J)) and
     (-3, 3) sqrt(J); J in coherent-amplitude units."""
-    w = math.sqrt(_check_j(j_mag))
-    return DpSettings((w, -w), (-3 * w, 3 * w))
+    w = np.sqrt(_check_j(j_mag))
+    return _family((w, -w), (-3 * w, 3 * w))
 
 
-def twb_bw_dp_settings(j_mag: float) -> DpSettings:
+def twb_bw_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Original two-settings family: zero displacements against
     real (sqrt(J), -sqrt(J)); J in coherent-amplitude units."""
-    w = math.sqrt(_check_j(j_mag))
-    return DpSettings((0.0, 0.0), (w, -w))
+    w = np.sqrt(_check_j(j_mag))
+    zero = np.zeros_like(w)
+    return _family((zero, zero), (w, -w))
 
 
-def conditional_dp_settings(j_mag: float) -> DpSettings:
+def conditional_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Optimized family for the heralded state: real (1, 2) and (3, 0) times
     sqrt(J/2); J in phase-space units."""
-    w = math.sqrt(_check_j(j_mag) / 2.0)
-    return DpSettings((w, 2 * w), (3 * w, 0.0))
+    w = np.sqrt(_check_j(j_mag) / 2.0)
+    return _family((w, 2 * w), (3 * w, np.zeros_like(w)))
 
 
 # ---------------------------------------------------------------------------

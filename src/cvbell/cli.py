@@ -53,9 +53,9 @@ def _heralded(p: dict) -> conditional.ConditionalParams:
     return conditional.ConditionalParams(p["n2"], p["n3"], p["phi2"], p["phi3"], p["eta"])
 
 
-def _dp(target: Callable[[dict], object], value: Callable[[object, float], float]):
+def _dp(target: Callable[[dict], object], value: Callable[[object, np.ndarray], np.ndarray]):
     """A displaced-parity evaluator: ``value(target(p), j)`` at ``--j``, or its
-    maximum over J with ``--optimize``."""
+    maximum over J with ``--optimize``; ``value`` takes J of any shape."""
     def evaluate(p: dict) -> dict:
         t = target(p)
         if "j" in p:
@@ -200,7 +200,7 @@ def run_point(cfg: RunConfig) -> int:
 def _b3dpvlbgen():
     rs = np.linspace(0.0, 3.0, 61)
     js = np.concatenate([[0.0], np.logspace(-4, 0, 40)])
-    rows = [[r, j, bell_dp.b3_ghz_closed(r, j).value] for r in rs for j in js]
+    rows = [[r, j, v] for r in rs for j, v in zip(js, bell_dp.b3_ghz_closed(r, js).value)]
     return {}, ["r", "j", "b3_dp"], rows
 
 
@@ -210,8 +210,8 @@ def _b3dpt():
     rows = []
     for n in ns:
         s = bell_dp.su21_opt_state(n)
-        rows += [[n, j, bell_dp.b3_dp_general(s, bell_dp.su21_opt_dp_settings(j)).value]
-                 for j in js]
+        values = bell_dp.b3_dp_general(s, bell_dp.su21_opt_dp_settings(js)).value
+        rows += [[n, j, v] for j, v in zip(js, values)]
     return {}, ["n", "j", "b3_dp"], rows
 
 
@@ -236,8 +236,8 @@ def _b2dptwba():
     rows = []
     for n2 in np.logspace(0, 4, 25):
         p = conditional.ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-        for j in js:
-            rows.append([n2, j, bell_dp.b2_dp(p, bell_dp.conditional_dp_settings(j)).value])
+        values = bell_dp.b2_dp(p, bell_dp.conditional_dp_settings(js)).value
+        rows += [[n2, j, v] for j, v in zip(js, values)]
     return {"n3": "1e-2/n2", "eta": 1.0}, ["n2", "j", "b2_dp"], rows
 
 

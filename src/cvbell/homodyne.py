@@ -99,7 +99,8 @@ def _e_h_heralded(p: ConditionalParams, psi: NDArray) -> NDArray[np.float64]:
     # sin psi = 0); w is below 1/n2 there
     s_sum = s_tr + s_off
     w = np.divide(w, s_sum, out=np.zeros(np.shape(s_sum)), where=s_sum > 0)
-    return (4 / math.pi) * (np.arcsin(y_tr) + np.arcsin(w) / en3)
+    # at aligned phases the sum rounds one step past pi/4 from n2 of about 1e16 on
+    return np.clip((4 / math.pi) * (np.arcsin(y_tr) + np.arcsin(w) / en3), -1.0, 1.0)
 
 
 def chsh_h(target: ConditionalParams | GaussianState, angles: ArrayLike) -> NDArray[np.float64]:

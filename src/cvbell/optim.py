@@ -1,11 +1,12 @@
 """Deterministic maximizers.
 
-``maximize_scalar`` is the one general maximizer: a fixed 256-point scan picks
-a bracket and golden section refines it.  Its objective takes a 1-D array of
-points and returns one value per point, so the scan is a single call.
-``log_j_maximize`` runs it in log J; the Klyshko sum has its own exact
-per-angle and Newton steps.  No stochastic search anywhere, ties break toward
-the lowest index, and identical inputs give bit-identical results.
+``maximize_scalar`` is the one general maximizer: 256-point scans, each
+narrowing the bracket to the neighbours of its best point.  Its objective takes
+a 1-D array of points and returns one value per point, so each scan is a single
+call.  ``log_j_maximize`` runs it in log J over an objective that takes an
+array of J; the Klyshko sum has its own exact per-angle and Newton steps.  No
+stochastic search anywhere, ties break toward the lowest index, and identical
+inputs give bit-identical results.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ from numpy.typing import ArrayLike, NDArray
 
 from .bell_dp import KLYSHKO_TERMS, TERM_SIGNS
 from .errors import InvalidParameterError
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -35,76 +34,46 @@ def _check_tol(tol: float) -> None:
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> tuple[float, float, int, float]:
-    """Golden-section maximum on [lo, hi]; returns (x, f(x), evaluations,
-    final bracket width).  Stops at width ``tol``, or earlier once rounding
-    keeps the bracket from shrinking."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    width = math.inf
-    while tol < b - a < width:
-        width = b - a
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        evals += 1
-    x = c if fc >= fd else d
-    fx = fc if fc >= fd else fd
-    return x, fx, evals, b - a
-
-
-_COARSE = 256       # scan points of ``maximize_scalar``
+_SCAN = 256         # points per scan of ``maximize_scalar``
 
 
 def maximize_scalar(f: Callable[[NDArray[np.float64]], ArrayLike], lo: float, hi: float,
                     tol: float = 1e-8) -> ScanResult:
-    """256-point scan then golden-section refinement of a function of one variable.
+    """Repeated 256-point scans of a function of one variable.
 
-    ``f`` takes a 1-D array of points and returns one value per point: the
-    scan is one call on 256 points, each golden-section step one call on one.
-    An objective that does not return one finite value per point raises
-    ``InvalidParameterError``.  ``converged`` is True when the golden-section
-    bracket has shrunk to ``tol`` (finite and > 0).
+    ``f`` takes a 1-D array of points and returns one value per point; each
+    scan is one call on 256 evenly spaced points of the bracket, which then
+    narrows to the best point's two neighbours (127.5x per scan).  The scans
+    repeat until the bracket is at most ``tol`` (finite and > 0) or rounding
+    stops it shrinking; there is always at least one.  The result is the best
+    point of all scans, ``evaluations`` is 256 per scan, and ``converged`` is
+    True when the final bracket is nonzero and at most ``tol``.  An objective
+    that does not return one finite value per point raises
+    ``InvalidParameterError``.
     """
     _check_tol(tol)
     if not lo < hi:
         raise InvalidParameterError("need lo < hi")
-    xs = np.linspace(lo, hi, _COARSE)
-    vals = np.asarray(f(xs), dtype=float)
-    if vals.shape != xs.shape:
-        raise InvalidParameterError(
-            f"objective must return one value per point: {xs.size} points gave shape {vals.shape}")
-    if not np.isfinite(vals).all():
-        raise InvalidParameterError("objective returned non-finite values")
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, _COARSE - 1)])
-    evals = _COARSE
-    converged = False
-    if b > a:
-        def at(u: float) -> float:
-            (value,) = f(np.array([u]))     # one value per point: the scan checked that
-            if not math.isfinite(value):
-                raise InvalidParameterError("objective returned non-finite values")
-            return float(value)
-
-        x, v, n, width = _golden_max(at, a, b, tol)
-        evals += n
-        converged = width <= tol
-        if v > best_v:
-            best_x, best_v = x, v
+    a, b = lo, hi
+    best_x, best_v = lo, -math.inf
+    evals = 0
+    while True:
+        xs = np.linspace(a, b, _SCAN)
+        vals = np.asarray(f(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise InvalidParameterError(
+                f"objective must return one value per point: {xs.size} points gave shape {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise InvalidParameterError("objective returned non-finite values")
+        evals += _SCAN
+        i = int(np.argmax(vals))
+        if vals[i] > best_v:
+            best_x, best_v = float(xs[i]), float(vals[i])
+        width, a, b = b - a, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, _SCAN - 1)])
+        if not tol < b - a < width:
+            break
     return ScanResult(arg_max=np.array([best_x]), max_value=best_v, evaluations=evals,
-                      converged=converged)
+                      converged=0.0 < b - a <= tol)
 
 
 # The Klyshko sum (``bell_dp.KLYSHKO_TERMS``) over theta = (a, b, c, a', b', c'):
@@ -227,19 +196,18 @@ def klyshko_max(mags: Sequence[float]) -> ScanResult:
     return ScanResult(arg_max=theta, max_value=value, evaluations=evals, converged=converged)
 
 
-def log_j_maximize(f_of_j: Callable[[float], float], j_lo: float, j_hi: float,
-                   tol: float = 1e-8) -> ScanResult:
-    """Maximize a scalar function of the displacement magnitude J over
-    [j_lo, j_hi], 0 < j_lo < j_hi < inf.
+def log_j_maximize(f_of_j: Callable[[NDArray[np.float64]], ArrayLike], j_lo: float,
+                   j_hi: float, tol: float = 1e-8) -> ScanResult:
+    """Maximize a function of the displacement magnitude J over [j_lo, j_hi],
+    0 < j_lo < j_hi < inf.
 
     The optima move across decades with energy, so ``maximize_scalar`` runs in
-    log J, calling ``f_of_j`` once per point; ``tol`` (finite and > 0) is the
-    bracket width in log J.
+    log J; ``f_of_j`` takes a 1-D array of J and returns one value per point,
+    and ``tol`` (finite and > 0) is the bracket width in log J.
     """
     if not 0.0 < j_lo < j_hi < math.inf:
         raise InvalidParameterError(f"need 0 < j_lo < j_hi < inf, got {j_lo}, {j_hi}")
-    res = maximize_scalar(lambda us: [f_of_j(math.exp(u)) for u in us.tolist()],
-                          math.log(j_lo), math.log(j_hi), tol)
+    res = maximize_scalar(lambda us: f_of_j(np.exp(us)), math.log(j_lo), math.log(j_hi), tol)
     return replace(res, arg_max=np.exp(res.arg_max))
 
 

@@ -239,6 +239,11 @@ class TestBatchedCorrelators:
         assert isinstance(e_dp_conditional(p, al[0]), float)
         assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
 
+    def test_batch_in_any_memory_order_matches_rows(self):
+        s = su21_state(TripartitePhotonNumbers(0.4, 1.3, 0.7, -1.9))
+        al = _random_alphas(np.random.default_rng(29), 3, 500).T    # not C-ordered
+        assert np.array_equal(e_dp_gaussian(s, al), [e_dp_gaussian(s, row) for row in al])
+
     def test_leading_axes_broadcast(self):
         s = ghz_state(0.7)
         al = _random_alphas(np.random.default_rng(3), 6, 3).reshape(2, 3, 3)
@@ -329,3 +334,51 @@ class TestNonFiniteDisplacements:
     def test_bell_value_must_be_finite(self, value):
         with pytest.raises(InvalidParameterError, match="must be finite"):
             BellValue(value, 2)
+
+
+# each displacement family with a state it suits, and the two closed forms, as
+# functions of J alone
+J_VALUES = [
+    pytest.param(lambda j: b3_dp_general(ghz_state(1.1), ghz_dp_settings(j)).value, id="ghz"),
+    pytest.param(lambda j: b3_dp_general(su21_sym_state(2.0), su21_sym_dp_settings(j)).value,
+                 id="su21-sym"),
+    pytest.param(lambda j: b3_dp_general(su21_opt_state(2.0), su21_opt_dp_settings(j)).value,
+                 id="su21-opt"),
+    pytest.param(lambda j: b2_dp(twb_state(2.0), twb_dp_settings(j)).value, id="twb"),
+    pytest.param(lambda j: b2_dp(twb_state(2.0), twb_bw_dp_settings(j)).value, id="twb-bw"),
+    pytest.param(lambda j: b2_dp(ConditionalParams(1.0, 0.5, eta=0.8),
+                                 conditional_dp_settings(j)).value, id="conditional"),
+    pytest.param(lambda j: b3_ghz_closed(1.2, j).value, id="ghz-closed"),
+    pytest.param(lambda j: b3_su21_closed(3.0, j).value, id="su21-closed"),
+]
+
+
+class TestBatchedJ:
+    JS = np.concatenate([[0.0], np.logspace(-5, 0, 63)])
+
+    @pytest.mark.parametrize("value", J_VALUES)
+    def test_batch_matches_scalar_calls(self, value):
+        batch = value(self.JS)
+        assert batch.shape == self.JS.shape
+        for k, j in enumerate(self.JS.tolist()):
+            one = value(j)
+            assert isinstance(one, float)
+            assert batch[k] == one
+
+    @pytest.mark.parametrize("value", J_VALUES)
+    def test_two_dimensional_j_keeps_its_shape(self, value):
+        out = value(self.JS.reshape(8, 8))
+        assert out.shape == (8, 8)
+        assert np.array_equal(out, value(self.JS).reshape(8, 8))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("value", J_VALUES)
+    def test_one_bad_j_rejects_the_batch(self, value, bad):
+        js = self.JS.copy()
+        js[17] = bad
+        with pytest.raises(InvalidParameterError, match="J must be finite"):
+            value(js)
+
+    def test_ghz_closed_is_exactly_two_at_zero(self):
+        # the log of 24 e^{2r} J is skipped at J = 0, so no RuntimeWarning
+        assert np.all(b3_ghz_closed(0.8, np.zeros((2, 3))).value == 2.0)

@@ -148,7 +148,7 @@ class TestPoint:
         assert main(["point", "--test", "dp2", "--optimize", *argv]) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(value, abs=1e-12)
-        assert rec["evaluations"] == 293
+        assert rec["evaluations"] == 1280     # five 256-point scans
 
     def test_twb_needs_n(self, capsys):
         cfg = RunConfig(state="twb", test="dp2", n2=1.0, j=0.1)

@@ -163,6 +163,12 @@ class TestHeraldedCorrelator:
         assert value == pytest.approx(expected, abs=5e-15)
         assert value <= 1.0
 
+    @pytest.mark.parametrize("n2", [1e16, 1e20, 1e100])
+    @pytest.mark.parametrize("psi", [0.0, math.pi])
+    def test_aligned_phases_stay_in_range_at_huge_n2(self, n2, psi):
+        """(4/pi)(arcsin y + arcsin(w)/(eta n3)) rounds one step past 1 here."""
+        assert abs(scalar_e_h(ConditionalParams(n2, 0.5, eta=0.7), psi, 0.0)) <= 1.0
+
     # (n2, n3, eta, psi, value): (2/pi) [(1 + eta n3) arcsin(r_tr cos psi)
     # - arcsin(r_off cos psi)] / (eta n3) evaluated with 50-digit mpmath
     @pytest.mark.parametrize("n2,n3,eta,psi,value", [

@@ -100,7 +100,7 @@ class TestMaximizeScalar:
         with pytest.raises(InvalidParameterError):
             maximize_scalar(lambda x: np.full(x.shape, np.nan), 0.0, 1.0)
 
-    def test_scan_is_one_call_and_each_step_one_point(self):
+    def test_every_call_is_one_scan(self):
         sizes = []
 
         def f(x):
@@ -108,9 +108,31 @@ class TestMaximizeScalar:
             return -(x - 0.3) ** 2
 
         res = maximize_scalar(f, 0.0, 1.0, tol=1e-9)
-        assert sizes[0] == (256,)
-        assert set(sizes[1:]) == {(1,)}
-        assert res.evaluations == 256 + len(sizes) - 1
+        assert len(sizes) > 1
+        assert set(sizes) == {(256,)}
+        assert res.evaluations == 256 * len(sizes)
+        assert res.converged
+
+    def test_scans_once_when_tol_covers_the_bracket(self):
+        f = lambda x: np.sin(5 * x)
+        res = maximize_scalar(f, 0.0, 1.0, tol=2.0)
+        xs = np.linspace(0.0, 1.0, 256)
+        assert res.evaluations == 256
+        assert res.converged
+        assert res.max_value == np.max(f(xs))
+        assert res.arg_max[0] == xs[np.argmax(f(xs))]
+
+    def test_log_j_objective_takes_an_array(self):
+        shapes = []
+
+        def f(j):
+            shapes.append(j.shape)
+            return -(np.log(j) + 2.0) ** 2
+
+        res = log_j_maximize(f, 1e-3, 1.0)
+        assert set(shapes) == {(256,)}
+        assert res.evaluations == 256 * len(shapes)
+        assert res.arg_max[0] == pytest.approx(math.exp(-2.0), rel=1e-8)
 
     @pytest.mark.parametrize("objective", [
         lambda x: 0.5,
@@ -123,12 +145,20 @@ class TestMaximizeScalar:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_in_a_golden_step(self, bad):
-        # finite on the scan grid, not at the first golden-section point
+        # finite on the first scan, not on the second: the later scans that
+        # replaced golden-section steps are checked like the first
+        calls = []
+
         def f(x):
-            return np.where(x.size == 1, bad, -(x - 0.3) ** 2)
+            calls.append(x)
+            vals = -(x - 0.3) ** 2
+            if len(calls) > 1:
+                vals[100] = bad
+            return vals
 
         with pytest.raises(InvalidParameterError, match="non-finite"):
             maximize_scalar(f, 0.0, 1.0)
+        assert len(calls) == 2
 
     def test_log_j_rejects_zero_lower_bound(self):
         with pytest.raises(InvalidParameterError, match="0 < j_lo < j_hi"):

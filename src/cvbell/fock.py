@@ -1,7 +1,7 @@
 """Brute-force truncated Fock-space engine.
 
 Everything here is an independent numerical oracle: states are explicit
-amplitude tensors or density matrices over a truncated number basis, and all
+amplitude tensors or weighted kets over a truncated number basis, and all
 expectation values are computed by operator algebra with no reference to the
 closed forms they are used to check.  The displacement operator is the exact
 number-basis matrix, cropped to the cutoff, from its Laguerre closed form; it
@@ -10,7 +10,6 @@ shares nothing with the Gaussian covariance path.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -45,31 +44,39 @@ class FockPureState:
 
 @dataclass(frozen=True)
 class FockDensityOperator:
-    """Density operator over the truncated product basis.
+    """Density operator sum_i w_i |k_i><k_i| over the truncated product basis.
 
-    ``matrix`` has shape (cutoff**n_modes,)*2; use ``tensor()`` for the
-    per-mode index view (k_1..k_n, b_1..b_n).
+    ``kets`` has shape (r,) + (cutoff,)*n_modes and ``weights`` shape (r,);
+    the kets need not be normalized, but the weights must be finite and
+    non-negative and the trace sum_i w_i <k_i|k_i> must be 1.
     """
 
     n_modes: int
     cutoff: int
-    matrix: NDArray[np.complex128]
+    kets: NDArray[np.complex128]
+    weights: NDArray[np.float64]
 
     def __post_init__(self):
-        dim = self.cutoff**self.n_modes
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (dim, dim):
-            raise InvalidParameterError(f"matrix must be {dim}x{dim}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-9:
-            raise InvalidParameterError("density matrix must be Hermitian")
-        tr = np.real(np.trace(m))
-        if abs(tr - 1.0) > 1e-9:
+        k = np.asarray(self.kets, dtype=complex)
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1 or k.shape != w.shape + (self.cutoff,) * self.n_modes:
+            raise InvalidParameterError(
+                "kets must have shape (r,) + (cutoff,)*n_modes for r weights")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise InvalidParameterError("weights must be finite and non-negative")
+        tr = float(w @ np.sum(np.abs(k.reshape(w.size, -1)) ** 2, axis=1))
+        if not abs(tr - 1.0) <= 1e-9:
             raise InvalidParameterError(f"trace must be 1, got {tr}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        k.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "kets", k)
+        object.__setattr__(self, "weights", w)
 
-    def tensor(self) -> NDArray[np.complex128]:
-        return self.matrix.reshape((self.cutoff,) * (2 * self.n_modes))
+    @property
+    def matrix(self) -> NDArray[np.complex128]:
+        """The (cutoff**n_modes,)*2 matrix, built on each access."""
+        flat = self.kets.reshape(self.weights.size, -1)
+        return (flat.T * self.weights) @ flat.conj()
 
     def min_eigenvalue(self) -> float:
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
@@ -188,22 +195,22 @@ def pseudospin_axis_op(theta: float, phi: float, cutoff: int) -> NDArray[np.comp
             + np.sin(theta) * (np.exp(1j * phi) * sm + np.exp(-1j * phi) * sm.T))
 
 
-def _apply_mode_op(amps: NDArray, op: NDArray, mode: int) -> NDArray:
-    out = np.tensordot(op, amps, axes=(1, mode))
-    return np.moveaxis(out, 0, mode)
+def _apply_mode_op(amps: NDArray, op: NDArray, axis: int) -> NDArray:
+    out = np.tensordot(op, amps, axes=(1, axis))
+    return np.moveaxis(out, 0, axis)
 
 
 def _expect(state: FockPureState | FockDensityOperator, ops: Sequence[NDArray]) -> float:
-    """<psi| (x)ops |psi> for a pure state, Tr[rho (x)ops] for a density operator."""
+    """sum_i w_i <k_i| (x)ops |k_i>; a pure state is one ket of weight 1."""
     if isinstance(state, FockPureState):
-        phi = state.amps
-        for j, op in enumerate(ops):
-            phi = _apply_mode_op(phi, op, j)
-        return float(np.real(np.sum(state.amps.conj() * phi)))
-    n = state.n_modes
-    ket, bra = string.ascii_letters[:n], string.ascii_letters[n:2 * n]
-    subscripts = ket + bra + "," + ",".join(b + k for k, b in zip(ket, bra)) + "->"
-    return float(np.real(np.einsum(subscripts, state.tensor(), *ops)))
+        kets, weights = state.amps[None], np.ones(1)
+    else:
+        kets, weights = state.kets, state.weights
+    phi = kets
+    for j, op in enumerate(ops, start=1):
+        phi = _apply_mode_op(phi, op, j)
+    per_ket = np.sum((kets.conj() * phi).reshape(weights.size, -1), axis=1)
+    return float(weights @ np.real(per_ket))
 
 
 def _check_finite(what: str, values) -> None:
@@ -272,57 +279,43 @@ def onoff_condition(state: FockPureState, mode: int,
     """Herald at least one photon on ``mode`` with an ON/OFF detector.
 
     Applies Pi_1 = I - sum_n (1-eta)^n |n><n| on the chosen mode, traces that
-    mode out and renormalizes.  Returns (click probability, conditioned
-    operator); the operator is None in the degenerate eta=0 case.
+    mode out and renormalizes: the conditioned operator holds the number-outcome
+    slices of ``mode`` as kets, weighted (1 - (1-eta)^n)/P.  Returns (click
+    probability P, conditioned operator); the operator is None in the
+    degenerate eta=0 case.
     """
     prob = click_probability(state, mode, eta)
     if prob <= 0.0:
         return 0.0, None
-    cutoff = state.cutoff
-    flat = np.moveaxis(state.amps, mode, -1).reshape(-1, cutoff)
-    rho = (flat * _click_weights(cutoff, eta)) @ flat.conj().T / prob
-    return prob, FockDensityOperator(state.n_modes - 1, cutoff, rho)
+    kets = np.moveaxis(state.amps, mode, 0)
+    return prob, FockDensityOperator(state.n_modes - 1, state.cutoff, kets,
+                                     _click_weights(state.cutoff, eta) / prob)
 
 
 # ---------------------------------------------------------------------------
 # dichotomized quadratures
 
-def _hermite_psi(cutoff: int, xs: NDArray) -> NDArray:
-    """Oscillator eigenfunctions psi_n(x), vacuum variance 1/2."""
-    out = np.zeros((cutoff, xs.size))
-    out[0] = np.pi**-0.25 * np.exp(-xs**2 / 2)
-    if cutoff > 1:
-        out[1] = np.sqrt(2.0) * xs * out[0]
-    for n in range(2, cutoff):
-        out[n] = np.sqrt(2.0 / n) * xs * out[n - 1] - np.sqrt((n - 1) / n) * out[n - 2]
-    return out
-
-
-_HALF_LINE_NODES = 800     # Gauss-Legendre nodes of the half-line integrals
-
-
 @lru_cache(maxsize=16)
 def _half_line_matrices(cutoff: int) -> tuple[NDArray, NDArray]:
-    """(H, G): H_{nm} = int_0^inf psi_n psi_m, G = sgn-quadrature matrix 2H - I restricted.
+    """(H, G): H_mn = int_0^inf psi_m psi_n for the oscillator eigenfunctions
+    (vacuum variance 1/2), and the sign-quadrature matrix G = 2H - I.
 
-    Gauss-Legendre on [0, R] with R past the classical turning point of the
-    highest basis state.
+    Exact, from psi_n'' = (x^2 - 2n - 1) psi_n: for m + n odd,
+    H_mn = (psi_m(0) psi_n'(0) - psi_m'(0) psi_n(0)) / (2(n - m)), with
+    psi_2k(0) = -sqrt((2k-1)/2k) psi_2k-2(0) and psi_n'(0) = sqrt(2n) psi_n-1(0);
+    for m + n even, parity makes H_mn = delta_mn / 2.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    R = np.sqrt(2.0 * cutoff) + 8.0
-    xg, wg = leggauss(_HALF_LINE_NODES)
-    xs = (xg + 1) * R / 2
-    ws = wg * R / 2
-    psi = _hermite_psi(cutoff, xs)
-    H = np.einsum("nk,mk,k->nm", psi, psi, ws)
+    psi = np.zeros(cutoff)     # psi_n(0)
+    psi[0] = np.pi**-0.25
+    for k in range(2, cutoff, 2):
+        psi[k] = -math.sqrt((k - 1) / k) * psi[k - 2]
+    dpsi = np.zeros(cutoff)    # psi_n'(0)
+    dpsi[1:] = np.sqrt(2.0 * np.arange(1, cutoff)) * psi[:-1]
     n = np.arange(cutoff)
-    odd = ((n[:, None] + n[None, :]) % 2) == 1
-    even = ~odd
-    # parity kills odd-sum entries on the full line; half-line even-sum entries are delta/2
-    H = np.where(odd, H, 0.0) + np.where(even, np.eye(cutoff) * 0.5, 0.0)
-    G = np.where(odd, 2 * H, 0.0)
-    return H, G
+    odd = (n[:, None] + n[None, :]) % 2 == 1
+    H = np.divide(np.outer(psi, dpsi) - np.outer(dpsi, psi), 2.0 * (n[None, :] - n[:, None]),
+                  out=np.eye(cutoff) / 2, where=odd)
+    return H, 2 * H - np.eye(cutoff)
 
 
 def _rotated(op: NDArray, theta: float) -> NDArray[np.complex128]:

@@ -5,9 +5,11 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cvbell import ConditionalParams, chsh_h, twb_state
+from cvbell import (ConditionalParams, DpSettings, TripartitePhotonNumbers, b2_dp, b3_dp_general,
+                    chsh_h, ghz_state, su21_state, twb_state)
 from cvbell.cli import FIGURE_IDS, RunConfig, UsageError, _PAIRS, main, run_figure, run_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -296,6 +298,30 @@ class TestVerify:
         assert main(["verify", "--cutoff", "4"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_odd_cutoff_passes(self, capsys):
+        # the spin-flip check rounds an odd cutoff up to even for the pseudospin
+        assert main(["verify", "--cutoff", "41"]) == 0
+        assert capsys.readouterr().out.endswith("12/12 checks passed\n")
+
+    def test_bounds_sweep_matches_the_scalar_loop(self, capsys):
+        # the same 400 settings drawn in the same order, one Bell value per call
+        rng = np.random.default_rng(7)
+        phot = TripartitePhotonNumbers(0.3, 0.3)
+        params = ConditionalParams(0.3, 0.3, eta=0.8)
+        gs3 = [ghz_state(1.2), su21_state(phot)]
+        b2max = b3max = 0.0
+        for _ in range(400):
+            a = rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3)
+            ap = rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3)
+            st = gs3[int(rng.integers(0, 2))]
+            b3max = max(b3max, b3_dp_general(st, DpSettings(tuple(a), tuple(ap))).value)
+            for t in (twb_state(2.0), params):
+                b2max = max(b2max, b2_dp(t, DpSettings(tuple(a[:2]), tuple(ap[:2]))).value)
+        line = f"max B2 = {b2max:.6f}, max B3 = {b3max:.6f}"
+        assert line == "max B2 = 1.545497, max B3 = 1.203400"
+        assert main(["verify"]) == 0
+        assert line in capsys.readouterr().out
 
 
 class TestFlagTable:

@@ -1,5 +1,6 @@
 import decimal
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from cvbell import (
     twb_fock,
     wigner_reconstruct,
 )
-from cvbell.fock import displacement
+from cvbell.fock import _half_line_matrices, _rotated, displacement, pseudospin_axis_op
 
 X_AXIS = (math.pi / 2, 0.0)
 Z_AXIS = (0.0, 0.0)
@@ -234,8 +235,7 @@ class TestOrthant:
 
 
 def _density(state):
-    flat = state.amps.ravel()
-    return FockDensityOperator(state.n_modes, state.cutoff, np.outer(flat, flat.conj()))
+    return FockDensityOperator(state.n_modes, state.cutoff, state.amps[None], np.ones(1))
 
 
 def _product_state(cutoff=20):
@@ -278,9 +278,10 @@ class TestExpectationKernel:
             orthant_probabilities(rotated, 0.0, 0.0), abs=1e-13)
 
     def test_single_mode_density_coherent_parity(self):
-        rho = np.zeros((30, 30), dtype=complex)
-        rho[0, 0] = 1.0
-        assert displaced_parity_expect(FockDensityOperator(1, 30, rho), [0.5]) == pytest.approx(
+        vacuum = np.zeros((1, 30), dtype=complex)
+        vacuum[0, 0] = 1.0
+        rho = FockDensityOperator(1, 30, vacuum, np.ones(1))
+        assert displaced_parity_expect(rho, [0.5]) == pytest.approx(
             math.exp(-0.5), abs=1e-10)
 
 
@@ -326,3 +327,126 @@ class TestNonFiniteInput:
             quadrature_orthant_expect(rho, 0.0, math.nan)
         with pytest.raises(InvalidParameterError, match="must be finite"):
             displaced_parity_expect(rho, [0.0, math.nan])
+
+
+def _half_line_gauss_legendre(cutoff: int) -> tuple[NDArray, NDArray]:
+    """Reference (H, G) by 800-node Gauss-Legendre quadrature on [0, R], R past
+    the classical turning point of the highest basis state."""
+    from numpy.polynomial.legendre import leggauss
+
+    R = np.sqrt(2.0 * cutoff) + 8.0
+    xg, wg = leggauss(800)
+    xs, ws = (xg + 1) * R / 2, wg * R / 2
+    psi = np.zeros((cutoff, xs.size))
+    psi[0] = np.pi**-0.25 * np.exp(-xs**2 / 2)
+    if cutoff > 1:
+        psi[1] = np.sqrt(2.0) * xs * psi[0]
+    for n in range(2, cutoff):
+        psi[n] = np.sqrt(2.0 / n) * xs * psi[n - 1] - np.sqrt((n - 1) / n) * psi[n - 2]
+    H = np.einsum("nk,mk,k->nm", psi, psi, ws)
+    n = np.arange(cutoff)
+    odd = (n[:, None] + n[None, :]) % 2 == 1
+    H = np.where(odd, H, np.eye(cutoff) * 0.5)
+    return H, np.where(odd, 2 * H, 0.0)
+
+
+class TestHalfLineMatrix:
+    @pytest.mark.parametrize("cutoff", [2, 3, 12, 26, 30, 40, 41, 60])
+    def test_matches_gauss_legendre(self, cutoff):
+        H, G = _half_line_matrices(cutoff)
+        H_ref, G_ref = _half_line_gauss_legendre(cutoff)
+        assert np.max(np.abs(H - H_ref)) < 1e-13
+        assert np.max(np.abs(G - G_ref)) < 1e-13
+
+    def test_vacuum_one_photon_overlap(self):
+        # int_0^inf psi_0 psi_1 = sqrt(2) pi^(-1/2) int_0^inf x e^(-x^2) = 1/sqrt(2 pi)
+        H, _ = _half_line_matrices(12)
+        assert abs(H[0, 1] - 1 / math.sqrt(2 * math.pi)) < 1e-16
+        assert H[0, 1] == H[1, 0]
+
+    @pytest.mark.parametrize("cutoff", [7, 30])
+    def test_sign_matrix_lives_on_odd_sums(self, cutoff):
+        H, G = _half_line_matrices(cutoff)
+        n = np.arange(cutoff)
+        odd = (n[:, None] + n[None, :]) % 2 == 1
+        assert np.array_equal(G[odd], 2 * H[odd])
+        assert np.all(G[~odd] == 0.0)
+        assert np.array_equal(H[~odd], (np.eye(cutoff) / 2)[~odd])
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 41])
+    def test_no_warning_from_the_masked_division(self, cutoff):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _half_line_matrices.__wrapped__(cutoff)
+
+
+def _dense_expect(kets, weights, ops) -> float:
+    """Tr[rho A (x) B] with rho = sum_i w_i |k_i><k_i| formed densely."""
+    rho = np.einsum("i,ikl,iab->klab", weights, kets, kets.conj())
+    return float(np.real(np.einsum("klab,ak,bl->", rho, *ops)))
+
+
+def _mixture(cutoff=16, rank=3):
+    rng = np.random.default_rng(5)
+    decay = 0.55 ** np.add.outer(np.arange(cutoff), np.arange(cutoff))
+    kets = decay * (rng.normal(size=(rank, cutoff, cutoff))
+                    + 1j * rng.normal(size=(rank, cutoff, cutoff)))
+    return kets, _unit_trace(kets, rng.uniform(0.2, 1.0, rank))
+
+
+def _unit_trace(kets, weights):
+    return weights / (weights @ np.sum(np.abs(kets.reshape(weights.size, -1)) ** 2, axis=1))
+
+
+class TestWeightedKets:
+    def test_mixture_matches_dense_reference(self):
+        kets, weights = _mixture()
+        rho = FockDensityOperator(2, 16, kets, weights)
+        alphas, axes, th, ph = [0.2 + 0.1j, -0.3j], [(0.7, 0.4), (1.9, -1.1)], 0.4, -0.9
+        par = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
+        dp_ops = [d @ (par[:, None] * d.conj().T) for d in (displacement(a, 16) for a in alphas)]
+        assert abs(displaced_parity_expect(rho, alphas)
+                   - _dense_expect(kets, weights, dp_ops)) < 1e-12
+        ps_ops = [pseudospin_axis_op(t, p, 16) for t, p in axes]
+        assert abs(pseudospin_expect(rho, axes) - _dense_expect(kets, weights, ps_ops)) < 1e-12
+        H, G = _half_line_matrices(16)
+        halves = (H, np.eye(16) - H)
+        want = [_dense_expect(kets, weights, [_rotated(a, th), _rotated(b, ph)])
+                for a in halves for b in halves]
+        assert np.max(np.abs(np.array(orthant_probabilities(rho, th, ph)) - want)) < 1e-12
+        assert abs(quadrature_orthant_expect(rho, th, ph) - _dense_expect(
+            kets, weights, [_rotated(G, th), _rotated(G, ph)])) < 1e-12
+
+    def test_onoff_matches_dense_formula(self):
+        st = su21_fock(TripartitePhotonNumbers(0.3, 0.3), 20)
+        prob, rho = onoff_condition(st, 2, 0.8)
+        flat = np.moveaxis(st.amps, 2, -1).reshape(-1, 20)
+        dense = (flat * (1.0 - 0.2 ** np.arange(20))) @ flat.conj().T / prob
+        assert np.max(np.abs(rho.matrix - dense)) < 1e-15
+
+    @pytest.mark.parametrize("case", ["mixture", "heralded"])
+    def test_matrix_is_a_density_matrix(self, case):
+        if case == "mixture":
+            rho = FockDensityOperator(2, 16, *_mixture())
+        else:
+            _, rho = onoff_condition(su21_fock(TripartitePhotonNumbers(0.3, 0.3), 20), 2, 0.8)
+        m = rho.matrix
+        assert np.max(np.abs(m - m.conj().T)) < 1e-15
+        assert abs(np.real(np.trace(m)) - 1.0) < 1e-12
+        assert rho.min_eigenvalue() >= -1e-9
+
+    BAD = {
+        # trace 1 with one weight of the wrong sign
+        "negative": lambda k, w: (k, _unit_trace(k, w * [1.0, 1.0, -1.0])),
+        "nan": lambda k, w: (k, np.where(np.arange(3) == 1, np.nan, w)),
+        "inf": lambda k, w: (k, np.where(np.arange(3) == 1, np.inf, w)),
+        "column": lambda k, w: (k, w[:, None]),
+        "too-few": lambda k, w: (k, w[:2]),
+        "ket-shape": lambda k, w: (k[:, :, :15], w),
+        "trace": lambda k, w: (k, 1.01 * w),
+    }
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_rejects_bad_weights(self, bad):
+        with pytest.raises(InvalidParameterError):
+            FockDensityOperator(2, 16, *bad(*_mixture()))

@@ -28,7 +28,6 @@ from .gaussian import (
 )
 from .fock import (
     FockDensityOperator,
-    FockPureState,
     click_probability,
     displaced_parity_expect,
     onoff_condition,

@@ -150,8 +150,8 @@ def su21_ps_coeffs(n2: float, n3: float) -> PsCoefficients:
 
 def f_twb(n: float) -> float:
     """Twin-beam spin-flip correlator sqrt(N(N+2))/(1+N); rises monotonically to 1."""
-    if n < 0:
-        raise InvalidParameterError("photon number must be >= 0")
+    if not 0 <= n < math.inf:
+        raise InvalidParameterError(f"photon number must be finite and >= 0, got {n}")
     return math.sqrt(n * (n + 2.0)) / (1.0 + n)
 
 

@@ -351,10 +351,8 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
         # total photons kept <= 0.8 so the cutoff-30 truncation tail (~3e-11)
         # stays well inside the 1e-9 comparison
         worst = 0.0
-        st_cache: dict[float, fock.FockPureState] = {}
         for n3 in (0.1, 0.3, 0.5):
-            st = st_cache.setdefault(n3, fock.su21_fock(
-                gaussian.TripartitePhotonNumbers(0.3, n3), cutoff))
+            st = fock.su21_fock(gaussian.TripartitePhotonNumbers(0.3, n3), cutoff)
             for eta in (0.2, 0.6, 1.0):
                 prob = fock.click_probability(st, 2, eta)
                 closed = conditional.p_click(
@@ -369,13 +367,10 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
         for pt in ([0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1, 0.4], [0.5, 0.5, -0.3, 0.2]):
             worst = max(worst, abs(conditional.w1_eval(params, pt)
                                    - fock.wigner_reconstruct(rho, np.asarray(pt))))
-        # normalization by tensor quadrature
-        from numpy.polynomial.legendre import leggauss
-        xg, wg = leggauss(28)
-        xs, ws = xg * 6.0, wg * 6.0
-        grid = np.stack(np.meshgrid(xs, xs, xs, xs, indexing="ij"), axis=-1)
-        total = float(np.einsum("abcd,a,b,c,d->", conditional.w1_eval(params, grid),
-                                ws, ws, ws, ws))
+        # normalization: each Gaussian w exp(-x.Q.x) integrates to w pi^2 / sqrt(det Q)
+        form = conditional.two_gaussian_form(params)
+        total = float(np.pi**2 * (form.weight_a / np.sqrt(np.linalg.det(form.quad_form_a))
+                                  - form.weight_b / np.sqrt(np.linalg.det(form.quad_form_b))))
         wmin = float(np.min(conditional.w1_eval(
             conditional.ConditionalParams(1.0, 0.5, eta=1.0),
             np.stack(np.meshgrid(np.linspace(-1, 1, 21), np.linspace(-1, 1, 21),

@@ -1,9 +1,9 @@
 """Brute-force truncated Fock-space engine.
 
-Everything here is an independent numerical oracle: states are explicit
-amplitude tensors or weighted kets over a truncated number basis, and all
-expectation values are computed by operator algebra with no reference to the
-closed forms they are used to check.  The displacement operator is the exact
+Everything here is an independent numerical oracle: every state is a
+``FockDensityOperator``, weighted kets over a truncated number basis (a pure
+state is one renormalized ket), and all expectation values are computed by
+operator algebra with no reference to the closed forms they are used to check.  The displacement operator is the exact
 number-basis matrix, cropped to the cutoff, from its Laguerre closed form; it
 shares nothing with the Gaussian covariance path.
 """
@@ -21,25 +21,6 @@ from .errors import CutoffTooSmallError, InvalidParameterError, PrecisionError
 from .gaussian import TripartitePhotonNumbers
 
 TAIL_BUDGET = 1e-6
-
-
-@dataclass(frozen=True)
-class FockPureState:
-    """Pure state as a complex amplitude tensor of shape (cutoff,)*n_modes."""
-
-    n_modes: int
-    cutoff: int
-    amps: NDArray[np.complex128]
-
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=complex)
-        if a.shape != (self.cutoff,) * self.n_modes:
-            raise InvalidParameterError("amplitude tensor shape does not match cutoff/modes")
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
 
 
 @dataclass(frozen=True)
@@ -82,8 +63,9 @@ class FockDensityOperator:
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
 
-def su21_fock(p: TripartitePhotonNumbers, cutoff: int) -> FockPureState:
-    """Number-basis amplitudes of the interlinked-interaction state.
+def su21_fock(p: TripartitePhotonNumbers, cutoff: int) -> FockDensityOperator:
+    """The interlinked-interaction state as one ket, truncated at ``cutoff``
+    and renormalized by its weight.
 
     Support is |p+q, p, q> with amplitude
     (1+N1)^{-1/2} x^{p/2} y^{q/2} e^{-i(p phi2 + q phi3)} sqrt((p+q)!/(p! q!)),
@@ -110,11 +92,12 @@ def su21_fock(p: TripartitePhotonNumbers, cutoff: int) -> FockPureState:
             lg = 0.5 * (math.lgamma(pp + q + 1) - math.lgamma(pp + 1) - math.lgamma(q + 1))
             mag = (1 + n1) ** -0.5 * x ** (pp / 2) * y ** (q / 2) * math.exp(lg)
             amps[pp + q, pp, q] = mag * np.exp(-1j * (pp * p.phi2 + q * p.phi3))
-    return FockPureState(3, cutoff, amps)
+    return FockDensityOperator(3, cutoff, amps[None], [1 / np.sum(np.abs(amps) ** 2)])
 
 
-def twb_fock(x: float, cutoff: int) -> FockPureState:
-    """Twin beam sqrt(1-X^2) sum_n X^n |n,n> truncated at ``cutoff``."""
+def twb_fock(x: float, cutoff: int) -> FockDensityOperator:
+    """Twin beam sqrt(1-X^2) sum_n X^n |n,n> as one ket, truncated at ``cutoff``
+    and renormalized by its weight."""
     if not 0.0 <= x < 1.0:
         raise InvalidParameterError("X must lie in [0, 1)")
     if cutoff < 2:
@@ -127,7 +110,7 @@ def twb_fock(x: float, cutoff: int) -> FockPureState:
         )
     amps = np.zeros((cutoff, cutoff), dtype=complex)
     amps[np.arange(cutoff), np.arange(cutoff)] = np.sqrt(1 - x**2) * x ** np.arange(cutoff)
-    return FockPureState(2, cutoff, amps)
+    return FockDensityOperator(2, cutoff, amps[None], [1 / np.sum(np.abs(amps) ** 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +183,13 @@ def _apply_mode_op(amps: NDArray, op: NDArray, axis: int) -> NDArray:
     return np.moveaxis(out, 0, axis)
 
 
-def _expect(state: FockPureState | FockDensityOperator, ops: Sequence[NDArray]) -> float:
-    """sum_i w_i <k_i| (x)ops |k_i>; a pure state is one ket of weight 1."""
-    if isinstance(state, FockPureState):
-        kets, weights = state.amps[None], np.ones(1)
-    else:
-        kets, weights = state.kets, state.weights
-    phi = kets
+def _expect(state: FockDensityOperator, ops: Sequence[NDArray]) -> float:
+    """sum_i w_i <k_i| (x)ops |k_i>."""
+    phi = state.kets
     for j, op in enumerate(ops, start=1):
         phi = _apply_mode_op(phi, op, j)
-    per_ket = np.sum((kets.conj() * phi).reshape(weights.size, -1), axis=1)
-    return float(weights @ np.real(per_ket))
+    per_ket = np.sum((state.kets.conj() * phi).reshape(state.weights.size, -1), axis=1)
+    return float(state.weights @ np.real(per_ket))
 
 
 def _check_finite(what: str, values) -> None:
@@ -218,7 +197,7 @@ def _check_finite(what: str, values) -> None:
         raise InvalidParameterError(f"{what} must be finite, got {values!r}")
 
 
-def displaced_parity_expect(state: FockPureState | FockDensityOperator,
+def displaced_parity_expect(state: FockDensityOperator,
                             alphas: Sequence[complex]) -> float:
     """<prod_j D(a_j)(-1)^{n_j} D^dag(a_j)>, in [-1, 1].
 
@@ -243,7 +222,7 @@ def displaced_parity_expect(state: FockPureState | FockDensityOperator,
     return _expect(state, ops)
 
 
-def pseudospin_expect(state: FockPureState | FockDensityOperator,
+def pseudospin_expect(state: FockDensityOperator,
                       axes: Sequence[tuple[float, float]]) -> float:
     """<prod_j d_j . s_j> for one finite (theta, phi) pair per mode; even cutoff only."""
     if state.cutoff % 2 != 0:
@@ -259,37 +238,38 @@ def _click_weights(cutoff: int, eta: float) -> NDArray[np.float64]:
     return 1.0 - (1.0 - eta) ** np.arange(cutoff)
 
 
-def click_probability(state: FockPureState, mode: int, eta: float) -> float:
+def click_probability(state: FockDensityOperator, mode: int, eta: float) -> float:
     """Probability that an ON/OFF detector of efficiency ``eta`` on ``mode`` fires.
 
-    Weighs the squared norm of each number-outcome slice of ``mode``; no
-    conditioned state is formed.
+    Weighs the squared norm of each number-outcome slice of ``mode``, summed
+    over the kets with their weights; no conditioned state is formed.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidParameterError("eta must lie in [0, 1]")
     if not 0 <= mode < state.n_modes:
         raise InvalidParameterError("mode index out of range")
-    others = tuple(j for j in range(state.n_modes) if j != mode)
-    slice_norms = np.sum(np.abs(state.amps) ** 2, axis=others)
-    return float(np.sum(_click_weights(state.cutoff, eta) * slice_norms))
+    others = tuple(j for j in range(1, state.n_modes + 1) if j != mode + 1)
+    slice_norms = state.weights @ np.sum(np.abs(state.kets) ** 2, axis=others)
+    return float(_click_weights(state.cutoff, eta) @ slice_norms)
 
 
-def onoff_condition(state: FockPureState, mode: int,
+def onoff_condition(state: FockDensityOperator, mode: int,
                     eta: float) -> tuple[float, FockDensityOperator | None]:
     """Herald at least one photon on ``mode`` with an ON/OFF detector.
 
     Applies Pi_1 = I - sum_n (1-eta)^n |n><n| on the chosen mode, traces that
     mode out and renormalizes: the conditioned operator holds the number-outcome
-    slices of ``mode`` as kets, weighted (1 - (1-eta)^n)/P.  Returns (click
-    probability P, conditioned operator); the operator is None in the
-    degenerate eta=0 case.
+    slices of ``mode`` of each ket k_i as kets, weighted w_i (1 - (1-eta)^n)/P.
+    Returns (click probability P, conditioned operator); the operator is None
+    in the degenerate eta=0 case.
     """
     prob = click_probability(state, mode, eta)
     if prob <= 0.0:
         return 0.0, None
-    kets = np.moveaxis(state.amps, mode, 0)
-    return prob, FockDensityOperator(state.n_modes - 1, state.cutoff, kets,
-                                     _click_weights(state.cutoff, eta) / prob)
+    c = state.cutoff
+    kets = np.moveaxis(state.kets, mode + 1, 1).reshape((-1,) + (c,) * (state.n_modes - 1))
+    weights = np.outer(state.weights, _click_weights(c, eta)).ravel() / prob
+    return prob, FockDensityOperator(state.n_modes - 1, c, kets, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +304,7 @@ def _rotated(op: NDArray, theta: float) -> NDArray[np.complex128]:
     return ph[:, None] * op * ph.conj()
 
 
-def orthant_probabilities(state: FockPureState | FockDensityOperator,
+def orthant_probabilities(state: FockDensityOperator,
                           theta: float, phi: float) -> tuple[float, float, float, float]:
     """(P++, P+-, P-+, P--) of the sign-binned joint quadrature distribution
     at finite phases ``theta`` and ``phi``."""
@@ -342,7 +322,7 @@ def orthant_probabilities(state: FockPureState | FockDensityOperator,
     return ppp, ppm, pmp, pmm
 
 
-def quadrature_orthant_expect(state: FockPureState | FockDensityOperator,
+def quadrature_orthant_expect(state: FockDensityOperator,
                               theta: float, phi: float) -> float:
     """E_H = P++ + P-- - P+- - P-+ with the sign domains fixed to R+/R-, at
     finite phases ``theta`` and ``phi``."""
@@ -353,7 +333,7 @@ def quadrature_orthant_expect(state: FockPureState | FockDensityOperator,
     return _expect(state, [_rotated(G, theta), _rotated(G, phi)])
 
 
-def wigner_reconstruct(state: FockPureState | FockDensityOperator,
+def wigner_reconstruct(state: FockDensityOperator,
                        point: NDArray) -> float:
     """Wigner value at a finite point (x_1..x_n, y_1..y_n), from the
     displaced-parity identity."""

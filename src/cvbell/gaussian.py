@@ -154,8 +154,8 @@ def ghz_total_photons(r: float) -> float:
 
 def ghz_r_from_photons(n: float) -> float:
     """Squeezing parameter at which ``ghz_state`` carries n photons in total."""
-    if n < 0:
-        raise InvalidParameterError("photon number must be >= 0")
+    if not 0 <= n < np.inf:
+        raise InvalidParameterError(f"photon number must be finite and >= 0, got {n}")
     return float(np.arcsinh(np.sqrt(n / 3.0)))
 
 

@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "ghz_r_from_photons", "ghz_state", "ghz_total_photons", "reduce_state", "su21_state",
     "twb_state", "wigner_eval",
     # fock
-    "FockDensityOperator", "FockPureState", "click_probability", "displaced_parity_expect",
+    "FockDensityOperator", "click_probability", "displaced_parity_expect",
     "onoff_condition", "orthant_probabilities", "pseudospin_expect",
     "quadrature_orthant_expect", "su21_fock", "twb_fock", "wigner_reconstruct",
     # conditional

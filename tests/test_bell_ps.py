@@ -258,6 +258,11 @@ class TestFFunctions:
         assert vals[-1] < 1.0
         assert f_twb(1e6) == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, -1.0])
+    def test_f_twb_rejects_bad_photon_number(self, n):
+        with pytest.raises(InvalidParameterError, match="photon number"):
+            f_twb(n)
+
     def test_f_twb_oracle(self):
         st = twb_fock(math.tanh(math.asinh(1.0)), 40)
         x_axis = (math.pi / 2, 0.0)

@@ -178,6 +178,18 @@ class TestLibraryErrors:
         assert captured.err.startswith(
             "usage error: conditional ps2 needs --n3" if usage else f"error: {kind}: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["--state", "twb", "--test", "ps2", "--n", "nan"],
+        ["--state", "twb", "--test", "ps2", "--n", "inf"],
+        ["--state", "ghz", "--test", "ps3", "--n", "nan"],
+        ["--state", "ghz", "--test", "dp3", "--n", "inf", "--j", "0.1"],
+    ], ids=" ".join)
+    def test_non_finite_photon_number_is_named(self, argv, capsys):
+        assert main(["point", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidParameterError: photon number must be finite")
+
     @pytest.mark.parametrize("clickless", [["--n3", "0"], ["--eta", "0"]], ids=" ".join)
     @pytest.mark.parametrize("test", [["dp2", "--j", "0.1"], ["ps2"], ["homodyne"]], ids=" ".join)
     def test_clickless_heralded_state_is_undefined(self, test, clickless, capsys):

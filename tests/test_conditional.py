@@ -20,6 +20,13 @@ from cvbell import (
 from cvbell.conditional import two_gaussian_form
 
 
+def _closed_form_integral(p: ConditionalParams) -> float:
+    """Integral of w_a exp(-x.Q_a.x) - w_b exp(-x.Q_b.x) over R^4, each term w pi^2/sqrt(det Q)."""
+    form = two_gaussian_form(p)
+    return math.pi**2 * (form.weight_a / math.sqrt(np.linalg.det(form.quad_form_a))
+                         - form.weight_b / math.sqrt(np.linalg.det(form.quad_form_b)))
+
+
 class TestClickProbability:
     def test_eta_zero(self):
         assert p_click(ConditionalParams(1.0, 1.0, eta=0.0)) == 0.0
@@ -62,6 +69,10 @@ class TestHeraldedWigner:
                 [np.broadcast_to([x1, x2], (g2.shape[0], 2)), g2], axis=1)
             total += w * float(np.dot(w1_eval(self.params, pts), w2))
         assert total == pytest.approx(1.0, abs=1e-3)
+        assert abs(total - _closed_form_integral(self.params)) < 1e-6
+        # states whose Gaussians spread past [-6, 6]^4, where the grid reads as low as 0.993
+        for n2, n3, eta in ((1.0, 0.5, 1.0), (0.5, 0.1, 0.5), (2.0, 1.0, 0.9), (0.3, 1e-3, 1.0)):
+            assert abs(_closed_form_integral(ConditionalParams(n2, n3, eta=eta)) - 1.0) < 1e-12
 
     def test_negative_minimum(self):
         p = ConditionalParams(1.0, 0.5, eta=1.0)

@@ -11,7 +11,6 @@ from cvbell import (
     ConditionalParams,
     CutoffTooSmallError,
     FockDensityOperator,
-    FockPureState,
     InvalidParameterError,
     PrecisionError,
     TripartitePhotonNumbers,
@@ -39,18 +38,18 @@ Z_AXIS = (0.0, 0.0)
 class TestBuilders:
     def test_su21_vacuum(self):
         st = su21_fock(TripartitePhotonNumbers(0.0, 0.0), 8)
-        assert st.amps[0, 0, 0] == pytest.approx(1.0)
-        assert st.norm_sq() == pytest.approx(1.0)
+        assert st.kets[0, 0, 0, 0] == pytest.approx(1.0)
+        assert st.weights[0] == pytest.approx(1.0)
 
     def test_su21_single_pair_amplitude(self):
         # n2 = 1, n3 = 0: component |1,1,0> has amplitude sqrt(N2)/(1+N1) = 1/2
         st = su21_fock(TripartitePhotonNumbers(1.0, 0.0), 20)
-        assert st.amps[1, 1, 0] == pytest.approx(0.5)
-        assert st.amps[0, 0, 0] == pytest.approx(1 / math.sqrt(2.0))
+        assert st.kets[0, 1, 1, 0] == pytest.approx(0.5)
+        assert st.kets[0, 0, 0, 0] == pytest.approx(1 / math.sqrt(2.0))
 
     def test_su21_norm_within_tail_budget(self):
         st = su21_fock(TripartitePhotonNumbers(0.5, 0.5), 25)
-        assert st.norm_sq() >= 1.0 - 1e-6
+        assert np.sum(np.abs(st.kets[0]) ** 2) >= 1.0 - 1e-6
 
     def test_su21_cutoff_guard(self):
         with pytest.raises(CutoffTooSmallError) as err:
@@ -59,11 +58,11 @@ class TestBuilders:
 
     def test_twb_vacuum(self):
         st = twb_fock(0.0, 6)
-        assert st.amps[0, 0] == pytest.approx(1.0)
+        assert st.kets[0, 0, 0] == pytest.approx(1.0)
 
     def test_twb_amplitude(self):
         st = twb_fock(0.5, 30)
-        assert st.amps[1, 1] == pytest.approx(math.sqrt(0.75) * 0.5)
+        assert st.kets[0, 1, 1] == pytest.approx(math.sqrt(0.75) * 0.5)
 
     def test_twb_tail_guard_and_suggestion(self):
         # X = 0.9 at cutoff 40 leaves 0.9^80 ~ 2e-4 outside, far over the budget
@@ -71,7 +70,19 @@ class TestBuilders:
             twb_fock(0.9, 40)
         assert err.value.suggested_cutoff >= 66
         st = twb_fock(0.9, err.value.suggested_cutoff)
-        assert st.norm_sq() >= 1.0 - 1e-6
+        assert np.sum(np.abs(st.kets[0]) ** 2) >= 1.0 - 1e-6
+
+    @pytest.mark.parametrize("build", [
+        lambda: su21_fock(TripartitePhotonNumbers(0.3, 0.3), 30),
+        lambda: su21_fock(TripartitePhotonNumbers(2.0, 2.0), 62),
+        lambda: twb_fock(0.5, 30),
+        lambda: twb_fock(0.9, 66),
+    ], ids=["su21-0.3", "su21-2", "twb-0.5", "twb-0.9"])
+    def test_one_renormalized_ket(self, build):
+        # the truncated ket falls short of norm 1, and its weight makes up the rest
+        st = build()
+        assert st.kets.shape[0] == 1 and st.weights[0] >= 1.0
+        assert abs(st.weights[0] * np.sum(np.abs(st.kets[0]) ** 2) - 1.0) < 1e-15
 
 
 class TestDisplacedParity:
@@ -80,10 +91,9 @@ class TestDisplacedParity:
         assert displaced_parity_expect(st, [0.0, 0.0]) == pytest.approx(1.0)
 
     def test_coherent_parity_single_mode(self):
-        from cvbell.fock import FockPureState
-        amps = np.zeros(30, dtype=complex)
-        amps[0] = 1.0
-        st = FockPureState(1, 30, amps)
+        amps = np.zeros((1, 30), dtype=complex)
+        amps[0, 0] = 1.0
+        st = FockDensityOperator(1, 30, amps, [1.0])
         assert displaced_parity_expect(st, [0.5]) == pytest.approx(
             math.exp(-0.5), abs=1e-10)
 
@@ -158,10 +168,10 @@ class TestPseudospin:
         st = twb_fock(0.0, 10)
         # even number states carry -1 in the ladder definition
         assert pseudospin_expect(st, [Z_AXIS, Z_AXIS]) == pytest.approx(1.0)
-        from cvbell.fock import FockPureState
-        amps = np.zeros(10, dtype=complex)
-        amps[0] = 1.0
-        assert pseudospin_expect(FockPureState(1, 10, amps), [Z_AXIS]) == pytest.approx(-1.0)
+        amps = np.zeros((1, 10), dtype=complex)
+        amps[0, 0] = 1.0
+        assert pseudospin_expect(FockDensityOperator(1, 10, amps, [1.0]),
+                                 [Z_AXIS]) == pytest.approx(-1.0)
 
     def test_twb_spin_flip_value(self):
         st = twb_fock(math.tanh(math.asinh(1.0)), 40)
@@ -234,8 +244,11 @@ class TestOrthant:
             assert abs(quadrature_orthant_expect(twb_fock_n1, th, 0.3)) <= 1.0 + 1e-9
 
 
-def _density(state):
-    return FockDensityOperator(state.n_modes, state.cutoff, state.amps[None], np.ones(1))
+def _split(state):
+    """The one-ket ``state`` w|k><k| as the two kets k and 2k, weighted w/2 and w/8."""
+    kets = np.concatenate([state.kets, 2 * state.kets])
+    return FockDensityOperator(state.n_modes, state.cutoff, kets,
+                               state.weights[0] * np.array([0.5, 0.125]))
 
 
 def _product_state(cutoff=20):
@@ -244,18 +257,19 @@ def _product_state(cutoff=20):
     a, b = (decay * (rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff))
             for _ in range(2))
     amps = np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b))
-    return FockPureState(2, cutoff, amps)
+    return FockDensityOperator(2, cutoff, amps[None], [1.0])
 
 
 class TestExpectationKernel:
-    """Pure and density forms of one state give the same expectations."""
+    """One ket and the same pure state split over two weighted kets give the
+    same expectations."""
 
     @pytest.fixture(params=["twb", "product"])
     def pure(self, request, twb_fock_n1):
         return twb_fock_n1 if request.param == "twb" else _product_state()
 
     def test_density_matches_pure(self, pure):
-        rho = _density(pure)
+        rho = _split(pure)
         cases = [
             (displaced_parity_expect, ([0.2 + 0.1j, -0.3j],)),
             (pseudospin_expect, ([(0.7, 0.4), (1.9, -1.1)],)),
@@ -270,8 +284,8 @@ class TestExpectationKernel:
         # R = exp(-i theta n) on each mode, applied to the amplitudes instead
         th, ph = 0.8, -1.3
         n = np.arange(pure.cutoff)
-        amps = pure.amps * np.outer(np.exp(-1j * th * n), np.exp(-1j * ph * n))
-        rotated = FockPureState(2, pure.cutoff, amps)
+        kets = pure.kets * np.outer(np.exp(-1j * th * n), np.exp(-1j * ph * n))
+        rotated = FockDensityOperator(2, pure.cutoff, kets, pure.weights)
         assert quadrature_orthant_expect(pure, th, ph) == pytest.approx(
             quadrature_orthant_expect(rotated, 0.0, 0.0), abs=1e-13)
         assert orthant_probabilities(pure, th, ph) == pytest.approx(
@@ -420,9 +434,29 @@ class TestWeightedKets:
     def test_onoff_matches_dense_formula(self):
         st = su21_fock(TripartitePhotonNumbers(0.3, 0.3), 20)
         prob, rho = onoff_condition(st, 2, 0.8)
-        flat = np.moveaxis(st.amps, 2, -1).reshape(-1, 20)
-        dense = (flat * (1.0 - 0.2 ** np.arange(20))) @ flat.conj().T / prob
+        flat = np.moveaxis(st.kets[0], 2, -1).reshape(-1, 20)
+        dense = st.weights[0] * (flat * (1.0 - 0.2 ** np.arange(20))) @ flat.conj().T / prob
         assert np.max(np.abs(rho.matrix - dense)) < 1e-15
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_heralding_a_mixture_matches_dense_reference(self, mode):
+        # two three-mode kets; rho and Pi_1 on ``mode`` formed densely
+        rng = np.random.default_rng(9)
+        c, eta = 6, 0.7
+        decay = 0.5 ** np.add.outer(np.add.outer(np.arange(c), np.arange(c)), np.arange(c))
+        kets = decay * (rng.normal(size=(2, c, c, c)) + 1j * rng.normal(size=(2, c, c, c)))
+        weights = _unit_trace(kets, np.array([0.3, 0.8]))
+        flat = kets.reshape(2, -1)
+        rho = np.einsum("i,ik,il->kl", weights, flat, flat.conj()).reshape((c,) * 6)
+        click = 1.0 - (1.0 - eta) ** np.arange(c)
+        kept = np.einsum("abcdkk,k->abcd", np.moveaxis(rho, (mode, mode + 3), (4, 5)), click)
+        prob_ref = float(np.real(np.einsum("abab->", kept)))
+        rho_ref = kept.reshape(c * c, c * c) / prob_ref
+        st = FockDensityOperator(3, c, kets, weights)
+        assert abs(click_probability(st, mode, eta) - prob_ref) < 1e-12
+        prob, cond = onoff_condition(st, mode, eta)
+        assert abs(prob - prob_ref) < 1e-12
+        assert np.max(np.abs(cond.matrix - rho_ref)) < 1e-12
 
     @pytest.mark.parametrize("case", ["mixture", "heralded"])
     def test_matrix_is_a_density_matrix(self, case):

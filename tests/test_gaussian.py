@@ -49,6 +49,11 @@ class TestGhzState:
         assert ghz_total_photons(1.0) == pytest.approx(3 * math.sinh(1.0) ** 2)
         assert ghz_r_from_photons(ghz_total_photons(0.7)) == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, -1.0])
+    def test_photons_must_be_finite_and_non_negative(self, n):
+        with pytest.raises(InvalidParameterError, match="photon number"):
+            ghz_r_from_photons(n)
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             ghz_state(float("nan"))
@@ -81,7 +86,7 @@ class TestSu21State:
 
     def test_covariance_matches_fock_moments(self, photons_03, su21_fock_03):
         """Symmetrized quadrature moments of the amplitude tensor reproduce cov."""
-        amps = su21_fock_03.amps
+        amps = su21_fock_03.kets[0] * math.sqrt(su21_fock_03.weights[0])
         cutoff = su21_fock_03.cutoff
         a = np.zeros((cutoff, cutoff))
         a[np.arange(cutoff - 1), np.arange(1, cutoff)] = np.sqrt(np.arange(1, cutoff))

@@ -11,20 +11,14 @@ from .errors import (
     InvalidParameterError,
     PrecisionError,
     UndefinedStateError,
-    UnsupportedRegimeError,
 )
 from .gaussian import (
-    CouplingParams,
     GaussianState,
     TripartitePhotonNumbers,
-    coupling_to_photons,
     ghz_r_from_photons,
     ghz_state,
-    ghz_total_photons,
-    reduce_state,
     su21_state,
     twb_state,
-    wigner_eval,
 )
 from .fock import (
     FockDensityOperator,
@@ -38,7 +32,7 @@ from .fock import (
     twb_fock,
     wigner_reconstruct,
 )
-from .conditional import ConditionalParams, TwoGaussianWigner, p_click, w1_eval, w_traced
+from .conditional import ConditionalParams, TwoGaussianWigner, p_click, w1_eval
 from .bell_dp import (
     BellValue,
     DpSettings,
@@ -50,13 +44,9 @@ from .bell_dp import (
     e_dp_conditional,
     e_dp_gaussian,
     e_dp_ghz_closed,
-    ghz_dp_settings,
-    large_squeezing_residual,
     su21_opt_dp_settings,
     su21_opt_state,
-    su21_sym_dp_settings,
     su21_sym_state,
-    twb_bw_dp_settings,
     twb_dp_settings,
 )
 from .bell_ps import (
@@ -65,7 +55,6 @@ from .bell_ps import (
     b2_ps_from_f,
     b3_ps,
     b3_ps_from_coeffs,
-    e_ps3,
     f_conditional,
     f_traced,
     f_twb,
@@ -75,6 +64,6 @@ from .bell_ps import (
     su21_ps_coeffs,
 )
 from .homodyne import chsh_h, classical_reference, e_h
-from .optim import ScanResult, asymptote_relations, klyshko_max, log_j_maximize, maximize_scalar
+from .optim import ScanResult, klyshko_max, log_j_maximize, maximize_scalar
 
 __version__ = "0.1.0"

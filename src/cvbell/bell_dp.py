@@ -140,31 +140,6 @@ def e_dp_ghz_closed(r: float, alphas: Sequence[complex]) -> float:
     return math.exp(-(2.0 / 3.0) * (e2r * quad_fast + quad_slow / e2r))
 
 
-def large_squeezing_residual(settings: DpSettings) -> float:
-    """Sum of the three constraint expressions that keep the positive Bell terms
-    alive at large squeezing.
-
-    Written in the frame where the optimal symmetric family is imaginary
-    (multiply the package's real family by 1j to land in this frame).  Zero
-    exactly when every positive correlator survives the large-r limit.
-    """
-    if settings.unprimed.shape != (3,):
-        raise InvalidParameterError("three-mode settings required")
-    x, y = settings.unprimed.real, settings.unprimed.imag
-    xp, yp = settings.primed.real, settings.primed.imag
-    total = 0.0
-    for k in range(3):
-        yk = y.copy()
-        yk[k] = yp[k]
-        xk = x.copy()
-        xk[k] = xp[k]
-        others = [i for i in range(3) if i != k]
-        i1, i2 = others
-        total += (yk.sum() ** 2 + (xk[i1] - xk[i2]) ** 2
-                  + (xk[i1] - xk[k]) ** 2 + (xk[k] - xk[i2]) ** 2)
-    return float(total)
-
-
 def _assemble(correlator, target, settings: DpSettings) -> NDArray[np.float64]:
     """Bell combinations, shape (...), of one ``correlator`` call on the four
     stacked term rows of each of the (..., n_modes) settings."""
@@ -200,7 +175,9 @@ def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> Be
 # closed forms
 
 def b3_ghz_closed(r: float, j_mag: ArrayLike) -> BellValue:
-    """Closed-form B3 of the GHZ-type state under its symmetric displacement family:
+    """Closed-form B3 of the GHZ-type state under its symmetric displacement
+    family, real sqrt(J)(1,1,1) and -2 sqrt(J)(1,1,1) (J in coherent-amplitude
+    units):
 
         B3 = 3 exp(-12 e^{-2r} J) - exp(-24 e^{2r} J).
 
@@ -221,7 +198,8 @@ def b3_ghz_closed(r: float, j_mag: ArrayLike) -> BellValue:
 
 def b3_su21_closed(n: float, j_mag: ArrayLike) -> BellValue:
     """Closed-form B3 of the trilinear state, symmetric split n2 = n3 = N/4,
-    under the symmetric displacement family (J in phase-space units).  J of
+    with phases phi2 = phi3 = pi, under the symmetric displacement family real
+    sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1) (J in phase-space units).  J of
     any shape gives a value of that shape."""
     if not 0.0 <= n < math.inf:
         raise InvalidParameterError(f"N must be finite and >= 0, got {n}")
@@ -244,21 +222,6 @@ def _family(unprimed, primed) -> DpSettings:
     return DpSettings(np.stack(unprimed, axis=-1), np.stack(primed, axis=-1))
 
 
-def ghz_dp_settings(j_mag: ArrayLike) -> DpSettings:
-    """Symmetric family for the GHZ-type state: real sqrt(J)(1,1,1) and
-    -2 sqrt(J)(1,1,1); J in coherent-amplitude units."""
-    w = np.sqrt(_check_j(j_mag))
-    return _family((w, w, w), (-2 * w, -2 * w, -2 * w))
-
-
-def su21_sym_dp_settings(j_mag: ArrayLike) -> DpSettings:
-    """Symmetric family for the trilinear state with phases phi2 = phi3 = pi:
-    real sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1); J in phase-space units
-    (coherent amplitude sqrt(J/2))."""
-    w = np.sqrt(_check_j(j_mag) / 2.0)
-    return _family((w, w, w), (-2 * w, -2 * w, -2 * w))
-
-
 def su21_opt_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Numerically optimized family for the trilinear state with phases
     phi2 = 0, phi3 = pi: imaginary (2/3, 0, 0) and (0, -1, 1) times
@@ -275,14 +238,6 @@ def twb_dp_settings(j_mag: ArrayLike) -> DpSettings:
     return _family((w, -w), (-3 * w, 3 * w))
 
 
-def twb_bw_dp_settings(j_mag: ArrayLike) -> DpSettings:
-    """Original two-settings family: zero displacements against
-    real (sqrt(J), -sqrt(J)); J in coherent-amplitude units."""
-    w = np.sqrt(_check_j(j_mag))
-    zero = np.zeros_like(w)
-    return _family((zero, zero), (w, -w))
-
-
 def conditional_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Optimized family for the heralded state: real (1, 2) and (3, 0) times
     sqrt(J/2); J in phase-space units."""
@@ -291,11 +246,11 @@ def conditional_dp_settings(j_mag: ArrayLike) -> DpSettings:
 
 
 # ---------------------------------------------------------------------------
-# states the trilinear families assume
+# states the trilinear displacement families assume
 
 def su21_sym_state(n: float) -> GaussianState:
     """Trilinear state at the symmetric split n2 = n3 = N/4 with the phases
-    the symmetric displacement family assumes."""
+    phi2 = phi3 = pi that ``b3_su21_closed``'s symmetric family assumes."""
     return su21_state(TripartitePhotonNumbers(n / 4.0, n / 4.0, math.pi, math.pi))
 
 

@@ -241,23 +241,6 @@ def pi_coeffs_quadrature(state: GaussianState) -> PsCoefficients:
 # ---------------------------------------------------------------------------
 # correlation function and Bell combinations
 
-def e_ps3(c: PsCoefficients, thetas, phis) -> float:
-    """Three-mode pseudospin correlation function for one angle triple.
-
-    The all-z term enters with coefficient +1; the three mixed terms carry
-    c1, c2, c3 with their azimuthal factors.
-    """
-    t1, t2, t3 = thetas
-    p1, p2, p3 = phis
-    return (math.cos(t1) * math.cos(t2) * math.cos(t3)
-            + c.c1 * math.cos(t1) * math.sin(t2) * math.sin(t3)
-            * (math.cos(p2) * math.cos(p3) + math.sin(p2) * math.sin(p3))
-            + c.c2 * math.cos(t2) * math.sin(t1) * math.sin(t3)
-            * (math.cos(p1) * math.cos(p3) - math.sin(p1) * math.sin(p3))
-            + c.c3 * math.cos(t3) * math.sin(t1) * math.sin(t2)
-            * (math.cos(p1) * math.cos(p2) + math.sin(p1) * math.sin(p2)))
-
-
 def b3_ps_from_coeffs(c: PsCoefficients) -> BellValue:
     """Maximal Bell-Klyshko value over the polar angles, from ``klyshko_max``
     (a fixed 6^6 start grid, then exact refinement to gradient 1e-10).

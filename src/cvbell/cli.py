@@ -29,9 +29,9 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # point evaluations: one table entry per (state, test) pair
 
-_PARAMS = ("r", "n", "n2", "n3", "phi2", "phi3", "eta", "j")   # listed in a record's params
+_PARAMS = ("r", "n", "n2", "n3", "phi2", "eta", "j")   # listed in a record's params
 _FLAGS = (*_PARAMS, "optimize", "tol")
-_DEFAULTS = {"phi2": 0.0, "phi3": 0.0, "eta": 1.0, "tol": 1e-8}
+_DEFAULTS = {"phi2": 0.0, "eta": 1.0, "tol": 1e-8}
 
 
 class _Pair(NamedTuple):
@@ -50,17 +50,23 @@ def _ghz_r(p: dict) -> float:
 
 
 def _heralded(p: dict) -> conditional.ConditionalParams:
-    return conditional.ConditionalParams(p["n2"], p["n3"], p["phi2"], p["phi3"], p["eta"])
+    return conditional.ConditionalParams(p["n2"], p["n3"], p["phi2"], p["eta"])
 
 
 def _dp(target: Callable[[dict], object], value: Callable[[object, np.ndarray], np.ndarray]):
     """A displaced-parity evaluator: ``value(target(p), j)`` at ``--j``, or its
-    maximum over J with ``--optimize``; ``value`` takes J of any shape."""
+    maximum over J with ``--optimize``; ``value`` takes J of any shape.
+
+    The scan runs over [1e-9, 10], or over [1e-4/N, 10] for a photon number N
+    (``--n``, or ``--n2``) above 1e5: the optima fall as about 1/N (0.17/N for
+    ``su21 dp3``), below a fixed 1e-9 once N passes about 1e8."""
     def evaluate(p: dict) -> dict:
         t = target(p)
         if "j" in p:
             return {"value": value(t, p["j"])}
-        res = optim.log_j_maximize(lambda j: value(t, j), 1e-9, 10.0, tol=p["tol"])
+        n = p.get("n", p.get("n2", 0.0))
+        j_lo = 1e-4 / n if 1e5 < n < math.inf else 1e-9
+        res = optim.log_j_maximize(lambda j: value(t, j), j_lo, 10.0, tol=p["tol"])
         return {"value": res.max_value, "j_opt": float(res.arg_max[0]),
                 "evaluations": res.evaluations}
     return evaluate
@@ -89,7 +95,8 @@ def _homodyne(target, phi2: float, tol: float) -> dict:
 
 _N = (("n",),)
 _GHZ = (("n",), ("r",))
-_HERALDED = (("n2", "n3", "phi2", "phi3", "eta"),)
+_HERALDED = (("n2", "n3", "phi2", "eta"),)
+_CLICK = (("n2", "n3", "eta"),)
 _DP = (("j",), ("optimize", "tol"))
 _TOL = (("tol",),)
 
@@ -108,8 +115,9 @@ _PAIRS = {
         "value": bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(_ghz_r(p))).value}),
     ("su21", "ps3"): _Pair(((("n",), ("n2", "n3")),), _su21_ps3),
     ("twb", "ps2"): _Pair((_N,), lambda p: _ps2(bell_ps.f_twb(p["n"]))),
-    ("conditional", "ps2"): _Pair((_HERALDED,), lambda p: _ps2(
-        bell_ps.f_conditional(_heralded(p)))),
+    # the spin-flip coefficient reads no phase
+    ("conditional", "ps2"): _Pair((_CLICK,), lambda p: _ps2(
+        bell_ps.f_conditional(conditional.ConditionalParams(p["n2"], p["n3"], eta=p["eta"])))),
     ("twb", "homodyne"): _Pair((_N, _TOL), lambda p: _homodyne(
         gaussian.twb_state(p["n"]), 0.0, p["tol"])),
     ("conditional", "homodyne"): _Pair((_HERALDED, _TOL), lambda p: _homodyne(
@@ -128,7 +136,6 @@ class RunConfig:
     n2: float | None = None
     n3: float | None = None
     phi2: float | None = None
-    phi3: float | None = None
     eta: float | None = None
     j: float | None = None
     optimize: bool = False

@@ -6,6 +6,11 @@ covariance to modes 1, 2 and then inverts (a partial trace); the second inverts
 the detector-broadened 6x6 covariance first and then restricts (a Gaussian
 integral over the measured mode).  The asymmetry is deliberate and is
 validated against the Fock oracle in the test suite.
+
+The click is insensitive to the phase of mode 3, and a phase on mode 3 is a
+local rotation of the measured mode, so the heralded state does not depend on
+it: ``ConditionalParams`` carries no mode-3 phase, and the source is built
+with phi3 = 0.
 """
 from __future__ import annotations
 
@@ -16,24 +21,22 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError, UndefinedStateError
-from .gaussian import (GaussianState, TripartitePhotonNumbers, _check_condition, reduce_state,
-                       su21_state)
+from .gaussian import TripartitePhotonNumbers, _check_condition, su21_state
 
 _KEEP = (0, 1, 3, 4)  # x1, x2, y1, y2 of the 6x6 (x1 x2 x3 y1 y2 y3) ordering
 
 
 @dataclass(frozen=True)
 class ConditionalParams:
-    """Source photon numbers/phases plus the ON/OFF detector efficiency."""
+    """Source photon numbers, the mode-2 phase, and the ON/OFF detector efficiency."""
 
     n2: float
     n3: float
     phi2: float = 0.0
-    phi3: float = 0.0
     eta: float = 1.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.n2, self.n3, self.phi2, self.phi3, self.eta])):
+        if not np.all(np.isfinite([self.n2, self.n3, self.phi2, self.eta])):
             raise InvalidParameterError("parameters must be finite")
         if self.n2 < 0 or self.n3 < 0:
             raise InvalidParameterError("photon numbers must be >= 0")
@@ -41,7 +44,7 @@ class ConditionalParams:
             raise InvalidParameterError("eta must lie in [0, 1]")
 
     def photons(self) -> TripartitePhotonNumbers:
-        return TripartitePhotonNumbers(self.n2, self.n3, self.phi2, self.phi3)
+        return TripartitePhotonNumbers(self.n2, self.n3, self.phi2)
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,3 @@ def w1_eval(p: ConditionalParams, point: NDArray) -> float | NDArray:
     if pt.shape[-1] != 4:
         raise InvalidParameterError("point must have length 4")
     return two_gaussian_form(p).eval(pt)
-
-
-def w_traced(p: ConditionalParams) -> GaussianState:
-    """Two-mode Gaussian state left after simply discarding mode 3."""
-    return reduce_state(su21_state(p.photons()), (0, 1))

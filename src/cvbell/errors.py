@@ -9,10 +9,6 @@ class InvalidParameterError(CvBellError, ValueError):
     """A parameter is outside its documented domain."""
 
 
-class UnsupportedRegimeError(CvBellError, ValueError):
-    """Parameters land in a physical regime the model does not cover."""
-
-
 class CutoffTooSmallError(CvBellError, ValueError):
     """Truncated basis cannot hold the state within the tail budget."""
 

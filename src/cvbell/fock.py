@@ -53,15 +53,6 @@ class FockDensityOperator:
         object.__setattr__(self, "kets", k)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def matrix(self) -> NDArray[np.complex128]:
-        """The (cutoff**n_modes,)*2 matrix, built on each access."""
-        flat = self.kets.reshape(self.weights.size, -1)
-        return (flat.T * self.weights) @ flat.conj()
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.matrix)))
-
 
 def su21_fock(p: TripartitePhotonNumbers, cutoff: int) -> FockDensityOperator:
     """The interlinked-interaction state as one ket, truncated at ``cutoff``

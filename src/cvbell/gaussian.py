@@ -7,18 +7,16 @@ The Wigner function convention is
 with v = (x_1..x_n, y_1..y_n) ordered position-block first and the vacuum
 covariance equal to the identity (quadrature x = (a e^{-i theta} + h.c.)/sqrt(2),
 so each vacuum quadrature has variance 1/2 under W).  All constructors return
-pure states with det(C) = 1; reductions of entangled states are mixed.
+pure states with det(C) = 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
-
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConditioningError, InvalidParameterError, UnsupportedRegimeError
+from .errors import ConditioningError, InvalidParameterError
 
 COND_LIMIT = 1e12
 
@@ -37,10 +35,9 @@ class GaussianState:
 
     ``cov`` is the 2n x 2n symmetric positive-definite covariance matrix in
     the (x_1..x_n, y_1..y_n) ordering, dimensionless with vacuum = identity.
-    Construction checks it; the inverse and determinant that correlators and
-    ``wigner_eval`` read are computed on first use and cached, so an
-    ill-conditioned state constructs and raises ``ConditioningError`` at its
-    first correlator.
+    Construction checks it; the inverse and determinant that correlators
+    read are computed on first use and cached, so an ill-conditioned state
+    constructs and raises ``ConditioningError`` at its first correlator.
     """
 
     n_modes: int
@@ -78,25 +75,6 @@ class GaussianState:
 
     def det(self) -> float:
         return self.factors[1]
-
-
-@dataclass(frozen=True)
-class CouplingParams:
-    """Couplings of the two interlinked bilinear interactions, plus the time."""
-
-    gamma1: complex
-    gamma2: complex
-    t: float
-
-    def __post_init__(self):
-        for name in ("gamma1", "gamma2", "t"):
-            v = getattr(self, name)
-            if not np.all(np.isfinite([np.real(v), np.imag(v)])):
-                raise InvalidParameterError(f"{name} must be finite")
-        if abs(self.gamma2) <= abs(self.gamma1):
-            raise UnsupportedRegimeError(
-                "|gamma2| must exceed |gamma1| (oscillatory regime only)"
-            )
 
 
 @dataclass(frozen=True)
@@ -145,11 +123,6 @@ def ghz_state(r: float) -> GaussianState:
     cov[:3, :3] = X
     cov[3:, 3:] = Y
     return GaussianState(3, cov)
-
-
-def ghz_total_photons(r: float) -> float:
-    """Mean total photon number of ``ghz_state(r)``."""
-    return 3.0 * np.sinh(r) ** 2
 
 
 def ghz_r_from_photons(n: float) -> float:
@@ -204,43 +177,3 @@ def twb_state(n: float) -> GaussianState:
     cov[0, 1] = cov[1, 0] = s
     cov[2, 3] = cov[3, 2] = -s
     return GaussianState(2, cov)
-
-
-def coupling_to_photons(c: CouplingParams) -> TripartitePhotonNumbers:
-    """Photon numbers generated from vacuum by the interlinked couplings at time t."""
-    g1, g2 = abs(c.gamma1), abs(c.gamma2)
-    omega = np.sqrt(g2**2 - g1**2)
-    n2 = (g1**2 * g2**2 / omega**4) * (np.cos(omega * c.t) - 1.0) ** 2
-    n3 = (g1**2 / omega**2) * np.sin(omega * c.t) ** 2
-    return TripartitePhotonNumbers(n2=float(n2), n3=float(n3))
-
-
-def wigner_eval(s: GaussianState, point: NDArray[np.float64]) -> float | NDArray[np.float64]:
-    """Wigner function at ``point`` = (x_1..x_n, y_1..y_n); strictly positive.
-
-    Accepts a trailing-dimension batch: shape (..., 2n) returns shape (...).
-    """
-    pt = np.asarray(point, dtype=float)
-    d = 2 * s.n_modes
-    if pt.shape[-1] != d:
-        raise InvalidParameterError(f"point must have length {d}")
-    inv, det = s.factors
-    quad = np.einsum("...i,ij,...j->...", pt, inv, pt)
-    out = np.pi ** (-s.n_modes) * det ** -0.5 * np.exp(-quad)
-    return float(out) if out.ndim == 0 else out
-
-
-def reduce_state(s: GaussianState, keep: Iterable[int]) -> GaussianState:
-    """Partial trace down to the modes in ``keep`` (0-based indices).
-
-    Tracing a Gaussian state just deletes the rows/columns of the dropped
-    modes from the covariance matrix.
-    """
-    modes = sorted(set(int(k) for k in keep))
-    if not modes:
-        raise InvalidParameterError("keep must be a nonempty set of mode indices")
-    if modes[0] < 0 or modes[-1] >= s.n_modes:
-        raise InvalidParameterError(f"mode indices must lie in [0, {s.n_modes - 1}]")
-    idx = modes + [m + s.n_modes for m in modes]
-    sub = s.cov[np.ix_(idx, idx)]
-    return GaussianState(len(modes), sub)

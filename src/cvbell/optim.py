@@ -209,60 +209,3 @@ def log_j_maximize(f_of_j: Callable[[NDArray[np.float64]], ArrayLike], j_lo: flo
         raise InvalidParameterError(f"need 0 < j_lo < j_hi < inf, got {j_lo}, {j_hi}")
     res = maximize_scalar(lambda us: f_of_j(np.exp(us)), math.log(j_lo), math.log(j_hi), tol)
     return replace(res, arg_max=np.exp(res.arg_max))
-
-
-def asymptote_relations() -> list[dict]:
-    """Numerically optimized displacements against their large-energy predictions.
-
-    Each row reports the optimized J, the predicted value, and their ratio.
-    """
-    from . import bell_dp
-    from .conditional import ConditionalParams
-    from .gaussian import twb_state
-
-    rows: list[dict] = []
-
-    n = 1e3
-    res = log_j_maximize(lambda j: bell_dp.b3_ghz_closed(
-        math.asinh(math.sqrt(n / 3.0)), j).value, 1e-8, 1.0)
-    pred = math.asinh(math.sqrt(n / 3.0)) / (8.0 * n)
-    rows.append({
-        "name": "ghz_dp_j", "energy": n, "j_opt": float(res.arg_max[0]),
-        "j_predicted": pred, "ratio": float(res.arg_max[0]) / pred,
-        "bell_value": res.max_value,
-    })
-
-    n = 1e5
-    s = bell_dp.su21_opt_state(n)
-    res = log_j_maximize(lambda j: bell_dp.b3_dp_general(
-        s, bell_dp.su21_opt_dp_settings(j)).value, 1e-8, 1.0)
-    pred = 3.21 / n
-    rows.append({
-        "name": "su21_opt_dp_jn", "energy": n, "j_opt": float(res.arg_max[0]),
-        "j_predicted": pred, "ratio": float(res.arg_max[0]) / pred,
-        "bell_value": res.max_value,
-    })
-
-    r = 5.0
-    n = 2.0 * math.sinh(r) ** 2
-    s = twb_state(n)
-    res = log_j_maximize(lambda j: bell_dp.b2_dp(s, bell_dp.twb_dp_settings(j)).value,
-                         1e-10, 1.0)
-    pred = math.log(3.0) / 32.0 * math.exp(-2.0 * r)
-    rows.append({
-        "name": "twb_dp_exp2r_j", "energy": n, "j_opt": float(res.arg_max[0]),
-        "j_predicted": pred, "ratio": float(res.arg_max[0]) / pred,
-        "bell_value": res.max_value,
-    })
-
-    n2 = 1e3
-    p = ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-    res = log_j_maximize(lambda j: bell_dp.b2_dp(p, bell_dp.conditional_dp_settings(j)).value,
-                         1e-9, 1.0)
-    pred = 0.042 / n2
-    rows.append({
-        "name": "conditional_dp_jn2", "energy": n2, "j_opt": float(res.arg_max[0]),
-        "j_predicted": pred, "ratio": float(res.arg_max[0]) / pred,
-        "bell_value": res.max_value,
-    })
-    return rows

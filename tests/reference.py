@@ -1,0 +1,221 @@
+"""Reference implementations the tests compare against.
+
+These are not part of the ``cvbell`` package: the program does not run them.
+They are the Gaussian Wigner function and partial trace, the coupling-to-photon
+map of the interlinked interactions, the three displacement families and the
+large-squeezing residual that only the closed forms' tests assemble, the
+three-mode pseudospin correlator written out, the large-energy relations of the
+optimized displacements, and the dense matrix of a Fock-space state.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+from numpy.typing import ArrayLike, NDArray
+
+from cvbell import (ConditionalParams, DpSettings, FockDensityOperator, GaussianState,
+                    InvalidParameterError, PsCoefficients, TripartitePhotonNumbers, bell_dp,
+                    log_j_maximize, twb_state)
+from cvbell.bell_dp import _check_j, _family
+
+
+# ---------------------------------------------------------------------------
+# Gaussian states
+
+def wigner_eval(s: GaussianState, point: NDArray[np.float64]) -> float | NDArray[np.float64]:
+    """Wigner function at ``point`` = (x_1..x_n, y_1..y_n); strictly positive.
+
+    Accepts a trailing-dimension batch: shape (..., 2n) returns shape (...).
+    """
+    pt = np.asarray(point, dtype=float)
+    d = 2 * s.n_modes
+    if pt.shape[-1] != d:
+        raise InvalidParameterError(f"point must have length {d}")
+    inv, det = s.factors
+    quad = np.einsum("...i,ij,...j->...", pt, inv, pt)
+    out = np.pi ** (-s.n_modes) * det ** -0.5 * np.exp(-quad)
+    return float(out) if out.ndim == 0 else out
+
+
+def reduce_state(s: GaussianState, keep: Iterable[int]) -> GaussianState:
+    """Partial trace down to the modes in ``keep`` (0-based indices).
+
+    Tracing a Gaussian state just deletes the rows/columns of the dropped
+    modes from the covariance matrix.
+    """
+    modes = sorted(set(int(k) for k in keep))
+    if not modes:
+        raise InvalidParameterError("keep must be a nonempty set of mode indices")
+    if modes[0] < 0 or modes[-1] >= s.n_modes:
+        raise InvalidParameterError(f"mode indices must lie in [0, {s.n_modes - 1}]")
+    idx = modes + [m + s.n_modes for m in modes]
+    sub = s.cov[np.ix_(idx, idx)]
+    return GaussianState(len(modes), sub)
+
+
+@dataclass(frozen=True)
+class CouplingParams:
+    """Couplings of the two interlinked bilinear interactions, plus the time."""
+
+    gamma1: complex
+    gamma2: complex
+    t: float
+
+    def __post_init__(self):
+        for name in ("gamma1", "gamma2", "t"):
+            v = getattr(self, name)
+            if not np.all(np.isfinite([np.real(v), np.imag(v)])):
+                raise InvalidParameterError(f"{name} must be finite")
+        if abs(self.gamma2) <= abs(self.gamma1):
+            raise ValueError(
+                "|gamma2| must exceed |gamma1| (oscillatory regime only)"
+            )
+
+
+def coupling_to_photons(c: CouplingParams) -> TripartitePhotonNumbers:
+    """Photon numbers generated from vacuum by the interlinked couplings at time t."""
+    g1, g2 = abs(c.gamma1), abs(c.gamma2)
+    omega = np.sqrt(g2**2 - g1**2)
+    n2 = (g1**2 * g2**2 / omega**4) * (np.cos(omega * c.t) - 1.0) ** 2
+    n3 = (g1**2 / omega**2) * np.sin(omega * c.t) ** 2
+    return TripartitePhotonNumbers(n2=float(n2), n3=float(n3))
+
+
+# ---------------------------------------------------------------------------
+# displaced parity
+
+def ghz_dp_settings(j_mag: ArrayLike) -> DpSettings:
+    """Symmetric family for the GHZ-type state: real sqrt(J)(1,1,1) and
+    -2 sqrt(J)(1,1,1); J in coherent-amplitude units."""
+    w = np.sqrt(_check_j(j_mag))
+    return _family((w, w, w), (-2 * w, -2 * w, -2 * w))
+
+
+def su21_sym_dp_settings(j_mag: ArrayLike) -> DpSettings:
+    """Symmetric family for the trilinear state with phases phi2 = phi3 = pi:
+    real sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1); J in phase-space units
+    (coherent amplitude sqrt(J/2))."""
+    w = np.sqrt(_check_j(j_mag) / 2.0)
+    return _family((w, w, w), (-2 * w, -2 * w, -2 * w))
+
+
+def twb_bw_dp_settings(j_mag: ArrayLike) -> DpSettings:
+    """Original two-settings family: zero displacements against
+    real (sqrt(J), -sqrt(J)); J in coherent-amplitude units."""
+    w = np.sqrt(_check_j(j_mag))
+    zero = np.zeros_like(w)
+    return _family((zero, zero), (w, -w))
+
+
+def large_squeezing_residual(settings: DpSettings) -> float:
+    """Sum of the three constraint expressions that keep the positive Bell terms
+    alive at large squeezing.
+
+    Written in the frame where the optimal symmetric family is imaginary
+    (multiply the package's real family by 1j to land in this frame).  Zero
+    exactly when every positive correlator survives the large-r limit.
+    """
+    if settings.unprimed.shape != (3,):
+        raise InvalidParameterError("three-mode settings required")
+    x, y = settings.unprimed.real, settings.unprimed.imag
+    xp, yp = settings.primed.real, settings.primed.imag
+    total = 0.0
+    for k in range(3):
+        yk = y.copy()
+        yk[k] = yp[k]
+        xk = x.copy()
+        xk[k] = xp[k]
+        others = [i for i in range(3) if i != k]
+        i1, i2 = others
+        total += (yk.sum() ** 2 + (xk[i1] - xk[i2]) ** 2
+                  + (xk[i1] - xk[k]) ** 2 + (xk[k] - xk[i2]) ** 2)
+    return float(total)
+
+
+def asymptote_relations() -> list[dict]:
+    """Numerically optimized displacements against their large-energy predictions.
+
+    Each row reports the optimized J, the predicted value, and their ratio.
+    """
+    rows: list[dict] = []
+
+    n = 1e3
+    res = log_j_maximize(lambda j: bell_dp.b3_ghz_closed(
+        math.asinh(math.sqrt(n / 3.0)), j).value, 1e-8, 1.0)
+    pred = math.asinh(math.sqrt(n / 3.0)) / (8.0 * n)
+    rows.append({
+        "name": "ghz_dp_j", "energy": n, "j_opt": float(res.arg_max[0]),
+        "j_predicted": pred, "ratio": float(res.arg_max[0]) / pred,
+        "bell_value": res.max_value,
+    })
+
+    n = 1e5
+    s = bell_dp.su21_opt_state(n)
+    res = log_j_maximize(lambda j: bell_dp.b3_dp_general(
+        s, bell_dp.su21_opt_dp_settings(j)).value, 1e-8, 1.0)
+    pred = 3.21 / n
+    rows.append({
+        "name": "su21_opt_dp_jn", "energy": n, "j_opt": float(res.arg_max[0]),
+        "j_predicted": pred, "ratio": float(res.arg_max[0]) / pred,
+        "bell_value": res.max_value,
+    })
+
+    r = 5.0
+    n = 2.0 * math.sinh(r) ** 2
+    s = twb_state(n)
+    res = log_j_maximize(lambda j: bell_dp.b2_dp(s, bell_dp.twb_dp_settings(j)).value,
+                         1e-10, 1.0)
+    pred = math.log(3.0) / 32.0 * math.exp(-2.0 * r)
+    rows.append({
+        "name": "twb_dp_exp2r_j", "energy": n, "j_opt": float(res.arg_max[0]),
+        "j_predicted": pred, "ratio": float(res.arg_max[0]) / pred,
+        "bell_value": res.max_value,
+    })
+
+    n2 = 1e3
+    p = ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
+    res = log_j_maximize(lambda j: bell_dp.b2_dp(p, bell_dp.conditional_dp_settings(j)).value,
+                         1e-9, 1.0)
+    pred = 0.042 / n2
+    rows.append({
+        "name": "conditional_dp_jn2", "energy": n2, "j_opt": float(res.arg_max[0]),
+        "j_predicted": pred, "ratio": float(res.arg_max[0]) / pred,
+        "bell_value": res.max_value,
+    })
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# pseudospin
+
+def e_ps3(c: PsCoefficients, thetas, phis) -> float:
+    """Three-mode pseudospin correlation function for one angle triple.
+
+    The all-z term enters with coefficient +1; the three mixed terms carry
+    c1, c2, c3 with their azimuthal factors.
+    """
+    t1, t2, t3 = thetas
+    p1, p2, p3 = phis
+    return (math.cos(t1) * math.cos(t2) * math.cos(t3)
+            + c.c1 * math.cos(t1) * math.sin(t2) * math.sin(t3)
+            * (math.cos(p2) * math.cos(p3) + math.sin(p2) * math.sin(p3))
+            + c.c2 * math.cos(t2) * math.sin(t1) * math.sin(t3)
+            * (math.cos(p1) * math.cos(p3) - math.sin(p1) * math.sin(p3))
+            + c.c3 * math.cos(t3) * math.sin(t1) * math.sin(t2)
+            * (math.cos(p1) * math.cos(p2) + math.sin(p1) * math.sin(p2)))
+
+
+# ---------------------------------------------------------------------------
+# Fock-space states
+
+def matrix(state: FockDensityOperator) -> NDArray[np.complex128]:
+    """The (cutoff**n_modes,)*2 matrix of ``state``."""
+    flat = state.kets.reshape(state.weights.size, -1)
+    return (flat.T * state.weights) @ flat.conj()
+
+
+def min_eigenvalue(state: FockDensityOperator) -> float:
+    return float(np.min(np.linalg.eigvalsh(matrix(state))))

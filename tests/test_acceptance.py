@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cvbell as cb
+from reference import ghz_dp_settings, twb_bw_dp_settings
 
 SQRT2 = math.sqrt(2.0)
 
@@ -29,7 +30,7 @@ def test_criterion_1_tripartite_dp_ghz():
     for _ in range(100):
         r = rng.uniform(0.0, 3.0)
         j = rng.uniform(0.0, 0.5)
-        assembled = cb.b3_dp_general(cb.ghz_state(r), cb.ghz_dp_settings(j)).value
+        assembled = cb.b3_dp_general(cb.ghz_state(r), ghz_dp_settings(j)).value
         worst = max(worst, abs(cb.b3_ghz_closed(r, j).value - assembled))
     ok &= worst < 1e-10
     dt = time.time() - t0
@@ -83,7 +84,7 @@ def test_criterion_4_bipartite_dp():
     r = 5.0
     n = 2 * math.sinh(r) ** 2
     s = cb.twb_state(n)
-    bw = cb.log_j_maximize(lambda j: cb.b2_dp(s, cb.twb_bw_dp_settings(j)).value, 1e-10, 1e-1)
+    bw = cb.log_j_maximize(lambda j: cb.b2_dp(s, twb_bw_dp_settings(j)).value, 1e-10, 1e-1)
     ok = abs(bw.max_value - 2.19) <= 0.01
     imp = cb.log_j_maximize(lambda j: cb.b2_dp(s, cb.twb_dp_settings(j)).value, 1e-10, 1e-1)
     ok &= abs(imp.max_value - 2.32) <= 0.01

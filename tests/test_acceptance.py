@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import cvbell as cb
 from reference import ghz_dp_settings, twb_bw_dp_settings

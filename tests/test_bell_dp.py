@@ -22,7 +22,6 @@ from cvbell import (
     ghz_state,
     log_j_maximize,
     onoff_condition,
-    su21_fock,
     su21_opt_dp_settings,
     su21_opt_state,
     su21_state,

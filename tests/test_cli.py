@@ -2,7 +2,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from cvbell import (ConditionalParams, DpSettings, TripartitePhotonNumbers, b2_dp, b3_dp_general,
                     b3_su21_closed, chsh_h, ghz_state, su21_state, twb_state)
+from cvbell import cli
 from cvbell.cli import FIGURE_IDS, RunConfig, UsageError, _PAIRS, main, run_figure, run_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -409,6 +413,82 @@ class TestFlagTable:
         consumed = {k for forms in _PAIRS[pair].groups for form in forms for k in form}
         assert set(rec["params"]) <= consumed
         assert math.isfinite(rec["value"])
+
+
+class TestSharedParser:
+    """``main`` parses with the one parser built when ``cvbell.cli`` is imported."""
+
+    MIXED = [
+        (["point", "--state", "twb", "--test", "ps2", "--n", "1"], 0),
+        (["point", "--state", "ghz", "--test", "dp3", "--n", "1", "--j", "0.1"], 0),
+        (["point", "--state", "su21", "--test", "dp3", "--n", "1", "--optimize"], 0),
+        (["point", "--state", "twb", "--test", "dp2", "--n", "1", "--j", "0.1"], 0),
+        (["point", "--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", "0.5",
+          "--j", "0.1"], 0),
+        (["point", "--state", "conditional", "--test", "ps2", "--n2", "1", "--n3", "0.5"], 0),
+        (["point", "--state", "su21", "--test", "ps3", "--n", "1"], 0),
+        (["point", "--state", "twb", "--test", "homodyne", "--n", "1"], 0),
+        (["point", "--state", "twb", "--test", "ps2", "--grid", "0:4:9"], 0),
+        (["figure", "E2H", "--out", "e2h.csv"], 0),
+        (["figure", "B2DPTWBA", "--out", "b2dptwba.json", "--format", "json"], 0),
+        (["verify", "--cutoff", "1"], 1),
+        (["point", "--state", "twb", "--test", "dp3", "--n", "1"], 2),
+        (["point", "--state", "twb", "--test", "ps2", "--n", "1", "--bogus", "1"], 2),
+        ([], 2),
+        (["figure", "B9"], 2),
+        (["point", "--state", "twb", "--test", "ps2", "--n", "1", "--grid", "0:1:0"], 2),
+        (["point", "--state", "twb", "--test", "ps2", "--n", "nan"], 4),
+        (["--help"], 0),
+        (["point", "--help"], 0),
+    ]
+
+    def test_main_constructs_no_parser(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        built = []
+        init = cli.argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+        assert [main(argv) for argv, _ in self.MIXED] == [rc for _, rc in self.MIXED]
+        assert built == []
+
+    @staticmethod
+    def _env() -> dict:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # help text wraps at the terminal width, so both sides get the same one
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        sequence = [
+            ["point", "--state", "twb", "--test", "dp3", "--n", "1"],
+            ["point", "--state", "twb", "--test", "ps2", "--n", "1", "--bogus", "1"],
+            ["point", "--help"],
+            ["point", "--state", "twb", "--test", "ps2", "--n", "1"],
+            ["figure", "E2H"],
+        ]
+        in_process = []
+        for argv in sequence:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((rc, captured.out, captured.err))
+        assert [rc for rc, _, _ in in_process] == [2, 2, 0, 0, 0]
+        for argv, seen in zip(sequence, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "cvbell.cli", *argv], env=self._env(),
+                                   cwd=tmp_path, capture_output=True, text=True, timeout=300)
+            assert seen == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    def test_package_import_loads_no_parser(self):
+        code = "import sys, cvbell; print(sorted({'argparse', 'cvbell.cli'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env=self._env(),
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 def _load_checks():

@@ -15,7 +15,6 @@ from cvbell import (
     su21_state,
     twb_state,
     wigner_reconstruct,
-    su21_fock,
     twb_fock,
 )
 from reference import CouplingParams, coupling_to_photons, reduce_state, wigner_eval

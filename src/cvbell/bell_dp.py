@@ -9,12 +9,20 @@ units; for the heralded two-mode state the Wigner two-Gaussian form replaces
 the single exponential.  Built-in displacement families reproduce the known
 optimal parameterizations for each state; their docstrings record the
 orientation and the units of the magnitude parameter J.
+
+Each built-in family is sqrt(J) times one fixed setting, so every exponent is
+J times its J = 1 value.  ``DpRates`` uses that for the two-party CHSH: it
+reads the exponents off once per state and then costs a few exponentials per
+J, which is how the CLI scans J.  The explicit settings path (``b2_dp``,
+``b3_dp_general``) takes any settings and is what the figures and ``verify``
+use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -140,13 +148,17 @@ def e_dp_ghz_closed(r: float, alphas: Sequence[complex]) -> float:
     return math.exp(-(2.0 / 3.0) * (e2r * quad_fast + quad_slow / e2r))
 
 
+def _term_rows(settings: DpSettings) -> NDArray[np.complex128]:
+    """The (..., term, mode) displacements of the four Bell terms: each term's
+    row takes the setting its parties measure."""
+    terms = KLYSHKO_TERMS if settings.unprimed.shape[-1] == 3 else CHSH_TERMS
+    return np.where(terms == 0, settings.unprimed[..., None, :], settings.primed[..., None, :])
+
+
 def _assemble(correlator, target, settings: DpSettings) -> NDArray[np.float64]:
     """Bell combinations, shape (...), of one ``correlator`` call on the four
     stacked term rows of each of the (..., n_modes) settings."""
-    terms = KLYSHKO_TERMS if settings.unprimed.shape[-1] == 3 else CHSH_TERMS
-    # (..., term, mode): each term's row takes the setting its parties measure
-    alphas = np.where(terms == 0, settings.unprimed[..., None, :], settings.primed[..., None, :])
-    return _bell_sum(correlator(target, alphas))
+    return _bell_sum(correlator(target, _term_rows(settings)))
 
 
 def b3_dp_general(s: GaussianState, settings: DpSettings) -> BellValue:
@@ -169,6 +181,52 @@ def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> Be
             raise InvalidParameterError("b2_dp needs a two-mode state")
         corr = e_dp_gaussian
     return BellValue(_assemble(corr, target, settings), 2, settings)
+
+
+# ---------------------------------------------------------------------------
+# rate form: a family that scales as sqrt(J) scales each exponent by J
+
+@dataclass(frozen=True)
+class DpRates:
+    """``b2_dp(target, family(J))`` as a function of J alone, for a ``family``
+    whose displacements are sqrt(J) times their J = 1 values:
+
+        B(J) = |sum_t TERM_SIGNS[t] sum_g w_g exp(J k_gt)|,
+
+    one weight w_g per Gaussian of the correlator (det^{-1/2}; for the
+    heralded state pi^2 w_a and -pi^2 w_b) and one J = 1 exponent k_gt per
+    Gaussian and term.  Like ``GaussianState.factors``, ``rates`` is computed
+    at the first ``bell`` call, after its J is checked, from the factors the
+    explicit correlators use, so it raises their errors there."""
+
+    target: GaussianState | ConditionalParams
+    family: Callable[[ArrayLike], DpSettings]
+
+    def __post_init__(self):
+        if isinstance(self.target, GaussianState) and self.target.n_modes != 2:
+            raise InvalidParameterError("DpRates needs a two-mode state")
+
+    @cached_property
+    def rates(self) -> tuple[tuple[float, ...], NDArray[np.float64]]:
+        """``(weights, exponents)``: one weight per Gaussian, and a (Gaussian,
+        term) array of the exponents at J = 1."""
+        u = _phase_space(_term_rows(self.family(1.0)), 2)
+        if isinstance(self.target, ConditionalParams):
+            form = two_gaussian_form(self.target)
+            v = _SQRT2 * u
+            return ((np.pi**2 * form.weight_a, -np.pi**2 * form.weight_b),
+                    np.stack([-np.einsum("...i,ij,...j->...", v, q, v)
+                              for q in (form.quad_form_a, form.quad_form_b)]))
+        inv, det = self.target.factors
+        return (det ** -0.5,), np.vecdot(np.vecmat(-2.0 * u, inv), u)[None]
+
+    def bell(self, j_mag: ArrayLike) -> BellValue:
+        """B at J of any shape: a scalar J gives a float value, and an array
+        of J its shape, bit-identical to one call per J."""
+        j = _check_j(j_mag)[..., None]
+        weights, exponents = self.rates
+        e = sum(w * np.exp(j * k) for w, k in zip(weights, exponents))
+        return BellValue(_bell_sum(e), 2)
 
 
 # ---------------------------------------------------------------------------

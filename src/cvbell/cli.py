@@ -61,6 +61,9 @@ def _heralded(p: dict) -> conditional.ConditionalParams:
 def _dp(target: Callable[[dict], object], value: Callable[[object, np.ndarray], np.ndarray]):
     """A displaced-parity evaluator: ``value(target(p), j)`` at ``--j``, or its
     maximum over J with ``--optimize``; ``value`` takes J of any shape.
+    ``target`` runs once per query and every J reuses it; for dp2 it is the
+    state's ``bell_dp.DpRates``, so a J costs 4 (twin beam) or 8 (heralded)
+    exponentials and no quadratic form.
 
     The scan runs over [1e-9, 10], or over [1e-4/N, 10] for a photon number N
     (``--n``, or ``--n2``) above 1e5: the optima fall as about 1/N (0.17/N for
@@ -111,11 +114,13 @@ _PAIRS = {
     # the trilinear closed form is the symmetric one: it reads the total N only
     ("su21", "dp3"): _Pair((_N, _DP), _dp(
         lambda p: p["n"], lambda n, j: bell_dp.b3_su21_closed(n, j).value)),
+    # each dp2 family is sqrt(J) times its J = 1 setting: one rate form per query
     ("twb", "dp2"): _Pair((_N, _DP), _dp(
-        lambda p: gaussian.twb_state(p["n"]),
-        lambda s, j: bell_dp.b2_dp(s, bell_dp.twb_dp_settings(j)).value)),
+        lambda p: bell_dp.DpRates(gaussian.twb_state(p["n"]), bell_dp.twb_dp_settings),
+        lambda rates, j: rates.bell(j).value)),
     ("conditional", "dp2"): _Pair((_HERALDED, _DP), _dp(
-        _heralded, lambda hp, j: bell_dp.b2_dp(hp, bell_dp.conditional_dp_settings(j)).value)),
+        lambda p: bell_dp.DpRates(_heralded(p), bell_dp.conditional_dp_settings),
+        lambda rates, j: rates.bell(j).value)),
     ("ghz", "ps3"): _Pair((_GHZ,), lambda p: {
         "value": bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(_ghz_r(p))).value}),
     ("su21", "ps3"): _Pair(((("n",), ("n2", "n3")),), _su21_ps3),

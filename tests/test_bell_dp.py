@@ -29,7 +29,9 @@ from cvbell import (
     twb_dp_settings,
     twb_state,
     TripartitePhotonNumbers,
+    UndefinedStateError,
 )
+from cvbell.bell_dp import DpRates
 from reference import (ghz_dp_settings, large_squeezing_residual, su21_sym_dp_settings,
                        twb_bw_dp_settings)
 
@@ -379,3 +381,95 @@ class TestBatchedJ:
     def test_ghz_closed_is_exactly_two_at_zero(self):
         # the log of 24 e^{2r} J is skipped at J = 0, so no RuntimeWarning
         assert np.all(b3_ghz_closed(0.8, np.zeros((2, 3))).value == 2.0)
+
+
+class TestRateForm:
+    """``DpRates`` evaluates ``b2_dp(target, family(J))`` from exponents read
+    off once at J = 1, for families that scale as sqrt(J)."""
+
+    JS = np.logspace(-9, 1, 41)
+    TARGETS = [
+        *(pytest.param(twb_state(n), twb_dp_settings, id=f"twb-{n:g}")
+          for n in (1e-3, 1.0, 2.0, 1e3, 1e5)),
+        *(pytest.param(ConditionalParams(*p), conditional_dp_settings,
+                       id="conditional-{:g}-{:g}-{:g}-{:g}".format(*p))
+          for p in ((1.0, 0.5, 0.0, 1.0), (0.05, 2.0, 0.9, 0.6), (30.0, 0.1, -1.3, 0.3),
+                    (1e3, 0.05, 2.0, 0.95))),
+    ]
+
+    @pytest.mark.parametrize("target,family", TARGETS)
+    def test_matches_explicit_settings(self, target, family):
+        rates = DpRates(target, family).bell(self.JS).value
+        explicit = b2_dp(target, family(self.JS)).value
+        assert np.max(np.abs(rates - explicit)) <= 1e-12
+
+    @pytest.mark.parametrize("family", [
+        twb_dp_settings, conditional_dp_settings, su21_opt_dp_settings])
+    def test_families_scale_as_sqrt_j(self, family):
+        one = family(1.0)
+        for j in np.concatenate([[0.0], np.logspace(-12, 3, 31)]):
+            s = family(j)
+            for got, unit in ((s.unprimed, one.unprimed), (s.primed, one.primed)):
+                want = math.sqrt(j) * unit
+                assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), j
+
+    @pytest.mark.parametrize("target,family", [
+        (twb_state(2.0), twb_dp_settings),
+        (ConditionalParams(1.0, 0.5, eta=0.8), conditional_dp_settings),
+    ], ids=["twb", "conditional"])
+    def test_scalar_and_batched_j(self, target, family):
+        rates = DpRates(target, family)
+        assert isinstance(rates.bell(0.01).value, float)
+        batch = rates.bell(self.JS).value
+        assert batch.shape == self.JS.shape
+        assert [rates.bell(j).value for j in self.JS.tolist()] == batch.tolist()
+        grid = rates.bell(self.JS[:40].reshape(5, 8)).value
+        assert grid.shape == (5, 8)
+        assert np.array_equal(grid, batch[:40].reshape(5, 8))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("target,family", [
+        (twb_state(2.0), twb_dp_settings),
+        (ConditionalParams(1.0, 0.5), conditional_dp_settings),
+        # J is checked before the state is factored or heralded, as on the
+        # explicit path
+        (twb_state(1e6), twb_dp_settings),
+        (ConditionalParams(1.0, 0.0), conditional_dp_settings),
+    ], ids=["twb", "conditional", "ill-conditioned", "clickless"])
+    def test_bad_j_rejected(self, target, family, bad):
+        with pytest.raises(InvalidParameterError, match="J must be finite"):
+            DpRates(target, family).bell(bad)
+        with pytest.raises(InvalidParameterError, match="J must be finite"):
+            DpRates(target, family).bell([0.1, bad])
+
+    @pytest.mark.parametrize("target,family", [
+        (twb_state(1e6), twb_dp_settings),
+        (ConditionalParams(1e8, 0.5), conditional_dp_settings),
+    ], ids=["twb", "conditional"])
+    def test_ill_conditioned_state_raises_like_the_explicit_path(self, target, family):
+        with pytest.raises(ConditioningError) as explicit:
+            b2_dp(target, family(1e-7))
+        with pytest.raises(ConditioningError) as rates:
+            DpRates(target, family).bell(1e-7)
+        assert str(rates.value) == str(explicit.value)
+
+    def test_clickless_heralded_state_is_undefined(self):
+        with pytest.raises(UndefinedStateError):
+            DpRates(ConditionalParams(1.0, 0.5, eta=0.0), conditional_dp_settings).bell(0.1)
+
+    def test_needs_two_modes(self):
+        with pytest.raises(InvalidParameterError, match="two-mode"):
+            DpRates(ghz_state(1.0), twb_dp_settings)
+        with pytest.raises(InvalidParameterError, match="one displacement per mode"):
+            DpRates(twb_state(1.0), su21_opt_dp_settings).bell(0.1)
+
+    def test_factored_once(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        s = twb_state(2.0)
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+        rates = DpRates(s, twb_dp_settings)
+        assert calls == []
+        first = rates.bell(self.JS).value
+        assert rates.bell(self.JS).value.tolist() == first.tolist()
+        assert len(calls) == 1

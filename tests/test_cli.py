@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from cvbell import (ConditionalParams, DpSettings, TripartitePhotonNumbers, b2_dp, b3_dp_general,
-                    b3_su21_closed, chsh_h, ghz_state, su21_state, twb_state)
+                    b3_su21_closed, chsh_h, conditional_dp_settings, ghz_state, log_j_maximize,
+                    su21_state, twb_dp_settings, twb_state)
 from cvbell import cli
 from cvbell.cli import FIGURE_IDS, RunConfig, UsageError, _PAIRS, main, run_figure, run_point
 
@@ -172,6 +173,45 @@ class TestPoint:
             cfg.validate()
         assert main(["point", "--state", "twb", "--test", "dp2", "--n2", "1", "--j", "0.1"]) == 2
         assert "usage error" in capsys.readouterr().err
+
+
+class TestDp2RateForm:
+    """``twb dp2`` and ``conditional dp2`` evaluate every J through the state's
+    rate form; ``--j`` and ``--optimize`` share that one value function."""
+
+    # pool-like states: twin beams across six decades, heralded states of every
+    # regime in perfbench/ref/points.json, and one with a mode-2 phase
+    CASES = [
+        pytest.param(["--state", "twb", "--n", n], twb_state(float(n)), twb_dp_settings,
+                     id=f"twb-{n}") for n in ("0.00148892", "0.978597", "207.212", "6631.85")
+    ] + [
+        pytest.param(["--state", "conditional", "--n2", n2, "--n3", n3, "--phi2", phi2,
+                      "--eta", eta],
+                     ConditionalParams(float(n2), float(n3), float(phi2), float(eta)),
+                     conditional_dp_settings, id=f"conditional-{n2}-{n3}")
+        for n2, n3, phi2, eta in (("0.0126824", "0.0152597", "0", "0.936991"),
+                                  ("0.829307", "1.31223", "0", "0.85117"),
+                                  ("806.355", "0.134486", "0", "0.534644"),
+                                  ("1", "0.5", "0.9", "1"))
+    ]
+
+    @staticmethod
+    def _record(argv, capsys) -> dict:
+        assert main(["point", "--test", "dp2", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv,target,family", CASES)
+    def test_j_reproduces_the_optimized_value(self, argv, target, family, capsys):
+        best = self._record([*argv, "--optimize"], capsys)
+        at = self._record([*argv, "--j", repr(best["j_opt"])], capsys)
+        assert at["value"] == best["value"]
+
+    @pytest.mark.parametrize("argv,target,family", CASES)
+    def test_matches_the_explicit_settings_scan(self, argv, target, family, capsys):
+        best = self._record([*argv, "--optimize"], capsys)
+        old = log_j_maximize(lambda j: b2_dp(target, family(j)).value, 1e-9, 10.0)
+        assert best["value"] == pytest.approx(old.max_value, abs=1e-12)
+        assert best["evaluations"] == old.evaluations
 
 
 class TestLibraryErrors:

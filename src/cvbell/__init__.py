@@ -41,8 +41,7 @@ from .bell_dp import (
     b3_ghz_closed,
     b3_su21_closed,
     conditional_dp_settings,
-    e_dp_conditional,
-    e_dp_gaussian,
+    e_dp,
     e_dp_ghz_closed,
     su21_opt_dp_settings,
     su21_opt_state,
@@ -51,7 +50,6 @@ from .bell_dp import (
 )
 from .bell_ps import (
     PsCoefficients,
-    PsSettings,
     b2_ps_from_f,
     b3_ps,
     b3_ps_from_coeffs,

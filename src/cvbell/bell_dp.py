@@ -10,19 +10,19 @@ the single exponential.  Built-in displacement families reproduce the known
 optimal parameterizations for each state; their docstrings record the
 orientation and the units of the magnitude parameter J.
 
-Each built-in family is sqrt(J) times one fixed setting, so every exponent is
-J times its J = 1 value.  ``DpRates`` uses that for the two-party CHSH: it
-reads the exponents off once per state and then costs a few exponentials per
-J, which is how the CLI scans J.  The explicit settings path (``b2_dp``,
-``b3_dp_general``) takes any settings and is what the figures and ``verify``
-use.
+Every Bell value is assembled in one place, ``DpRates``: its exponents are
+read off once per (state, settings) pair, and ``bell(J)`` is the value at the
+settings scaled by sqrt(J), so each exponent is J times its J = 1 value and a
+J costs a few exponentials.  ``b2_dp`` and ``b3_dp_general`` are its J = 1
+value; the CLI scans J on the built-in families at J = 1, each of which is
+sqrt(J) times that one setting.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -77,12 +77,10 @@ class DpSettings:
 
 @dataclass(frozen=True)
 class BellValue:
-    """A Bell-combination value (a float, or an array for a batch of settings),
-    with the settings that produced it where the caller has them."""
+    """A Bell-combination value: a float, or an array for a batch of settings."""
 
     value: float | NDArray[np.float64]
     n_parties: int
-    settings: object = None
 
     def __post_init__(self):
         value = np.asarray(self.value, dtype=float)
@@ -108,35 +106,44 @@ def _phase_space(alphas: ArrayLike, n_modes: int) -> NDArray[np.float64]:
     return u
 
 
-def e_dp_gaussian(s: GaussianState, alphas: ArrayLike) -> float | NDArray[np.float64]:
-    """Displaced-parity correlator of a Gaussian state; in (0, 1].
+def _gaussians(target: GaussianState | ConditionalParams, alphas: ArrayLike
+               ) -> tuple[float, tuple[float, ...], tuple[NDArray[np.float64], ...]]:
+    """``(scale, weights, exponents)`` of the correlator at ``alphas``, a
+    (..., n_modes) array: E = scale sum_g weights[g] exp(exponents[g]), each
+    exponent of shape (...).  A Gaussian state has one Gaussian, weight
+    det^{-1/2}; its quadratic form is one stacked vector-matrix product with
+    the cached inverse, and ``vecmat``/``vecdot`` keep each row's summation
+    order, so a batch is bit-identical to row-by-row calls.  The heralded
+    state has two, pi^2 (w_a, -w_b) at sqrt(2) u."""
+    if isinstance(target, ConditionalParams):
+        form = two_gaussian_form(target)
+        return (np.pi**2, (form.weight_a, -form.weight_b),
+                form.exponents(_SQRT2 * _phase_space(alphas, 2)))
+    u = _phase_space(alphas, target.n_modes)
+    inv, det = target.factors
+    return 1.0, (det ** -0.5,), (np.vecdot(np.vecmat(-2.0 * u, inv), u),)
 
-    ``alphas`` holds one displacement per mode along its last axis: a
-    (..., n_modes) array gives shape (...), a single row gives a float.  The
-    quadratic form is one stacked vector-matrix product with the state's
-    cached inverse; ``vecmat``/``vecdot`` keep each row's summation order, so
-    a batch is bit-identical to row-by-row calls.
-    """
-    u = _phase_space(alphas, s.n_modes)
-    inv, det = s.factors
-    out = det ** -0.5 * np.exp(np.vecdot(np.vecmat(-2.0 * u, inv), u))
+
+def _evaluate(scale, weights, exponents, j: ArrayLike = 1.0):
+    """scale sum_g w_g exp(J k_g): the correlator at displacements sqrt(J) alpha."""
+    return scale * sum(w * np.exp(j * k) for w, k in zip(weights, exponents))
+
+
+def e_dp(target: GaussianState | ConditionalParams,
+         alphas: ArrayLike) -> float | NDArray[np.float64]:
+    """Displaced-parity correlator of a Gaussian state (in (0, 1]) or of the
+    heralded two-mode state (in [-1, 1]) at ``alphas``, one displacement per
+    mode along the last axis: (..., n_modes) gives shape (...), a row a float."""
+    out = _evaluate(*_gaussians(target, alphas))
     return float(out) if out.ndim == 0 else out
-
-
-def e_dp_conditional(p: ConditionalParams, alphas: ArrayLike) -> float | NDArray[np.float64]:
-    """Displaced-parity correlator of the heralded two-mode state; in [-1, 1].
-
-    Batched like ``e_dp_gaussian`` over (..., 2) arrays of displacements.
-    """
-    return np.pi**2 * two_gaussian_form(p).eval(_SQRT2 * _phase_space(alphas, 2))
 
 
 def e_dp_ghz_closed(r: float, alphas: Sequence[complex]) -> float:
     """Explicit correlator of the GHZ-type state, written out directly.
 
     Expressed in the orientation of the covariance construction (x-sum and
-    y-difference directions squeezed); an independent code path from
-    ``e_dp_gaussian`` used to cross-check it.
+    y-difference directions squeezed); an independent code path from ``e_dp``
+    used to cross-check it.
     """
     al = np.asarray(alphas, dtype=complex)
     if al.shape != (3,):
@@ -148,17 +155,49 @@ def e_dp_ghz_closed(r: float, alphas: Sequence[complex]) -> float:
     return math.exp(-(2.0 / 3.0) * (e2r * quad_fast + quad_slow / e2r))
 
 
-def _term_rows(settings: DpSettings) -> NDArray[np.complex128]:
-    """The (..., term, mode) displacements of the four Bell terms: each term's
-    row takes the setting its parties measure."""
-    terms = KLYSHKO_TERMS if settings.unprimed.shape[-1] == 3 else CHSH_TERMS
-    return np.where(terms == 0, settings.unprimed[..., None, :], settings.primed[..., None, :])
+@dataclass(frozen=True)
+class DpRates:
+    """The Bell combination of ``target`` at ``settings`` scaled by sqrt(J), as
+    a function of J alone:
 
+        B(J) = |sum_t TERM_SIGNS[t] scale sum_g w_g exp(J k_gt)|,
 
-def _assemble(correlator, target, settings: DpSettings) -> NDArray[np.float64]:
-    """Bell combinations, shape (...), of one ``correlator`` call on the four
-    stacked term rows of each of the (..., n_modes) settings."""
-    return _bell_sum(correlator(target, _term_rows(settings)))
+    with the weights and J = 1 exponents k_gt of ``_gaussians`` on the four
+    term rows: CHSH for two-party settings, Bell-Klyshko for three.  Like
+    ``GaussianState.factors``, ``rates`` is computed at the first ``bell``
+    call, after its J is checked, so the state's errors and a mode-count
+    mismatch raise there."""
+
+    target: GaussianState | ConditionalParams
+    settings: DpSettings
+
+    def __post_init__(self):
+        if self.settings.unprimed.shape[-1] not in (2, 3):
+            raise InvalidParameterError("DpRates needs two- or three-party settings")
+
+    @cached_property
+    def rates(self):
+        """``_gaussians`` at J = 1 of the (..., term, mode) displacements of the
+        four Bell terms: each term's row takes the setting its parties measure."""
+        s = self.settings
+        terms = KLYSHKO_TERMS if s.unprimed.shape[-1] == 3 else CHSH_TERMS
+        return _gaussians(self.target,
+                          np.where(terms == 0, s.unprimed[..., None, :], s.primed[..., None, :]))
+
+    def bell(self, j_mag: ArrayLike = 1.0) -> BellValue:
+        """B at J of any shape, broadcast against the settings' batch shape;
+        a scalar J on unbatched settings gives a float value.  Values are
+        bit-identical to one call per J, and J = 1 is the value at
+        ``settings`` itself."""
+        j, batch = _check_j(j_mag), self.settings.unprimed.shape[:-1]
+        try:   # a scalar J, or unbatched settings, always broadcasts
+            if j.ndim and batch:
+                np.broadcast_shapes(j.shape, batch)
+        except ValueError:
+            raise InvalidParameterError(f"J of shape {j.shape} does not broadcast against "
+                                        f"settings of batch shape {batch}") from None
+        return BellValue(_bell_sum(_evaluate(*self.rates, j[..., None])),
+                         self.settings.unprimed.shape[-1])
 
 
 def b3_dp_general(s: GaussianState, settings: DpSettings) -> BellValue:
@@ -166,7 +205,7 @@ def b3_dp_general(s: GaussianState, settings: DpSettings) -> BellValue:
     (..., 3) settings give a value of shape (...)."""
     if s.n_modes != 3 or settings.unprimed.shape[-1] != 3:
         raise InvalidParameterError("b3_dp_general needs a three-mode state and settings")
-    return BellValue(_assemble(e_dp_gaussian, s, settings), 3, settings)
+    return DpRates(s, settings).bell()
 
 
 def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> BellValue:
@@ -174,59 +213,9 @@ def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> Be
     settings give a value of shape (...)."""
     if settings.unprimed.shape[-1] != 2:
         raise InvalidParameterError("two-mode settings required")
-    if isinstance(target, ConditionalParams):
-        corr = e_dp_conditional
-    else:
-        if target.n_modes != 2:
-            raise InvalidParameterError("b2_dp needs a two-mode state")
-        corr = e_dp_gaussian
-    return BellValue(_assemble(corr, target, settings), 2, settings)
-
-
-# ---------------------------------------------------------------------------
-# rate form: a family that scales as sqrt(J) scales each exponent by J
-
-@dataclass(frozen=True)
-class DpRates:
-    """``b2_dp(target, family(J))`` as a function of J alone, for a ``family``
-    whose displacements are sqrt(J) times their J = 1 values:
-
-        B(J) = |sum_t TERM_SIGNS[t] sum_g w_g exp(J k_gt)|,
-
-    one weight w_g per Gaussian of the correlator (det^{-1/2}; for the
-    heralded state pi^2 w_a and -pi^2 w_b) and one J = 1 exponent k_gt per
-    Gaussian and term.  Like ``GaussianState.factors``, ``rates`` is computed
-    at the first ``bell`` call, after its J is checked, from the factors the
-    explicit correlators use, so it raises their errors there."""
-
-    target: GaussianState | ConditionalParams
-    family: Callable[[ArrayLike], DpSettings]
-
-    def __post_init__(self):
-        if isinstance(self.target, GaussianState) and self.target.n_modes != 2:
-            raise InvalidParameterError("DpRates needs a two-mode state")
-
-    @cached_property
-    def rates(self) -> tuple[tuple[float, ...], NDArray[np.float64]]:
-        """``(weights, exponents)``: one weight per Gaussian, and a (Gaussian,
-        term) array of the exponents at J = 1."""
-        u = _phase_space(_term_rows(self.family(1.0)), 2)
-        if isinstance(self.target, ConditionalParams):
-            form = two_gaussian_form(self.target)
-            v = _SQRT2 * u
-            return ((np.pi**2 * form.weight_a, -np.pi**2 * form.weight_b),
-                    np.stack([-np.einsum("...i,ij,...j->...", v, q, v)
-                              for q in (form.quad_form_a, form.quad_form_b)]))
-        inv, det = self.target.factors
-        return (det ** -0.5,), np.vecdot(np.vecmat(-2.0 * u, inv), u)[None]
-
-    def bell(self, j_mag: ArrayLike) -> BellValue:
-        """B at J of any shape: a scalar J gives a float value, and an array
-        of J its shape, bit-identical to one call per J."""
-        j = _check_j(j_mag)[..., None]
-        weights, exponents = self.rates
-        e = sum(w * np.exp(j * k) for w, k in zip(weights, exponents))
-        return BellValue(_bell_sum(e), 2)
+    if isinstance(target, GaussianState) and target.n_modes != 2:
+        raise InvalidParameterError("b2_dp needs a two-mode state")
+    return DpRates(target, settings).bell()
 
 
 # ---------------------------------------------------------------------------

@@ -42,26 +42,6 @@ class PsCoefficients:
         return abs(self.c1), abs(self.c2), abs(self.c3)
 
 
-@dataclass(frozen=True)
-class PsSettings:
-    """Measurement axes (polar, azimuthal) per mode, plus primed counterparts."""
-
-    thetas: tuple[float, ...]
-    phis: tuple[float, ...]
-    thetas_primed: tuple[float, ...]
-    phis_primed: tuple[float, ...]
-
-    def __post_init__(self):
-        arrs = (self.thetas, self.phis, self.thetas_primed, self.phis_primed)
-        if len({len(a) for a in arrs}) != 1:
-            raise InvalidParameterError("angle tuples must have matching lengths")
-        if not all(np.isfinite(a).all() for a in map(np.asarray, arrs)):
-            raise InvalidParameterError("angles must be finite")
-
-
-AZIMUTHAL_PRESET = (0.0, math.pi, math.pi)
-
-
 # ---------------------------------------------------------------------------
 # ladder coefficients: one fixed 2-D quadrature
 #
@@ -250,12 +230,7 @@ def b3_ps_from_coeffs(c: PsCoefficients) -> BellValue:
     realized by the (0, pi, pi) azimuthal preset for the ladder-representation
     signs.
     """
-    res = klyshko_max(c.magnitudes())
-    settings = PsSettings(
-        thetas=tuple(res.arg_max[:3]), phis=AZIMUTHAL_PRESET,
-        thetas_primed=tuple(res.arg_max[3:]), phis_primed=AZIMUTHAL_PRESET,
-    )
-    return BellValue(res.max_value, 3, settings)
+    return BellValue(klyshko_max(c.magnitudes()).max_value, 3)
 
 
 def b3_ps(n2: float, n3: float) -> BellValue:
@@ -265,17 +240,9 @@ def b3_ps(n2: float, n3: float) -> BellValue:
 
 
 def b2_ps_from_f(f: float) -> BellValue:
-    """CHSH maximum 2 sqrt(1 + f^2) for a correlator cos cos + f sin sin.
-
-    The maximizing angles are included in the returned settings: party 1 at
-    (0, pi/2), party 2 at (+/- chi) with tan(chi) = f.
-    """
+    """CHSH maximum 2 sqrt(1 + f^2) for a correlator cos cos + f sin sin,
+    reached with party 1 at (0, pi/2) and party 2 at +/- chi, tan(chi) = f."""
     if not 0.0 <= f <= 1.0 + 1e-12:
         raise InvalidParameterError("f must lie in [0, 1]")
     f = min(f, 1.0)
-    chi = math.atan2(f, 1.0)
-    settings = PsSettings(
-        thetas=(0.0, chi), phis=(0.0, 0.0),
-        thetas_primed=(math.pi / 2.0, -chi), phis_primed=(0.0, 0.0),
-    )
-    return BellValue(2.0 * math.sqrt(1.0 + f * f), 2, settings)
+    return BellValue(2.0 * math.sqrt(1.0 + f * f), 2)

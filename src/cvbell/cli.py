@@ -61,9 +61,10 @@ def _heralded(p: dict) -> conditional.ConditionalParams:
 def _dp(target: Callable[[dict], object], value: Callable[[object, np.ndarray], np.ndarray]):
     """A displaced-parity evaluator: ``value(target(p), j)`` at ``--j``, or its
     maximum over J with ``--optimize``; ``value`` takes J of any shape.
-    ``target`` runs once per query and every J reuses it; for dp2 it is the
-    state's ``bell_dp.DpRates``, so a J costs 4 (twin beam) or 8 (heralded)
-    exponentials and no quadratic form.
+    ``target`` runs once per query and every J reuses it; for dp2 it is
+    ``bell_dp.DpRates`` of the state at its family's J = 1 setting, the one
+    engine every displaced-parity Bell value comes from, so a J costs 4 (twin
+    beam) or 8 (heralded) exponentials and no quadratic form.
 
     The scan runs over [1e-9, 10], or over [1e-4/N, 10] for a photon number N
     (``--n``, or ``--n2``) above 1e5: the optima fall as about 1/N (0.17/N for
@@ -116,10 +117,10 @@ _PAIRS = {
         lambda p: p["n"], lambda n, j: bell_dp.b3_su21_closed(n, j).value)),
     # each dp2 family is sqrt(J) times its J = 1 setting: one rate form per query
     ("twb", "dp2"): _Pair((_N, _DP), _dp(
-        lambda p: bell_dp.DpRates(gaussian.twb_state(p["n"]), bell_dp.twb_dp_settings),
+        lambda p: bell_dp.DpRates(gaussian.twb_state(p["n"]), bell_dp.twb_dp_settings(1.0)),
         lambda rates, j: rates.bell(j).value)),
     ("conditional", "dp2"): _Pair((_HERALDED, _DP), _dp(
-        lambda p: bell_dp.DpRates(_heralded(p), bell_dp.conditional_dp_settings),
+        lambda p: bell_dp.DpRates(_heralded(p), bell_dp.conditional_dp_settings(1.0)),
         lambda rates, j: rates.bell(j).value)),
     ("ghz", "ps3"): _Pair((_GHZ,), lambda p: {
         "value": bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(_ghz_r(p))).value}),
@@ -349,13 +350,13 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
         worst = 0.0
         for al in [(0.1, 0.1j, 0.0), (0.2, -0.1 + 0.05j, 0.1j)]:
             o = fock.displaced_parity_expect(st, al)
-            g = bell_dp.e_dp_gaussian(gs, al)
+            g = bell_dp.e_dp(gs, al)
             worst = max(worst, abs(o - g))
         tw = twb_st()
         gw = gaussian.twb_state(1.0)
         for al in [(0.2, 0.1), (0.3j, -0.2j)]:
             worst = max(worst, abs(fock.displaced_parity_expect(tw, al)
-                                   - bell_dp.e_dp_gaussian(gw, al)))
+                                   - bell_dp.e_dp(gw, al)))
         return worst < 1e-4, f"max |oracle-gaussian| = {worst:.2e}"
     add("displaced parity vs oracle", "1e-4", chk_dp_oracle)
 
@@ -365,7 +366,7 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
         for _ in range(20):
             r = rng.uniform(0, 2.5)
             al = rng.normal(0, 0.4, 3) + 1j * rng.normal(0, 0.4, 3)
-            worst = max(worst, abs(bell_dp.e_dp_gaussian(gaussian.ghz_state(r), al)
+            worst = max(worst, abs(bell_dp.e_dp(gaussian.ghz_state(r), al)
                                    - bell_dp.e_dp_ghz_closed(r, al)))
         return worst < 1e-10, f"max path difference = {worst:.2e}"
     add("explicit GHZ correlator vs covariance path", "1e-10", chk_dp_closed)

@@ -60,11 +60,15 @@ class TwoGaussianWigner:
     quad_form_a: NDArray[np.float64]
     quad_form_b: NDArray[np.float64]
 
-    def eval(self, point: NDArray) -> float | NDArray:
+    def exponents(self, point: NDArray) -> tuple[NDArray, NDArray]:
+        """-x.Q.x of the two Gaussians at each (..., 4) point x."""
         pt = np.asarray(point, dtype=float)
-        qa = np.einsum("...i,ij,...j->...", pt, self.quad_form_a, pt)
-        qb = np.einsum("...i,ij,...j->...", pt, self.quad_form_b, pt)
-        out = self.weight_a * np.exp(-qa) - self.weight_b * np.exp(-qb)
+        return tuple(-np.einsum("...i,ij,...j->...", pt, q, pt)
+                     for q in (self.quad_form_a, self.quad_form_b))
+
+    def eval(self, point: NDArray) -> float | NDArray:
+        ka, kb = self.exponents(point)
+        out = self.weight_a * np.exp(ka) - self.weight_b * np.exp(kb)
         return float(out) if out.ndim == 0 else out
 
 

@@ -198,13 +198,13 @@ def test_criterion_7_oracle_equivalence():
     for _ in range(10):
         al = rng.normal(0, 0.3, 3) + 1j * rng.normal(0, 0.3, 3)
         worst_dp = max(worst_dp, abs(cb.displaced_parity_expect(st, al)
-                                     - cb.e_dp_gaussian(gs, al)))
+                                     - cb.e_dp(gs, al)))
     tw = cb.twb_fock(math.tanh(math.asinh(math.sqrt(0.5))), cutoff)
     gw = cb.twb_state(1.0)
     for _ in range(10):
         al = rng.normal(0, 0.3, 2) + 1j * rng.normal(0, 0.3, 2)
         worst_dp = max(worst_dp, abs(cb.displaced_parity_expect(tw, al)
-                                     - cb.e_dp_gaussian(gw, al)))
+                                     - cb.e_dp(gw, al)))
     ok = worst_dp < 1e-4
 
     X, Z = (math.pi / 2, 0.0), (0.0, 0.0)

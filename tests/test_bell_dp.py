@@ -16,8 +16,7 @@ from cvbell import (
     b3_su21_closed,
     conditional_dp_settings,
     displaced_parity_expect,
-    e_dp_conditional,
-    e_dp_gaussian,
+    e_dp,
     e_dp_ghz_closed,
     ghz_state,
     log_j_maximize,
@@ -30,6 +29,7 @@ from cvbell import (
     twb_state,
     TripartitePhotonNumbers,
     UndefinedStateError,
+    w1_eval,
 )
 from cvbell.bell_dp import DpRates
 from reference import (ghz_dp_settings, large_squeezing_residual, su21_sym_dp_settings,
@@ -42,27 +42,27 @@ class TestCorrelators:
     def test_zero_displacement_pure_states(self):
         for s in (ghz_state(1.0), twb_state(2.0),
                   su21_state(TripartitePhotonNumbers(0.5, 0.7))):
-            assert e_dp_gaussian(s, [0.0] * s.n_modes) == pytest.approx(1.0, abs=1e-9)
+            assert e_dp(s, [0.0] * s.n_modes) == pytest.approx(1.0, abs=1e-9)
 
     def test_ghz_explicit_form_matches_covariance_path(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             r = rng.uniform(0.0, 3.0)
             al = rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3)
-            assert e_dp_gaussian(ghz_state(r), al) == pytest.approx(
+            assert e_dp(ghz_state(r), al) == pytest.approx(
                 e_dp_ghz_closed(r, al), abs=1e-10)
 
     def test_matches_fock_oracle(self, photons_03, su21_fock_03):
         gs = su21_state(photons_03)
         for al in [(0.1, 0.1j, 0.0), (0.2, -0.1 + 0.05j, 0.1j)]:
-            assert e_dp_gaussian(gs, al) == pytest.approx(
+            assert e_dp(gs, al) == pytest.approx(
                 displaced_parity_expect(su21_fock_03, al), abs=1e-5)
 
     def test_conditional_correlator_matches_oracle(self, photons_03, su21_fock_03):
         p = ConditionalParams(0.3, 0.3, eta=0.8)
         _, rho = onoff_condition(su21_fock_03, 2, 0.8)
         for al in [(0.0, 0.0), (0.2, -0.1 + 0.2j)]:
-            assert e_dp_conditional(p, al) == pytest.approx(
+            assert e_dp(p, al) == pytest.approx(
                 displaced_parity_expect(rho, al), abs=1e-5)
 
 
@@ -224,49 +224,49 @@ class TestBatchedCorrelators:
     def test_gaussian_batch_matches_rows(self, make):
         s = make()
         al = _random_alphas(np.random.default_rng(17), 1000, s.n_modes)
-        batch = e_dp_gaussian(s, al)
-        rows = np.array([e_dp_gaussian(s, row) for row in al])
+        batch = e_dp(s, al)
+        rows = np.array([e_dp(s, row) for row in al])
         assert batch.shape == (1000,)
-        assert all(isinstance(e_dp_gaussian(s, row), float) for row in al[:3])
+        assert all(isinstance(e_dp(s, row), float) for row in al[:3])
         assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
 
     def test_conditional_batch_matches_rows(self):
         p = ConditionalParams(0.8, 0.4, phi2=0.9, eta=0.7)
         al = _random_alphas(np.random.default_rng(23), 1000, 2)
-        batch = e_dp_conditional(p, al)
-        rows = np.array([e_dp_conditional(p, row) for row in al])
-        assert isinstance(e_dp_conditional(p, al[0]), float)
+        batch = e_dp(p, al)
+        rows = np.array([e_dp(p, row) for row in al])
+        assert isinstance(e_dp(p, al[0]), float)
         assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
 
     def test_batch_in_any_memory_order_matches_rows(self):
         s = su21_state(TripartitePhotonNumbers(0.4, 1.3, 0.7, -1.9))
         al = _random_alphas(np.random.default_rng(29), 3, 500).T    # not C-ordered
-        assert np.array_equal(e_dp_gaussian(s, al), [e_dp_gaussian(s, row) for row in al])
+        assert np.array_equal(e_dp(s, al), [e_dp(s, row) for row in al])
 
     def test_leading_axes_broadcast(self):
         s = ghz_state(0.7)
         al = _random_alphas(np.random.default_rng(3), 6, 3).reshape(2, 3, 3)
-        out = e_dp_gaussian(s, al)
+        out = e_dp(s, al)
         assert out.shape == (2, 3)
-        assert out[1, 2] == e_dp_gaussian(s, al[1, 2])
+        assert out[1, 2] == e_dp(s, al[1, 2])
 
     @pytest.mark.parametrize("alphas", [0.1, [0.1, 0.2, 0.3], np.zeros((4, 3))])
     def test_wrong_mode_count(self, alphas):
         with pytest.raises(InvalidParameterError):
-            e_dp_gaussian(twb_state(1.0), alphas)
+            e_dp(twb_state(1.0), alphas)
         with pytest.raises(InvalidParameterError):
-            e_dp_conditional(ConditionalParams(1.0, 0.5), alphas)
+            e_dp(ConditionalParams(1.0, 0.5), alphas)
 
     def test_assembly_is_the_four_term_sum(self):
         rng = np.random.default_rng(8)
         s3, s2 = su21_state(TripartitePhotonNumbers(0.5, 0.2, 0.3, 1.0)), twb_state(1.5)
         for _ in range(20):
             a, ap = _random_alphas(rng, 2, 3)
-            e = lambda *al: e_dp_gaussian(s3, list(al))
+            e = lambda *al: e_dp(s3, list(al))
             want = abs(e(a[0], a[1], ap[2]) + e(a[0], ap[1], a[2])
                        + e(ap[0], a[1], a[2]) - e(ap[0], ap[1], ap[2]))
             assert b3_dp_general(s3, DpSettings(tuple(a), tuple(ap))).value == want
-            e = lambda *al: e_dp_gaussian(s2, list(al))
+            e = lambda *al: e_dp(s2, list(al))
             want = abs(e(a[0], a[1]) + e(a[0], ap[1]) + e(ap[0], a[1]) - e(ap[0], ap[1]))
             assert b2_dp(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).value == want
 
@@ -277,10 +277,10 @@ class TestFactorization:
         calls = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
-        first = e_dp_gaussian(s, [0.1, -0.2j])
+        first = e_dp(s, [0.1, -0.2j])
         assert len(calls) == 1
         b2_twb = b2_dp(s, twb_dp_settings(0.01)).value
-        assert e_dp_gaussian(s, [0.1, -0.2j]) == first
+        assert e_dp(s, [0.1, -0.2j]) == first
         assert s.det() == pytest.approx(1.0, abs=1e-9)
         assert len(calls) == 1
         assert b2_twb == b2_dp(twb_state(2.0), twb_dp_settings(0.01)).value
@@ -288,7 +288,7 @@ class TestFactorization:
     def test_ill_conditioned_state_raises_at_first_correlator(self):
         s = twb_state(1e6)
         with pytest.raises(ConditioningError, match="exceeds guard 1e\\+12"):
-            e_dp_gaussian(s, [0.0, 0.0])
+            e_dp(s, [0.0, 0.0])
         with pytest.raises(ConditioningError):
             b2_dp(s, twb_dp_settings(1e-7))
 
@@ -318,9 +318,9 @@ class TestNonFiniteDisplacements:
     """A non-finite displacement is an error, not a NaN or a 0 correlator."""
 
     @pytest.mark.parametrize("call", [
-        lambda: e_dp_gaussian(twb_state(1.0), [math.nan, 0.0]),
-        lambda: e_dp_gaussian(ghz_state(1.0), [[0.1, 0.2, 0.3], [0.0, math.inf, 0.0]]),
-        lambda: e_dp_conditional(ConditionalParams(1.0, 0.5), [1j * math.inf, 0.0]),
+        lambda: e_dp(twb_state(1.0), [math.nan, 0.0]),
+        lambda: e_dp(ghz_state(1.0), [[0.1, 0.2, 0.3], [0.0, math.inf, 0.0]]),
+        lambda: e_dp(ConditionalParams(1.0, 0.5), [1j * math.inf, 0.0]),
         lambda: b2_dp(twb_state(1.0), DpSettings((math.nan, 0.0), (0.0, 0.0))),
         lambda: b2_dp(ConditionalParams(1.0, 0.5), DpSettings((1j * math.inf, 0.0), (0.0, 0.0))),
         lambda: b3_dp_general(ghz_state(1.0), DpSettings((math.inf, 0.0, 0.0), (0.0, 0.0, 0.0))),
@@ -399,7 +399,7 @@ class TestRateForm:
 
     @pytest.mark.parametrize("target,family", TARGETS)
     def test_matches_explicit_settings(self, target, family):
-        rates = DpRates(target, family).bell(self.JS).value
+        rates = DpRates(target, family(1.0)).bell(self.JS).value
         explicit = b2_dp(target, family(self.JS)).value
         assert np.max(np.abs(rates - explicit)) <= 1e-12
 
@@ -418,7 +418,7 @@ class TestRateForm:
         (ConditionalParams(1.0, 0.5, eta=0.8), conditional_dp_settings),
     ], ids=["twb", "conditional"])
     def test_scalar_and_batched_j(self, target, family):
-        rates = DpRates(target, family)
+        rates = DpRates(target, family(1.0))
         assert isinstance(rates.bell(0.01).value, float)
         batch = rates.bell(self.JS).value
         assert batch.shape == self.JS.shape
@@ -438,9 +438,9 @@ class TestRateForm:
     ], ids=["twb", "conditional", "ill-conditioned", "clickless"])
     def test_bad_j_rejected(self, target, family, bad):
         with pytest.raises(InvalidParameterError, match="J must be finite"):
-            DpRates(target, family).bell(bad)
+            DpRates(target, family(1.0)).bell(bad)
         with pytest.raises(InvalidParameterError, match="J must be finite"):
-            DpRates(target, family).bell([0.1, bad])
+            DpRates(target, family(1.0)).bell([0.1, bad])
 
     @pytest.mark.parametrize("target,family", [
         (twb_state(1e6), twb_dp_settings),
@@ -450,26 +450,76 @@ class TestRateForm:
         with pytest.raises(ConditioningError) as explicit:
             b2_dp(target, family(1e-7))
         with pytest.raises(ConditioningError) as rates:
-            DpRates(target, family).bell(1e-7)
+            DpRates(target, family(1.0)).bell(1e-7)
         assert str(rates.value) == str(explicit.value)
 
     def test_clickless_heralded_state_is_undefined(self):
         with pytest.raises(UndefinedStateError):
-            DpRates(ConditionalParams(1.0, 0.5, eta=0.0), conditional_dp_settings).bell(0.1)
+            DpRates(ConditionalParams(1.0, 0.5, eta=0.0), conditional_dp_settings(1.0)).bell(0.1)
 
     def test_needs_two_modes(self):
-        with pytest.raises(InvalidParameterError, match="two-mode"):
-            DpRates(ghz_state(1.0), twb_dp_settings)
-        with pytest.raises(InvalidParameterError, match="one displacement per mode"):
-            DpRates(twb_state(1.0), su21_opt_dp_settings).bell(0.1)
+        """A state and settings of different mode counts raise at the first
+        ``bell``; settings for other than two or three parties at construction."""
+        for target, settings in ((ghz_state(1.0), twb_dp_settings(1.0)),
+                                 (twb_state(1.0), su21_opt_dp_settings(1.0)),
+                                 (ConditionalParams(1.0, 0.5), su21_opt_dp_settings(1.0))):
+            rates = DpRates(target, settings)
+            with pytest.raises(InvalidParameterError, match="one displacement per mode"):
+                rates.bell(0.1)
+        for n in (1, 4):
+            with pytest.raises(InvalidParameterError, match="two- or three-party"):
+                DpRates(twb_state(1.0), DpSettings(np.zeros(n), np.zeros(n)))
 
     def test_factored_once(self, monkeypatch):
         calls = []
         cholesky = np.linalg.cholesky
         s = twb_state(2.0)
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
-        rates = DpRates(s, twb_dp_settings)
+        rates = DpRates(s, twb_dp_settings(1.0))
         assert calls == []
         first = rates.bell(self.JS).value
         assert rates.bell(self.JS).value.tolist() == first.tolist()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("state,family", [
+        *(pytest.param(su21_opt_state(n), su21_opt_dp_settings, id=f"su21-opt-{n:g}")
+          for n in (0.1, 10.0, 1e3)),
+        *(pytest.param(ghz_state(r), ghz_dp_settings, id=f"ghz-{r:g}") for r in (0.5, 1.5)),
+    ])
+    def test_three_party_matches_explicit_settings(self, state, family):
+        rates = DpRates(state, family(1.0)).bell(self.JS)
+        assert rates.n_parties == 3
+        explicit = b3_dp_general(state, family(self.JS)).value
+        assert np.max(np.abs(rates.value - explicit)) <= 1e-12
+
+    def test_heralded_correlator_is_the_wigner_function(self):
+        """E = pi^2 W(sqrt(2) u), bit for bit, on a batch and row by row."""
+        rng = np.random.default_rng(31)
+        for p in (ConditionalParams(1.0, 0.5), ConditionalParams(0.05, 2.0, 0.9, 0.6),
+                  ConditionalParams(30.0, 0.1, -1.3, 0.3)):
+            al = _random_alphas(rng, 200, 2)
+            u = np.concatenate([al.real, al.imag], axis=-1)
+            want = np.pi**2 * w1_eval(p, SQRT2 * u)
+            assert np.array_equal(e_dp(p, al), want)
+            assert [e_dp(p, row) for row in al[:5]] == [
+                np.pi**2 * w1_eval(p, SQRT2 * row) for row in u[:5]]
+
+    def test_j_broadcasts_against_batched_settings(self):
+        s = twb_state(2.0)
+        batch = twb_dp_settings([0.01, 0.02, 0.03])
+        rates = DpRates(s, batch)
+        rows = [DpRates(s, DpSettings(a, b)) for a, b in zip(batch.unprimed, batch.primed)]
+        # a scalar J keeps the batch shape
+        assert rates.bell(2.0).value.tolist() == [r.bell(2.0).value for r in rows]
+        # a J per setting pairs with it, and a (2, 1) J spans the batch
+        js = [1.0, 2.0, 3.0]
+        assert rates.bell(js).value.tolist() == [r.bell(j).value for r, j in zip(rows, js)]
+        grid = rates.bell([[1.0], [2.0]]).value
+        assert grid.shape == (2, 3)
+        assert grid[1].tolist() == rates.bell(2.0).value.tolist()
+
+    @pytest.mark.parametrize("j", [[0.1, 0.2], np.ones((2, 2))])
+    def test_unbroadcastable_j_rejected(self, j):
+        rates = DpRates(twb_state(2.0), twb_dp_settings([0.01, 0.02, 0.03]))
+        with pytest.raises(InvalidParameterError, match="does not broadcast"):
+            rates.bell(j)

@@ -21,6 +21,7 @@ from cvbell import (
     f_twb,
     ghz_pi_coeffs,
     ghz_state,
+    klyshko_max,
     maximize_scalar,
     pi_coeffs_quadrature,
     pseudospin_expect,
@@ -172,14 +173,14 @@ class TestCorrelationFunction:
     def test_settings_snapshot_reproduces_value(self):
         c = su21_ps_coeffs(0.5, 0.5)
         bv = b3_ps_from_coeffs(c)
-        s = bv.settings
-        # the azimuthal preset turns the signed coefficients into the
+        arg = klyshko_max(c.magnitudes()).arg_max
+        # the (0, pi, pi) azimuths turn the signed coefficients into the
         # all-negative canonical pattern the optimizer works in
-        t, tp = s.thetas, s.thetas_primed
-        val = (e_ps3(c, (t[0], t[1], tp[2]), s.phis)
-               + e_ps3(c, (t[0], tp[1], t[2]), s.phis)
-               + e_ps3(c, (tp[0], t[1], t[2]), s.phis)
-               - e_ps3(c, (tp[0], tp[1], tp[2]), s.phis))
+        t, tp, phis = arg[:3], arg[3:], (0.0, math.pi, math.pi)
+        val = (e_ps3(c, (t[0], t[1], tp[2]), phis)
+               + e_ps3(c, (t[0], tp[1], t[2]), phis)
+               + e_ps3(c, (tp[0], t[1], t[2]), phis)
+               - e_ps3(c, (tp[0], tp[1], tp[2]), phis))
         assert abs(val) == pytest.approx(bv.value, abs=1e-7)
 
 
@@ -324,14 +325,14 @@ class TestChshFromF:
     def test_maximizing_angles_reproduce_value(self):
         f = 0.6
         bv = b2_ps_from_f(f)
-        t = bv.settings
+        # party 1 at (0, pi/2), party 2 at (chi, -chi) with tan(chi) = f
+        chi = math.atan2(f, 1.0)
+        a, ap, b, bp = 0.0, math.pi / 2.0, chi, -chi
 
         def corr(a, b):
             return math.cos(a) * math.cos(b) + f * math.sin(a) * math.sin(b)
 
-        val = abs(corr(t.thetas[0], t.thetas[1]) + corr(t.thetas[0], t.thetas_primed[1])
-                  + corr(t.thetas_primed[0], t.thetas[1])
-                  - corr(t.thetas_primed[0], t.thetas_primed[1]))
+        val = abs(corr(a, b) + corr(a, bp) + corr(ap, b) - corr(ap, bp))
         assert val == pytest.approx(bv.value, abs=1e-12)
 
     def test_domain(self):

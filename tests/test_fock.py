@@ -16,7 +16,7 @@ from cvbell import (
     TripartitePhotonNumbers,
     click_probability,
     displaced_parity_expect,
-    e_dp_gaussian,
+    e_dp,
     f_twb,
     onoff_condition,
     orthant_probabilities,
@@ -102,7 +102,7 @@ class TestDisplacedParity:
         gs = su21_state(photons_03)
         al = (0.1, 0.1j, 0.0)
         assert displaced_parity_expect(su21_fock_03, al) == pytest.approx(
-            e_dp_gaussian(gs, al), abs=1e-5)
+            e_dp(gs, al), abs=1e-5)
 
     def test_amplitude_guard(self, su21_fock_03):
         with pytest.raises(PrecisionError):

@@ -29,7 +29,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .conditional import ConditionalParams, two_gaussian_form
 from .errors import InvalidParameterError
-from .gaussian import GaussianState, TripartitePhotonNumbers, su21_state
+from .gaussian import GaussianState, TripartitePhotonNumbers, _nonnegative, su21_state
 
 _SQRT2 = math.sqrt(2.0)
 _B2_BOUND = 2.0 * _SQRT2 + 1e-9
@@ -51,11 +51,7 @@ def _bell_sum(e):
 
 def _check_j(j_mag: ArrayLike) -> NDArray[np.float64]:
     """The displacement magnitudes J, of any shape; each must be finite and >= 0."""
-    j = np.asarray(j_mag, dtype=float)
-    bad = ~((0.0 <= j) & (j < math.inf))
-    if bad.any():
-        raise InvalidParameterError(f"J must be finite and >= 0, got {j[bad].flat[0]}")
-    return j
+    return _nonnegative("J", j_mag)
 
 
 @dataclass(frozen=True)
@@ -84,13 +80,16 @@ class BellValue:
 
     def __post_init__(self):
         value = np.asarray(self.value, dtype=float)
-        if not np.isfinite(value).all():
-            raise InvalidParameterError(f"Bell value must be finite, got {self.value}")
         bound = _B2_BOUND if self.n_parties == 2 else _B3_BOUND
-        if (np.abs(value) > bound).any():
+        peak = np.max(np.abs(value), initial=0.0)     # NaN if any entry is NaN
+        if not peak <= bound:
+            bad = ~np.isfinite(value)
+            if bad.any():
+                raise InvalidParameterError(f"Bell value must be finite, got {value[bad].flat[0]}"
+                                            f" ({np.count_nonzero(bad)} of {value.size} values)")
             raise InvalidParameterError(
-                f"|B| = {np.max(np.abs(value))} exceeds the {self.n_parties}-party quantum bound"
-            )
+                f"|B| = {peak} exceeds the {self.n_parties}-party quantum bound"
+                f" ({np.count_nonzero(np.abs(value) > bound)} of {value.size} values)")
         object.__setattr__(self, "value", float(value) if value.ndim == 0 else value)
 
 
@@ -221,7 +220,7 @@ def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> Be
 # ---------------------------------------------------------------------------
 # closed forms
 
-def b3_ghz_closed(r: float, j_mag: ArrayLike) -> BellValue:
+def b3_ghz_closed(r: ArrayLike, j_mag: ArrayLike) -> BellValue:
     """Closed-form B3 of the GHZ-type state under its symmetric displacement
     family, real sqrt(J)(1,1,1) and -2 sqrt(J)(1,1,1) (J in coherent-amplitude
     units):
@@ -230,28 +229,28 @@ def b3_ghz_closed(r: float, j_mag: ArrayLike) -> BellValue:
 
     The sign of the second exponent is fixed by re-deriving the combination
     from the explicit correlator; tends to 3 for large r at fixed J > 0 and
-    equals 2 exactly at J = 0.  J of any shape gives a value of that shape.
+    equals 2 exactly at J = 0.  r and J broadcast; each entry equals the
+    call on its own r and J.
     """
-    if not 0.0 <= r < math.inf:
-        raise InvalidParameterError(f"r must be finite and >= 0, got {r}")
-    j = _check_j(j_mag)
+    # [()] makes a 0-d r a numpy scalar, whose arithmetic is several times faster
+    r, j = _nonnegative("r", r)[()], _check_j(j_mag)
+    # math.exp of each r, as the float form has always taken it
+    e_minus = math.exp(-2.0 * r) if r.ndim == 0 else np.array(
+        [math.exp(-2.0 * x) for x in r.ravel().tolist()]).reshape(r.shape)
     # 24 e^{2r} J is formed in log space so that it cannot overflow; past
     # e^7 its exponential underflows to 0 anyway
     log_second = 2.0 * r + np.log(24.0 * j, out=np.full_like(j, -np.inf), where=j > 0.0)
-    val = 3.0 * np.exp(-12.0 * math.exp(-2.0 * r) * j) \
-        - np.exp(-np.exp(np.minimum(log_second, 7.0)))
+    val = 3.0 * np.exp(-12.0 * e_minus * j) - np.exp(-np.exp(np.minimum(log_second, 7.0)))
     return BellValue(np.abs(val), 3)
 
 
-def b3_su21_closed(n: float, j_mag: ArrayLike) -> BellValue:
+def b3_su21_closed(n: ArrayLike, j_mag: ArrayLike) -> BellValue:
     """Closed-form B3 of the trilinear state, symmetric split n2 = n3 = N/4,
     with phases phi2 = phi3 = pi, under the symmetric displacement family real
-    sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1) (J in phase-space units).  J of
-    any shape gives a value of that shape."""
-    if not 0.0 <= n < math.inf:
-        raise InvalidParameterError(f"N must be finite and >= 0, got {n}")
-    j = _check_j(j_mag)
-    q = math.sqrt(n * (2.0 + n))
+    sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1) (J in phase-space units).  N and
+    J broadcast; each entry equals the call on its own N and J."""
+    n, j = _nonnegative("N", n)[()], _check_j(j_mag)     # a 0-d N as a scalar, as for r
+    q = np.sqrt(n) * np.sqrt(2.0 + n)     # sqrt(N (2 + N)), finite at any finite N
     s2 = math.sqrt(2.0)
     # the ratio of exponentials folded into three non-positive exponents so the
     # expression stays finite at any J*N

@@ -100,6 +100,22 @@ def _ratios(n2: float, n3: float) -> tuple[float, float, float]:
     return n2 / (1 + n1), n3 / (1 + n1), 1.0 / (1 + n1)
 
 
+def _kernels(a: float, b: float, eps: float) -> np.ndarray:
+    """The four factors 1 -+ w of F(a, b), over the v nodes, as the g of
+    (E + g)/(1 + E): c3 reads F(x, y) and c2 reads F(y, x)."""
+    return np.array([eps, a + eps, 1 + b, 2 * b + eps])[:, None] + a * _MQQM
+
+
+def _integrals(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A quarter of the integral of (E_i + g_kj)^-2 for each row k of g,
+    against the u weights and the row's v weights w[k]; a coefficient sums
+    the four rows of its factors."""
+    s = _E[:, None] + g.reshape(-1)
+    s *= s
+    np.reciprocal(s, out=s)                   # (E_i + g_j)^-2
+    return 0.25 * np.vecdot((_WE @ s).reshape(g.shape), w)
+
+
 def su21_ps_coeffs(n2: float, n3: float) -> PsCoefficients:
     """Ladder-representation coefficients of the trilinear state.
 
@@ -115,16 +131,12 @@ def su21_ps_coeffs(n2: float, n3: float) -> PsCoefficients:
     if p2 == p3 == 0.0:
         return PsCoefficients(0.0, 0.0, 0.0)
     x, y, eps = _ratios(n2, n3)
-    g2 = np.array([eps, y + eps, 1 + x, 2 * x + eps])[:, None] + y * _MQQM   # F(y, x)
+    g2 = _kernels(y, x, eps)
     # c1's factors 1 -+ z over 1 -+ y Q are c2's; the divisors go to the v weights
     den = np.array([x + eps, 1.0, 1.0, x + eps])[:, None] + y * _MQQM
-    g = np.concatenate((g2 / den, g2, np.array([eps, x + eps, 1 + y, 2 * y + eps])[:, None]
-                        + x * _MQQM))
+    g = np.concatenate((g2 / den, g2, _kernels(x, y, eps)))
     w = np.concatenate((_W / den**2, np.broadcast_to(_W, (8, _W.size))))
-    s = _E[:, None] + g.reshape(-1)
-    s *= s
-    np.reciprocal(s, out=s)                   # (E_i + g_j)^-2
-    f1, f2, f3 = 0.25 * np.vecdot((_WE @ s).reshape(g.shape), w).reshape(3, 4).sum(axis=1)
+    f1, f2, f3 = _integrals(g, w).reshape(3, 4).sum(axis=1)
     return PsCoefficients(-p1 * f1 if p1 else 0.0, p2 * f2, p3 * f3)
 
 
@@ -137,10 +149,12 @@ def f_twb(n: float) -> float:
 
 def f_traced(p: ConditionalParams) -> float:
     """Spin-flip coefficient of the mode-3-discarded two-mode state: c3 of
-    ``su21_ps_coeffs(p.n2, p.n3)``."""
+    ``su21_ps_coeffs(p.n2, p.n3)``, bit for bit, from its four kernels alone."""
     if p.n2 == 0.0:
         return 0.0
-    return su21_ps_coeffs(p.n2, p.n3).c3
+    x, y, eps = _ratios(p.n2, p.n3)
+    p3 = 2.0 * math.sqrt(p.n2) / (1 + (p.n2 + p.n3)) ** 1.5
+    return p3 * _integrals(_kernels(x, y, eps), _W).sum()
 
 
 def f_conditional(p: ConditionalParams) -> float:

@@ -68,14 +68,25 @@ def _dp(target: Callable[[dict], object], value: Callable[[object, np.ndarray], 
 
     The scan runs over [1e-9, 10], or over [1e-4/N, 10] for a photon number N
     (``--n``, or ``--n2``) above 1e5: the optima fall as about 1/N (0.17/N for
-    ``su21 dp3``), below a fixed 1e-9 once N passes about 1e8."""
+    ``su21 dp3``), below a fixed 1e-9 once N passes about 1e8.
+
+    A 1-D array of ``n`` (the B3DPN figure) is one lockstep maximization of
+    its brackets: ``target`` then gives one entry per N, and ``value`` takes
+    those of the live brackets as a column.  Each entry is the value a float N
+    gives, and ``evaluations`` is the total."""
+    def j_lo(n: float) -> float:
+        return 1e-4 / n if 1e5 < n < math.inf else 1e-9
+
     def evaluate(p: dict) -> dict:
         t = target(p)
         if "j" in p:
             return {"value": value(t, p["j"])}
         n = p.get("n", p.get("n2", 0.0))
-        j_lo = 1e-4 / n if 1e5 < n < math.inf else 1e-9
-        res = optim.log_j_maximize(lambda j: value(t, j), j_lo, 10.0, tol=p["tol"])
+        if np.ndim(n):
+            res = optim.log_j_maximize(lambda j, rows: value(t[rows, None], j),
+                                       [j_lo(x) for x in n.tolist()], 10.0, tol=p["tol"])
+            return {"value": res.max_value, "j_opt": res.arg_max, "evaluations": res.evaluations}
+        res = optim.log_j_maximize(lambda j: value(t, j), j_lo(n), 10.0, tol=p["tol"])
         return {"value": res.max_value, "j_opt": float(res.arg_max[0]),
                 "evaluations": res.evaluations}
     return evaluate
@@ -218,8 +229,9 @@ def run_point(cfg: RunConfig) -> int:
 def _b3dpvlbgen():
     rs = np.linspace(0.0, 3.0, 61)
     js = np.concatenate([[0.0], np.logspace(-4, 0, 40)])
-    rows = [[r, j, v] for r in rs for j, v in zip(js, bell_dp.b3_ghz_closed(r, js).value)]
-    return {}, ["r", "j", "b3_dp"], rows
+    r, j = np.meshgrid(rs, js, indexing="ij")
+    return {}, ["r", "j", "b3_dp"], np.stack([r, j, bell_dp.b3_ghz_closed(r, j).value],
+                                             axis=-1).reshape(-1, 3)
 
 
 def _b3dpt():
@@ -234,10 +246,11 @@ def _b3dpt():
 
 
 def _b3dpn():
-    best = {"optimize": True, "tol": _DEFAULTS["tol"]}   # point --test dp3 --optimize
-    rows = [[n, *(_PAIRS[s, "dp3"].evaluate({"n": n, **best})["value"] for s in ("ghz", "su21"))]
-            for n in np.logspace(-2, 5, 71)]
-    return {}, ["n", "b3_dp_ghz_opt", "b3_dp_su21_opt"], rows
+    # point --test dp3 --optimize, once per state for all 71 N
+    best = {"n": np.logspace(-2, 5, 71), "optimize": True, "tol": _DEFAULTS["tol"]}
+    return {}, ["n", "b3_dp_ghz_opt", "b3_dp_su21_opt"], np.stack(
+        [best["n"], *(_PAIRS[s, "dp3"].evaluate(best)["value"] for s in ("ghz", "su21"))],
+        axis=-1)
 
 
 def _b3ps():
@@ -297,8 +310,9 @@ def run_figure(figure_id: str, out: str | None = None, fmt: str = "csv") -> int:
                 for k, v in sorted({"figure": figure_id, **meta}.items()):
                     fh.write(f"# {k}={v}\n")
                 fh.write(",".join(cols) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                # one %-format per row of Python floats: the bytes of _fmt per cell
+                line = ",".join(["%.12g"] * len(cols)) + "\n"
+                fh.writelines(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 3

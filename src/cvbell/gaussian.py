@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConditioningError, InvalidParameterError
 
@@ -125,11 +125,23 @@ def ghz_state(r: float) -> GaussianState:
     return GaussianState(3, cov)
 
 
-def ghz_r_from_photons(n: float) -> float:
-    """Squeezing parameter at which ``ghz_state`` carries n photons in total."""
-    if not 0 <= n < np.inf:
-        raise InvalidParameterError(f"photon number must be finite and >= 0, got {n}")
-    return float(np.arcsinh(np.sqrt(n / 3.0)))
+def _nonnegative(name: str, x: ArrayLike) -> NDArray[np.float64]:
+    """``x`` as a float array of any shape; each entry must be finite and >= 0,
+    and the first one that is not is named."""
+    a = np.asarray(x, dtype=float)
+    # a 0-d array is read as a float, several times faster than its min and max
+    lo, hi = (a.item(),) * 2 if a.ndim == 0 else (a.min(initial=0.0), a.max(initial=0.0))
+    if not 0.0 <= lo <= hi < np.inf:    # NaN fails too
+        bad = a[~((0.0 <= a) & (a < np.inf))]
+        raise InvalidParameterError(f"{name} must be finite and >= 0, got {bad.flat[0]}")
+    return a
+
+
+def ghz_r_from_photons(n: ArrayLike) -> float | NDArray[np.float64]:
+    """Squeezing parameter at which ``ghz_state`` carries n photons in total;
+    an array of n gives an array of that shape."""
+    r = np.arcsinh(np.sqrt(_nonnegative("photon number", n)[()] / 3.0))   # [()]: 0-d to scalar
+    return float(r) if r.ndim == 0 else r
 
 
 def su21_state(p: TripartitePhotonNumbers) -> GaussianState:

@@ -3,8 +3,10 @@
 ``maximize_scalar`` is the one general maximizer: 256-point scans, each
 narrowing the bracket to the neighbours of its best point.  Its objective takes
 a 1-D array of points and returns one value per point, so each scan is a single
-call.  ``log_j_maximize`` runs it in log J over an objective that takes an
-array of J; the Klyshko sum has its own exact per-angle and Newton steps.  No
+call; m independent brackets scan in lockstep, one call per scan on the points
+of those still scanning, each bracket with its own bookkeeping.
+``log_j_maximize`` runs it in log J over an objective that takes an array of
+J; the Klyshko sum has its own exact per-angle and Newton steps.  No
 stochastic search anywhere, ties break toward the lowest index, and identical
 inputs give bit-identical results.
 """
@@ -23,10 +25,14 @@ from .errors import InvalidParameterError
 
 @dataclass(frozen=True)
 class ScanResult:
+    """A maximizer's result.  For m brackets of ``maximize_scalar`` or
+    ``log_j_maximize``, ``arg_max``, ``max_value`` and ``converged`` hold one
+    entry per bracket and ``evaluations`` is their total."""
+
     arg_max: NDArray[np.float64]
-    max_value: float
+    max_value: float | NDArray[np.float64]
     evaluations: int
-    converged: bool
+    converged: bool | NDArray[np.bool_]
 
 
 def _check_tol(tol: float) -> None:
@@ -35,45 +41,91 @@ def _check_tol(tol: float) -> None:
 
 
 _SCAN = 256         # points per scan of ``maximize_scalar``
+_RAMP = np.arange(float(_SCAN))
 
 
-def maximize_scalar(f: Callable[[NDArray[np.float64]], ArrayLike], lo: float, hi: float,
-                    tol: float = 1e-8) -> ScanResult:
-    """Repeated 256-point scans of a function of one variable.
+def _scan_points(a: float, b: float) -> NDArray[np.float64]:
+    """``np.linspace(a, b, 256)``, bit for bit, without its per-call overhead."""
+    step = (b - a) / (_SCAN - 1)
+    if step == 0.0:     # a subnormal width: linspace divides before it multiplies
+        xs = _RAMP / (_SCAN - 1) * (b - a) + a
+    else:
+        xs = _RAMP * step + a
+    xs[-1] = b
+    return xs
 
-    ``f`` takes a 1-D array of points and returns one value per point; each
-    scan is one call on 256 evenly spaced points of the bracket, which then
-    narrows to the best point's two neighbours (127.5x per scan).  The scans
-    repeat until the bracket is at most ``tol`` (finite and > 0) or rounding
-    stops it shrinking; there is always at least one.  The result is the best
-    point of all scans, ``evaluations`` is 256 per scan, and ``converged`` is
-    True when the final bracket is nonzero and at most ``tol``.  An objective
-    that does not return one finite value per point raises
-    ``InvalidParameterError``.
-    """
-    _check_tol(tol)
-    if not lo < hi:
-        raise InvalidParameterError("need lo < hi")
+
+def _bracket(lo: float, hi: float, tol: float):
+    """One bracket's scans: yields each scan's points, takes their values by
+    ``send`` and returns ``(best_x, best_v, evaluations, converged)``."""
     a, b = lo, hi
     best_x, best_v = lo, -math.inf
     evals = 0
     while True:
-        xs = np.linspace(a, b, _SCAN)
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise InvalidParameterError(
-                f"objective must return one value per point: {xs.size} points gave shape {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise InvalidParameterError("objective returned non-finite values")
+        xs = _scan_points(a, b)
+        vals = yield xs
         evals += _SCAN
         i = int(np.argmax(vals))
         if vals[i] > best_v:
             best_x, best_v = float(xs[i]), float(vals[i])
         width, a, b = b - a, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, _SCAN - 1)])
         if not tol < b - a < width:
-            break
-    return ScanResult(arg_max=np.array([best_x]), max_value=best_v, evaluations=evals,
-                      converged=0.0 < b - a <= tol)
+            return best_x, best_v, evals, 0.0 < b - a <= tol
+
+
+def maximize_scalar(f: Callable[..., ArrayLike], lo: ArrayLike, hi: ArrayLike,
+                    tol: float = 1e-8) -> ScanResult:
+    """Repeated 256-point scans of a function of one variable.
+
+    Each scan evaluates 256 evenly spaced points of the bracket, which then
+    narrows to the best point's two neighbours (127.5x per scan).  The scans
+    repeat until the bracket is at most ``tol`` (finite and > 0) or rounding
+    stops it shrinking; there is always at least one.  The result is the best
+    point of all scans, ``evaluations`` is 256 per scan, and ``converged`` is
+    True when the final bracket is nonzero and at most ``tol``.
+
+    ``lo`` and ``hi`` are floats, one bracket, and ``f`` takes a scan's
+    (256,) points.  Or they are 1-D arrays of m brackets, scanned in
+    lockstep: ``f(xs, rows)`` takes the (k, 256) points of the k brackets
+    still scanning and ``rows``, their indices into ``lo``, so each scan is
+    one call.  Every bracket keeps its own bookkeeping, so its entry is bit
+    for bit the result of its own call.  An objective that does not return one
+    finite value per point raises ``InvalidParameterError``.
+    """
+    _check_tol(tol)
+    los, his = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if los.ndim > 1 or los.shape != his.shape or los.size == 0:
+        raise InvalidParameterError("need lo and hi of one shape: floats or 1-D arrays")
+    brackets = list(zip(los.ravel().tolist(), his.ravel().tolist()))
+    if not all(a < b for a, b in brackets):
+        raise InvalidParameterError("need lo < hi")
+    batch = los.ndim == 1
+    scans = [_bracket(a, b, tol) for a, b in brackets]
+    points = [next(s) for s in scans]
+    live = list(range(len(scans)))
+    results = [None] * len(scans)
+    while live:
+        xs = np.stack(points) if batch else points[0]
+        vals = np.asarray(f(xs, np.array(live)) if batch else f(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise InvalidParameterError(
+                f"objective must return one value per point: {xs.size} points gave shape {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise InvalidParameterError("objective returned non-finite values")
+        still, points = [], []
+        for row, v in zip(live, vals if batch else (vals,)):
+            try:
+                points.append(scans[row].send(v))
+                still.append(row)
+            except StopIteration as done:
+                results[row] = done.value
+        live = still
+    best_x, best_v, evals, converged = zip(*results)
+    if not batch:
+        return ScanResult(arg_max=np.array(best_x), max_value=best_v[0], evaluations=evals[0],
+                          converged=converged[0])
+    return ScanResult(arg_max=np.array(best_x), max_value=np.array(best_v),
+                      evaluations=sum(evals), converged=np.array(converged))
 
 
 # The Klyshko sum (``bell_dp.KLYSHKO_TERMS``) over theta = (a, b, c, a', b', c'):
@@ -196,16 +248,29 @@ def klyshko_max(mags: Sequence[float]) -> ScanResult:
     return ScanResult(arg_max=theta, max_value=value, evaluations=evals, converged=converged)
 
 
-def log_j_maximize(f_of_j: Callable[[NDArray[np.float64]], ArrayLike], j_lo: float,
-                   j_hi: float, tol: float = 1e-8) -> ScanResult:
+def log_j_maximize(f_of_j: Callable[..., ArrayLike], j_lo: ArrayLike, j_hi: ArrayLike,
+                   tol: float = 1e-8) -> ScanResult:
     """Maximize a function of the displacement magnitude J over [j_lo, j_hi],
     0 < j_lo < j_hi < inf.
 
     The optima move across decades with energy, so ``maximize_scalar`` runs in
-    log J; ``f_of_j`` takes a 1-D array of J and returns one value per point,
-    and ``tol`` (finite and > 0) is the bracket width in log J.
+    log J, and ``tol`` (finite and > 0) is the bracket width in log J.  For
+    float bounds ``f_of_j`` takes a 1-D array of J and returns one value per
+    point.  Bounds that broadcast to a 1-D array are m brackets in lockstep,
+    and ``f_of_j(j, rows)`` takes the (k, 256) J of the k brackets still
+    scanning and their indices.
     """
-    if not 0.0 < j_lo < j_hi < math.inf:
-        raise InvalidParameterError(f"need 0 < j_lo < j_hi < inf, got {j_lo}, {j_hi}")
-    res = maximize_scalar(lambda us: f_of_j(np.exp(us)), math.log(j_lo), math.log(j_hi), tol)
+    batch = np.ndim(j_lo) or np.ndim(j_hi)
+    lo, hi = np.broadcast_arrays(j_lo, j_hi) if batch else (j_lo, j_hi)
+    log_lo, log_hi = [], []
+    for a, b in zip(np.ravel(lo).tolist(), np.ravel(hi).tolist()):
+        if not 0.0 < a < b < math.inf:
+            raise InvalidParameterError(f"need 0 < j_lo < j_hi < inf, got {a}, {b}")
+        log_lo.append(math.log(a))
+        log_hi.append(math.log(b))
+    if batch:
+        res = maximize_scalar(lambda us, rows: f_of_j(np.exp(us), rows),
+                              np.reshape(log_lo, lo.shape), np.reshape(log_hi, lo.shape), tol)
+    else:
+        res = maximize_scalar(lambda us: f_of_j(np.exp(us)), log_lo[0], log_hi[0], tol)
     return replace(res, arg_max=np.exp(res.arg_max))

@@ -18,6 +18,7 @@ from cvbell import (
     displaced_parity_expect,
     e_dp,
     e_dp_ghz_closed,
+    ghz_r_from_photons,
     ghz_state,
     log_j_maximize,
     onoff_condition,
@@ -381,6 +382,63 @@ class TestBatchedJ:
     def test_ghz_closed_is_exactly_two_at_zero(self):
         # the log of 24 e^{2r} J is skipped at J = 0, so no RuntimeWarning
         assert np.all(b3_ghz_closed(0.8, np.zeros((2, 3))).value == 2.0)
+
+
+class TestArrayStateParameter:
+    """The closed forms take an array of r or N: each entry is its own call."""
+
+    RS = np.array([0.0, 1e-3, 0.4, 1.1, 2.5, 7.0, 400.0])
+    NS = np.array([0.0, 1e-3, 0.7, 12.0, 3.4e4, 1e12, 1.3e154, 1e300])
+    JS = np.concatenate([[0.0], np.logspace(-9, 0, 19)])
+
+    @pytest.mark.parametrize("closed,params", [
+        (b3_ghz_closed, RS), (b3_su21_closed, NS)], ids=["ghz", "su21"])
+    def test_entries_are_their_own_calls(self, closed, params):
+        grid = closed(params[:, None], self.JS).value
+        assert grid.shape == (params.size, self.JS.size)
+        for k, x in enumerate(params.tolist()):
+            assert grid[k].tolist() == [closed(x, j).value for j in self.JS.tolist()]
+        rows = closed(params[:, None], np.broadcast_to(self.JS, (params.size, self.JS.size)))
+        assert np.array_equal(rows.value, grid)
+
+    def test_photon_numbers_to_squeezing(self):
+        ns = np.concatenate([[0.0], np.logspace(-3, 8, 23)])
+        rs = ghz_r_from_photons(ns)
+        assert rs.shape == ns.shape
+        assert rs.tolist() == [ghz_r_from_photons(n) for n in ns.tolist()]
+        assert isinstance(ghz_r_from_photons(3.0), float)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call,name", [
+        (lambda x: b3_ghz_closed(x, 0.1), "r"),
+        (lambda x: b3_su21_closed(x, 0.1), "N"),
+        (ghz_r_from_photons, "photon number"),
+    ], ids=["ghz", "su21", "photons"])
+    def test_one_bad_entry_rejects_the_array(self, call, name, bad):
+        xs = np.linspace(0.1, 3.0, 9)
+        xs[5] = bad
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite and >= 0, got {bad}"):
+            call(xs[:, None])
+
+
+class TestBellValueMessages:
+    @pytest.mark.parametrize("value,first,count", [
+        (np.full(256, np.inf), "inf", "256 of 256"),
+        (np.array([1.0, np.nan, -np.inf, 2.0]), "nan", "2 of 4"),
+    ], ids=["all-inf", "mixed"])
+    def test_non_finite_names_the_first_value(self, value, first, count):
+        with pytest.raises(InvalidParameterError) as info:
+            BellValue(value, 3)
+        message = str(info.value)
+        assert "\n" not in message and len(message) < 200
+        assert f"got {first} ({count} values)" in message
+
+    def test_above_the_bound_names_the_largest(self):
+        with pytest.raises(InvalidParameterError) as info:
+            BellValue(np.linspace(0.0, 6.0, 300), 2)
+        message = str(info.value)
+        assert "\n" not in message and len(message) < 200
+        assert message.startswith("|B| = 6.0 exceeds the 2-party quantum bound (159 of 300")
 
 
 class TestRateForm:

@@ -279,6 +279,13 @@ class TestFFunctions:
         # both are the same spin-flip integral with the same prefactor
         assert f_traced(ConditionalParams(n2, n3)) == su21_ps_coeffs(n2, n3).c3
 
+    def test_traced_is_c3_on_a_log_grid(self):
+        # f_traced builds c3's four kernels alone; the values are su21_ps_coeffs' c3 bit for bit
+        for n2 in np.logspace(-6, math.log10(3.9e6), 40):
+            for n3 in np.logspace(-6, math.log10(3.99e6 - n2), 12):
+                p = ConditionalParams(float(n2), float(n3))
+                assert f_traced(p) == su21_ps_coeffs(p.n2, p.n3).c3, (n2, n3)
+
     def test_heralded_dominates_traced(self):
         for n in np.geomspace(0.1, 10.0, 12):
             p = ConditionalParams(n, 0.1, eta=0.8)

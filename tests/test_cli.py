@@ -64,6 +64,25 @@ class TestFigures:
     def test_unwritable_path_is_io_error(self):
         assert run_figure("B2PS", "/nonexistent-dir/x.csv") == 3
 
+    def test_b3dpn_rows_are_point_maxima(self, capsys, monkeypatch):
+        """One lockstep maximization per state gives each row the value
+        ``point --test dp3 --optimize`` prints at its N."""
+        calls = []
+        maximize = cli.optim.log_j_maximize
+        monkeypatch.setattr(cli.optim, "log_j_maximize",
+                            lambda *args, **kw: calls.append(args[1]) or maximize(*args, **kw))
+        _, _, rows = cli._FIGURES["B3DPN"]()
+        assert [np.shape(j_lo) for j_lo in calls] == [(71,), (71,)]
+        monkeypatch.undo()
+        checked = [rows[k] for k in (0, 9, 28, 47, 61, 70)]
+        assert checked[0][0] == pytest.approx(1e-2) and checked[-1][0] == pytest.approx(1e5)
+        for n, *values in checked:
+            for state, value in zip(("ghz", "su21"), values):
+                argv = ["point", "--state", state, "--test", "dp3", "--n", repr(float(n)),
+                        "--optimize"]
+                assert main(argv) == 0
+                assert json.loads(capsys.readouterr().out)["value"] == value, (state, n)
+
     def test_b2ps_curve_ordering(self, tmp_path):
         out = tmp_path / "B2PS.csv"
         run_figure("B2PS", str(out))
@@ -80,10 +99,11 @@ class TestPoint:
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(2.89, abs=0.01)
 
-    @pytest.mark.parametrize("n", ["1e10", "1e12"])
+    @pytest.mark.parametrize("n", ["1e10", "1e12", "1e200", "1e300"])
     def test_su21_dp3_optimum_below_1e_minus_9(self, n, capsys):
         """The optimum J = 0.1654/N lies below 1e-9 here; a scan from a fixed
-        1e-9 printed 0.8805 at N = 1e10 and 1.1e-37 at N = 1e12."""
+        1e-9 printed 0.8805 at N = 1e10 and 1.1e-37 at N = 1e12.  Above
+        N = 1.3e154, N (2 + N) overflowed and every J's value was non-finite."""
         assert main(["point", "--state", "su21", "--test", "dp3", "--n", n, "--optimize"]) == 0
         rec = json.loads(capsys.readouterr().out)
         dense = np.max(b3_su21_closed(float(n), np.logspace(-3, 0, 3001) / float(n)).value)

@@ -165,6 +165,116 @@ class TestMaximizeScalar:
             log_j_maximize(lambda j: -(math.log(j) + 2.0) ** 2, 0.0, 1.0)
 
 
+def _brackets(seed, m):
+    """m random brackets in [-3, 3], some tiny, with a tol per test below."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-3.0, 3.0, m)
+    width = 10.0 ** rng.uniform(-13.0, 0.7, m)
+    return lo, lo + width
+
+
+def _bumpy(x, centres):
+    """A different multi-peaked objective per row: centres[k] shifts row k."""
+    return np.sin(7.0 * (x - centres)) - 0.2 * (x - centres) ** 2
+
+
+class TestLockstepBrackets:
+    """m brackets scanned in lockstep give each bracket's own result."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-13, 1e-300], ids=["default", "tiny", "below-spacing"])
+    def test_each_row_is_its_own_call(self, tol):
+        lo, hi = _brackets(3, 60)
+        centres = np.random.default_rng(4).uniform(-3.0, 3.0, 60)
+        calls = []
+
+        def batched(x, rows):
+            calls.append(rows.copy())
+            return _bumpy(x, centres[rows, None])
+
+        res = maximize_scalar(batched, lo, hi, tol=tol)
+        singles = [maximize_scalar(lambda x, c=c: _bumpy(x, c), a, b, tol=tol)
+                   for a, b, c in zip(lo.tolist(), hi.tolist(), centres.tolist())]
+        assert res.arg_max.shape == res.max_value.shape == res.converged.shape == (60,)
+        assert [float(x) for x in res.arg_max] == [one.arg_max[0] for one in singles]
+        assert res.max_value.tolist() == [one.max_value for one in singles]
+        assert res.converged.tolist() == [one.converged for one in singles]
+        assert type(res.evaluations) is int
+        assert res.evaluations == sum(one.evaluations for one in singles)
+        # rows stop after different numbers of scans, and a stopped row is not evaluated again
+        scans = {one.evaluations // 256 for one in singles}
+        assert len(scans) > 1
+        assert len(calls) == max(scans)
+        assert [len(rows) for rows in calls] == [
+            sum(one.evaluations > 256 * k for one in singles) for k in range(len(calls))]
+
+    def test_log_j_rows_are_their_own_calls(self):
+        j_lo = np.logspace(-9, -3, 8)
+        centres = np.linspace(-8.0, -1.0, 8)
+        res = log_j_maximize(lambda j, rows: -(np.log(j) - centres[rows, None]) ** 2, j_lo, 10.0)
+        for k in range(8):
+            one = log_j_maximize(lambda j: -(np.log(j) - centres[k]) ** 2, j_lo[k], 10.0)
+            assert res.arg_max[k] == one.arg_max[0]
+            assert res.max_value[k] == one.max_value
+            assert res.converged[k] == one.converged
+
+    def test_one_bracket_in_an_array(self):
+        f = lambda x: -(x - 0.3) ** 2
+        res = maximize_scalar(lambda x, rows: f(x), np.array([0.0]), np.array([1.0]))
+        one = maximize_scalar(f, 0.0, 1.0)
+        assert res.arg_max.tolist() == one.arg_max.tolist()
+        assert res.max_value.tolist() == [one.max_value]
+        assert res.evaluations == one.evaluations
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scan_points_are_linspace(self, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-1e3, 1e3, 50) * 10.0 ** rng.integers(-300, 300, 50)
+        hi = lo + np.abs(lo) * 10.0 ** rng.uniform(-15.0, 1.0, 50) + 5e-324
+        for a, b in [*zip(lo.tolist(), hi.tolist()), (0.0, 5e-324), (0.0, 1e-320),
+                     (-1e-310, 1e-310), (1.0, 1.0 + 2.0**-52)]:
+            assert np.array_equal(optim._scan_points(a, b), np.linspace(a, b, 256)), (a, b)
+
+    @pytest.mark.parametrize("objective", [
+        lambda x, rows: np.zeros((len(rows), 255)),
+        lambda x, rows: np.zeros(x.shape[::-1]),
+        lambda x, rows: x[0],
+    ], ids=["short", "transposed", "one-row"])
+    def test_wrong_shape_in_a_batch(self, objective):
+        with pytest.raises(InvalidParameterError, match="one value per point"):
+            maximize_scalar(objective, np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_any_row(self, bad):
+        calls = []
+
+        def f(x, rows):
+            calls.append(rows)
+            vals = -(x - 0.3) ** 2
+            if len(calls) > 1:
+                vals[-1, 100] = bad     # the last live row, on the second scan
+            return vals
+
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            maximize_scalar(f, np.zeros(4), np.ones(4))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("lo,hi", [
+        (np.zeros(3), np.array([1.0, 0.0, 1.0])),
+        (np.zeros(2), np.ones(3)),
+        (np.zeros((2, 2)), np.ones((2, 2))),
+        (np.zeros(0), np.zeros(0)),
+    ], ids=["one-empty", "shapes", "two-d", "none"])
+    def test_bad_brackets(self, lo, hi):
+        with pytest.raises(InvalidParameterError, match="need lo"):
+            maximize_scalar(lambda x, rows: x, lo, hi)
+
+    def test_log_j_names_the_bad_bracket(self):
+        with pytest.raises(InvalidParameterError, match=r"0 < j_lo < j_hi < inf, got 0\.0, 10\.0"):
+            log_j_maximize(lambda j, rows: -j, np.array([1e-3, 0.0]), 10.0)
+        with pytest.raises(InvalidParameterError, match="1-D arrays"):
+            log_j_maximize(lambda j, rows: -j, np.full((2, 2), 1e-3), 10.0)
+
+
 class TestKlyshko:
     @pytest.mark.parametrize("mags", [(math.nan, 0.0, 0.0), (0.5, 0.5)], ids=["nan", "two"])
     def test_bad_magnitudes(self, mags):

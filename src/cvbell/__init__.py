@@ -25,19 +25,17 @@ from .fock import (
     click_probability,
     displaced_parity_expect,
     onoff_condition,
-    orthant_probabilities,
     pseudospin_expect,
     quadrature_orthant_expect,
     su21_fock,
     twb_fock,
     wigner_reconstruct,
 )
-from .conditional import ConditionalParams, TwoGaussianWigner, p_click, w1_eval
+from .conditional import ConditionalParams, TwoGaussianWigner, p_click
 from .bell_dp import (
     BellValue,
+    DpRates,
     DpSettings,
-    b2_dp,
-    b3_dp_general,
     b3_ghz_closed,
     b3_su21_closed,
     conditional_dp_settings,
@@ -51,7 +49,6 @@ from .bell_dp import (
 from .bell_ps import (
     PsCoefficients,
     b2_ps_from_f,
-    b3_ps,
     b3_ps_from_coeffs,
     f_conditional,
     f_traced,

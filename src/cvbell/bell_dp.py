@@ -13,9 +13,9 @@ orientation and the units of the magnitude parameter J.
 Every Bell value is assembled in one place, ``DpRates``: its exponents are
 read off once per (state, settings) pair, and ``bell(J)`` is the value at the
 settings scaled by sqrt(J), so each exponent is J times its J = 1 value and a
-J costs a few exponentials.  ``b2_dp`` and ``b3_dp_general`` are its J = 1
-value; the CLI scans J on the built-in families at J = 1, each of which is
-sqrt(J) times that one setting.
+J costs a few exponentials.  ``bell()`` is the value at the settings
+themselves; the CLI scans J on the built-in families at J = 1, each of which
+is sqrt(J) times that one setting.
 """
 from __future__ import annotations
 
@@ -162,10 +162,11 @@ class DpRates:
         B(J) = |sum_t TERM_SIGNS[t] scale sum_g w_g exp(J k_gt)|,
 
     with the weights and J = 1 exponents k_gt of ``_gaussians`` on the four
-    term rows: CHSH for two-party settings, Bell-Klyshko for three.  Like
-    ``GaussianState.factors``, ``rates`` is computed at the first ``bell``
-    call, after its J is checked, so the state's errors and a mode-count
-    mismatch raise there."""
+    term rows: CHSH for two-party settings, Bell-Klyshko for three; ``bell()``
+    is the value at ``settings``.  Like ``GaussianState.factors``, ``rates``
+    is computed at the first ``bell`` call, after its J is checked, so the
+    state's errors raise there, as does a target whose mode count is not the
+    settings' party count (``InvalidParameterError``)."""
 
     target: GaussianState | ConditionalParams
     settings: DpSettings
@@ -197,24 +198,6 @@ class DpRates:
                                         f"settings of batch shape {batch}") from None
         return BellValue(_bell_sum(_evaluate(*self.rates, j[..., None])),
                          self.settings.unprimed.shape[-1])
-
-
-def b3_dp_general(s: GaussianState, settings: DpSettings) -> BellValue:
-    """Three-party Bell-Klyshko combination from displaced-parity correlators;
-    (..., 3) settings give a value of shape (...)."""
-    if s.n_modes != 3 or settings.unprimed.shape[-1] != 3:
-        raise InvalidParameterError("b3_dp_general needs a three-mode state and settings")
-    return DpRates(s, settings).bell()
-
-
-def b2_dp(target: GaussianState | ConditionalParams, settings: DpSettings) -> BellValue:
-    """Two-party CHSH combination from displaced-parity correlators; (..., 2)
-    settings give a value of shape (...)."""
-    if settings.unprimed.shape[-1] != 2:
-        raise InvalidParameterError("two-mode settings required")
-    if isinstance(target, GaussianState) and target.n_modes != 2:
-        raise InvalidParameterError("b2_dp needs a two-mode state")
-    return DpRates(target, settings).bell()
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +233,19 @@ def b3_su21_closed(n: ArrayLike, j_mag: ArrayLike) -> BellValue:
     sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1) (J in phase-space units).  N and
     J broadcast; each entry equals the call on its own N and J."""
     n, j = _nonnegative("N", n)[()], _check_j(j_mag)     # a 0-d N as a scalar, as for r
-    q = np.sqrt(n) * np.sqrt(2.0 + n)     # sqrt(N (2 + N)), finite at any finite N
+    # B3 = 2 e^{-J A1} + e^{-2J A2} - e^{-4J A3}, each A_k formed as a_k = A_k/16
+    # from N/16 so that 3N cannot overflow (exactly: each exponent is bit for bit
+    # the unscaled one).  J is capped at 125/a2: there 32 J a2 = 4000, 16 J a1 >
+    # 1000 (2 A1 = A2 + 9) and 64 J a3 > 8000, so every exponential is already
+    # 0, and no J N product overflows.  A2 >= 1 (its minimum, at N = 2).
+    m = n / 16.0
+    p = np.sqrt(m) * np.sqrt(0.125 + m)     # sqrt(N (2 + N))/16, as sqrt(N) sqrt(2 + N)
     s2 = math.sqrt(2.0)
-    # the ratio of exponentials folded into three non-positive exponents so the
-    # expression stays finite at any J*N
-    val = (2.0 * np.exp(-j * (6.0 + 1.5 * n - s2 * q))
-           + np.exp(-2.0 * j * (3.0 + 3.0 * n - 2.0 * s2 * q))
-           - np.exp(-4.0 * j * (3.0 + 3.0 * n + 2.0 * s2 * q)))
+    a1 = 0.375 + 1.5 * m - s2 * p
+    a2 = 0.1875 + 3.0 * m - 2.0 * s2 * p
+    a3 = 0.1875 + 3.0 * m + 2.0 * s2 * p
+    j = np.minimum(j, 125.0 / a2)
+    val = 2.0 * np.exp(-16.0 * j * a1) + np.exp(-32.0 * j * a2) - np.exp(-64.0 * j * a3)
     return BellValue(np.abs(val), 3)
 
 

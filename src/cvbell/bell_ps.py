@@ -247,12 +247,6 @@ def b3_ps_from_coeffs(c: PsCoefficients) -> BellValue:
     return BellValue(klyshko_max(c.magnitudes()).max_value, 3)
 
 
-def b3_ps(n2: float, n3: float) -> BellValue:
-    """Angle-maximized three-party pseudospin Bell value of the trilinear state:
-    ``b3_ps_from_coeffs`` of its ladder-operator coefficients."""
-    return b3_ps_from_coeffs(su21_ps_coeffs(n2, n3))
-
-
 def b2_ps_from_f(f: float) -> BellValue:
     """CHSH maximum 2 sqrt(1 + f^2) for a correlator cos cos + f sin sin,
     reached with party 1 at (0, pi/2) and party 2 at +/- chi, tan(chi) = f."""

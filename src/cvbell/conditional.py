@@ -49,10 +49,12 @@ class ConditionalParams:
 
 @dataclass(frozen=True)
 class TwoGaussianWigner:
-    """Precomputed two-Gaussian form of the heralded Wigner function.
+    """Precomputed two-Gaussian form of the heralded Wigner function,
+    W(x) = weight_a exp(-x.Q_a.x) - weight_b exp(-x.Q_b.x) at x = (x1, x2, y1, y2).
 
     weight_a/quad_form_a belong to the restricted-then-inverted Gaussian,
-    weight_b/quad_form_b to the inverted-then-restricted one.
+    weight_b/quad_form_b to the inverted-then-restricted one.  ``bell_dp.e_dp``
+    evaluates it: W(x) = e_dp(p, (x + iy)/sqrt(2)) / pi^2.
     """
 
     weight_a: float
@@ -65,11 +67,6 @@ class TwoGaussianWigner:
         pt = np.asarray(point, dtype=float)
         return tuple(-np.einsum("...i,ij,...j->...", pt, q, pt)
                      for q in (self.quad_form_a, self.quad_form_b))
-
-    def eval(self, point: NDArray) -> float | NDArray:
-        ka, kb = self.exponents(point)
-        out = self.weight_a * np.exp(ka) - self.weight_b * np.exp(kb)
-        return float(out) if out.ndim == 0 else out
 
 
 def p_click(p: ConditionalParams) -> float:
@@ -104,10 +101,3 @@ def two_gaussian_form(p: ConditionalParams) -> TwoGaussianWigner:
     qb = np.linalg.inv(D)[np.ix_(_KEEP, _KEEP)]
     return TwoGaussianWigner(weight_a=wa, weight_b=wb, quad_form_a=qa, quad_form_b=qb)
 
-
-def w1_eval(p: ConditionalParams, point: NDArray) -> float | NDArray:
-    """Heralded-state Wigner function at (x1, x2, y1, y2); batched over leading axes."""
-    pt = np.asarray(point, dtype=float)
-    if pt.shape[-1] != 4:
-        raise InvalidParameterError("point must have length 4")
-    return two_gaussian_form(p).eval(pt)

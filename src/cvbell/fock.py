@@ -295,24 +295,6 @@ def _rotated(op: NDArray, theta: float) -> NDArray[np.complex128]:
     return ph[:, None] * op * ph.conj()
 
 
-def orthant_probabilities(state: FockDensityOperator,
-                          theta: float, phi: float) -> tuple[float, float, float, float]:
-    """(P++, P+-, P-+, P--) of the sign-binned joint quadrature distribution
-    at finite phases ``theta`` and ``phi``."""
-    if state.n_modes != 2:
-        raise InvalidParameterError("orthant probabilities are defined for two modes")
-    _check_finite("phases", (theta, phi))
-    H, _ = _half_line_matrices(state.cutoff)
-    Hp = np.eye(state.cutoff) - H
-    a = (_rotated(H, theta), _rotated(Hp, theta))
-    b = (_rotated(H, phi), _rotated(Hp, phi))
-    ppp, ppm, pmp, pmm = (_expect(state, [a[i], b[j]]) for i in (0, 1) for j in (0, 1))
-    total = ppp + ppm + pmp + pmm
-    if abs(total - 1.0) > 1e-6:
-        raise PrecisionError(f"orthant probabilities sum to {total}, quadrature did not converge")
-    return ppp, ppm, pmp, pmm
-
-
 def quadrature_orthant_expect(state: FockDensityOperator,
                               theta: float, phi: float) -> float:
     """E_H = P++ + P-- - P+- - P-+ with the sign domains fixed to R+/R-, at

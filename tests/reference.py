@@ -1,7 +1,8 @@
 """Reference implementations the tests compare against.
 
 These are not part of the ``cvbell`` package: the program does not run them.
-They are the Gaussian Wigner function and partial trace, the coupling-to-photon
+They are the Gaussian Wigner function and partial trace, the heralded state's
+Wigner function read off the displaced-parity correlator, the coupling-to-photon
 map of the interlinked interactions, the three displacement families and the
 large-squeezing residual that only the closed forms' tests assemble, the
 three-mode pseudospin correlator written out, the large-energy relations of the
@@ -18,7 +19,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from cvbell import (ConditionalParams, DpSettings, FockDensityOperator, GaussianState,
                     InvalidParameterError, PsCoefficients, TripartitePhotonNumbers, bell_dp,
-                    log_j_maximize, twb_state)
+                    e_dp, log_j_maximize, twb_state)
 from cvbell.bell_dp import _check_j, _family
 
 
@@ -38,6 +39,14 @@ def wigner_eval(s: GaussianState, point: NDArray[np.float64]) -> float | NDArray
     quad = np.einsum("...i,ij,...j->...", pt, inv, pt)
     out = np.pi ** (-s.n_modes) * det ** -0.5 * np.exp(-quad)
     return float(out) if out.ndim == 0 else out
+
+
+def heralded_wigner(p: ConditionalParams, point: ArrayLike) -> float | NDArray[np.float64]:
+    """Wigner function of the heralded state at (x1, x2, y1, y2), batched over
+    leading axes: W(x) = e_dp(p, (x + iy)/sqrt(2)) / pi^2, the displaced-parity
+    correlator (Royer, PRA 15, 449 (1977))."""
+    pt = np.asarray(point, dtype=float)
+    return e_dp(p, (pt[..., :2] + 1j * pt[..., 2:]) / math.sqrt(2.0)) / math.pi**2
 
 
 def reduce_state(s: GaussianState, keep: Iterable[int]) -> GaussianState:
@@ -154,8 +163,8 @@ def asymptote_relations() -> list[dict]:
 
     n = 1e5
     s = bell_dp.su21_opt_state(n)
-    res = log_j_maximize(lambda j: bell_dp.b3_dp_general(
-        s, bell_dp.su21_opt_dp_settings(j)).value, 1e-8, 1.0)
+    res = log_j_maximize(lambda j: bell_dp.DpRates(
+        s, bell_dp.su21_opt_dp_settings(j)).bell().value, 1e-8, 1.0)
     pred = 3.21 / n
     rows.append({
         "name": "su21_opt_dp_jn", "energy": n, "j_opt": float(res.arg_max[0]),
@@ -166,7 +175,7 @@ def asymptote_relations() -> list[dict]:
     r = 5.0
     n = 2.0 * math.sinh(r) ** 2
     s = twb_state(n)
-    res = log_j_maximize(lambda j: bell_dp.b2_dp(s, bell_dp.twb_dp_settings(j)).value,
+    res = log_j_maximize(lambda j: bell_dp.DpRates(s, bell_dp.twb_dp_settings(j)).bell().value,
                          1e-10, 1.0)
     pred = math.log(3.0) / 32.0 * math.exp(-2.0 * r)
     rows.append({
@@ -177,8 +186,8 @@ def asymptote_relations() -> list[dict]:
 
     n2 = 1e3
     p = ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-    res = log_j_maximize(lambda j: bell_dp.b2_dp(p, bell_dp.conditional_dp_settings(j)).value,
-                         1e-9, 1.0)
+    res = log_j_maximize(
+        lambda j: bell_dp.DpRates(p, bell_dp.conditional_dp_settings(j)).bell().value, 1e-9, 1.0)
     pred = 0.042 / n2
     rows.append({
         "name": "conditional_dp_jn2", "energy": n2, "j_opt": float(res.arg_max[0]),

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 import cvbell as cb
-from reference import ghz_dp_settings, twb_bw_dp_settings
+from reference import ghz_dp_settings, heralded_wigner, twb_bw_dp_settings
 
 SQRT2 = math.sqrt(2.0)
 
@@ -29,7 +29,7 @@ def test_criterion_1_tripartite_dp_ghz():
     for _ in range(100):
         r = rng.uniform(0.0, 3.0)
         j = rng.uniform(0.0, 0.5)
-        assembled = cb.b3_dp_general(cb.ghz_state(r), ghz_dp_settings(j)).value
+        assembled = cb.DpRates(cb.ghz_state(r), ghz_dp_settings(j)).bell().value
         worst = max(worst, abs(cb.b3_ghz_closed(r, j).value - assembled))
     ok &= worst < 1e-10
     dt = time.time() - t0
@@ -43,7 +43,7 @@ def test_criterion_2_tripartite_dp_su21():
     sym = cb.log_j_maximize(lambda j: cb.b3_su21_closed(1e4, j).value, 1e-9, 1e-2)
     ok = abs(sym.max_value - 2.89) <= 0.01
     s = cb.su21_opt_state(1e5)
-    opt = cb.log_j_maximize(lambda j: cb.b3_dp_general(s, cb.su21_opt_dp_settings(j)).value,
+    opt = cb.log_j_maximize(lambda j: cb.DpRates(s, cb.su21_opt_dp_settings(j)).bell().value,
                             1e-8, 1e-1)
     ok &= abs(opt.max_value - 2.99) <= 0.01
     jn = opt.arg_max[0] * 1e5
@@ -57,9 +57,9 @@ def test_criterion_2_tripartite_dp_su21():
 
 def test_criterion_3_tripartite_ps():
     t0 = time.time()
-    sym = cb.b3_ps(100.0, 100.0)                        # total N = 400
+    sym = cb.b3_ps_from_coeffs(cb.su21_ps_coeffs(100.0, 100.0))    # total N = 400
     ok = abs(sym.value - 2.63) <= 0.02
-    degen = cb.b3_ps(10.0, 1e-3)
+    degen = cb.b3_ps_from_coeffs(cb.su21_ps_coeffs(10.0, 1e-3))
     ok &= abs(degen.value - 2 * SQRT2) <= 0.01
     pi_t = cb.maximize_scalar(
         lambda lns: [cb.b3_ps_from_coeffs(cb.su21_pi_coeffs(math.exp(ln))).value for ln in lns],
@@ -83,16 +83,18 @@ def test_criterion_4_bipartite_dp():
     r = 5.0
     n = 2 * math.sinh(r) ** 2
     s = cb.twb_state(n)
-    bw = cb.log_j_maximize(lambda j: cb.b2_dp(s, twb_bw_dp_settings(j)).value, 1e-10, 1e-1)
+    bw = cb.log_j_maximize(lambda j: cb.DpRates(s, twb_bw_dp_settings(j)).bell().value,
+                           1e-10, 1e-1)
     ok = abs(bw.max_value - 2.19) <= 0.01
-    imp = cb.log_j_maximize(lambda j: cb.b2_dp(s, cb.twb_dp_settings(j)).value, 1e-10, 1e-1)
+    imp = cb.log_j_maximize(lambda j: cb.DpRates(s, cb.twb_dp_settings(j)).bell().value,
+                            1e-10, 1e-1)
     ok &= abs(imp.max_value - 2.32) <= 0.01
     scaling = math.exp(2 * r) * imp.arg_max[0]
     target = math.log(3.0) / 32.0
     ok &= abs(scaling - target) <= 0.10 * target
     n2 = 1e3
     p = cb.ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-    cond = cb.log_j_maximize(lambda j: cb.b2_dp(p, cb.conditional_dp_settings(j)).value,
+    cond = cb.log_j_maximize(lambda j: cb.DpRates(p, cb.conditional_dp_settings(j)).bell().value,
                              1e-9, 1e-2)
     ok &= abs(cond.max_value - 2.41) <= 0.01
     jn2 = cond.arg_max[0] * n2
@@ -244,12 +246,12 @@ def test_criterion_7_oracle_equivalence():
     total = 0.0
     for (x1, x2), w in zip(g2, w2):
         pts = np.concatenate([np.broadcast_to([x1, x2], (g2.shape[0], 2)), g2], axis=1)
-        total += w * float(np.dot(cb.w1_eval(params, pts), w2))
+        total += w * float(np.dot(heralded_wigner(params, pts), w2))
     ok &= abs(total - 1.0) < 1e-3
     grid = np.stack(np.meshgrid(np.linspace(-1.5, 1.5, 31),
                                 np.linspace(-1.5, 1.5, 31), [0.0], [0.0],
                                 indexing="ij"), axis=-1).reshape(-1, 4)
-    wmin = float(np.min(cb.w1_eval(cb.ConditionalParams(1.0, 0.5, eta=1.0), grid)))
+    wmin = float(np.min(heralded_wigner(cb.ConditionalParams(1.0, 0.5, eta=1.0), grid)))
     ok &= wmin < 0.0
     dt = time.time() - t0
     ok &= dt < 120.0
@@ -269,9 +271,10 @@ def test_criterion_8_quantum_bounds():
         a = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
         ap = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
         st = s3[int(rng.integers(0, 2))]
-        b3max = max(b3max, cb.b3_dp_general(st, cb.DpSettings(tuple(a), tuple(ap))).value)
-        b2max = max(b2max, cb.b2_dp(s2, cb.DpSettings(tuple(a[:2]), tuple(ap[:2]))).value)
-        b2max = max(b2max, cb.b2_dp(params, cb.DpSettings(tuple(a[:2]), tuple(ap[:2]))).value)
+        b3max = max(b3max, cb.DpRates(st, cb.DpSettings(tuple(a), tuple(ap))).bell().value)
+        two = cb.DpSettings(tuple(a[:2]), tuple(ap[:2]))
+        b2max = max(b2max, cb.DpRates(s2, two).bell().value)
+        b2max = max(b2max, cb.DpRates(params, two).bell().value)
     for f in np.linspace(0, 1, 21):
         b2max = max(b2max, cb.b2_ps_from_f(f).value)
     for mags in ((1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (0.2, 0.9, 0.4)):

@@ -15,16 +15,16 @@ PUBLIC_NAMES = {
     "twb_state",
     # fock
     "FockDensityOperator", "click_probability", "displaced_parity_expect",
-    "onoff_condition", "orthant_probabilities", "pseudospin_expect",
+    "onoff_condition", "pseudospin_expect",
     "quadrature_orthant_expect", "su21_fock", "twb_fock", "wigner_reconstruct",
     # conditional
-    "ConditionalParams", "TwoGaussianWigner", "p_click", "w1_eval",
+    "ConditionalParams", "TwoGaussianWigner", "p_click",
     # bell_dp
-    "BellValue", "DpSettings", "b2_dp", "b3_dp_general", "b3_ghz_closed", "b3_su21_closed",
+    "BellValue", "DpRates", "DpSettings", "b3_ghz_closed", "b3_su21_closed",
     "conditional_dp_settings", "e_dp", "e_dp_ghz_closed",
     "su21_opt_dp_settings", "su21_opt_state", "su21_sym_state", "twb_dp_settings",
     # bell_ps
-    "PsCoefficients", "b2_ps_from_f", "b3_ps", "b3_ps_from_coeffs",
+    "PsCoefficients", "b2_ps_from_f", "b3_ps_from_coeffs",
     "f_conditional", "f_traced", "f_twb", "ghz_pi_coeffs", "pi_coeffs_quadrature",
     "su21_pi_coeffs", "su21_ps_coeffs",
     # homodyne

@@ -7,11 +7,10 @@ from cvbell import (
     BellValue,
     ConditionalParams,
     ConditioningError,
+    DpRates,
     DpSettings,
     GaussianState,
     InvalidParameterError,
-    b2_dp,
-    b3_dp_general,
     b3_ghz_closed,
     b3_su21_closed,
     conditional_dp_settings,
@@ -30,9 +29,7 @@ from cvbell import (
     twb_state,
     TripartitePhotonNumbers,
     UndefinedStateError,
-    w1_eval,
 )
-from cvbell.bell_dp import DpRates
 from reference import (ghz_dp_settings, large_squeezing_residual, su21_sym_dp_settings,
                        twb_bw_dp_settings)
 
@@ -81,7 +78,7 @@ class TestGhzClosedForm:
             r = rng.uniform(0.0, 3.0)
             j = rng.uniform(0.0, 0.5)
             assert b3_ghz_closed(r, j).value == pytest.approx(
-                b3_dp_general(ghz_state(r), ghz_dp_settings(j)).value, abs=1e-10)
+                DpRates(ghz_state(r), ghz_dp_settings(j)).bell().value, abs=1e-10)
 
     @pytest.mark.parametrize("j", [0.0, 1e-3, 0.1])
     def test_finite_at_huge_squeezing(self, j):
@@ -106,7 +103,30 @@ class TestSu21ClosedForm:
             n = rng.uniform(0.1, 20.0)
             j = rng.uniform(0.0, 0.3)
             assert b3_su21_closed(n, j).value == pytest.approx(
-                b3_dp_general(su21_sym_state(n), su21_sym_dp_settings(j)).value, abs=1e-10)
+                DpRates(su21_sym_state(n), su21_sym_dp_settings(j)).bell().value, abs=1e-10)
+
+    def test_scaled_exponents_are_the_direct_form(self):
+        """Forming the exponents at N/16 is exact: wherever the direct form
+        does not overflow, the value is bit for bit the direct form's."""
+        ns = np.concatenate([[0.0, 1e-3, 1.0], np.logspace(-2, 150, 400)])[:, None]
+        js = np.concatenate([[0.0], np.logspace(-12, 1, 60)])
+        q = np.sqrt(ns) * np.sqrt(2.0 + ns)
+        direct = np.abs(2.0 * np.exp(-js * (6.0 + 1.5 * ns - SQRT2 * q))
+                        + np.exp(-2.0 * js * (3.0 + 3.0 * ns - 2.0 * SQRT2 * q))
+                        - np.exp(-4.0 * js * (3.0 + 3.0 * ns + 2.0 * SQRT2 * q)))
+        assert np.array_equal(b3_su21_closed(ns, js).value, direct)
+
+    @pytest.mark.parametrize("n", [1e307, 1.7e308, np.finfo(float).max])
+    def test_finite_at_the_top_of_the_float_range(self, n):
+        """3N overflows above N = 6e307, and 4J(3 + 3N + 2 sqrt2 q) at J = 10
+        above N = 8e305; no value is NaN and no RuntimeWarning (an error in
+        this suite) is raised, from J = 1e-4/N, below float's normal range,
+        up to J = 1e308."""
+        js = np.concatenate([np.logspace(math.log10(1e-4 / n), 1, 64), [1e308]])
+        value = b3_su21_closed(n, js).value
+        assert np.all(np.isfinite(value)) and value[-1] == 0.0
+        res = log_j_maximize(lambda j: b3_su21_closed(n, j).value, 1e-4 / n, 10.0)
+        assert res.max_value >= 2.8954959
 
     def test_optimum_at_large_energy(self):
         res = log_j_maximize(lambda j: b3_su21_closed(1e4, j).value, 1e-9, 1e-2)
@@ -129,7 +149,7 @@ class TestSu21ClosedForm:
 class TestOptimizedFamily:
     def test_asymptotic_value_and_scaling(self):
         s = su21_opt_state(1e5)
-        res = log_j_maximize(lambda j: b3_dp_general(s, su21_opt_dp_settings(j)).value,
+        res = log_j_maximize(lambda j: DpRates(s, su21_opt_dp_settings(j)).bell().value,
                              1e-8, 1e-1)
         assert res.max_value == pytest.approx(2.99, abs=0.01)
         assert res.arg_max[0] * 1e5 == pytest.approx(3.21, rel=0.15)
@@ -139,7 +159,7 @@ class TestGeneralAssembly:
     def test_zero_settings_give_two(self):
         s = su21_state(TripartitePhotonNumbers(0.4, 0.9))
         settings = DpSettings((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        assert b3_dp_general(s, settings).value == pytest.approx(2.0)
+        assert DpRates(s, settings).bell().value == pytest.approx(2.0)
 
     def test_bounded_over_random_sweeps(self):
         rng = np.random.default_rng(8)
@@ -148,12 +168,13 @@ class TestGeneralAssembly:
         for _ in range(300):
             a = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
             ap = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
-            assert b3_dp_general(s3, DpSettings(tuple(a), tuple(ap))).value <= 4 + 1e-9
-            assert b2_dp(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).value <= 2 * SQRT2 + 1e-9
+            assert DpRates(s3, DpSettings(tuple(a), tuple(ap))).bell().value <= 4 + 1e-9
+            assert (DpRates(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).bell().value
+                    <= 2 * SQRT2 + 1e-9)
 
     def test_mode_count_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            b3_dp_general(twb_state(1.0), DpSettings((0, 0, 0), (0, 0, 0)))
+            DpRates(twb_state(1.0), DpSettings((0, 0, 0), (0, 0, 0))).bell()
 
 
 class TestResidual:
@@ -182,7 +203,7 @@ class TestTwbFamilies:
         r = 5.0
         n = 2 * math.sinh(r) ** 2
         s = twb_state(n)
-        res = log_j_maximize(lambda j: b2_dp(s, twb_dp_settings(j)).value, 1e-10, 1e-1)
+        res = log_j_maximize(lambda j: DpRates(s, twb_dp_settings(j)).bell().value, 1e-10, 1e-1)
         assert res.max_value == pytest.approx(2.32, abs=0.01)
         assert math.exp(2 * r) * res.arg_max[0] == pytest.approx(
             math.log(3.0) / 32.0, rel=0.10)
@@ -190,7 +211,8 @@ class TestTwbFamilies:
     def test_bw_asymptote(self):
         n = 2 * math.sinh(5.0) ** 2
         s = twb_state(n)
-        res = log_j_maximize(lambda j: b2_dp(s, twb_bw_dp_settings(j)).value, 1e-10, 1e-1)
+        res = log_j_maximize(lambda j: DpRates(s, twb_bw_dp_settings(j)).bell().value,
+                             1e-10, 1e-1)
         assert res.max_value == pytest.approx(2.19, abs=0.01)
 
 
@@ -198,7 +220,8 @@ class TestConditionalFamily:
     def test_asymptote_and_scaling(self):
         n2 = 1e3
         p = ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-        res = log_j_maximize(lambda j: b2_dp(p, conditional_dp_settings(j)).value, 1e-9, 1e-2)
+        res = log_j_maximize(lambda j: DpRates(p, conditional_dp_settings(j)).bell().value,
+                             1e-9, 1e-2)
         assert res.max_value == pytest.approx(2.41, abs=0.01)
         assert res.arg_max[0] * n2 == pytest.approx(0.042, rel=0.15)
 
@@ -266,10 +289,10 @@ class TestBatchedCorrelators:
             e = lambda *al: e_dp(s3, list(al))
             want = abs(e(a[0], a[1], ap[2]) + e(a[0], ap[1], a[2])
                        + e(ap[0], a[1], a[2]) - e(ap[0], ap[1], ap[2]))
-            assert b3_dp_general(s3, DpSettings(tuple(a), tuple(ap))).value == want
+            assert DpRates(s3, DpSettings(tuple(a), tuple(ap))).bell().value == want
             e = lambda *al: e_dp(s2, list(al))
             want = abs(e(a[0], a[1]) + e(a[0], ap[1]) + e(ap[0], a[1]) - e(ap[0], ap[1]))
-            assert b2_dp(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).value == want
+            assert DpRates(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).bell().value == want
 
 
 class TestFactorization:
@@ -280,18 +303,18 @@ class TestFactorization:
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
         first = e_dp(s, [0.1, -0.2j])
         assert len(calls) == 1
-        b2_twb = b2_dp(s, twb_dp_settings(0.01)).value
+        b2_twb = DpRates(s, twb_dp_settings(0.01)).bell().value
         assert e_dp(s, [0.1, -0.2j]) == first
         assert s.det() == pytest.approx(1.0, abs=1e-9)
         assert len(calls) == 1
-        assert b2_twb == b2_dp(twb_state(2.0), twb_dp_settings(0.01)).value
+        assert b2_twb == DpRates(twb_state(2.0), twb_dp_settings(0.01)).bell().value
 
     def test_ill_conditioned_state_raises_at_first_correlator(self):
         s = twb_state(1e6)
         with pytest.raises(ConditioningError, match="exceeds guard 1e\\+12"):
             e_dp(s, [0.0, 0.0])
         with pytest.raises(ConditioningError):
-            b2_dp(s, twb_dp_settings(1e-7))
+            DpRates(s, twb_dp_settings(1e-7)).bell()
 
 
 class TestJDomain:
@@ -322,9 +345,10 @@ class TestNonFiniteDisplacements:
         lambda: e_dp(twb_state(1.0), [math.nan, 0.0]),
         lambda: e_dp(ghz_state(1.0), [[0.1, 0.2, 0.3], [0.0, math.inf, 0.0]]),
         lambda: e_dp(ConditionalParams(1.0, 0.5), [1j * math.inf, 0.0]),
-        lambda: b2_dp(twb_state(1.0), DpSettings((math.nan, 0.0), (0.0, 0.0))),
-        lambda: b2_dp(ConditionalParams(1.0, 0.5), DpSettings((1j * math.inf, 0.0), (0.0, 0.0))),
-        lambda: b3_dp_general(ghz_state(1.0), DpSettings((math.inf, 0.0, 0.0), (0.0, 0.0, 0.0))),
+        lambda: DpRates(twb_state(1.0), DpSettings((math.nan, 0.0), (0.0, 0.0))).bell(),
+        lambda: DpRates(ConditionalParams(1.0, 0.5),
+                        DpSettings((1j * math.inf, 0.0), (0.0, 0.0))).bell(),
+        lambda: DpRates(ghz_state(1.0), DpSettings((math.inf, 0.0, 0.0), (0.0, 0.0, 0.0))).bell(),
     ], ids=["gaussian", "gaussian-batch", "conditional", "b2-gaussian", "b2-conditional", "b3"])
     def test_rejected(self, call):
         with pytest.raises(InvalidParameterError, match="displacements must be finite"):
@@ -339,15 +363,16 @@ class TestNonFiniteDisplacements:
 # each displacement family with a state it suits, and the two closed forms, as
 # functions of J alone
 J_VALUES = [
-    pytest.param(lambda j: b3_dp_general(ghz_state(1.1), ghz_dp_settings(j)).value, id="ghz"),
-    pytest.param(lambda j: b3_dp_general(su21_sym_state(2.0), su21_sym_dp_settings(j)).value,
+    pytest.param(lambda j: DpRates(ghz_state(1.1), ghz_dp_settings(j)).bell().value, id="ghz"),
+    pytest.param(lambda j: DpRates(su21_sym_state(2.0), su21_sym_dp_settings(j)).bell().value,
                  id="su21-sym"),
-    pytest.param(lambda j: b3_dp_general(su21_opt_state(2.0), su21_opt_dp_settings(j)).value,
+    pytest.param(lambda j: DpRates(su21_opt_state(2.0), su21_opt_dp_settings(j)).bell().value,
                  id="su21-opt"),
-    pytest.param(lambda j: b2_dp(twb_state(2.0), twb_dp_settings(j)).value, id="twb"),
-    pytest.param(lambda j: b2_dp(twb_state(2.0), twb_bw_dp_settings(j)).value, id="twb-bw"),
-    pytest.param(lambda j: b2_dp(ConditionalParams(1.0, 0.5, eta=0.8),
-                                 conditional_dp_settings(j)).value, id="conditional"),
+    pytest.param(lambda j: DpRates(twb_state(2.0), twb_dp_settings(j)).bell().value, id="twb"),
+    pytest.param(lambda j: DpRates(twb_state(2.0), twb_bw_dp_settings(j)).bell().value,
+                 id="twb-bw"),
+    pytest.param(lambda j: DpRates(ConditionalParams(1.0, 0.5, eta=0.8),
+                                   conditional_dp_settings(j)).bell().value, id="conditional"),
     pytest.param(lambda j: b3_ghz_closed(1.2, j).value, id="ghz-closed"),
     pytest.param(lambda j: b3_su21_closed(3.0, j).value, id="su21-closed"),
 ]
@@ -442,8 +467,9 @@ class TestBellValueMessages:
 
 
 class TestRateForm:
-    """``DpRates`` evaluates ``b2_dp(target, family(J))`` from exponents read
-    off once at J = 1, for families that scale as sqrt(J)."""
+    """``DpRates(target, family(1.0)).bell(J)`` is the value at the settings
+    ``family(J)``, from exponents read off once at J = 1, for families that
+    scale as sqrt(J)."""
 
     JS = np.logspace(-9, 1, 41)
     TARGETS = [
@@ -458,7 +484,7 @@ class TestRateForm:
     @pytest.mark.parametrize("target,family", TARGETS)
     def test_matches_explicit_settings(self, target, family):
         rates = DpRates(target, family(1.0)).bell(self.JS).value
-        explicit = b2_dp(target, family(self.JS)).value
+        explicit = DpRates(target, family(self.JS)).bell().value
         assert np.max(np.abs(rates - explicit)) <= 1e-12
 
     @pytest.mark.parametrize("family", [
@@ -506,7 +532,7 @@ class TestRateForm:
     ], ids=["twb", "conditional"])
     def test_ill_conditioned_state_raises_like_the_explicit_path(self, target, family):
         with pytest.raises(ConditioningError) as explicit:
-            b2_dp(target, family(1e-7))
+            DpRates(target, family(1e-7)).bell()
         with pytest.raises(ConditioningError) as rates:
             DpRates(target, family(1.0)).bell(1e-7)
         assert str(rates.value) == str(explicit.value)
@@ -516,17 +542,23 @@ class TestRateForm:
             DpRates(ConditionalParams(1.0, 0.5, eta=0.0), conditional_dp_settings(1.0)).bell(0.1)
 
     def test_needs_two_modes(self):
-        """A state and settings of different mode counts raise at the first
-        ``bell``; settings for other than two or three parties at construction."""
-        for target, settings in ((ghz_state(1.0), twb_dp_settings(1.0)),
-                                 (twb_state(1.0), su21_opt_dp_settings(1.0)),
-                                 (ConditionalParams(1.0, 0.5), su21_opt_dp_settings(1.0))):
-            rates = DpRates(target, settings)
-            with pytest.raises(InvalidParameterError, match="one displacement per mode"):
-                rates.bell(0.1)
-        for n in (1, 4):
-            with pytest.raises(InvalidParameterError, match="two- or three-party"):
-                DpRates(twb_state(1.0), DpSettings(np.zeros(n), np.zeros(n)))
+        """Settings whose party count is not the target's mode count (two for
+        the heralded target) are an ``InvalidParameterError``, never an
+        ``AttributeError``, for one row and for a batch: two- or three-party
+        settings at the first ``bell``, any other party count at construction."""
+        for target, modes in ((twb_state(1.0), 2), (ghz_state(1.0), 3),
+                              (ConditionalParams(1.0, 0.5, eta=0.8), 2)):
+            for parties in (1, 2, 3, 4):
+                for shape in ((parties,), (4, parties)):
+                    settings = DpSettings(np.zeros(shape), np.full(shape, 0.1))
+                    if parties not in (2, 3):
+                        with pytest.raises(InvalidParameterError, match="two- or three-party"):
+                            DpRates(target, settings)
+                    elif parties != modes:
+                        rates = DpRates(target, settings)
+                        with pytest.raises(InvalidParameterError,
+                                           match="one displacement per mode"):
+                            rates.bell()
 
     def test_factored_once(self, monkeypatch):
         calls = []
@@ -547,20 +579,8 @@ class TestRateForm:
     def test_three_party_matches_explicit_settings(self, state, family):
         rates = DpRates(state, family(1.0)).bell(self.JS)
         assert rates.n_parties == 3
-        explicit = b3_dp_general(state, family(self.JS)).value
+        explicit = DpRates(state, family(self.JS)).bell().value
         assert np.max(np.abs(rates.value - explicit)) <= 1e-12
-
-    def test_heralded_correlator_is_the_wigner_function(self):
-        """E = pi^2 W(sqrt(2) u), bit for bit, on a batch and row by row."""
-        rng = np.random.default_rng(31)
-        for p in (ConditionalParams(1.0, 0.5), ConditionalParams(0.05, 2.0, 0.9, 0.6),
-                  ConditionalParams(30.0, 0.1, -1.3, 0.3)):
-            al = _random_alphas(rng, 200, 2)
-            u = np.concatenate([al.real, al.imag], axis=-1)
-            want = np.pi**2 * w1_eval(p, SQRT2 * u)
-            assert np.array_equal(e_dp(p, al), want)
-            assert [e_dp(p, row) for row in al[:5]] == [
-                np.pi**2 * w1_eval(p, SQRT2 * row) for row in u[:5]]
 
     def test_j_broadcasts_against_batched_settings(self):
         s = twb_state(2.0)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from cvbell import (
     ConditionalParams,
+    FockDensityOperator,
     InvalidParameterError,
     PrecisionError,
     PsCoefficients,
+    TripartitePhotonNumbers,
     b2_ps_from_f,
-    b3_ps,
     b3_ps_from_coeffs,
     f_conditional,
     f_traced,
@@ -23,8 +24,10 @@ from cvbell import (
     ghz_state,
     klyshko_max,
     maximize_scalar,
+    onoff_condition,
     pi_coeffs_quadrature,
     pseudospin_expect,
+    su21_fock,
     su21_pi_coeffs,
     su21_ps_coeffs,
     twb_fock,
@@ -186,11 +189,11 @@ class TestCorrelationFunction:
 
 class TestBellCombination:
     def test_symmetric_asymptote(self):
-        bv = b3_ps(100.0, 100.0)
+        bv = b3_ps_from_coeffs(su21_ps_coeffs(100.0, 100.0))
         assert bv.value == pytest.approx(2.63, abs=0.02)
 
     def test_degenerate_limit_is_chsh_maximum(self):
-        bv = b3_ps(10.0, 1e-3)
+        bv = b3_ps_from_coeffs(su21_ps_coeffs(10.0, 1e-3))
         assert bv.value == pytest.approx(2 * SQRT2, abs=0.01)
 
     def test_pi_representation_maximum(self):
@@ -302,6 +305,75 @@ class TestFFunctions:
         vals = [f_conditional(ConditionalParams(n, 0.1, eta=0.8))
                 for n in np.linspace(0.2, 8.0, 10)]
         assert np.all(np.diff(vals) > 0)
+
+
+def _spin_flip_sum(n2, n3, eta, y_sign=1.0, even_only=False, top=160):
+    """The heralded spin-flip sum over number amplitudes, with no cvbell code.
+
+    The source is sum_pq A_pq |p+q, p, q> with A_pq = (1+n1)^-1/2 x^(p/2)
+    y^(q/2) sqrt(C(p+q, p)), x = n2/(1+n1) and y = n3/(1+n1); a click weighs the
+    slice q by 1 - (1-eta)^q, over P = eta n3/(1 + eta n3).  Each term is
+    2 A_pq A_(p+1)q for even p (s_x on mode 2 pairs {2k, 2k+1}).  Over every q
+    this is S(y); ``y_sign`` = -1 puts -y for y.  The oracle's s_x on mode 1
+    also needs p + q even, so it keeps only even q (``even_only``).
+    """
+    n1 = n2 + n3
+    x, y = n2 / (1 + n1), y_sign * n3 / (1 + n1)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, 2 * top + 2)))])
+    p = np.arange(0, top, 2)[:, None]
+    q = np.arange(0, top, 2 if even_only else 1)[None, :]
+    log_binom = (0.5 * (log_fact[p + q] - log_fact[p] + log_fact[p + q + 1] - log_fact[p + 1])
+                 - log_fact[q])
+    terms = (1 - (1 - eta) ** q) * y**q * x ** (p + 0.5) * np.exp(log_binom)
+    return 2 * terms.sum() * (1 + eta * n3) / ((1 + n1) * eta * n3)
+
+
+class TestHeraldedPseudospinGap:
+    """``f_conditional`` is not the heralded state's <s_x s_x>: the closed form
+    sums every n3, the Fock oracle only the even n3.  These tests pin the gap as
+    it stands; no printed value depends on them."""
+
+    X, Z = (math.pi / 2, 0.0), (0.0, 0.0)
+    POINTS = [(0.3, 0.3, 0.8), (1.0, 0.1, 0.8), (0.5, 0.2, 1.0), (0.2, 0.5, 0.4)]
+
+    @staticmethod
+    def _heralded(n2, n3, eta):
+        return onoff_condition(su21_fock(TripartitePhotonNumbers(n2, n3), 40), 2, eta)[1]
+
+    @pytest.mark.parametrize("n2,n3,eta,closed,oracle,e_zz", [
+        (0.3, 0.3, 0.8, 0.899670, 0.202942, -0.569853),
+        (1.0, 0.1, 0.8, 0.985584, 0.096715, -0.803571),
+    ])
+    def test_closed_form_against_the_oracle(self, n2, n3, eta, closed, oracle, e_zz):
+        rho = self._heralded(n2, n3, eta)
+        p = ConditionalParams(n2, n3, eta=eta)
+        assert f_conditional(p) == pytest.approx(closed, abs=5e-7)
+        assert pseudospin_expect(rho, [self.X, self.X]) == pytest.approx(oracle, abs=5e-7)
+        # E_zz = <(-1)^n3>_on, not the +1 that b2_ps_from_f assumes
+        want = (1 / (1 + 2 * n3) - 1 / (1 + (2 - eta) * n3)) * (1 + eta * n3) / (eta * n3)
+        assert want == pytest.approx(e_zz, abs=5e-7)
+        assert pseudospin_expect(rho, [self.Z, self.Z]) == pytest.approx(want, abs=1e-9)
+
+    def test_traced_matches_the_oracle(self):
+        # the traced state as weighted kets: every number slice of mode 3, weight 1
+        st = su21_fock(TripartitePhotonNumbers(0.3, 0.3), 40)
+        traced = FockDensityOperator(2, 40, np.moveaxis(st.kets, 3, 1).reshape(-1, 40, 40),
+                                     np.repeat(st.weights, 40))
+        f = f_traced(ConditionalParams(0.3, 0.3))
+        assert f == pytest.approx(0.601814, abs=5e-7)
+        assert pseudospin_expect(traced, [self.X, self.X]) == pytest.approx(f, abs=1e-9)
+
+    @pytest.mark.parametrize("n2,n3,eta", POINTS)
+    def test_oracle_is_the_even_n3_part(self, n2, n3, eta):
+        """f_conditional is S(y); the oracle is 1/2 [S(y) + S(-y)], the even-n3 sum."""
+        s_plus = _spin_flip_sum(n2, n3, eta)
+        s_minus = _spin_flip_sum(n2, n3, eta, y_sign=-1.0)
+        even = 0.5 * (s_plus + s_minus)
+        assert s_plus == pytest.approx(f_conditional(ConditionalParams(n2, n3, eta=eta)),
+                                       abs=1e-14)
+        assert even == pytest.approx(_spin_flip_sum(n2, n3, eta, even_only=True), abs=1e-14)
+        assert even == pytest.approx(
+            pseudospin_expect(self._heralded(n2, n3, eta), [self.X, self.X]), abs=1e-9)
 
 
 class TestChshFromF:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvbell import (ConditionalParams, DpSettings, TripartitePhotonNumbers, b2_dp, b3_dp_general,
+from cvbell import (ConditionalParams, DpRates, DpSettings, TripartitePhotonNumbers,
                     b3_su21_closed, chsh_h, conditional_dp_settings, ghz_state, log_j_maximize,
                     su21_state, twb_dp_settings, twb_state)
 from cvbell import cli
@@ -99,11 +99,13 @@ class TestPoint:
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(2.89, abs=0.01)
 
-    @pytest.mark.parametrize("n", ["1e10", "1e12", "1e200", "1e300"])
+    @pytest.mark.parametrize("n", ["1e10", "1e12", "1e200", "1e300", "1e307", "1.7e308"])
     def test_su21_dp3_optimum_below_1e_minus_9(self, n, capsys):
         """The optimum J = 0.1654/N lies below 1e-9 here; a scan from a fixed
         1e-9 printed 0.8805 at N = 1e10 and 1.1e-37 at N = 1e12.  Above
-        N = 1.3e154, N (2 + N) overflowed and every J's value was non-finite."""
+        N = 1.3e154, N (2 + N) overflowed and every J's value was non-finite;
+        at N = 1e307 the J = 10 exponent overflowed (a RuntimeWarning, an error
+        in this suite), and at N = 1.7e308 3N did, making the value NaN."""
         assert main(["point", "--state", "su21", "--test", "dp3", "--n", n, "--optimize"]) == 0
         rec = json.loads(capsys.readouterr().out)
         dense = np.max(b3_su21_closed(float(n), np.logspace(-3, 0, 3001) / float(n)).value)
@@ -229,7 +231,7 @@ class TestDp2RateForm:
     @pytest.mark.parametrize("argv,target,family", CASES)
     def test_matches_the_explicit_settings_scan(self, argv, target, family, capsys):
         best = self._record([*argv, "--optimize"], capsys)
-        old = log_j_maximize(lambda j: b2_dp(target, family(j)).value, 1e-9, 10.0)
+        old = log_j_maximize(lambda j: DpRates(target, family(j)).bell().value, 1e-9, 10.0)
         assert best["value"] == pytest.approx(old.max_value, abs=1e-12)
         assert best["evaluations"] == old.evaluations
 
@@ -380,6 +382,16 @@ class TestVerify:
         assert "all-z pseudospin correlator" in out
         assert "max CHSH = 1.919982 over 1e4 random settings" in out
 
+    @pytest.mark.parametrize("cutoff", ["30", "41"])
+    def test_heralded_pseudospin_gap_is_a_note(self, cutoff, capsys):
+        # the gap is reported with both numbers, at an odd cutoff from the even one above it
+        assert main(["verify", "--cutoff", cutoff]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[NOTE] documented finding: ")]
+        assert len(notes) == 3
+        assert ("f_conditional is 0.899670 at (n2, n3, eta) = (0.3, 0.3, 0.8), while the "
+                "oracle's <s_x s_x> on the heralded state is 0.202942") in notes[1]
+
     def test_small_cutoff_fails(self, capsys):
         assert main(["verify", "--cutoff", "4"]) == 1
         out = capsys.readouterr().out
@@ -401,9 +413,10 @@ class TestVerify:
             a = rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3)
             ap = rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3)
             st = gs3[int(rng.integers(0, 2))]
-            b3max = max(b3max, b3_dp_general(st, DpSettings(tuple(a), tuple(ap))).value)
+            b3max = max(b3max, DpRates(st, DpSettings(tuple(a), tuple(ap))).bell().value)
             for t in (twb_state(2.0), params):
-                b2max = max(b2max, b2_dp(t, DpSettings(tuple(a[:2]), tuple(ap[:2]))).value)
+                two = DpSettings(tuple(a[:2]), tuple(ap[:2]))
+                b2max = max(b2max, DpRates(t, two).bell().value)
         line = f"max B2 = {b2max:.6f}, max B3 = {b3max:.6f}"
         assert line == "max B2 = 1.545497, max B3 = 1.203400"
         assert main(["verify"]) == 0

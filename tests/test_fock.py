@@ -19,7 +19,6 @@ from cvbell import (
     e_dp,
     f_twb,
     onoff_condition,
-    orthant_probabilities,
     p_click,
     pseudospin_expect,
     quadrature_orthant_expect,
@@ -235,11 +234,6 @@ class TestOrthant:
         assert quadrature_orthant_expect(twb_fock_n1, 0.0, 0.0) == pytest.approx(
             expected, abs=1e-6)
 
-    def test_orthant_probabilities_complete(self, twb_fock_n1):
-        ps = orthant_probabilities(twb_fock_n1, 0.4, 0.9)
-        assert sum(ps) == pytest.approx(1.0, abs=1e-6)
-        assert all(p >= -1e-12 for p in ps)
-
     def test_expectation_bounded(self, twb_fock_n1):
         for th in np.linspace(0, 2 * math.pi, 7):
             assert abs(quadrature_orthant_expect(twb_fock_n1, th, 0.3)) <= 1.0 + 1e-9
@@ -274,7 +268,6 @@ class TestExpectationKernel:
         cases = [
             (displaced_parity_expect, ([0.2 + 0.1j, -0.3j],)),
             (pseudospin_expect, ([(0.7, 0.4), (1.9, -1.1)],)),
-            (orthant_probabilities, (0.4, -0.9)),
             (quadrature_orthant_expect, (1.1, 0.6)),
         ]
         for fn, args in cases:
@@ -289,8 +282,6 @@ class TestExpectationKernel:
         rotated = FockDensityOperator(2, pure.cutoff, kets, pure.weights)
         assert quadrature_orthant_expect(pure, th, ph) == pytest.approx(
             quadrature_orthant_expect(rotated, 0.0, 0.0), abs=1e-13)
-        assert orthant_probabilities(pure, th, ph) == pytest.approx(
-            orthant_probabilities(rotated, 0.0, 0.0), abs=1e-13)
 
     def test_single_mode_density_coherent_parity(self):
         vacuum = np.zeros((1, 30), dtype=complex)
@@ -324,7 +315,6 @@ class TestNonFiniteInput:
         "displaced_parity_expect-imag": lambda st, bad: displaced_parity_expect(
             st, [0.1, complex(0.0, bad)]),
         "quadrature_orthant_expect": lambda st, bad: quadrature_orthant_expect(st, bad, 0.0),
-        "orthant_probabilities": lambda st, bad: orthant_probabilities(st, 0.3, bad),
         "pseudospin_expect": lambda st, bad: pseudospin_expect(st, [(bad, 0.0), Z_AXIS]),
         "pseudospin_expect-phi": lambda st, bad: pseudospin_expect(st, [X_AXIS, (0.2, bad)]),
         "wigner_reconstruct": lambda st, bad: wigner_reconstruct(st, [0.0, 0.1, bad, 0.0]),
@@ -424,11 +414,7 @@ class TestWeightedKets:
                    - _dense_expect(kets, weights, dp_ops)) < 1e-12
         ps_ops = [pseudospin_axis_op(t, p, 16) for t, p in axes]
         assert abs(pseudospin_expect(rho, axes) - _dense_expect(kets, weights, ps_ops)) < 1e-12
-        H, G = _half_line_matrices(16)
-        halves = (H, np.eye(16) - H)
-        want = [_dense_expect(kets, weights, [_rotated(a, th), _rotated(b, ph)])
-                for a in halves for b in halves]
-        assert np.max(np.abs(np.array(orthant_probabilities(rho, th, ph)) - want)) < 1e-12
+        _, G = _half_line_matrices(16)
         assert abs(quadrature_orthant_expect(rho, th, ph) - _dense_expect(
             kets, weights, [_rotated(G, th), _rotated(G, ph)])) < 1e-12
 

@@ -31,7 +31,7 @@ from .fock import (
     twb_fock,
     wigner_reconstruct,
 )
-from .conditional import ConditionalParams, TwoGaussianWigner, p_click
+from .conditional import ConditionalParams, p_click
 from .bell_dp import (
     BellValue,
     DpRates,

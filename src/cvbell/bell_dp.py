@@ -49,11 +49,6 @@ def _bell_sum(e):
     return np.abs(e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3])
 
 
-def _check_j(j_mag: ArrayLike) -> NDArray[np.float64]:
-    """The displacement magnitudes J, of any shape; each must be finite and >= 0."""
-    return _nonnegative("J", j_mag)
-
-
 @dataclass(frozen=True)
 class DpSettings:
     """One displacement per mode for each of the two measurement choices:
@@ -113,11 +108,15 @@ def _gaussians(target: GaussianState | ConditionalParams, alphas: ArrayLike
     det^{-1/2}; its quadratic form is one stacked vector-matrix product with
     the cached inverse, and ``vecmat``/``vecdot`` keep each row's summation
     order, so a batch is bit-identical to row-by-row calls.  The heralded
-    state has two, pi^2 (w_a, -w_b) at sqrt(2) u."""
+    state has two, ``two_gaussian_form``'s pi^2 (w_a, -w_b) at x = sqrt(2) u,
+    with exponents -x.Q.x.  Any other target is an ``InvalidParameterError``."""
     if isinstance(target, ConditionalParams):
-        form = two_gaussian_form(target)
-        return (np.pi**2, (form.weight_a, -form.weight_b),
-                form.exponents(_SQRT2 * _phase_space(alphas, 2)))
+        weights, forms = two_gaussian_form(target)
+        x = _SQRT2 * _phase_space(alphas, 2)
+        return np.pi**2, weights, tuple(-np.einsum("...i,ij,...j->...", x, q, x) for q in forms)
+    if not isinstance(target, GaussianState):
+        raise InvalidParameterError("the target must be a GaussianState or ConditionalParams,"
+                                    f" got {type(target).__name__}")
     u = _phase_space(alphas, target.n_modes)
     inv, det = target.factors
     return 1.0, (det ** -0.5,), (np.vecdot(np.vecmat(-2.0 * u, inv), u),)
@@ -166,7 +165,8 @@ class DpRates:
     is the value at ``settings``.  Like ``GaussianState.factors``, ``rates``
     is computed at the first ``bell`` call, after its J is checked, so the
     state's errors raise there, as does a target whose mode count is not the
-    settings' party count (``InvalidParameterError``)."""
+    settings' party count, or that is neither a ``GaussianState`` nor
+    ``ConditionalParams`` (``InvalidParameterError``)."""
 
     target: GaussianState | ConditionalParams
     settings: DpSettings
@@ -189,7 +189,7 @@ class DpRates:
         a scalar J on unbatched settings gives a float value.  Values are
         bit-identical to one call per J, and J = 1 is the value at
         ``settings`` itself."""
-        j, batch = _check_j(j_mag), self.settings.unprimed.shape[:-1]
+        j, batch = _nonnegative("J", j_mag), self.settings.unprimed.shape[:-1]
         try:   # a scalar J, or unbatched settings, always broadcasts
             if j.ndim and batch:
                 np.broadcast_shapes(j.shape, batch)
@@ -216,7 +216,7 @@ def b3_ghz_closed(r: ArrayLike, j_mag: ArrayLike) -> BellValue:
     call on its own r and J.
     """
     # [()] makes a 0-d r a numpy scalar, whose arithmetic is several times faster
-    r, j = _nonnegative("r", r)[()], _check_j(j_mag)
+    r, j = _nonnegative("r", r)[()], _nonnegative("J", j_mag)
     # math.exp of each r, as the float form has always taken it
     e_minus = math.exp(-2.0 * r) if r.ndim == 0 else np.array(
         [math.exp(-2.0 * x) for x in r.ravel().tolist()]).reshape(r.shape)
@@ -232,7 +232,7 @@ def b3_su21_closed(n: ArrayLike, j_mag: ArrayLike) -> BellValue:
     with phases phi2 = phi3 = pi, under the symmetric displacement family real
     sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1) (J in phase-space units).  N and
     J broadcast; each entry equals the call on its own N and J."""
-    n, j = _nonnegative("N", n)[()], _check_j(j_mag)     # a 0-d N as a scalar, as for r
+    n, j = _nonnegative("N", n)[()], _nonnegative("J", j_mag)     # a 0-d N as a scalar, as for r
     # B3 = 2 e^{-J A1} + e^{-2J A2} - e^{-4J A3}, each A_k formed as a_k = A_k/16
     # from N/16 so that 3N cannot overflow (exactly: each exponent is bit for bit
     # the unscaled one).  J is capped at 125/a2: there 32 J a2 = 4000, 16 J a1 >
@@ -261,7 +261,7 @@ def su21_opt_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Numerically optimized family for the trilinear state with phases
     phi2 = 0, phi3 = pi: imaginary (2/3, 0, 0) and (0, -1, 1) times
     sqrt(J/2); J in phase-space units."""
-    w = 1j * np.sqrt(_check_j(j_mag) / 2.0)
+    w = 1j * np.sqrt(_nonnegative("J", j_mag) / 2.0)
     zero = np.zeros_like(w)
     return _family((2.0 / 3.0 * w, zero, zero), (zero, -w, w))
 
@@ -269,14 +269,14 @@ def su21_opt_dp_settings(j_mag: ArrayLike) -> DpSettings:
 def twb_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Optimal twin-beam family: real (sqrt(J), -sqrt(J)) and
     (-3, 3) sqrt(J); J in coherent-amplitude units."""
-    w = np.sqrt(_check_j(j_mag))
+    w = np.sqrt(_nonnegative("J", j_mag))
     return _family((w, -w), (-3 * w, 3 * w))
 
 
 def conditional_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Optimized family for the heralded state: real (1, 2) and (3, 0) times
     sqrt(J/2); J in phase-space units."""
-    w = np.sqrt(_check_j(j_mag) / 2.0)
+    w = np.sqrt(_nonnegative("J", j_mag) / 2.0)
     return _family((w, 2 * w), (3 * w, np.zeros_like(w)))
 
 

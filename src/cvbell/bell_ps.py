@@ -19,7 +19,7 @@ import numpy as np
 
 from .conditional import ConditionalParams, _check_click
 from .errors import InvalidParameterError, PrecisionError
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _nonnegative
 from .bell_dp import BellValue
 from .optim import klyshko_max
 
@@ -122,8 +122,7 @@ def su21_ps_coeffs(n2: float, n3: float) -> PsCoefficients:
     c1 multiplies the z-first pattern and carries the overall minus sign; c2
     and c3 are positive.  Raises ``PrecisionError`` above n2 + n3 = 4e6.
     """
-    if not (0 <= n2 < math.inf and 0 <= n3 < math.inf):
-        raise InvalidParameterError("need n2, n3 finite and >= 0")
+    n2, n3 = float(_nonnegative("n2", n2)), float(_nonnegative("n3", n3))
     n1 = n2 + n3
     p1 = 2.0 * math.sqrt(n2 * n3) / (1 + n1) ** 2
     p2 = 2.0 * math.sqrt(n3) / (1 + n1) ** 1.5
@@ -142,8 +141,7 @@ def su21_ps_coeffs(n2: float, n3: float) -> PsCoefficients:
 
 def f_twb(n: float) -> float:
     """Twin-beam spin-flip correlator sqrt(N(N+2))/(1+N); rises monotonically to 1."""
-    if not 0 <= n < math.inf:
-        raise InvalidParameterError(f"photon number must be finite and >= 0, got {n}")
+    n = float(_nonnegative("photon number", n))
     return math.sqrt(n * (n + 2.0)) / (1.0 + n)
 
 
@@ -183,8 +181,7 @@ def f_conditional(p: ConditionalParams) -> float:
 def su21_pi_coeffs(n: float) -> PsCoefficients:
     """Point-operator coefficients of the trilinear state, symmetric split
     n2 = n3 = N/4, as functions of the total photon number."""
-    if not 0 <= n < math.inf:
-        raise InvalidParameterError(f"photon number must be finite and >= 0, got {n}")
+    n = float(_nonnegative("photon number", n))
     c1 = 2.0 * math.atan(n / (2.0 * math.sqrt(1.0 + n))) / (math.pi * (1.0 + n))
     c23 = 2.0 * math.atan(math.sqrt(n)) / (math.pi * (1.0 + n / 2.0))
     return PsCoefficients(-c1, c23, c23)
@@ -192,8 +189,7 @@ def su21_pi_coeffs(n: float) -> PsCoefficients:
 
 def ghz_pi_coeffs(r: float) -> PsCoefficients:
     """Point-operator coefficients of the GHZ-type state (all three equal)."""
-    if not 0 <= r < math.inf:
-        raise InvalidParameterError(f"squeezing must be finite and >= 0, got {r}")
+    r = float(_nonnegative("squeezing", r))
     # e^{4r} factored out with q = e^{-4r}, so large r cannot overflow
     q = math.exp(-4.0 * r)
     num = -6.0 * math.atan((1.0 - q) / math.sqrt(3.0 * (1.0 + 2.0 * q)))
@@ -214,7 +210,7 @@ def pi_coeffs_quadrature(state: GaussianState) -> PsCoefficients:
     if state.n_modes != 3:
         raise InvalidParameterError("three-mode state required")
     vi = np.linalg.inv(state.cov)
-    det_v = state.det()
+    det_v = state.factors[1]
     out = []
     for z in range(3):
         keep = [i for i in range(6) if i not in (z, z + 3)]

@@ -27,10 +27,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 # ---------------------------------------------------------------------------
 # point evaluations: one table entry per (state, test) pair
 
@@ -147,55 +143,41 @@ _PAIRS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """One ``point`` query.  A flag left at None (``optimize`` at False) is
-    unset; the pair's ``_PAIRS`` entry says which flags it reads."""
-    state: str
-    test: str
-    r: float | None = None
-    n: float | None = None
-    n2: float | None = None
-    n3: float | None = None
-    phi2: float | None = None
-    eta: float | None = None
-    j: float | None = None
-    optimize: bool = False
-    tol: float | None = None
-    grid: tuple[float, float, int] | None = None
-
-    def validate(self) -> dict:
-        """Return the values the pair's evaluator reads, unset ones at their
-        defaults; raise ``UsageError`` for a flag it would not read."""
-        pair = _PAIRS.get((self.state, self.test))
-        if pair is None:
-            raise UsageError(f"no test {self.test!r} for state {self.state!r}; choose from "
-                             + ", ".join(f"{s} {t}" for s, t in _PAIRS))
-        name, sweep = f"{self.state} {self.test}", pair.groups[0][0][0]
-        given = {k for k, v in vars(self).items()
-                 if k in _FLAGS and v is not None and v is not False}
-        if self.grid is not None:
-            if self.grid[2] < 1:
-                raise UsageError("--grid needs at least one step")
-            given.add(sweep)
-        values: dict = {}
-        for forms in pair.groups:
-            chosen = [f for f in forms if f[0] in given or f[0] in _DEFAULTS]
-            if len(chosen) > 1:
-                hint = f" (--grid sweeps --{sweep})" if self.grid is not None else ""
-                raise UsageError(f"{name} takes --{chosen[0][0]} or --{chosen[1][0]}, not both{hint}")
-            for f in chosen:
-                missing = [k for k in f if k not in given and k not in _DEFAULTS]
-                if missing:
-                    raise UsageError(f"{name} needs " + ", ".join(f"--{k}" for k in missing))
-                values.update({k: getattr(self, k) if k in given else _DEFAULTS[k] for k in f})
-        unread = [f"--{k}" for k in _FLAGS if k in given and k not in values]
-        if unread:
-            raise UsageError(f"{name} does not read {', '.join(unread)}")
-        for forms in pair.groups:
-            if not any(f[0] in values for f in forms):
-                raise UsageError(f"{name} needs " + " or ".join(f"--{f[0]}" for f in forms))
-        return values
+def validate(state: str, test: str, flags: dict, grid: tuple[float, float, int] | None = None
+             ) -> dict:
+    """Return the values the (state, test) pair's evaluator reads: the given
+    ``flags`` by name, unset ones at their defaults, and under ``grid`` the
+    swept flag; raise ``UsageError`` for a flag it would not read."""
+    pair = _PAIRS.get((state, test))
+    if pair is None:
+        raise UsageError(f"no test {test!r} for state {state!r}; choose from "
+                         + ", ".join(f"{s} {t}" for s, t in _PAIRS))
+    name, sweep = f"{state} {test}", pair.groups[0][0][0]
+    given = dict(flags)
+    if grid is not None:
+        if grid[2] < 1:
+            raise UsageError("--grid needs at least one step")
+        given.setdefault(sweep, None)       # each step sets it
+    values: dict = {}
+    for forms in pair.groups:
+        chosen = [f for f in forms if f[0] in given or f[0] in _DEFAULTS]
+        if len(chosen) > 1:
+            hint = f" (--grid sweeps --{sweep})" if grid is not None else ""
+            raise UsageError(f"{name} takes --{chosen[0][0]} or --{chosen[1][0]}, not both{hint}")
+        for f in chosen:
+            missing = [k for k in f if k not in given and k not in _DEFAULTS]
+            if missing:
+                raise UsageError(f"{name} needs " + ", ".join(f"--{k}" for k in missing))
+            values.update({k: given[k] if k in given else _DEFAULTS[k] for k in f})
+    # in flag order, then any name that is not a flag
+    unread = [f"--{k}" for k in dict.fromkeys((*_FLAGS, *sorted(given)))
+              if k in given and k not in values]
+    if unread:
+        raise UsageError(f"{name} does not read {', '.join(unread)}")
+    for forms in pair.groups:
+        if not any(f[0] in values for f in forms):
+            raise UsageError(f"{name} needs " + " or ".join(f"--{f[0]}" for f in forms))
+    return values
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -209,15 +191,17 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
-def run_point(cfg: RunConfig) -> int:
-    """Evaluate one configuration (or a sweep) and print JSON records to stdout."""
-    values = cfg.validate()
-    pair = _PAIRS[cfg.state, cfg.test]
+def run_point(state: str, test: str, grid: tuple[float, float, int] | None = None,
+              **flags) -> int:
+    """Evaluate one query, the ``point`` flags given as keywords, or a
+    lo:hi:steps ``grid`` sweep of it, and print JSON records to stdout."""
+    values = validate(state, test, flags, grid)
+    pair = _PAIRS[state, test]
     sweep = pair.groups[0][0][0]
-    steps = [values] if cfg.grid is None else [
-        {**values, sweep: float(v)} for v in np.linspace(*cfg.grid)]
+    steps = [values] if grid is None else [
+        {**values, sweep: float(v)} for v in np.linspace(*grid)]
     for p in steps:
-        rec = {"state": cfg.state, "test": cfg.test,
+        rec = {"state": state, "test": test,
                "params": {k: p[k] for k in _PARAMS if k in p}, **pair.evaluate(p)}
         print(json.dumps(rec, sort_keys=True))
     return 0
@@ -225,6 +209,9 @@ def run_point(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 # figures: each builder returns (meta, column names, rows)
+
+_CELL = "%.12g"   # every figure cell, in the CSV and the JSON tables
+
 
 def _b3dpvlbgen():
     rs = np.linspace(0.0, 3.0, 61)
@@ -302,14 +289,13 @@ def run_figure(figure_id: str, out: str | None = None, fmt: str = "csv") -> int:
         with open(path, "w") as fh:
             if fmt == "json":
                 for row in rows:
-                    fh.write(json.dumps({c: float(_fmt(v)) for c, v in zip(cols, row)},
+                    fh.write(json.dumps({c: float(_CELL % v) for c, v in zip(cols, row)},
                                         sort_keys=True) + "\n")
             else:
                 for k, v in sorted({"figure": figure_id, **meta}.items()):
                     fh.write(f"# {k}={v}\n")
                 fh.write(",".join(cols) + "\n")
-                # one %-format per row of Python floats: the bytes of _fmt per cell
-                line = ",".join(["%.12g"] * len(cols)) + "\n"
+                line = ",".join([_CELL] * len(cols)) + "\n"   # one %-format per row
                 fh.writelines(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
@@ -352,7 +338,7 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
     def chk_dets():
         worst = 0.0
         for s in (gaussian.ghz_state(1.0), gaussian.su21_state(phot), gaussian.twb_state(2.0)):
-            worst = max(worst, abs(s.det() - 1.0))
+            worst = max(worst, abs(s.factors[1] - 1.0))
         return worst < 1e-9, f"max |det-1| = {worst:.2e}"
     add("pure-state determinants", "1e-9", chk_dets)
 
@@ -407,9 +393,8 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
         worst = max(abs(wigner(params, pt) - fock.wigner_reconstruct(rho, pt)) for pt in np.array(
             [[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1, 0.4], [0.5, 0.5, -0.3, 0.2]]))
         # normalization: each Gaussian w exp(-x.Q.x) integrates to w pi^2 / sqrt(det Q)
-        form = conditional.two_gaussian_form(params)
-        total = float(np.pi**2 * (form.weight_a / np.sqrt(np.linalg.det(form.quad_form_a))
-                                  - form.weight_b / np.sqrt(np.linalg.det(form.quad_form_b))))
+        total = float(np.pi**2 * sum(w / np.sqrt(np.linalg.det(q))
+                                     for w, q in zip(*conditional.two_gaussian_form(params))))
         wmin = float(np.min(wigner(
             conditional.ConditionalParams(1.0, 0.5, eta=1.0),
             np.stack(np.meshgrid(np.linspace(-1, 1, 21), np.linspace(-1, 1, 21),
@@ -558,10 +543,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("point", help="evaluate one configuration")
     pt.add_argument("--state", required=True, choices=sorted({s for s, _ in _PAIRS}))
     pt.add_argument("--test", required=True, choices=sorted({t for _, t in _PAIRS}))
+    # an unset flag is left out of the namespace, so it holds only the given ones
     for flag in (*_PARAMS, "tol"):
-        pt.add_argument(f"--{flag}", type=float, default=None)
-    pt.add_argument("--optimize", action="store_true")
-    pt.add_argument("--grid", type=_parse_grid, help="lo:hi:steps sweep of --n, or of --n2")
+        pt.add_argument(f"--{flag}", type=float, default=argparse.SUPPRESS)
+    pt.add_argument("--optimize", action="store_true", default=argparse.SUPPRESS)
+    pt.add_argument("--grid", type=_parse_grid, default=argparse.SUPPRESS,
+                    help="lo:hi:steps sweep of --n, or of --n2")
 
     ver = sub.add_parser("verify", help="run the oracle-equivalence suite")
     ver.add_argument("--cutoff", type=int, default=30)
@@ -580,7 +567,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "figure":
             return run_figure(args.id, args.out, args.format)
         if args.command == "point":
-            return run_point(RunConfig(**{k: v for k, v in vars(args).items() if k != "command"}))
+            return run_point(**{k: v for k, v in vars(args).items() if k != "command"})
         return run_verify(args.cutoff)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

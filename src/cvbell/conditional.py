@@ -47,28 +47,6 @@ class ConditionalParams:
         return TripartitePhotonNumbers(self.n2, self.n3, self.phi2)
 
 
-@dataclass(frozen=True)
-class TwoGaussianWigner:
-    """Precomputed two-Gaussian form of the heralded Wigner function,
-    W(x) = weight_a exp(-x.Q_a.x) - weight_b exp(-x.Q_b.x) at x = (x1, x2, y1, y2).
-
-    weight_a/quad_form_a belong to the restricted-then-inverted Gaussian,
-    weight_b/quad_form_b to the inverted-then-restricted one.  ``bell_dp.e_dp``
-    evaluates it: W(x) = e_dp(p, (x + iy)/sqrt(2)) / pi^2.
-    """
-
-    weight_a: float
-    weight_b: float
-    quad_form_a: NDArray[np.float64]
-    quad_form_b: NDArray[np.float64]
-
-    def exponents(self, point: NDArray) -> tuple[NDArray, NDArray]:
-        """-x.Q.x of the two Gaussians at each (..., 4) point x."""
-        pt = np.asarray(point, dtype=float)
-        return tuple(-np.einsum("...i,ij,...j->...", pt, q, pt)
-                     for q in (self.quad_form_a, self.quad_form_b))
-
-
 def p_click(p: ConditionalParams) -> float:
     """Probability that the ON/OFF detector fires: eta N3 / (1 + eta N3)."""
     return p.eta * p.n3 / (1.0 + p.eta * p.n3)
@@ -84,8 +62,13 @@ def _check_click(p: ConditionalParams) -> None:
 
 
 @lru_cache(maxsize=256)
-def two_gaussian_form(p: ConditionalParams) -> TwoGaussianWigner:
-    """Assemble the heralded-state Wigner function pieces (cached per params);
+def two_gaussian_form(p: ConditionalParams
+                      ) -> tuple[tuple[float, float], tuple[NDArray[np.float64], NDArray[np.float64]]]:
+    """The heralded Wigner function as a signed pair of Gaussians,
+    W(x) = sum_g w_g exp(-x.Q_g.x) at x = (x1, x2, y1, y2), returned as
+    ``((w_a, -w_b), (Q_a, Q_b))`` and cached per params: Q_a is the
+    restricted-then-inverted form, Q_b the inverted-then-restricted one.
+    ``bell_dp.e_dp`` evaluates it, W(x) = e_dp(p, (x + iy)/sqrt(2)) / pi^2.
     ``ConditioningError`` where V' or D is too ill-conditioned to invert."""
     _check_click(p)
     V = su21_state(p.photons()).cov
@@ -97,7 +80,4 @@ def two_gaussian_form(p: ConditionalParams) -> TwoGaussianWigner:
     pref = (1.0 + p.eta * p.n3) / (4.0 * p.eta * p.n3)
     wa = pref * (2.0 / np.pi) ** 2 / np.sqrt(np.linalg.det(Vp))
     wb = pref * (1.0 / p.eta) * (2.0 / np.pi) ** 2 * 2.0 / np.sqrt(np.linalg.det(D))
-    qa = np.linalg.inv(Vp)
-    qb = np.linalg.inv(D)[np.ix_(_KEEP, _KEEP)]
-    return TwoGaussianWigner(weight_a=wa, weight_b=wb, quad_form_a=qa, quad_form_b=qb)
-
+    return (wa, -wb), (np.linalg.inv(Vp), np.linalg.inv(D)[np.ix_(_KEEP, _KEEP)])

@@ -29,6 +29,18 @@ def _check_condition(cov: NDArray[np.float64]) -> None:
             f"covariance condition number {cond:.3e} exceeds guard {COND_LIMIT:.0e}")
 
 
+def _nonnegative(name: str, x: ArrayLike) -> NDArray[np.float64]:
+    """``x`` as a float array of any shape; each entry must be finite and >= 0,
+    and the first one that is not is named."""
+    a = np.asarray(x, dtype=float)
+    # a 0-d array is read as a float, several times faster than its min and max
+    lo, hi = (a.item(),) * 2 if a.ndim == 0 else (a.min(initial=0.0), a.max(initial=0.0))
+    if not 0.0 <= lo <= hi < np.inf:    # NaN fails too
+        bad = a[~((0.0 <= a) & (a < np.inf))]
+        raise InvalidParameterError(f"{name} must be finite and >= 0, got {bad.flat[0]}")
+    return a
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Zero-mean Gaussian state of ``n_modes`` modes.
@@ -73,9 +85,6 @@ class GaussianState:
         inv.setflags(write=False)
         return inv, float(np.linalg.det(self.cov))
 
-    def det(self) -> float:
-        return self.factors[1]
-
 
 @dataclass(frozen=True)
 class TripartitePhotonNumbers:
@@ -108,10 +117,7 @@ def ghz_state(r: float) -> GaussianState:
     and -S off-diagonal, with R = cosh2r + sinh2r/3, T = cosh2r - sinh2r/3,
     S = -(4/3) cosh r sinh r.  Total mean photon number is 3 sinh^2 r.
     """
-    if not np.isfinite(r):
-        raise InvalidParameterError("squeezing parameter must be finite")
-    if r < 0:
-        raise InvalidParameterError("squeezing parameter must be >= 0")
+    r = float(_nonnegative("squeezing parameter", r))
     R = np.cosh(2 * r) + np.sinh(2 * r) / 3
     T = np.cosh(2 * r) - np.sinh(2 * r) / 3
     S = -4.0 / 3.0 * np.cosh(r) * np.sinh(r)
@@ -123,18 +129,6 @@ def ghz_state(r: float) -> GaussianState:
     cov[:3, :3] = X
     cov[3:, 3:] = Y
     return GaussianState(3, cov)
-
-
-def _nonnegative(name: str, x: ArrayLike) -> NDArray[np.float64]:
-    """``x`` as a float array of any shape; each entry must be finite and >= 0,
-    and the first one that is not is named."""
-    a = np.asarray(x, dtype=float)
-    # a 0-d array is read as a float, several times faster than its min and max
-    lo, hi = (a.item(),) * 2 if a.ndim == 0 else (a.min(initial=0.0), a.max(initial=0.0))
-    if not 0.0 <= lo <= hi < np.inf:    # NaN fails too
-        bad = a[~((0.0 <= a) & (a < np.inf))]
-        raise InvalidParameterError(f"{name} must be finite and >= 0, got {bad.flat[0]}")
-    return a
 
 
 def ghz_r_from_photons(n: ArrayLike) -> float | NDArray[np.float64]:
@@ -179,10 +173,7 @@ def twb_state(n: float) -> GaussianState:
 
     Diagonal cosh2r; x1x2 block +sinh2r; y1y2 block -sinh2r; n = 2 sinh^2 r.
     """
-    if not np.isfinite(n):
-        raise InvalidParameterError("photon number must be finite")
-    if n < 0:
-        raise InvalidParameterError("photon number must be >= 0")
+    n = float(_nonnegative("photon number", n))
     r = np.arcsinh(np.sqrt(n / 2.0))
     c, s = np.cosh(2 * r), np.sinh(2 * r)
     cov = np.diag([c, c, c, c]).astype(float)

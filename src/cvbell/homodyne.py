@@ -47,7 +47,8 @@ def e_h(target: ConditionalParams | GaussianState,
     (1+2n2+eta n3)); it is zero at n2 = 0, and the difference of the two
     arcsines is formed without cancellation, so the 1/(eta n3) does not
     scale rounding as eta n3 -> 0.  Raises ``InvalidParameterError`` on a
-    non-finite phase, ``UndefinedStateError`` for a heralded state that admits no
+    non-finite phase or a target that is neither ``ConditionalParams`` nor
+    two-mode, ``UndefinedStateError`` for a heralded state that admits no
     click (eta = 0 or n3 = 0), and ``PrecisionError`` if rounding puts a Gaussian
     state's correlation outside the arcsine domain.
     """
@@ -61,8 +62,10 @@ def e_h(target: ConditionalParams | GaussianState,
 
 
 def _e_h_orthant(s: GaussianState, theta: NDArray, phi: NDArray) -> NDArray[np.float64]:
-    if s.n_modes != 2:
-        raise InvalidParameterError("two-mode Gaussian state required")
+    modes = getattr(s, "n_modes", None)     # not a class check: any two-mode target with a cov
+    if modes != 2:
+        raise InvalidParameterError(
+            f"two-mode Gaussian state required, got {type(s).__name__} with n_modes = {modes}")
     (c00, c01, c02, c03), (_, c11, c12, c13), (_, _, c22, c23), (_, _, _, c33) = s.cov.tolist()
     c1, s1 = np.cos(theta), np.sin(theta)     # mode 1 quadrature x1 cos + y1 sin
     c2, s2 = np.cos(phi), np.sin(phi)         # mode 2 quadrature x2 cos + y2 sin

@@ -20,7 +20,8 @@ from numpy.typing import ArrayLike, NDArray
 from cvbell import (ConditionalParams, DpSettings, FockDensityOperator, GaussianState,
                     InvalidParameterError, PsCoefficients, TripartitePhotonNumbers, bell_dp,
                     e_dp, log_j_maximize, twb_state)
-from cvbell.bell_dp import _check_j, _family
+from cvbell.bell_dp import _family
+from cvbell.gaussian import _nonnegative
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ def coupling_to_photons(c: CouplingParams) -> TripartitePhotonNumbers:
 def ghz_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Symmetric family for the GHZ-type state: real sqrt(J)(1,1,1) and
     -2 sqrt(J)(1,1,1); J in coherent-amplitude units."""
-    w = np.sqrt(_check_j(j_mag))
+    w = np.sqrt(_nonnegative("J", j_mag))
     return _family((w, w, w), (-2 * w, -2 * w, -2 * w))
 
 
@@ -107,14 +108,14 @@ def su21_sym_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Symmetric family for the trilinear state with phases phi2 = phi3 = pi:
     real sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1); J in phase-space units
     (coherent amplitude sqrt(J/2))."""
-    w = np.sqrt(_check_j(j_mag) / 2.0)
+    w = np.sqrt(_nonnegative("J", j_mag) / 2.0)
     return _family((w, w, w), (-2 * w, -2 * w, -2 * w))
 
 
 def twb_bw_dp_settings(j_mag: ArrayLike) -> DpSettings:
     """Original two-settings family: zero displacements against
     real (sqrt(J), -sqrt(J)); J in coherent-amplitude units."""
-    w = np.sqrt(_check_j(j_mag))
+    w = np.sqrt(_nonnegative("J", j_mag))
     zero = np.zeros_like(w)
     return _family((zero, zero), (w, -w))
 

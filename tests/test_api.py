@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     "onoff_condition", "pseudospin_expect",
     "quadrature_orthant_expect", "su21_fock", "twb_fock", "wigner_reconstruct",
     # conditional
-    "ConditionalParams", "TwoGaussianWigner", "p_click",
+    "ConditionalParams", "p_click",
     # bell_dp
     "BellValue", "DpRates", "DpSettings", "b3_ghz_closed", "b3_su21_closed",
     "conditional_dp_settings", "e_dp", "e_dp_ghz_closed",

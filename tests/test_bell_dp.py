@@ -17,6 +17,7 @@ from cvbell import (
     displaced_parity_expect,
     e_dp,
     e_dp_ghz_closed,
+    e_h,
     ghz_r_from_photons,
     ghz_state,
     log_j_maximize,
@@ -305,7 +306,7 @@ class TestFactorization:
         assert len(calls) == 1
         b2_twb = DpRates(s, twb_dp_settings(0.01)).bell().value
         assert e_dp(s, [0.1, -0.2j]) == first
-        assert s.det() == pytest.approx(1.0, abs=1e-9)
+        assert s.factors[1] == pytest.approx(1.0, abs=1e-9)
         assert len(calls) == 1
         assert b2_twb == DpRates(twb_state(2.0), twb_dp_settings(0.01)).bell().value
 
@@ -358,6 +359,22 @@ class TestNonFiniteDisplacements:
     def test_bell_value_must_be_finite(self, value):
         with pytest.raises(InvalidParameterError, match="must be finite"):
             BellValue(value, 2)
+
+
+class TestTargetType:
+    """A target that is neither a state nor heralded-state parameters is an
+    error that names its type, in every correlator that reads a target."""
+
+    @pytest.mark.parametrize("call", [
+        lambda t: DpRates(t, twb_dp_settings(1.0)).bell(),
+        lambda t: e_dp(t, [0, 0]),
+        lambda t: e_h(t, 0, 0),
+    ], ids=["DpRates", "e_dp", "e_h"])
+    @pytest.mark.parametrize("target", [1.0, None, TripartitePhotonNumbers(0.3, 0.3)],
+                             ids=["float", "None", "photon-numbers"])
+    def test_rejected(self, call, target):
+        with pytest.raises(InvalidParameterError, match=type(target).__name__):
+            call(target)
 
 
 # each displacement family with a state it suits, and the two closed forms, as

@@ -15,7 +15,7 @@ from cvbell import (ConditionalParams, DpRates, DpSettings, TripartitePhotonNumb
                     b3_su21_closed, chsh_h, conditional_dp_settings, ghz_state, log_j_maximize,
                     su21_state, twb_dp_settings, twb_state)
 from cvbell import cli
-from cvbell.cli import FIGURE_IDS, RunConfig, UsageError, _PAIRS, main, run_figure, run_point
+from cvbell.cli import FIGURE_IDS, UsageError, _PAIRS, main, run_figure, run_point, validate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,8 +94,7 @@ class TestFigures:
 
 class TestPoint:
     def test_su21_dp3_optimized(self, capsys):
-        cfg = RunConfig(state="su21", test="dp3", n=10000.0, optimize=True)
-        assert run_point(cfg) == 0
+        assert run_point("su21", "dp3", n=10000.0, optimize=True) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(2.89, abs=0.01)
 
@@ -113,36 +112,41 @@ class TestPoint:
         assert rec["j_opt"] * float(n) == pytest.approx(0.1654, rel=1e-3)
 
     def test_twb_ps2_vacuum(self, capsys):
-        cfg = RunConfig(state="twb", test="ps2", n=0.0)
-        assert run_point(cfg) == 0
+        assert run_point("twb", "ps2", n=0.0) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(2.0)
 
     def test_conditional_homodyne_below_two(self, capsys):
-        cfg = RunConfig(state="conditional", test="homodyne", n2=1.0, n3=0.5, eta=1.0)
-        assert run_point(cfg) == 0
+        assert run_point("conditional", "homodyne", n2=1.0, n3=0.5, eta=1.0) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] <= 2.0
 
     def test_sweep_emits_one_record_per_point(self, capsys):
-        cfg = RunConfig(state="twb", test="ps2", n=1.0, grid=(0.0, 4.0, 5))
-        assert run_point(cfg) == 0
+        assert run_point("twb", "ps2", n=1.0, grid=(0.0, 4.0, 5)) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5
         assert json.loads(lines[0])["value"] == pytest.approx(2.0)
 
     def test_invalid_combination(self):
-        cfg = RunConfig(state="twb", test="dp3", n=1.0, j=0.1)
         with pytest.raises(UsageError):
-            cfg.validate()
+            validate("twb", "dp3", {"n": 1.0, "j": 0.1})
+
+    def test_unread_flags_are_named_in_flag_order(self, capsys):
+        """The namespace holds only the given flags, in command-line order; the
+        message lists the unread ones in flag order, then any keyword that
+        names no flag."""
+        assert main(["point", "--state", "twb", "--test", "ps2", "--tol", "0.1", "--j", "0.1",
+                     "--n", "1"]) == 2
+        assert capsys.readouterr().err == "usage error: twb ps2 does not read --j, --tol\n"
+        with pytest.raises(UsageError, match="does not read --j, --bogus$"):
+            validate("twb", "ps2", {"bogus": 1.0, "j": 0.1, "n": 1.0})
 
     def test_main_maps_usage_error_to_exit_2(self):
         assert main(["point", "--state", "twb", "--test", "dp3", "--n", "1"]) == 2
 
     def test_missing_j_for_dp(self):
-        cfg = RunConfig(state="twb", test="dp2", n=1.0)
         with pytest.raises(UsageError):
-            cfg.validate()
+            validate("twb", "dp2", {"n": 1.0})
 
     # values printed by the per-correlator scalar loop this batched path replaced
     @pytest.mark.parametrize("argv,value", [
@@ -190,9 +194,8 @@ class TestPoint:
         assert rec["evaluations"] == 1280     # five 256-point scans
 
     def test_twb_needs_n(self, capsys):
-        cfg = RunConfig(state="twb", test="dp2", n2=1.0, j=0.1)
         with pytest.raises(UsageError, match="--n"):
-            cfg.validate()
+            validate("twb", "dp2", {"n2": 1.0, "j": 0.1})
         assert main(["point", "--state", "twb", "--test", "dp2", "--n2", "1", "--j", "0.1"]) == 2
         assert "usage error" in capsys.readouterr().err
 
@@ -591,6 +594,20 @@ def test_figure_matches_stored_table(figure_id, tmp_path):
     ref = (ROOT / "perfbench" / "ref" / f"{figure_id}.csv").read_text()
     assert _load_checks().check_figure(figure_id, out.read_text(), ref) == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == FIGURE_HASHES[figure_id]
+
+
+def test_point_pool_passes_the_benchmark_check(capsys):
+    """Every ``point`` query of the benchmark's pool, run through ``main``,
+    passes the benchmark's own check against its stored values."""
+    check_point = _load_checks().check_point
+    failed = []
+    for entry in json.loads((ROOT / "perfbench" / "ref" / "points.json").read_text()):
+        rc = main(entry["argv"])
+        captured = capsys.readouterr()
+        why = check_point(entry, captured.out) if rc == 0 else f"exit {rc}: {captured.err}"
+        if why:
+            failed.append((entry["argv"], why))
+    assert failed == []
 
 
 def _readme_commands():

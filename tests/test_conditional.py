@@ -19,9 +19,8 @@ from reference import heralded_wigner, reduce_state, wigner_eval
 
 def _closed_form_integral(p: ConditionalParams) -> float:
     """Integral of w_a exp(-x.Q_a.x) - w_b exp(-x.Q_b.x) over R^4, each term w pi^2/sqrt(det Q)."""
-    form = two_gaussian_form(p)
-    return math.pi**2 * (form.weight_a / math.sqrt(np.linalg.det(form.quad_form_a))
-                         - form.weight_b / math.sqrt(np.linalg.det(form.quad_form_b)))
+    (wa, wb), (qa, qb) = two_gaussian_form(p)
+    return math.pi**2 * (wa / math.sqrt(np.linalg.det(qa)) + wb / math.sqrt(np.linalg.det(qb)))
 
 
 class TestClickProbability:
@@ -79,25 +78,22 @@ class TestHeraldedWigner:
         assert float(np.min(heralded_wigner(p, grid))) < 0.0
 
     def test_first_gaussian_term_positive(self):
-        form = two_gaussian_form(self.params)
+        (wa, _), (qa, _) = two_gaussian_form(self.params)
         rng = np.random.default_rng(5)
         pts = rng.normal(0, 1.5, size=(100, 4))
-        qa = np.einsum("...i,ij,...j->...", pts, form.quad_form_a, pts)
-        assert np.all(form.weight_a * np.exp(-qa) > 0)
+        assert np.all(wa * np.exp(-np.einsum("...i,ij,...j->...", pts, qa, pts)) > 0)
 
     def test_restrict_invert_asymmetry(self):
         """The two quadratic forms genuinely differ: one is the inverse of the
         restriction, the other the restriction of the inverse."""
-        form = two_gaussian_form(self.params)
+        _, (qa, qb) = two_gaussian_form(self.params)
         V = su21_state(TripartitePhotonNumbers(0.3, 0.3)).cov
         keep = [0, 1, 3, 4]
-        np.testing.assert_allclose(
-            form.quad_form_a, np.linalg.inv(V[np.ix_(keep, keep)]), atol=1e-12)
+        np.testing.assert_allclose(qa, np.linalg.inv(V[np.ix_(keep, keep)]), atol=1e-12)
         broaden = (2 - 0.8) / 0.8
         D = V + np.diag([0, 0, broaden, 0, 0, broaden])
-        np.testing.assert_allclose(
-            form.quad_form_b, np.linalg.inv(D)[np.ix_(keep, keep)], atol=1e-12)
-        assert not np.allclose(form.quad_form_a, form.quad_form_b)
+        np.testing.assert_allclose(qb, np.linalg.inv(D)[np.ix_(keep, keep)], atol=1e-12)
+        assert not np.allclose(qa, qb)
 
 
 def _traced(p: ConditionalParams):

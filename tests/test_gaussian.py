@@ -37,7 +37,7 @@ class TestGhzState:
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_pure_determinant(self, r):
-        assert ghz_state(r).det() == pytest.approx(1.0, abs=1e-9)
+        assert ghz_state(r).factors[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_total_photons(self):
         # sum over modes of (C_xx + C_yy)/4 - 1/2, vacuum covariance = identity
@@ -77,7 +77,7 @@ class TestSu21State:
     @pytest.mark.parametrize("phi2,phi3", [(0.0, 0.0), (0.4, -1.1)])
     def test_pure_determinant(self, n2, n3, phi2, phi3):
         s = su21_state(TripartitePhotonNumbers(n2, n3, phi2, phi3))
-        assert s.det() == pytest.approx(1.0, abs=1e-9)
+        assert s.factors[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_covariance_matches_fock_moments(self, photons_03, su21_fock_03):
         """Symmetrized quadrature moments of the amplitude tensor reproduce cov."""
@@ -234,7 +234,7 @@ class TestReduceState:
 
     def test_reduction_of_entangled_pure_state_is_mixed(self):
         red = reduce_state(su21_state(TripartitePhotonNumbers(1.0, 1.0)), (0, 1))
-        assert red.det() > 1.0
+        assert red.factors[1] > 1.0
 
     def test_empty_keep_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -260,4 +260,4 @@ class TestStateValidation:
         for s in (ghz_state(r), su21_state(TripartitePhotonNumbers(n2, n3)),
                   twb_state(n2)):
             np.linalg.cholesky(s.cov)  # raises if not PD
-            assert s.det() == pytest.approx(1.0, abs=1e-8)
+            assert s.factors[1] == pytest.approx(1.0, abs=1e-8)

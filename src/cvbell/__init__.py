@@ -33,7 +33,6 @@ from .fock import (
 )
 from .conditional import ConditionalParams, p_click
 from .bell_dp import (
-    BellValue,
     DpRates,
     DpSettings,
     b3_ghz_closed,

@@ -66,26 +66,22 @@ class DpSettings:
         object.__setattr__(self, "primed", primed)
 
 
-@dataclass(frozen=True)
-class BellValue:
-    """A Bell-combination value: a float, or an array for a batch of settings."""
-
-    value: float | NDArray[np.float64]
-    n_parties: int
-
-    def __post_init__(self):
-        value = np.asarray(self.value, dtype=float)
-        bound = _B2_BOUND if self.n_parties == 2 else _B3_BOUND
-        peak = np.max(np.abs(value), initial=0.0)     # NaN if any entry is NaN
-        if not peak <= bound:
-            bad = ~np.isfinite(value)
-            if bad.any():
-                raise InvalidParameterError(f"Bell value must be finite, got {value[bad].flat[0]}"
-                                            f" ({np.count_nonzero(bad)} of {value.size} values)")
-            raise InvalidParameterError(
-                f"|B| = {peak} exceeds the {self.n_parties}-party quantum bound"
-                f" ({np.count_nonzero(np.abs(value) > bound)} of {value.size} values)")
-        object.__setattr__(self, "value", float(value) if value.ndim == 0 else value)
+def _bell(value: ArrayLike, n_parties: int) -> float | NDArray[np.float64]:
+    """A Bell-combination value, a float (an array for a batch of settings),
+    once checked: a non-finite entry, or one past the ``n_parties`` quantum
+    bound, is an ``InvalidParameterError``."""
+    value = np.asarray(value, dtype=float)
+    bound = _B2_BOUND if n_parties == 2 else _B3_BOUND
+    peak = np.max(np.abs(value), initial=0.0)     # NaN if any entry is NaN
+    if not peak <= bound:
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise InvalidParameterError(f"Bell value must be finite, got {value[bad].flat[0]}"
+                                        f" ({np.count_nonzero(bad)} of {value.size} values)")
+        raise InvalidParameterError(
+            f"|B| = {peak} exceeds the {n_parties}-party quantum bound"
+            f" ({np.count_nonzero(np.abs(value) > bound)} of {value.size} values)")
+    return float(value) if value.ndim == 0 else value
 
 
 def _phase_space(alphas: ArrayLike, n_modes: int) -> NDArray[np.float64]:
@@ -184,7 +180,7 @@ class DpRates:
         return _gaussians(self.target,
                           np.where(terms == 0, s.unprimed[..., None, :], s.primed[..., None, :]))
 
-    def bell(self, j_mag: ArrayLike = 1.0) -> BellValue:
+    def bell(self, j_mag: ArrayLike = 1.0) -> float | NDArray[np.float64]:
         """B at J of any shape, broadcast against the settings' batch shape;
         a scalar J on unbatched settings gives a float value.  Values are
         bit-identical to one call per J, and J = 1 is the value at
@@ -196,14 +192,14 @@ class DpRates:
         except ValueError:
             raise InvalidParameterError(f"J of shape {j.shape} does not broadcast against "
                                         f"settings of batch shape {batch}") from None
-        return BellValue(_bell_sum(_evaluate(*self.rates, j[..., None])),
-                         self.settings.unprimed.shape[-1])
+        return _bell(_bell_sum(_evaluate(*self.rates, j[..., None])),
+                     self.settings.unprimed.shape[-1])
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
-def b3_ghz_closed(r: ArrayLike, j_mag: ArrayLike) -> BellValue:
+def b3_ghz_closed(r: ArrayLike, j_mag: ArrayLike) -> float | NDArray[np.float64]:
     """Closed-form B3 of the GHZ-type state under its symmetric displacement
     family, real sqrt(J)(1,1,1) and -2 sqrt(J)(1,1,1) (J in coherent-amplitude
     units):
@@ -224,10 +220,10 @@ def b3_ghz_closed(r: ArrayLike, j_mag: ArrayLike) -> BellValue:
     # e^7 its exponential underflows to 0 anyway
     log_second = 2.0 * r + np.log(24.0 * j, out=np.full_like(j, -np.inf), where=j > 0.0)
     val = 3.0 * np.exp(-12.0 * e_minus * j) - np.exp(-np.exp(np.minimum(log_second, 7.0)))
-    return BellValue(np.abs(val), 3)
+    return _bell(np.abs(val), 3)
 
 
-def b3_su21_closed(n: ArrayLike, j_mag: ArrayLike) -> BellValue:
+def b3_su21_closed(n: ArrayLike, j_mag: ArrayLike) -> float | NDArray[np.float64]:
     """Closed-form B3 of the trilinear state, symmetric split n2 = n3 = N/4,
     with phases phi2 = phi3 = pi, under the symmetric displacement family real
     sqrt(J/2)(1,1,1) and -2 sqrt(J/2)(1,1,1) (J in phase-space units).  N and
@@ -246,7 +242,7 @@ def b3_su21_closed(n: ArrayLike, j_mag: ArrayLike) -> BellValue:
     a3 = 0.1875 + 3.0 * m + 2.0 * s2 * p
     j = np.minimum(j, 125.0 / a2)
     val = 2.0 * np.exp(-16.0 * j * a1) + np.exp(-32.0 * j * a2) - np.exp(-64.0 * j * a3)
-    return BellValue(np.abs(val), 3)
+    return _bell(np.abs(val), 3)
 
 
 # ---------------------------------------------------------------------------

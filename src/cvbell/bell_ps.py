@@ -20,7 +20,7 @@ import numpy as np
 from .conditional import ConditionalParams, _check_click
 from .errors import InvalidParameterError, PrecisionError
 from .gaussian import GaussianState, _nonnegative
-from .bell_dp import BellValue
+from .bell_dp import _bell
 from .optim import klyshko_max
 
 
@@ -123,13 +123,13 @@ def su21_ps_coeffs(n2: float, n3: float) -> PsCoefficients:
     and c3 are positive.  Raises ``PrecisionError`` above n2 + n3 = 4e6.
     """
     n2, n3 = float(_nonnegative("n2", n2)), float(_nonnegative("n3", n3))
+    x, y, eps = _ratios(n2, n3)     # the domain check first: past it the p_k can overflow
     n1 = n2 + n3
     p1 = 2.0 * math.sqrt(n2 * n3) / (1 + n1) ** 2
     p2 = 2.0 * math.sqrt(n3) / (1 + n1) ** 1.5
     p3 = 2.0 * math.sqrt(n2) / (1 + n1) ** 1.5
     if p2 == p3 == 0.0:
         return PsCoefficients(0.0, 0.0, 0.0)
-    x, y, eps = _ratios(n2, n3)
     g2 = _kernels(y, x, eps)
     # c1's factors 1 -+ z over 1 -+ y Q are c2's; the divisors go to the v weights
     den = np.array([x + eps, 1.0, 1.0, x + eps])[:, None] + y * _MQQM
@@ -164,11 +164,11 @@ def f_conditional(p: ConditionalParams) -> float:
     n3 -> 0.
     """
     _check_click(p)
+    if p.n2 == 0.0:
+        return 0.0
+    x, y, eps = _ratios(p.n2, p.n3)     # the domain check first: past it pref can underflow
     n1 = p.n2 + p.n3
     pref = 2.0 * math.sqrt(p.n2 / (1 + n1)) * (1 + p.eta * p.n3) / (p.n3 * (1 + n1) * p.eta)
-    if pref == 0.0:
-        return 0.0
-    x, y, eps = _ratios(p.n2, p.n3)
     a = _E[:, None] + (np.array([eps, x + eps])[:, None] + x * _MQQM[:2]).reshape(-1)  # (1+E) A
     b = a + p.eta * y                                                                   # (1+E) B
     k = (a + b) / (a * b) ** 2
@@ -231,7 +231,7 @@ def pi_coeffs_quadrature(state: GaussianState) -> PsCoefficients:
 # ---------------------------------------------------------------------------
 # correlation function and Bell combinations
 
-def b3_ps_from_coeffs(c: PsCoefficients) -> BellValue:
+def b3_ps_from_coeffs(c: PsCoefficients) -> float:
     """Maximal Bell-Klyshko value over the polar angles, from ``klyshko_max``
     (a fixed 6^6 start grid, then exact refinement to gradient 1e-10).
 
@@ -240,13 +240,13 @@ def b3_ps_from_coeffs(c: PsCoefficients) -> BellValue:
     realized by the (0, pi, pi) azimuthal preset for the ladder-representation
     signs.
     """
-    return BellValue(klyshko_max(c.magnitudes()).max_value, 3)
+    return _bell(klyshko_max(c.magnitudes()).max_value, 3)
 
 
-def b2_ps_from_f(f: float) -> BellValue:
+def b2_ps_from_f(f: float) -> float:
     """CHSH maximum 2 sqrt(1 + f^2) for a correlator cos cos + f sin sin,
     reached with party 1 at (0, pi/2) and party 2 at +/- chi, tan(chi) = f."""
     if not 0.0 <= f <= 1.0 + 1e-12:
         raise InvalidParameterError("f must lie in [0, 1]")
     f = min(f, 1.0)
-    return BellValue(2.0 * math.sqrt(1.0 + f * f), 2)
+    return _bell(2.0 * math.sqrt(1.0 + f * f), 2)

@@ -89,12 +89,12 @@ def _dp(target: Callable[[dict], object], value: Callable[[object, np.ndarray], 
 
 
 def _ps2(f: float) -> dict:
-    return {"value": bell_ps.b2_ps_from_f(f).value, "f": f}
+    return {"value": bell_ps.b2_ps_from_f(f), "f": f}
 
 
 def _su21_ps3(p: dict) -> dict:
     n2, n3 = (p["n2"], p["n3"]) if "n2" in p else (p["n"] / 4.0, p["n"] / 4.0)
-    return {"value": bell_ps.b3_ps_from_coeffs(bell_ps.su21_ps_coeffs(n2, n3)).value}
+    return {"value": bell_ps.b3_ps_from_coeffs(bell_ps.su21_ps_coeffs(n2, n3))}
 
 
 def _homodyne(target, phi2: float, tol: float) -> dict:
@@ -117,20 +117,18 @@ _DP = (("j",), ("optimize", "tol"))
 _TOL = (("tol",),)
 
 _PAIRS = {
-    ("ghz", "dp3"): _Pair((_GHZ, _DP), _dp(
-        _ghz_r, lambda r, j: bell_dp.b3_ghz_closed(r, j).value)),
+    ("ghz", "dp3"): _Pair((_GHZ, _DP), _dp(_ghz_r, bell_dp.b3_ghz_closed)),
     # the trilinear closed form is the symmetric one: it reads the total N only
-    ("su21", "dp3"): _Pair((_N, _DP), _dp(
-        lambda p: p["n"], lambda n, j: bell_dp.b3_su21_closed(n, j).value)),
+    ("su21", "dp3"): _Pair((_N, _DP), _dp(lambda p: p["n"], bell_dp.b3_su21_closed)),
     # each dp2 family is sqrt(J) times its J = 1 setting: one rate form per query
     ("twb", "dp2"): _Pair((_N, _DP), _dp(
         lambda p: bell_dp.DpRates(gaussian.twb_state(p["n"]), bell_dp.twb_dp_settings(1.0)),
-        lambda rates, j: rates.bell(j).value)),
+        bell_dp.DpRates.bell)),
     ("conditional", "dp2"): _Pair((_HERALDED, _DP), _dp(
         lambda p: bell_dp.DpRates(_heralded(p), bell_dp.conditional_dp_settings(1.0)),
-        lambda rates, j: rates.bell(j).value)),
+        bell_dp.DpRates.bell)),
     ("ghz", "ps3"): _Pair((_GHZ,), lambda p: {
-        "value": bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(_ghz_r(p))).value}),
+        "value": bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(_ghz_r(p)))}),
     ("su21", "ps3"): _Pair(((("n",), ("n2", "n3")),), _su21_ps3),
     ("twb", "ps2"): _Pair((_N,), lambda p: _ps2(bell_ps.f_twb(p["n"]))),
     # the spin-flip coefficient reads no phase
@@ -217,7 +215,7 @@ def _b3dpvlbgen():
     rs = np.linspace(0.0, 3.0, 61)
     js = np.concatenate([[0.0], np.logspace(-4, 0, 40)])
     r, j = np.meshgrid(rs, js, indexing="ij")
-    return {}, ["r", "j", "b3_dp"], np.stack([r, j, bell_dp.b3_ghz_closed(r, j).value],
+    return {}, ["r", "j", "b3_dp"], np.stack([r, j, bell_dp.b3_ghz_closed(r, j)],
                                              axis=-1).reshape(-1, 3)
 
 
@@ -225,7 +223,7 @@ def _dp_rows(xs, target, family, js) -> list:
     """Rows (x, J, B) of the Bell value of ``target(x)`` at ``family(J)``: one
     ``DpRates`` per x, on settings batched over J."""
     return [[x, j, v] for x in xs
-            for j, v in zip(js, bell_dp.DpRates(target(x), family(js)).bell().value)]
+            for j, v in zip(js, bell_dp.DpRates(target(x), family(js)).bell())]
 
 
 def _b3dpt():
@@ -244,8 +242,8 @@ def _b3dpn():
 def _b3ps():
     rows = []
     for n in np.logspace(-2, 2, 61):
-        t = bell_ps.b3_ps_from_coeffs(bell_ps.su21_pi_coeffs(n)).value
-        g = bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(gaussian.ghz_r_from_photons(n))).value
+        t = bell_ps.b3_ps_from_coeffs(bell_ps.su21_pi_coeffs(n))
+        g = bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(gaussian.ghz_r_from_photons(n)))
         rows.append([n, t, g])
     return {}, ["n", "b3_ps_pi_su21", "b3_ps_pi_ghz"], rows
 
@@ -333,7 +331,7 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
     # check that needs it; each check names the first state it asks for.
     su21_st = cache(lambda: fock.su21_fock(phot, cutoff))
     twb_st = cache(lambda: fock.twb_fock(math.tanh(math.asinh(math.sqrt(0.5))), cutoff))
-    heralded_st = cache(lambda: fock.onoff_condition(su21_st(), 2, 0.8)[1])
+    heralded_st = cache(lambda: fock.onoff_condition(su21_st(), 2, 0.8))
 
     def chk_dets():
         worst = 0.0
@@ -419,7 +417,7 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
             "closed forms normalize it to +1; coefficient signs differ globally "
             "and comparisons are made in absolute value."
         )
-        rho = heralded_st() if cutoff % 2 == 0 else fock.onoff_condition(st, 2, 0.8)[1]
+        rho = heralded_st() if cutoff % 2 == 0 else fock.onoff_condition(st, 2, 0.8)
         notes.append(
             "documented finding: the heralded spin-flip coefficient f_conditional is "
             f"{bell_ps.f_conditional(params):.6f} at (n2, n3, eta) = (0.3, 0.3, 0.8), while "
@@ -480,10 +478,10 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
         a, ap, pick = np.array(a), np.array(ap), np.array(pick)
         gs3 = [gaussian.ghz_state(1.2), gaussian.su21_state(phot)]
         b3max = max(np.max(bell_dp.DpRates(
-            st, bell_dp.DpSettings(a[pick == i], ap[pick == i])).bell().value)
+            st, bell_dp.DpSettings(a[pick == i], ap[pick == i])).bell())
             for i, st in enumerate(gs3))
         two = bell_dp.DpSettings(a[:, :2], ap[:, :2])
-        b2max = max(np.max(bell_dp.DpRates(t, two).bell().value)
+        b2max = max(np.max(bell_dp.DpRates(t, two).bell())
                     for t in (gaussian.twb_state(2.0), params))
         ok = b2max <= 2 * math.sqrt(2) + 1e-9 and b3max <= 4 + 1e-9
         return ok, f"max B2 = {b2max:.6f}, max B3 = {b3max:.6f}"

@@ -66,8 +66,9 @@ def two_gaussian_form(p: ConditionalParams
                       ) -> tuple[tuple[float, float], tuple[NDArray[np.float64], NDArray[np.float64]]]:
     """The heralded Wigner function as a signed pair of Gaussians,
     W(x) = sum_g w_g exp(-x.Q_g.x) at x = (x1, x2, y1, y2), returned as
-    ``((w_a, -w_b), (Q_a, Q_b))`` and cached per params: Q_a is the
-    restricted-then-inverted form, Q_b the inverted-then-restricted one.
+    ``((w_a, -w_b), (Q_a, Q_b))`` and cached per params, so Q_a and Q_b are
+    read-only: Q_a is the restricted-then-inverted form, Q_b the
+    inverted-then-restricted one.
     ``bell_dp.e_dp`` evaluates it, W(x) = e_dp(p, (x + iy)/sqrt(2)) / pi^2.
     ``ConditioningError`` where V' or D is too ill-conditioned to invert."""
     _check_click(p)
@@ -80,4 +81,7 @@ def two_gaussian_form(p: ConditionalParams
     pref = (1.0 + p.eta * p.n3) / (4.0 * p.eta * p.n3)
     wa = pref * (2.0 / np.pi) ** 2 / np.sqrt(np.linalg.det(Vp))
     wb = pref * (1.0 / p.eta) * (2.0 / np.pi) ** 2 * 2.0 / np.sqrt(np.linalg.det(D))
-    return (wa, -wb), (np.linalg.inv(Vp), np.linalg.inv(D)[np.ix_(_KEEP, _KEEP)])
+    forms = np.linalg.inv(Vp), np.linalg.inv(D)[np.ix_(_KEEP, _KEEP)]
+    for q in forms:
+        q.setflags(write=False)
+    return (wa, -wb), forms

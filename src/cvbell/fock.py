@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import CutoffTooSmallError, InvalidParameterError, PrecisionError
+from .errors import CutoffTooSmallError, InvalidParameterError, PrecisionError, UndefinedStateError
 from .gaussian import TripartitePhotonNumbers
 
 TAIL_BUDGET = 1e-6
@@ -244,23 +244,24 @@ def click_probability(state: FockDensityOperator, mode: int, eta: float) -> floa
     return float(_click_weights(state.cutoff, eta) @ slice_norms)
 
 
-def onoff_condition(state: FockDensityOperator, mode: int,
-                    eta: float) -> tuple[float, FockDensityOperator | None]:
-    """Herald at least one photon on ``mode`` with an ON/OFF detector.
+def onoff_condition(state: FockDensityOperator, mode: int, eta: float) -> FockDensityOperator:
+    """The state heralded by at least one photon on ``mode`` at an ON/OFF
+    detector.
 
     Applies Pi_1 = I - sum_n (1-eta)^n |n><n| on the chosen mode, traces that
-    mode out and renormalizes: the conditioned operator holds the number-outcome
-    slices of ``mode`` of each ket k_i as kets, weighted w_i (1 - (1-eta)^n)/P.
-    Returns (click probability P, conditioned operator); the operator is None
-    in the degenerate eta=0 case.
+    mode out and renormalizes: the heralded operator holds the number-outcome
+    slices of ``mode`` of each ket k_i as kets, weighted w_i (1 - (1-eta)^n)/P,
+    with P = ``click_probability(state, mode, eta)``.  Where P = 0 (eta = 0, or
+    no photon on ``mode``) the heralded state is undefined: ``UndefinedStateError``.
     """
     prob = click_probability(state, mode, eta)
     if prob <= 0.0:
-        return 0.0, None
+        raise UndefinedStateError(f"the click probability on mode {mode} is 0;"
+                                  " the heralded state is undefined")
     c = state.cutoff
     kets = np.moveaxis(state.kets, mode + 1, 1).reshape((-1,) + (c,) * (state.n_modes - 1))
     weights = np.outer(state.weights, _click_weights(c, eta)).ravel() / prob
-    return prob, FockDensityOperator(state.n_modes - 1, c, kets, weights)
+    return FockDensityOperator(state.n_modes - 1, c, kets, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def asymptote_relations() -> list[dict]:
 
     n = 1e3
     res = log_j_maximize(lambda j: bell_dp.b3_ghz_closed(
-        math.asinh(math.sqrt(n / 3.0)), j).value, 1e-8, 1.0)
+        math.asinh(math.sqrt(n / 3.0)), j), 1e-8, 1.0)
     pred = math.asinh(math.sqrt(n / 3.0)) / (8.0 * n)
     rows.append({
         "name": "ghz_dp_j", "energy": n, "j_opt": float(res.arg_max[0]),
@@ -165,7 +165,7 @@ def asymptote_relations() -> list[dict]:
     n = 1e5
     s = bell_dp.su21_opt_state(n)
     res = log_j_maximize(lambda j: bell_dp.DpRates(
-        s, bell_dp.su21_opt_dp_settings(j)).bell().value, 1e-8, 1.0)
+        s, bell_dp.su21_opt_dp_settings(j)).bell(), 1e-8, 1.0)
     pred = 3.21 / n
     rows.append({
         "name": "su21_opt_dp_jn", "energy": n, "j_opt": float(res.arg_max[0]),
@@ -176,7 +176,7 @@ def asymptote_relations() -> list[dict]:
     r = 5.0
     n = 2.0 * math.sinh(r) ** 2
     s = twb_state(n)
-    res = log_j_maximize(lambda j: bell_dp.DpRates(s, bell_dp.twb_dp_settings(j)).bell().value,
+    res = log_j_maximize(lambda j: bell_dp.DpRates(s, bell_dp.twb_dp_settings(j)).bell(),
                          1e-10, 1.0)
     pred = math.log(3.0) / 32.0 * math.exp(-2.0 * r)
     rows.append({
@@ -188,7 +188,7 @@ def asymptote_relations() -> list[dict]:
     n2 = 1e3
     p = ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
     res = log_j_maximize(
-        lambda j: bell_dp.DpRates(p, bell_dp.conditional_dp_settings(j)).bell().value, 1e-9, 1.0)
+        lambda j: bell_dp.DpRates(p, bell_dp.conditional_dp_settings(j)).bell(), 1e-9, 1.0)
     pred = 0.042 / n2
     rows.append({
         "name": "conditional_dp_jn2", "energy": n2, "j_opt": float(res.arg_max[0]),

@@ -21,16 +21,16 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_tripartite_dp_ghz():
     t0 = time.time()
-    res = cb.log_j_maximize(lambda j: cb.b3_ghz_closed(5.0, j).value, 1e-8, 1.0)
+    res = cb.log_j_maximize(lambda j: cb.b3_ghz_closed(5.0, j), 1e-8, 1.0)
     ok = res.max_value >= 2.99
-    ok &= cb.b3_ghz_closed(3.0, 0.0).value == 2.0
+    ok &= cb.b3_ghz_closed(3.0, 0.0) == 2.0
     rng = np.random.default_rng(100)
     worst = 0.0
     for _ in range(100):
         r = rng.uniform(0.0, 3.0)
         j = rng.uniform(0.0, 0.5)
-        assembled = cb.DpRates(cb.ghz_state(r), ghz_dp_settings(j)).bell().value
-        worst = max(worst, abs(cb.b3_ghz_closed(r, j).value - assembled))
+        assembled = cb.DpRates(cb.ghz_state(r), ghz_dp_settings(j)).bell()
+        worst = max(worst, abs(cb.b3_ghz_closed(r, j) - assembled))
     ok &= worst < 1e-10
     dt = time.time() - t0
     ok &= dt < 1.0
@@ -40,10 +40,10 @@ def test_criterion_1_tripartite_dp_ghz():
 
 def test_criterion_2_tripartite_dp_su21():
     t0 = time.time()
-    sym = cb.log_j_maximize(lambda j: cb.b3_su21_closed(1e4, j).value, 1e-9, 1e-2)
+    sym = cb.log_j_maximize(lambda j: cb.b3_su21_closed(1e4, j), 1e-9, 1e-2)
     ok = abs(sym.max_value - 2.89) <= 0.01
     s = cb.su21_opt_state(1e5)
-    opt = cb.log_j_maximize(lambda j: cb.DpRates(s, cb.su21_opt_dp_settings(j)).bell().value,
+    opt = cb.log_j_maximize(lambda j: cb.DpRates(s, cb.su21_opt_dp_settings(j)).bell(),
                             1e-8, 1e-1)
     ok &= abs(opt.max_value - 2.99) <= 0.01
     jn = opt.arg_max[0] * 1e5
@@ -58,22 +58,22 @@ def test_criterion_2_tripartite_dp_su21():
 def test_criterion_3_tripartite_ps():
     t0 = time.time()
     sym = cb.b3_ps_from_coeffs(cb.su21_ps_coeffs(100.0, 100.0))    # total N = 400
-    ok = abs(sym.value - 2.63) <= 0.02
+    ok = abs(sym - 2.63) <= 0.02
     degen = cb.b3_ps_from_coeffs(cb.su21_ps_coeffs(10.0, 1e-3))
-    ok &= abs(degen.value - 2 * SQRT2) <= 0.01
+    ok &= abs(degen - 2 * SQRT2) <= 0.01
     pi_t = cb.maximize_scalar(
-        lambda lns: [cb.b3_ps_from_coeffs(cb.su21_pi_coeffs(math.exp(ln))).value for ln in lns],
+        lambda lns: [cb.b3_ps_from_coeffs(cb.su21_pi_coeffs(math.exp(ln))) for ln in lns],
         math.log(0.05), math.log(20.0), tol=1e-6)
     n_t = math.exp(pi_t.arg_max[0])
     ok &= abs(pi_t.max_value - 2.22) <= 0.02 and abs(n_t - 1.0) <= 0.3
     pi_g = cb.maximize_scalar(
-        lambda rs: [cb.b3_ps_from_coeffs(cb.ghz_pi_coeffs(r)).value for r in rs],
+        lambda rs: [cb.b3_ps_from_coeffs(cb.ghz_pi_coeffs(r)) for r in rs],
         0.05, 2.0, tol=1e-6)
     ok &= abs(pi_g.max_value - 2.09) <= 0.02 and abs(pi_g.arg_max[0] - 0.42) <= 0.05
     dt = time.time() - t0
     ok &= dt < 60.0
-    _report(3, ok, f"symmetric = {sym.value:.4f} (2.63 +/- 0.02), degenerate = "
-                   f"{degen.value:.4f} (2sqrt2 +/- 0.01), point-op maxima "
+    _report(3, ok, f"symmetric = {sym:.4f} (2.63 +/- 0.02), degenerate = "
+                   f"{degen:.4f} (2sqrt2 +/- 0.01), point-op maxima "
                    f"{pi_t.max_value:.4f} at N = {n_t:.3f} and {pi_g.max_value:.4f} "
                    f"at r = {pi_g.arg_max[0]:.3f}, {dt:.1f}s < 60s")
 
@@ -83,10 +83,10 @@ def test_criterion_4_bipartite_dp():
     r = 5.0
     n = 2 * math.sinh(r) ** 2
     s = cb.twb_state(n)
-    bw = cb.log_j_maximize(lambda j: cb.DpRates(s, twb_bw_dp_settings(j)).bell().value,
+    bw = cb.log_j_maximize(lambda j: cb.DpRates(s, twb_bw_dp_settings(j)).bell(),
                            1e-10, 1e-1)
     ok = abs(bw.max_value - 2.19) <= 0.01
-    imp = cb.log_j_maximize(lambda j: cb.DpRates(s, cb.twb_dp_settings(j)).bell().value,
+    imp = cb.log_j_maximize(lambda j: cb.DpRates(s, cb.twb_dp_settings(j)).bell(),
                             1e-10, 1e-1)
     ok &= abs(imp.max_value - 2.32) <= 0.01
     scaling = math.exp(2 * r) * imp.arg_max[0]
@@ -94,7 +94,7 @@ def test_criterion_4_bipartite_dp():
     ok &= abs(scaling - target) <= 0.10 * target
     n2 = 1e3
     p = cb.ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-    cond = cb.log_j_maximize(lambda j: cb.DpRates(p, cb.conditional_dp_settings(j)).bell().value,
+    cond = cb.log_j_maximize(lambda j: cb.DpRates(p, cb.conditional_dp_settings(j)).bell(),
                              1e-9, 1e-2)
     ok &= abs(cond.max_value - 2.41) <= 0.01
     jn2 = cond.arg_max[0] * n2
@@ -147,7 +147,7 @@ def test_criterion_5_bipartite_ps():
     loc = [np.linspace(a - step, a + step, 41)
            for a in (coarse[i], coarse[jj], coarse[k1], coarse[k2])]
     grid_max = float(chsh_grid(*loc).max())
-    closed = cb.b2_ps_from_f(f).value
+    closed = cb.b2_ps_from_f(f)
     ok &= abs(closed - grid_max) < 1e-6
     # heralded beats traced pointwise
     pointwise = True
@@ -224,7 +224,7 @@ def test_criterion_7_oracle_equivalence():
         worst_h = max(worst_h, abs(cb.quadrature_orthant_expect(tw, th, ph)
                                    - float(cb.e_h(gw, th, ph))))
     params = cb.ConditionalParams(0.5, 0.5, eta=0.8)
-    _, rho = cb.onoff_condition(st, 2, 0.8)
+    rho = cb.onoff_condition(st, 2, 0.8)
     for th in (0.0, 0.7, 1.9):
         worst_h = max(worst_h, abs(
             cb.quadrature_orthant_expect(rho, th, 0.0)
@@ -233,7 +233,7 @@ def test_criterion_7_oracle_equivalence():
 
     worst_p1 = 0.0
     for eta in (0.3, 0.7, 1.0):
-        prob, _ = cb.onoff_condition(st, 2, eta)
+        prob = cb.click_probability(st, 2, eta)
         worst_p1 = max(worst_p1, abs(prob - cb.p_click(
             cb.ConditionalParams(0.5, 0.5, eta=eta))))
     ok &= worst_p1 < 1e-9
@@ -271,12 +271,12 @@ def test_criterion_8_quantum_bounds():
         a = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
         ap = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
         st = s3[int(rng.integers(0, 2))]
-        b3max = max(b3max, cb.DpRates(st, cb.DpSettings(tuple(a), tuple(ap))).bell().value)
+        b3max = max(b3max, cb.DpRates(st, cb.DpSettings(tuple(a), tuple(ap))).bell())
         two = cb.DpSettings(tuple(a[:2]), tuple(ap[:2]))
-        b2max = max(b2max, cb.DpRates(s2, two).bell().value)
-        b2max = max(b2max, cb.DpRates(params, two).bell().value)
+        b2max = max(b2max, cb.DpRates(s2, two).bell())
+        b2max = max(b2max, cb.DpRates(params, two).bell())
     for f in np.linspace(0, 1, 21):
-        b2max = max(b2max, cb.b2_ps_from_f(f).value)
+        b2max = max(b2max, cb.b2_ps_from_f(f))
     for mags in ((1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (0.2, 0.9, 0.4)):
         b3max = max(b3max, cb.klyshko_max(mags).max_value)
     ok = b2max <= 2 * SQRT2 + 1e-9 and b3max <= 4.0 + 1e-9

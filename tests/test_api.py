@@ -20,7 +20,7 @@ PUBLIC_NAMES = {
     # conditional
     "ConditionalParams", "p_click",
     # bell_dp
-    "BellValue", "DpRates", "DpSettings", "b3_ghz_closed", "b3_su21_closed",
+    "DpRates", "DpSettings", "b3_ghz_closed", "b3_su21_closed",
     "conditional_dp_settings", "e_dp", "e_dp_ghz_closed",
     "su21_opt_dp_settings", "su21_opt_state", "su21_sym_state", "twb_dp_settings",
     # bell_ps

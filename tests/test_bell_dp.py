@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cvbell import (
-    BellValue,
     ConditionalParams,
     ConditioningError,
     DpRates,
@@ -31,6 +30,7 @@ from cvbell import (
     TripartitePhotonNumbers,
     UndefinedStateError,
 )
+from cvbell.bell_dp import _bell
 from reference import (ghz_dp_settings, large_squeezing_residual, su21_sym_dp_settings,
                        twb_bw_dp_settings)
 
@@ -59,7 +59,7 @@ class TestCorrelators:
 
     def test_conditional_correlator_matches_oracle(self, photons_03, su21_fock_03):
         p = ConditionalParams(0.3, 0.3, eta=0.8)
-        _, rho = onoff_condition(su21_fock_03, 2, 0.8)
+        rho = onoff_condition(su21_fock_03, 2, 0.8)
         for al in [(0.0, 0.0), (0.2, -0.1 + 0.2j)]:
             assert e_dp(p, al) == pytest.approx(
                 displaced_parity_expect(rho, al), abs=1e-5)
@@ -67,10 +67,10 @@ class TestCorrelators:
 
 class TestGhzClosedForm:
     def test_zero_displacement_is_two(self):
-        assert b3_ghz_closed(1.3, 0.0).value == 2.0
+        assert b3_ghz_closed(1.3, 0.0) == 2.0
 
     def test_large_squeezing_approaches_three(self):
-        res = log_j_maximize(lambda j: b3_ghz_closed(5.0, j).value, 1e-8, 1.0)
+        res = log_j_maximize(lambda j: b3_ghz_closed(5.0, j), 1e-8, 1.0)
         assert res.max_value >= 2.99
 
     def test_matches_four_correlator_assembly(self):
@@ -78,33 +78,33 @@ class TestGhzClosedForm:
         for _ in range(100):
             r = rng.uniform(0.0, 3.0)
             j = rng.uniform(0.0, 0.5)
-            assert b3_ghz_closed(r, j).value == pytest.approx(
-                DpRates(ghz_state(r), ghz_dp_settings(j)).bell().value, abs=1e-10)
+            assert b3_ghz_closed(r, j) == pytest.approx(
+                DpRates(ghz_state(r), ghz_dp_settings(j)).bell(), abs=1e-10)
 
     @pytest.mark.parametrize("j", [0.0, 1e-3, 0.1])
     def test_finite_at_huge_squeezing(self, j):
         """e^{2r} alone overflows a float at r = 400; the value does not."""
-        value = b3_ghz_closed(400.0, j).value
+        value = b3_ghz_closed(400.0, j)
         assert math.isfinite(value) and 2.0 <= value <= 3.0
 
     @pytest.mark.parametrize("j", [1e-3, 1e-2, 0.1])
     def test_monotone_in_squeezing(self, j):
         rs = np.linspace(1.0, 4.0, 13)
-        vals = [b3_ghz_closed(r, j).value for r in rs]
+        vals = [b3_ghz_closed(r, j) for r in rs]
         assert np.all(np.diff(vals) > 0)
 
 
 class TestSu21ClosedForm:
     def test_zero_displacement_is_two(self):
-        assert b3_su21_closed(7.0, 0.0).value == 2.0
+        assert b3_su21_closed(7.0, 0.0) == 2.0
 
     def test_matches_assembly(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
             n = rng.uniform(0.1, 20.0)
             j = rng.uniform(0.0, 0.3)
-            assert b3_su21_closed(n, j).value == pytest.approx(
-                DpRates(su21_sym_state(n), su21_sym_dp_settings(j)).bell().value, abs=1e-10)
+            assert b3_su21_closed(n, j) == pytest.approx(
+                DpRates(su21_sym_state(n), su21_sym_dp_settings(j)).bell(), abs=1e-10)
 
     def test_scaled_exponents_are_the_direct_form(self):
         """Forming the exponents at N/16 is exact: wherever the direct form
@@ -115,7 +115,7 @@ class TestSu21ClosedForm:
         direct = np.abs(2.0 * np.exp(-js * (6.0 + 1.5 * ns - SQRT2 * q))
                         + np.exp(-2.0 * js * (3.0 + 3.0 * ns - 2.0 * SQRT2 * q))
                         - np.exp(-4.0 * js * (3.0 + 3.0 * ns + 2.0 * SQRT2 * q)))
-        assert np.array_equal(b3_su21_closed(ns, js).value, direct)
+        assert np.array_equal(b3_su21_closed(ns, js), direct)
 
     @pytest.mark.parametrize("n", [1e307, 1.7e308, np.finfo(float).max])
     def test_finite_at_the_top_of_the_float_range(self, n):
@@ -124,13 +124,13 @@ class TestSu21ClosedForm:
         this suite) is raised, from J = 1e-4/N, below float's normal range,
         up to J = 1e308."""
         js = np.concatenate([np.logspace(math.log10(1e-4 / n), 1, 64), [1e308]])
-        value = b3_su21_closed(n, js).value
+        value = b3_su21_closed(n, js)
         assert np.all(np.isfinite(value)) and value[-1] == 0.0
-        res = log_j_maximize(lambda j: b3_su21_closed(n, j).value, 1e-4 / n, 10.0)
+        res = log_j_maximize(lambda j: b3_su21_closed(n, j), 1e-4 / n, 10.0)
         assert res.max_value >= 2.8954959
 
     def test_optimum_at_large_energy(self):
-        res = log_j_maximize(lambda j: b3_su21_closed(1e4, j).value, 1e-9, 1e-2)
+        res = log_j_maximize(lambda j: b3_su21_closed(1e4, j), 1e-9, 1e-2)
         assert res.max_value == pytest.approx(2.89, abs=0.01)
         # the scaled optimum J*N approaches ~0.165
         assert res.arg_max[0] * 1e4 == pytest.approx(0.165, abs=0.005)
@@ -150,7 +150,7 @@ class TestSu21ClosedForm:
 class TestOptimizedFamily:
     def test_asymptotic_value_and_scaling(self):
         s = su21_opt_state(1e5)
-        res = log_j_maximize(lambda j: DpRates(s, su21_opt_dp_settings(j)).bell().value,
+        res = log_j_maximize(lambda j: DpRates(s, su21_opt_dp_settings(j)).bell(),
                              1e-8, 1e-1)
         assert res.max_value == pytest.approx(2.99, abs=0.01)
         assert res.arg_max[0] * 1e5 == pytest.approx(3.21, rel=0.15)
@@ -160,7 +160,7 @@ class TestGeneralAssembly:
     def test_zero_settings_give_two(self):
         s = su21_state(TripartitePhotonNumbers(0.4, 0.9))
         settings = DpSettings((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        assert DpRates(s, settings).bell().value == pytest.approx(2.0)
+        assert DpRates(s, settings).bell() == pytest.approx(2.0)
 
     def test_bounded_over_random_sweeps(self):
         rng = np.random.default_rng(8)
@@ -169,8 +169,8 @@ class TestGeneralAssembly:
         for _ in range(300):
             a = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
             ap = rng.normal(0, 0.6, 3) + 1j * rng.normal(0, 0.6, 3)
-            assert DpRates(s3, DpSettings(tuple(a), tuple(ap))).bell().value <= 4 + 1e-9
-            assert (DpRates(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).bell().value
+            assert DpRates(s3, DpSettings(tuple(a), tuple(ap))).bell() <= 4 + 1e-9
+            assert (DpRates(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).bell()
                     <= 2 * SQRT2 + 1e-9)
 
     def test_mode_count_mismatch(self):
@@ -204,7 +204,7 @@ class TestTwbFamilies:
         r = 5.0
         n = 2 * math.sinh(r) ** 2
         s = twb_state(n)
-        res = log_j_maximize(lambda j: DpRates(s, twb_dp_settings(j)).bell().value, 1e-10, 1e-1)
+        res = log_j_maximize(lambda j: DpRates(s, twb_dp_settings(j)).bell(), 1e-10, 1e-1)
         assert res.max_value == pytest.approx(2.32, abs=0.01)
         assert math.exp(2 * r) * res.arg_max[0] == pytest.approx(
             math.log(3.0) / 32.0, rel=0.10)
@@ -212,7 +212,7 @@ class TestTwbFamilies:
     def test_bw_asymptote(self):
         n = 2 * math.sinh(5.0) ** 2
         s = twb_state(n)
-        res = log_j_maximize(lambda j: DpRates(s, twb_bw_dp_settings(j)).bell().value,
+        res = log_j_maximize(lambda j: DpRates(s, twb_bw_dp_settings(j)).bell(),
                              1e-10, 1e-1)
         assert res.max_value == pytest.approx(2.19, abs=0.01)
 
@@ -221,7 +221,7 @@ class TestConditionalFamily:
     def test_asymptote_and_scaling(self):
         n2 = 1e3
         p = ConditionalParams(n2=n2, n3=1e-2 / n2, eta=1.0)
-        res = log_j_maximize(lambda j: DpRates(p, conditional_dp_settings(j)).bell().value,
+        res = log_j_maximize(lambda j: DpRates(p, conditional_dp_settings(j)).bell(),
                              1e-9, 1e-2)
         assert res.max_value == pytest.approx(2.41, abs=0.01)
         assert res.arg_max[0] * n2 == pytest.approx(0.042, rel=0.15)
@@ -290,10 +290,10 @@ class TestBatchedCorrelators:
             e = lambda *al: e_dp(s3, list(al))
             want = abs(e(a[0], a[1], ap[2]) + e(a[0], ap[1], a[2])
                        + e(ap[0], a[1], a[2]) - e(ap[0], ap[1], ap[2]))
-            assert DpRates(s3, DpSettings(tuple(a), tuple(ap))).bell().value == want
+            assert DpRates(s3, DpSettings(tuple(a), tuple(ap))).bell() == want
             e = lambda *al: e_dp(s2, list(al))
             want = abs(e(a[0], a[1]) + e(a[0], ap[1]) + e(ap[0], a[1]) - e(ap[0], ap[1]))
-            assert DpRates(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).bell().value == want
+            assert DpRates(s2, DpSettings(tuple(a[:2]), tuple(ap[:2]))).bell() == want
 
 
 class TestFactorization:
@@ -304,11 +304,11 @@ class TestFactorization:
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
         first = e_dp(s, [0.1, -0.2j])
         assert len(calls) == 1
-        b2_twb = DpRates(s, twb_dp_settings(0.01)).bell().value
+        b2_twb = DpRates(s, twb_dp_settings(0.01)).bell()
         assert e_dp(s, [0.1, -0.2j]) == first
         assert s.factors[1] == pytest.approx(1.0, abs=1e-9)
         assert len(calls) == 1
-        assert b2_twb == DpRates(twb_state(2.0), twb_dp_settings(0.01)).bell().value
+        assert b2_twb == DpRates(twb_state(2.0), twb_dp_settings(0.01)).bell()
 
     def test_ill_conditioned_state_raises_at_first_correlator(self):
         s = twb_state(1e6)
@@ -358,7 +358,7 @@ class TestNonFiniteDisplacements:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_bell_value_must_be_finite(self, value):
         with pytest.raises(InvalidParameterError, match="must be finite"):
-            BellValue(value, 2)
+            _bell(value, 2)
 
 
 class TestTargetType:
@@ -380,18 +380,18 @@ class TestTargetType:
 # each displacement family with a state it suits, and the two closed forms, as
 # functions of J alone
 J_VALUES = [
-    pytest.param(lambda j: DpRates(ghz_state(1.1), ghz_dp_settings(j)).bell().value, id="ghz"),
-    pytest.param(lambda j: DpRates(su21_sym_state(2.0), su21_sym_dp_settings(j)).bell().value,
+    pytest.param(lambda j: DpRates(ghz_state(1.1), ghz_dp_settings(j)).bell(), id="ghz"),
+    pytest.param(lambda j: DpRates(su21_sym_state(2.0), su21_sym_dp_settings(j)).bell(),
                  id="su21-sym"),
-    pytest.param(lambda j: DpRates(su21_opt_state(2.0), su21_opt_dp_settings(j)).bell().value,
+    pytest.param(lambda j: DpRates(su21_opt_state(2.0), su21_opt_dp_settings(j)).bell(),
                  id="su21-opt"),
-    pytest.param(lambda j: DpRates(twb_state(2.0), twb_dp_settings(j)).bell().value, id="twb"),
-    pytest.param(lambda j: DpRates(twb_state(2.0), twb_bw_dp_settings(j)).bell().value,
+    pytest.param(lambda j: DpRates(twb_state(2.0), twb_dp_settings(j)).bell(), id="twb"),
+    pytest.param(lambda j: DpRates(twb_state(2.0), twb_bw_dp_settings(j)).bell(),
                  id="twb-bw"),
     pytest.param(lambda j: DpRates(ConditionalParams(1.0, 0.5, eta=0.8),
-                                   conditional_dp_settings(j)).bell().value, id="conditional"),
-    pytest.param(lambda j: b3_ghz_closed(1.2, j).value, id="ghz-closed"),
-    pytest.param(lambda j: b3_su21_closed(3.0, j).value, id="su21-closed"),
+                                   conditional_dp_settings(j)).bell(), id="conditional"),
+    pytest.param(lambda j: b3_ghz_closed(1.2, j), id="ghz-closed"),
+    pytest.param(lambda j: b3_su21_closed(3.0, j), id="su21-closed"),
 ]
 
 
@@ -423,7 +423,7 @@ class TestBatchedJ:
 
     def test_ghz_closed_is_exactly_two_at_zero(self):
         # the log of 24 e^{2r} J is skipped at J = 0, so no RuntimeWarning
-        assert np.all(b3_ghz_closed(0.8, np.zeros((2, 3))).value == 2.0)
+        assert np.all(b3_ghz_closed(0.8, np.zeros((2, 3))) == 2.0)
 
 
 class TestArrayStateParameter:
@@ -436,12 +436,12 @@ class TestArrayStateParameter:
     @pytest.mark.parametrize("closed,params", [
         (b3_ghz_closed, RS), (b3_su21_closed, NS)], ids=["ghz", "su21"])
     def test_entries_are_their_own_calls(self, closed, params):
-        grid = closed(params[:, None], self.JS).value
+        grid = closed(params[:, None], self.JS)
         assert grid.shape == (params.size, self.JS.size)
         for k, x in enumerate(params.tolist()):
-            assert grid[k].tolist() == [closed(x, j).value for j in self.JS.tolist()]
+            assert grid[k].tolist() == [closed(x, j) for j in self.JS.tolist()]
         rows = closed(params[:, None], np.broadcast_to(self.JS, (params.size, self.JS.size)))
-        assert np.array_equal(rows.value, grid)
+        assert np.array_equal(rows, grid)
 
     def test_photon_numbers_to_squeezing(self):
         ns = np.concatenate([[0.0], np.logspace(-3, 8, 23)])
@@ -470,17 +470,27 @@ class TestBellValueMessages:
     ], ids=["all-inf", "mixed"])
     def test_non_finite_names_the_first_value(self, value, first, count):
         with pytest.raises(InvalidParameterError) as info:
-            BellValue(value, 3)
+            _bell(value, 3)
         message = str(info.value)
         assert "\n" not in message and len(message) < 200
         assert f"got {first} ({count} values)" in message
 
     def test_above_the_bound_names_the_largest(self):
         with pytest.raises(InvalidParameterError) as info:
-            BellValue(np.linspace(0.0, 6.0, 300), 2)
+            _bell(np.linspace(0.0, 6.0, 300), 2)
         message = str(info.value)
         assert "\n" not in message and len(message) < 200
         assert message.startswith("|B| = 6.0 exceeds the 2-party quantum bound (159 of 300")
+
+    def test_a_producer_checks_its_value(self):
+        # the check runs where a value is made: a covariance below the vacuum's
+        # gives a CHSH value past 2 sqrt 2 at J = 1
+        rates = DpRates(GaussianState(2, 0.1 * np.eye(4)), twb_dp_settings(np.array([1.0, 1e-3])))
+        with pytest.raises(InvalidParameterError) as info:
+            rates.bell()
+        message = str(info.value)
+        assert message.startswith("|B| = 190.057")
+        assert message.endswith(" exceeds the 2-party quantum bound (1 of 2 values)")
 
 
 class TestRateForm:
@@ -500,8 +510,8 @@ class TestRateForm:
 
     @pytest.mark.parametrize("target,family", TARGETS)
     def test_matches_explicit_settings(self, target, family):
-        rates = DpRates(target, family(1.0)).bell(self.JS).value
-        explicit = DpRates(target, family(self.JS)).bell().value
+        rates = DpRates(target, family(1.0)).bell(self.JS)
+        explicit = DpRates(target, family(self.JS)).bell()
         assert np.max(np.abs(rates - explicit)) <= 1e-12
 
     @pytest.mark.parametrize("family", [
@@ -520,11 +530,11 @@ class TestRateForm:
     ], ids=["twb", "conditional"])
     def test_scalar_and_batched_j(self, target, family):
         rates = DpRates(target, family(1.0))
-        assert isinstance(rates.bell(0.01).value, float)
-        batch = rates.bell(self.JS).value
+        assert isinstance(rates.bell(0.01), float)
+        batch = rates.bell(self.JS)
         assert batch.shape == self.JS.shape
-        assert [rates.bell(j).value for j in self.JS.tolist()] == batch.tolist()
-        grid = rates.bell(self.JS[:40].reshape(5, 8)).value
+        assert [rates.bell(j) for j in self.JS.tolist()] == batch.tolist()
+        grid = rates.bell(self.JS[:40].reshape(5, 8))
         assert grid.shape == (5, 8)
         assert np.array_equal(grid, batch[:40].reshape(5, 8))
 
@@ -584,8 +594,8 @@ class TestRateForm:
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
         rates = DpRates(s, twb_dp_settings(1.0))
         assert calls == []
-        first = rates.bell(self.JS).value
-        assert rates.bell(self.JS).value.tolist() == first.tolist()
+        first = rates.bell(self.JS)
+        assert rates.bell(self.JS).tolist() == first.tolist()
         assert len(calls) == 1
 
     @pytest.mark.parametrize("state,family", [
@@ -595,9 +605,8 @@ class TestRateForm:
     ])
     def test_three_party_matches_explicit_settings(self, state, family):
         rates = DpRates(state, family(1.0)).bell(self.JS)
-        assert rates.n_parties == 3
-        explicit = DpRates(state, family(self.JS)).bell().value
-        assert np.max(np.abs(rates.value - explicit)) <= 1e-12
+        explicit = DpRates(state, family(self.JS)).bell()
+        assert np.max(np.abs(rates - explicit)) <= 1e-12
 
     def test_j_broadcasts_against_batched_settings(self):
         s = twb_state(2.0)
@@ -605,13 +614,13 @@ class TestRateForm:
         rates = DpRates(s, batch)
         rows = [DpRates(s, DpSettings(a, b)) for a, b in zip(batch.unprimed, batch.primed)]
         # a scalar J keeps the batch shape
-        assert rates.bell(2.0).value.tolist() == [r.bell(2.0).value for r in rows]
+        assert rates.bell(2.0).tolist() == [r.bell(2.0) for r in rows]
         # a J per setting pairs with it, and a (2, 1) J spans the batch
         js = [1.0, 2.0, 3.0]
-        assert rates.bell(js).value.tolist() == [r.bell(j).value for r, j in zip(rows, js)]
-        grid = rates.bell([[1.0], [2.0]]).value
+        assert rates.bell(js).tolist() == [r.bell(j) for r, j in zip(rows, js)]
+        grid = rates.bell([[1.0], [2.0]])
         assert grid.shape == (2, 3)
-        assert grid[1].tolist() == rates.bell(2.0).value.tolist()
+        assert grid[1].tolist() == rates.bell(2.0).tolist()
 
     @pytest.mark.parametrize("j", [[0.1, 0.2], np.ones((2, 2))])
     def test_unbroadcastable_j_rejected(self, j):

@@ -159,6 +159,14 @@ class TestQuadrature:
         assert f_conditional(ConditionalParams(0.0, 5e6, eta=0.8)) == 0.0
         assert su21_ps_coeffs(2e6, 2e6).c1 < 0
 
+    @pytest.mark.parametrize("call", [
+        lambda: su21_ps_coeffs(5e199, 5e199),                    # (1 + n1)^2 overflows
+        lambda: f_conditional(ConditionalParams(1e300, 1e300)),  # the prefactor underflows to 0
+    ], ids=["su21", "conditional"])
+    def test_far_above_checked_range_raises(self, call):
+        with pytest.raises(PrecisionError, match="is above 4e"):
+            call()
+
 
 class TestCorrelationFunction:
     def test_all_z_axes(self):
@@ -167,11 +175,11 @@ class TestCorrelationFunction:
 
     def test_unit_coefficients_reach_the_algebraic_maximum(self):
         res = b3_ps_from_coeffs(PsCoefficients(-1.0, 1.0, 1.0))
-        assert res.value == pytest.approx(4.0, abs=1e-6)
+        assert res == pytest.approx(4.0, abs=1e-6)
 
     def test_vanishing_coefficients_no_violation(self):
         res = b3_ps_from_coeffs(PsCoefficients(0.0, 0.0, 0.0))
-        assert res.value == pytest.approx(2.0, abs=1e-8)
+        assert res == pytest.approx(2.0, abs=1e-8)
 
     def test_settings_snapshot_reproduces_value(self):
         c = su21_ps_coeffs(0.5, 0.5)
@@ -184,21 +192,21 @@ class TestCorrelationFunction:
                + e_ps3(c, (t[0], tp[1], t[2]), phis)
                + e_ps3(c, (tp[0], t[1], t[2]), phis)
                - e_ps3(c, (tp[0], tp[1], tp[2]), phis))
-        assert abs(val) == pytest.approx(bv.value, abs=1e-7)
+        assert abs(val) == pytest.approx(bv, abs=1e-7)
 
 
 class TestBellCombination:
     def test_symmetric_asymptote(self):
         bv = b3_ps_from_coeffs(su21_ps_coeffs(100.0, 100.0))
-        assert bv.value == pytest.approx(2.63, abs=0.02)
+        assert bv == pytest.approx(2.63, abs=0.02)
 
     def test_degenerate_limit_is_chsh_maximum(self):
         bv = b3_ps_from_coeffs(su21_ps_coeffs(10.0, 1e-3))
-        assert bv.value == pytest.approx(2 * SQRT2, abs=0.01)
+        assert bv == pytest.approx(2 * SQRT2, abs=0.01)
 
     def test_pi_representation_maximum(self):
         res = maximize_scalar(
-            lambda lns: [b3_ps_from_coeffs(su21_pi_coeffs(math.exp(ln))).value for ln in lns],
+            lambda lns: [b3_ps_from_coeffs(su21_pi_coeffs(math.exp(ln))) for ln in lns],
             math.log(0.05), math.log(20.0), tol=1e-6)
         assert res.max_value == pytest.approx(2.22, abs=0.02)
         assert math.exp(res.arg_max[0]) == pytest.approx(1.0, abs=0.25)
@@ -244,7 +252,7 @@ class TestPiCoefficients:
 
     def test_ghz_maximum_violation(self):
         res = maximize_scalar(
-            lambda rs: [b3_ps_from_coeffs(ghz_pi_coeffs(r)).value for r in rs],
+            lambda rs: [b3_ps_from_coeffs(ghz_pi_coeffs(r)) for r in rs],
             0.05, 2.0, tol=1e-6)
         assert res.max_value == pytest.approx(2.09, abs=0.02)
         assert res.arg_max[0] == pytest.approx(0.42, abs=0.03)
@@ -338,7 +346,7 @@ class TestHeraldedPseudospinGap:
 
     @staticmethod
     def _heralded(n2, n3, eta):
-        return onoff_condition(su21_fock(TripartitePhotonNumbers(n2, n3), 40), 2, eta)[1]
+        return onoff_condition(su21_fock(TripartitePhotonNumbers(n2, n3), 40), 2, eta)
 
     @pytest.mark.parametrize("n2,n3,eta,closed,oracle,e_zz", [
         (0.3, 0.3, 0.8, 0.899670, 0.202942, -0.569853),
@@ -378,12 +386,12 @@ class TestHeraldedPseudospinGap:
 
 class TestChshFromF:
     def test_endpoints(self):
-        assert b2_ps_from_f(0.0).value == 2.0
-        assert b2_ps_from_f(1.0).value == 2 * SQRT2
+        assert b2_ps_from_f(0.0) == 2.0
+        assert b2_ps_from_f(1.0) == 2 * SQRT2
 
     def test_monotone(self):
         fs = np.linspace(0, 1, 30)
-        vals = [b2_ps_from_f(f).value for f in fs]
+        vals = [b2_ps_from_f(f) for f in fs]
         assert np.all(np.diff(vals) > 0)
 
     def test_matches_brute_force_angle_grid(self):
@@ -398,8 +406,8 @@ class TestChshFromF:
             np.maximum(U, col[:, None] + col[None, :], out=U)
             np.maximum(V, col[:, None] - col[None, :], out=V)
         grid_max = float((U + V).max())
-        assert b2_ps_from_f(f).value == pytest.approx(grid_max, abs=1e-4)
-        assert b2_ps_from_f(f).value == pytest.approx(2 * math.sqrt(1 + f * f), abs=1e-12)
+        assert b2_ps_from_f(f) == pytest.approx(grid_max, abs=1e-4)
+        assert b2_ps_from_f(f) == pytest.approx(2 * math.sqrt(1 + f * f), abs=1e-12)
 
     def test_maximizing_angles_reproduce_value(self):
         f = 0.6
@@ -412,7 +420,7 @@ class TestChshFromF:
             return math.cos(a) * math.cos(b) + f * math.sin(a) * math.sin(b)
 
         val = abs(corr(a, b) + corr(a, bp) + corr(ap, b) - corr(ap, bp))
-        assert val == pytest.approx(bv.value, abs=1e-12)
+        assert val == pytest.approx(bv, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(InvalidParameterError):

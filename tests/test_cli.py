@@ -107,7 +107,7 @@ class TestPoint:
         in this suite), and at N = 1.7e308 3N did, making the value NaN."""
         assert main(["point", "--state", "su21", "--test", "dp3", "--n", n, "--optimize"]) == 0
         rec = json.loads(capsys.readouterr().out)
-        dense = np.max(b3_su21_closed(float(n), np.logspace(-3, 0, 3001) / float(n)).value)
+        dense = np.max(b3_su21_closed(float(n), np.logspace(-3, 0, 3001) / float(n)))
         assert rec["value"] >= max(dense - 1e-12, 2.89549591)
         assert rec["j_opt"] * float(n) == pytest.approx(0.1654, rel=1e-3)
 
@@ -234,7 +234,7 @@ class TestDp2RateForm:
     @pytest.mark.parametrize("argv,target,family", CASES)
     def test_matches_the_explicit_settings_scan(self, argv, target, family, capsys):
         best = self._record([*argv, "--optimize"], capsys)
-        old = log_j_maximize(lambda j: DpRates(target, family(j)).bell().value, 1e-9, 10.0)
+        old = log_j_maximize(lambda j: DpRates(target, family(j)).bell(), 1e-9, 10.0)
         assert best["value"] == pytest.approx(old.max_value, abs=1e-12)
         assert best["evaluations"] == old.evaluations
 
@@ -363,6 +363,18 @@ class TestLibraryErrors:
         assert "is above 4e+06" in captured.err
 
     @pytest.mark.parametrize("argv", [
+        ["--state", "su21", "--test", "ps3", "--n", "1e200"],
+        ["--state", "conditional", "--test", "ps2", "--n2", "1e300", "--n3", "1e300"],
+    ], ids=" ".join)
+    def test_pseudospin_far_above_checked_range_exits_4(self, argv, capsys):
+        # the range is checked before any prefactor, which overflows or underflows here
+        assert main(["point", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: PrecisionError: n2 + n3 = ")
+        assert "is above 4e+06" in captured.err
+
+    @pytest.mark.parametrize("argv", [
         ["--state", "conditional", "--test", "dp2", "--n2", "1", "--j", "0.1"],
         ["--state", "conditional", "--test", "ps2", "--n2", "1", "--eta", "0.5"],
         ["--state", "conditional", "--test", "homodyne", "--n2", "1"],
@@ -416,10 +428,10 @@ class TestVerify:
             a = rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3)
             ap = rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3)
             st = gs3[int(rng.integers(0, 2))]
-            b3max = max(b3max, DpRates(st, DpSettings(tuple(a), tuple(ap))).bell().value)
+            b3max = max(b3max, DpRates(st, DpSettings(tuple(a), tuple(ap))).bell())
             for t in (twb_state(2.0), params):
                 two = DpSettings(tuple(a[:2]), tuple(ap[:2]))
-                b2max = max(b2max, DpRates(t, two).bell().value)
+                b2max = max(b2max, DpRates(t, two).bell())
         line = f"max B2 = {b2max:.6f}, max B3 = {b3max:.6f}"
         assert line == "max B2 = 1.545497, max B3 = 1.203400"
         assert main(["verify"]) == 0

@@ -7,6 +7,8 @@ from cvbell import (
     ConditionalParams,
     TripartitePhotonNumbers,
     UndefinedStateError,
+    click_probability,
+    e_dp,
     onoff_condition,
     p_click,
     su21_fock,
@@ -34,7 +36,7 @@ class TestClickProbability:
     @pytest.mark.parametrize("eta", [0.25, 0.6, 1.0])
     def test_matches_oracle(self, n3, eta):
         st = su21_fock(TripartitePhotonNumbers(0.3, n3), 32)
-        prob, _ = onoff_condition(st, 2, eta)
+        prob = click_probability(st, 2, eta)
         assert prob == pytest.approx(p_click(ConditionalParams(0.3, n3, eta=eta)),
                                      abs=1e-9)
 
@@ -42,13 +44,22 @@ class TestClickProbability:
 class TestHeraldedWigner:
     params = ConditionalParams(0.3, 0.3, eta=0.8)
 
+    def test_forms_are_read_only(self):
+        # the forms are cached per params, so a write would move every later
+        # correlator of equal params
+        p = ConditionalParams(1.0, 0.5)
+        before = e_dp(p, [0.1, 0.2])
+        for q in two_gaussian_form(p)[1]:
+            with pytest.raises(ValueError, match="read-only"):
+                q[0, 0] += 1
+        assert e_dp(ConditionalParams(1.0, 0.5), [0.1, 0.2]) == before
+
     def test_eta_zero_undefined(self):
         with pytest.raises(UndefinedStateError):
             heralded_wigner(ConditionalParams(0.3, 0.3, eta=0.0), np.zeros(4))
 
     def test_matches_oracle_reconstruction(self):
-        _, rho = onoff_condition(su21_fock(TripartitePhotonNumbers(0.3, 0.3), 30),
-                                 2, 0.8)
+        rho = onoff_condition(su21_fock(TripartitePhotonNumbers(0.3, 0.3), 30), 2, 0.8)
         for pt in ([0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1, 0.4], [0.8, 0.1, -0.5, 0.2]):
             assert heralded_wigner(self.params, pt) == pytest.approx(
                 wigner_reconstruct(rho, np.asarray(pt)), abs=1e-4)

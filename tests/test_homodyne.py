@@ -97,8 +97,7 @@ class TestHeraldedCorrelator:
                 0.0, abs=1e-14)
 
     def test_matches_orthant_oracle(self):
-        _, rho = onoff_condition(su21_fock(TripartitePhotonNumbers(0.3, 0.3), 26),
-                                 2, 0.8)
+        rho = onoff_condition(su21_fock(TripartitePhotonNumbers(0.3, 0.3), 26), 2, 0.8)
         for th in (0.0, 0.7, 1.9, -1.1):
             oracle = quadrature_orthant_expect(rho, th, 0.0)
             assert scalar_e_h(self.params, th, 0.0) == pytest.approx(

@@ -71,7 +71,7 @@ class TestMaximizeScalar:
         assert res.max_value == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_objective(self):
-        res = log_j_maximize(lambda j: b3_su21_closed(1e4, j).value, 1e-9, 1e-2)
+        res = log_j_maximize(lambda j: b3_su21_closed(1e4, j), 1e-9, 1e-2)
         assert res.max_value == pytest.approx(2.89, abs=0.01)
 
     def test_reports_convergence(self):

@@ -14,13 +14,14 @@ with phi3 = 0.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidParameterError, UndefinedStateError
+from .errors import InvalidParameterError, PrecisionError, UndefinedStateError
 from .gaussian import TripartitePhotonNumbers, _check_condition, su21_state
 
 _KEEP = (0, 1, 3, 4)  # x1, x2, y1, y2 of the 6x6 (x1 x2 x3 y1 y2 y3) ordering
@@ -54,11 +55,15 @@ def p_click(p: ConditionalParams) -> float:
 
 def _check_click(p: ConditionalParams) -> None:
     """Raise ``UndefinedStateError`` where no click is possible (eta = 0 or
-    n3 = 0), so the heralded state does not exist."""
+    n3 = 0), so the heralded state does not exist, and ``PrecisionError`` where
+    eta n3, which the heralded prefactors divide by, is below the normal floats."""
     if p.eta == 0.0:
         raise UndefinedStateError("eta = 0 admits no click; the heralded state is undefined")
     if p.n3 == 0.0:
         raise UndefinedStateError("n3 = 0 admits no click; the heralded state is undefined")
+    if p.eta * p.n3 < sys.float_info.min:
+        raise PrecisionError(f"eta * n3 = {p.eta * p.n3:.3g} is below the smallest normal float"
+                             f" {sys.float_info.min:.3g}; the heralded prefactors divide by it")
 
 
 @lru_cache(maxsize=256)

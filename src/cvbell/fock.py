@@ -6,12 +6,18 @@ state is one renormalized ket), and all expectation values are computed by
 operator algebra with no reference to the closed forms they are used to check.  The displacement operator is the exact
 number-basis matrix, cropped to the cutoff, from its Laguerre closed form; it
 shares nothing with the Gaussian covariance path.
+
+An expectation is sum w_i conj(a_s) a_t prod_m O_m[s_m, t_m] over the pairs of
+nonzero amplitudes of one ket k_i, from a table each state builds once, where it
+holds no more pairs than the kets hold amplitudes; otherwise each O_m is
+contracted densely into the kets.  The pseudospin operators are one 2x2 block on
+each {|2k>, |2k+1>}, so their sum runs over the pairs that share every block.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +59,36 @@ class FockDensityOperator:
         object.__setattr__(self, "kets", k)
         object.__setattr__(self, "weights", w)
 
+    @cached_property
+    def _pairs(self) -> tuple[NDArray, tuple[NDArray, ...]] | None:
+        """``_pair_table(cutoff)``, or None where the sum_i s_i^2 ordered pairs of
+        each ket's s_i nonzero amplitudes outnumber the amplitudes."""
+        size = np.count_nonzero(self.kets.reshape(self.weights.size, -1), axis=1)
+        return self._pair_table(self.cutoff) if size @ size <= self.kets.size else None
+
+    @cached_property
+    def _blocks(self) -> tuple[NDArray, tuple[NDArray, ...]]:
+        return self._pair_table(2)
+
+    def _pair_table(self, d: int) -> tuple[NDArray, tuple[NDArray, ...]]:
+        """``(coef, idx)`` over the pairs s <= t of nonzero amplitudes of one ket k_i
+        of positive weight with s_m // d = t_m // d on every mode m: coef =
+        w_i conj(a_s) a_t, doubled for s < t to stand for the conjugate (t, s) term
+        of Hermitian operators, and idx[m] = (s_m % d) d + t_m % d, flat in d x d."""
+        r, c, flat = self.weights.size, self.cutoff, self.kets.reshape(self.weights.size, -1)
+        ket, pos = np.nonzero((flat != 0) & (self.weights > 0)[:, None])
+        n = np.unravel_index(pos, (c,) * self.n_modes)
+        key = np.ravel_multi_index((ket, *(m // d for m in n)), (r,) + (-(-c // d),) * self.n_modes)
+        order = np.argsort(key, kind="stable")
+        ks = key[order]
+        # each element of the sorted order pairs with itself and the rest of its group
+        rep = np.searchsorted(ks, ks, side="right") - np.arange(ks.size)
+        e = np.repeat(np.arange(ks.size), rep)
+        f = e + np.arange(e.size) - np.repeat(np.cumsum(rep) - rep, rep)
+        s, t, amps = order[e], order[f], flat[ket, pos]
+        coef = np.where(e == f, 1.0, 2.0) * self.weights[ket[s]] * amps[s].conj() * amps[t]
+        return coef, tuple((m[s] % d) * d + m[t] % d for m in n)
+
 
 def su21_fock(p: TripartitePhotonNumbers, cutoff: int) -> FockDensityOperator:
     """The interlinked-interaction state as one ket, truncated at ``cutoff``
@@ -73,16 +109,13 @@ def su21_fock(p: TripartitePhotonNumbers, cutoff: int) -> FockDensityOperator:
         )
     x = p.n2 / (1 + n1)
     y = p.n3 / (1 + n1)
+    k = np.arange(cutoff)
+    pp, q = np.nonzero(np.add.outer(k, k) < cutoff)
+    lf = _log_factorials(cutoff)
+    mag = ((1 + n1) ** -0.5 * x ** (pp / 2) * y ** (q / 2)
+           * np.exp(0.5 * (lf[pp + q] - lf[pp] - lf[q])))
     amps = np.zeros((cutoff,) * 3, dtype=complex)
-    for pp in range(cutoff):
-        if x == 0.0 and pp > 0:
-            break
-        for q in range(cutoff - pp):
-            if y == 0.0 and q > 0:
-                break
-            lg = 0.5 * (math.lgamma(pp + q + 1) - math.lgamma(pp + 1) - math.lgamma(q + 1))
-            mag = (1 + n1) ** -0.5 * x ** (pp / 2) * y ** (q / 2) * math.exp(lg)
-            amps[pp + q, pp, q] = mag * np.exp(-1j * (pp * p.phi2 + q * p.phi3))
+    amps[pp + q, pp, q] = mag * np.exp(-1j * (pp * p.phi2 + q * p.phi3))
     return FockDensityOperator(3, cutoff, amps[None], [1 / np.sum(np.abs(amps) ** 2)])
 
 
@@ -106,6 +139,10 @@ def twb_fock(x: float, cutoff: int) -> FockDensityOperator:
 
 # ---------------------------------------------------------------------------
 # mode operators
+
+def _log_factorials(cutoff: int) -> NDArray[np.float64]:
+    return np.array([math.lgamma(i + 1) for i in range(cutoff)])
+
 
 def displacement(alpha: complex, cutoff: int) -> NDArray[np.complex128]:
     """<m|D(alpha)|n> for m, n < cutoff: the exact matrix elements, cropped.
@@ -136,49 +173,30 @@ def displacement(alpha: complex, cutoff: int) -> NDArray[np.complex128]:
 
     m, n = np.indices((cutoff, cutoff))
     lo, d = np.minimum(m, n), np.abs(m - n)
-    log_fact = np.array([math.lgamma(i + 1) for i in range(cutoff)])
+    log_fact = _log_factorials(cutoff)
     log_mag = 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * math.log(r) - x / 2
     u = alpha / r
     phase = np.where(m >= n, (u**k)[d], ((-u.conjugate()) ** k)[d])
     return np.exp(log_mag) * lag[lo, d] * phase
 
 
-@lru_cache(maxsize=32)
-def _parity(cutoff: int) -> NDArray[np.float64]:
-    d = np.ones(cutoff)
-    d[1::2] = -1.0
-    return d
-
-
-def _sz(cutoff: int) -> NDArray[np.float64]:
-    # odd number states +1, even -1, exactly as defined
-    return np.diag(-_parity(cutoff))
-
-
-def _s_minus(cutoff: int) -> NDArray[np.float64]:
-    m = np.zeros((cutoff, cutoff))
-    ev = np.arange(0, cutoff - 1, 2)
-    m[ev, ev + 1] = 1.0
-    return m
-
-
-def pseudospin_axis_op(theta: float, phi: float, cutoff: int) -> NDArray[np.complex128]:
-    """d.s = s_z cos(theta) + sin(theta)(e^{i phi} s_- + e^{-i phi} s_+)."""
-    sm = _s_minus(cutoff)
-    return (_sz(cutoff) * np.cos(theta)
-            + np.sin(theta) * (np.exp(1j * phi) * sm + np.exp(-1j * phi) * sm.T))
-
-
-def _apply_mode_op(amps: NDArray, op: NDArray, axis: int) -> NDArray:
-    out = np.tensordot(op, amps, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+def _pair_sum(table: tuple[NDArray, tuple[NDArray, ...]], ops: Sequence[NDArray]) -> float:
+    """Re sum_p coef_p prod_m ops[m].flat[idx[m][p]] over a ``_pair_table``, for
+    Hermitian ``ops``."""
+    coef, idx = table
+    for i, op in zip(idx, ops):
+        coef = coef * np.take(op, i)
+    return float(np.real(np.sum(coef)))
 
 
 def _expect(state: FockDensityOperator, ops: Sequence[NDArray]) -> float:
-    """sum_i w_i <k_i| (x)ops |k_i>."""
+    """sum_i w_i <k_i| (x)ops |k_i> for Hermitian ``ops``, over the state's pair
+    table where it has one, else by contracting each operator into the kets."""
+    if state._pairs is not None:
+        return _pair_sum(state._pairs, ops)
     phi = state.kets
     for j, op in enumerate(ops, start=1):
-        phi = _apply_mode_op(phi, op, j)
+        phi = np.moveaxis(np.tensordot(op, phi, axes=(1, j)), 0, j)
     per_ket = np.sum((state.kets.conj() * phi).reshape(state.weights.size, -1), axis=1)
     return float(state.weights @ np.real(per_ket))
 
@@ -205,7 +223,7 @@ def displaced_parity_expect(state: FockDensityOperator,
             raise PrecisionError(
                 f"|alpha|^2 = {abs(a)**2:.3f} exceeds cutoff/10 = {cutoff / 10:.1f}"
             )
-    par = _parity(cutoff)
+    par = (-1.0) ** np.arange(cutoff)
     ops = []
     for a in alphas:
         d = displacement(a, cutoff)
@@ -215,13 +233,20 @@ def displaced_parity_expect(state: FockDensityOperator,
 
 def pseudospin_expect(state: FockDensityOperator,
                       axes: Sequence[tuple[float, float]]) -> float:
-    """<prod_j d_j . s_j> for one finite (theta, phi) pair per mode; even cutoff only."""
+    """<prod_j d_j . s_j> for one finite (theta, phi) pair per mode; even cutoff only.
+
+    d.s = s_z cos(theta) + sin(theta)(e^{i phi} s_- + e^{-i phi} s_+) is one 2x2 block
+    on each {|2k>, |2k+1>}, s_z = diag(-1, +1) (odd states +1, as defined) and
+    s_- = |2k><2k+1| (Chen, Pan, Hou & Zhang, PRL 88, 040406 (2002)).
+    """
     if state.cutoff % 2 != 0:
         raise InvalidParameterError("pseudospin requires an even cutoff")
     if len(axes) != state.n_modes:
         raise InvalidParameterError("one (theta, phi) pair per mode required")
     _check_finite("pseudospin axes", axes)
-    return _expect(state, [pseudospin_axis_op(th, ph, state.cutoff) for th, ph in axes])
+    blocks = [np.array([[-math.cos(th), math.sin(th) * np.exp(1j * ph)],
+                        [math.sin(th) * np.exp(-1j * ph), math.cos(th)]]) for th, ph in axes]
+    return _pair_sum(state._blocks, blocks)
 
 
 def _click_weights(cutoff: int, eta: float) -> NDArray[np.float64]:

@@ -6,7 +6,9 @@ Wigner function read off the displaced-parity correlator, the coupling-to-photon
 map of the interlinked interactions, the three displacement families and the
 large-squeezing residual that only the closed forms' tests assemble, the
 three-mode pseudospin correlator written out, the large-energy relations of the
-optimized displacements, and the dense matrix of a Fock-space state.
+optimized displacements, the dense matrix of a Fock-space state, the dense
+pseudospin axis operator, and the interlinked-interaction ket built one
+amplitude at a time.
 """
 from __future__ import annotations
 
@@ -229,3 +231,30 @@ def matrix(state: FockDensityOperator) -> NDArray[np.complex128]:
 
 def min_eigenvalue(state: FockDensityOperator) -> float:
     return float(np.min(np.linalg.eigvalsh(matrix(state))))
+
+
+def pseudospin_axis_op(theta: float, phi: float, cutoff: int) -> NDArray[np.complex128]:
+    """The dense d.s = s_z cos(theta) + sin(theta)(e^{i phi} s_- + e^{-i phi} s_+)
+    on ``cutoff`` number states, with s_z = +1 on odd and -1 on even states and
+    s_- = sum_k |2k><2k+1|."""
+    sz = np.diag(np.where(np.arange(cutoff) % 2 == 1, 1.0, -1.0))
+    sm = np.zeros((cutoff, cutoff))
+    ev = np.arange(0, cutoff - 1, 2)
+    sm[ev, ev + 1] = 1.0
+    return sz * np.cos(theta) + np.sin(theta) * (np.exp(1j * phi) * sm + np.exp(-1j * phi) * sm.T)
+
+
+def su21_amplitudes(p: TripartitePhotonNumbers, cutoff: int) -> NDArray[np.complex128]:
+    """Unnormalized amplitudes of the interlinked-interaction ket, one element at
+    a time: (1+N1)^{-1/2} x^{p/2} y^{q/2} e^{-i(p phi2 + q phi3)} sqrt((p+q)!/(p! q!))
+    on |p+q, p, q> for p + q < cutoff, x = N2/(1+N1), y = N3/(1+N1)."""
+    n1 = p.n1
+    x, y = p.n2 / (1 + n1), p.n3 / (1 + n1)
+    amps = np.zeros((cutoff,) * 3, dtype=complex)
+    for pp in range(cutoff):
+        for q in range(cutoff - pp):
+            lg = 0.5 * (math.lgamma(pp + q + 1) - math.lgamma(pp + 1) - math.lgamma(q + 1))
+            mag = (1 + n1) ** -0.5 * x ** (pp / 2) * y ** (q / 2) * math.exp(lg)
+            amps[pp + q, pp, q] = mag * complex(math.cos(pp * p.phi2 + q * p.phi3),
+                                                -math.sin(pp * p.phi2 + q * p.phi3))
+    return amps

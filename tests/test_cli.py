@@ -375,6 +375,19 @@ class TestLibraryErrors:
         assert "is above 4e+06" in captured.err
 
     @pytest.mark.parametrize("argv", [
+        ["--test", "ps2", "--n3", "5e-324"],
+        ["--test", "dp2", "--j", "0.1", "--n3", "5e-324"],
+        ["--test", "ps2", "--n3", "1e-300"],
+        ["--test", "homodyne", "--n3", "5e-324"],
+    ], ids=" ".join)
+    def test_click_product_below_the_normal_range_exits_4(self, argv, capsys):
+        # eta n3 underflows to 0 or a subnormal, which the heralded prefactors divide by
+        assert main(["point", "--state", "conditional", "--n2", "1", "--eta", "1e-10", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: PrecisionError: eta * n3 = ")
+
+    @pytest.mark.parametrize("argv", [
         ["--state", "conditional", "--test", "dp2", "--n2", "1", "--j", "0.1"],
         ["--state", "conditional", "--test", "ps2", "--n2", "1", "--eta", "0.5"],
         ["--state", "conditional", "--test", "homodyne", "--n2", "1"],

@@ -5,10 +5,13 @@ import pytest
 
 from cvbell import (
     ConditionalParams,
+    PrecisionError,
     TripartitePhotonNumbers,
     UndefinedStateError,
     click_probability,
     e_dp,
+    e_h,
+    f_conditional,
     onoff_condition,
     p_click,
     su21_fock,
@@ -39,6 +42,26 @@ class TestClickProbability:
         prob = click_probability(st, 2, eta)
         assert prob == pytest.approx(p_click(ConditionalParams(0.3, n3, eta=eta)),
                                      abs=1e-9)
+
+
+class TestClickCheck:
+    """Every heralded evaluator divides by eta n3, so a product below the
+    smallest normal float is a precision error, not a division by zero or an
+    infinite prefactor."""
+
+    EVALUATORS = {"two_gaussian_form": two_gaussian_form, "f_conditional": f_conditional,
+                  "e_h": lambda p: e_h(p, 0.0, 0.0)}
+
+    @pytest.mark.parametrize("n3", [5e-324, 1e-300])
+    @pytest.mark.parametrize("fn", EVALUATORS.values(), ids=EVALUATORS.keys())
+    def test_product_below_the_normal_range(self, fn, n3):
+        with pytest.raises(PrecisionError, match=r"eta \* n3 = .* below the smallest normal"):
+            fn(ConditionalParams(1.0, n3, eta=1e-10))
+
+    def test_product_just_inside_the_normal_range(self):
+        p = ConditionalParams(1.0, 1e-300, eta=1e-7)
+        assert math.isfinite(f_conditional(p))
+        assert math.isfinite(float(e_h(p, 0.3, 0.1)))
 
 
 class TestHeraldedWigner:

@@ -2,9 +2,12 @@ import decimal
 import math
 import warnings
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.typing import NDArray
 
 from cvbell import (
@@ -27,8 +30,8 @@ from cvbell import (
     twb_fock,
     wigner_reconstruct,
 )
-from cvbell.fock import _half_line_matrices, _rotated, displacement, pseudospin_axis_op
-from reference import matrix, min_eigenvalue
+from cvbell.fock import _expect, _half_line_matrices, _rotated, displacement
+from reference import matrix, min_eigenvalue, pseudospin_axis_op, su21_amplitudes
 
 X_AXIS = (math.pi / 2, 0.0)
 Z_AXIS = (0.0, 0.0)
@@ -49,6 +52,17 @@ class TestBuilders:
     def test_su21_norm_within_tail_budget(self):
         st = su21_fock(TripartitePhotonNumbers(0.5, 0.5), 25)
         assert np.sum(np.abs(st.kets[0]) ** 2) >= 1.0 - 1e-6
+
+    @pytest.mark.parametrize("cutoff", [30, 40, 60])
+    @pytest.mark.parametrize("photons", [(0.3, 0.3, 0.4, -1.1), (1.0, 0.0, 0.7, 0.0),
+                                         (0.0, 0.8, 0.0, 2.3)], ids=["both", "n3=0", "n2=0"])
+    def test_su21_matches_per_element_reference(self, cutoff, photons):
+        p = TripartitePhotonNumbers(*photons)
+        ref = su21_amplitudes(p, cutoff)
+        state = su21_fock(p, cutoff)
+        assert np.array_equal(state.kets[0] != 0, ref != 0)
+        assert np.all(np.abs(state.kets[0] - ref) <= 1e-15 * np.abs(ref))
+        assert state.weights[0] == pytest.approx(1 / np.sum(np.abs(ref) ** 2), rel=1e-15)
 
     def test_su21_cutoff_guard(self):
         with pytest.raises(CutoffTooSmallError) as err:
@@ -191,6 +205,24 @@ class TestPseudospin:
         # ladder definition gives -1 on this state; the closed forms use +1
         zzz = pseudospin_expect(su21_fock_03, [Z_AXIS, Z_AXIS, Z_AXIS])
         assert zzz == pytest.approx(-1.0, abs=1e-9)
+
+    @given(case=st.sampled_from(["su21", "twb", "heralded", "mixture", "sparse"]),
+           axes=st.lists(st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+                         min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_axis_operator(self, case, axes):
+        state = _pseudospin_states()[case]
+        axes = axes[:state.n_modes]
+        ops = [pseudospin_axis_op(th, ph, state.cutoff) for th, ph in axes]
+        assert abs(pseudospin_expect(state, axes)
+                   - _dense_expect(state.kets, state.weights, ops)) < 1e-13
+
+    def test_block_pairs_on_the_oracle_states(self):
+        # su21's 820 amplitudes make 2,080 ordered pairs within one block on every
+        # mode, at most 2^M per amplitude; the table keeps s <= t, (2,080 + 820)/2
+        state = su21_fock(TripartitePhotonNumbers(0.3, 0.3), 40)
+        assert np.count_nonzero(state.kets) == 820
+        assert state._blocks[0].size == 1450
 
     def test_odd_cutoff_rejected(self, photons_03):
         st = su21_fock(photons_03, 21)
@@ -384,9 +416,33 @@ class TestHalfLineMatrix:
 
 
 def _dense_expect(kets, weights, ops) -> float:
-    """Tr[rho A (x) B] with rho = sum_i w_i |k_i><k_i| formed densely."""
-    rho = np.einsum("i,ikl,iab->klab", weights, kets, kets.conj())
-    return float(np.real(np.einsum("klab,ak,bl->", rho, *ops)))
+    """Re sum_i w_i <k_i| (x)ops |k_i>, one einsum over every index of the kets
+    and every entry of the operators."""
+    bra, ket = "abcdefgh"[:len(ops)], "pqrstuvw"[:len(ops)]
+    spec = f"z,z{bra}," + ",".join(b + k for b, k in zip(bra, ket)) + f",z{ket}->"
+    return float(np.real(np.einsum(spec, weights, kets.conj(), *ops, kets, optimize=True)))
+
+
+def _random_state(seed, n_modes, cutoff, rank, sparse):
+    """Random kets with unit trace; a sparse ket keeps at most sqrt(cutoff^n_modes)
+    amplitudes, so its pairs are no more than its amplitudes."""
+    rng = np.random.default_rng(seed)
+    kets = (rng.normal(size=(rank,) + (cutoff,) * n_modes)
+            + 1j * rng.normal(size=(rank,) + (cutoff,) * n_modes))
+    if sparse:
+        flat = kets.reshape(rank, -1)
+        for row in flat:
+            row[rng.permutation(row.size)[rng.integers(1, math.isqrt(row.size) + 1):]] = 0.0
+    return FockDensityOperator(n_modes, cutoff, kets,
+                               _unit_trace(kets, rng.uniform(0.1, 1.0, rank)))
+
+
+@cache
+def _pseudospin_states():
+    su21 = su21_fock(TripartitePhotonNumbers(0.3, 0.3, 0.4, -1.1), 20)
+    return {"su21": su21, "twb": twb_fock(0.5, 20), "heralded": onoff_condition(su21, 2, 0.8),
+            "mixture": _random_state(11, 2, 8, 3, sparse=False),
+            "sparse": _random_state(12, 3, 6, 2, sparse=True)}
 
 
 def _mixture(cutoff=16, rank=3):
@@ -452,6 +508,27 @@ class TestWeightedKets:
         assert np.max(np.abs(m - m.conj().T)) < 1e-15
         assert abs(np.real(np.trace(m)) - 1.0) < 1e-12
         assert min_eigenvalue(rho) >= -1e-9
+
+    @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 3),
+           cutoff=st.integers(2, 7), rank=st.integers(1, 3), sparse=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_pair_sum_matches_dense_reference(self, seed, n_modes, cutoff, rank, sparse):
+        # a sparse state takes the pair sum and a dense one the contraction
+        state = _random_state(seed, n_modes, cutoff, rank, sparse)
+        assert (state._pairs is None) == (not sparse)
+        rng = np.random.default_rng(seed + 1)
+        ops = [(rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff)))
+               / cutoff for _ in range(n_modes)]
+        ops = [op + op.conj().T for op in ops]    # Hermitian, as every observable
+        assert abs(_expect(state, ops) - _dense_expect(state.kets, state.weights, ops)) < 1e-13
+
+    def test_pair_table_on_the_oracle_states(self):
+        # the heralded state's 20,540 ordered pairs (the n3 = 0 slice has weight 0)
+        # are fewer than its 64,000 amplitudes, and the table keeps s <= t,
+        # (20,540 + 780)/2; the pure su21 ket's 820^2 are more, so it is dense
+        state = su21_fock(TripartitePhotonNumbers(0.3, 0.3), 40)
+        assert state._pairs is None
+        assert onoff_condition(state, 2, 0.8)._pairs[0].size == 10660
 
     BAD = {
         # trace 1 with one weight of the wrong sign

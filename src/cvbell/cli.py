@@ -99,14 +99,16 @@ def _su21_ps3(p: dict) -> dict:
 
 def _homodyne(target, phi2: float, tol: float) -> dict:
     """CHSH maximum of a state whose correlator is an even function E of
-    theta + phi + phi2: the settings [0, 2d, -d - phi2, d - phi2] give
-    3E(d) - E(3d), maximized over d in [0, pi] to bracket width ``tol``."""
-    def settings(d: np.ndarray) -> np.ndarray:
-        return np.stack([np.zeros_like(d), 2 * d, -d - phi2, d - phi2], axis=1)
+    theta + phi + phi2: the settings [0, 2d, -d - phi2, d - phi2] read E at
+    -d, d, d and 3d, so the value is |3E(d) - E(3d)|, maximized over d in
+    [0, pi] to bracket width ``tol`` from one ``e_h`` call per scan."""
+    def value(d: np.ndarray) -> np.ndarray:
+        e = homodyne.e_h(target, 0.0, np.stack([d, 3 * d]) - phi2)
+        return np.abs(3 * e[0] - e[1])
 
-    res = optim.maximize_scalar(lambda d: homodyne.chsh_h(target, settings(d)),
-                                0.0, math.pi, tol)
-    return {"value": res.max_value, "settings": settings(res.arg_max)[0].tolist()}
+    res = optim.maximize_scalar(value, 0.0, math.pi, tol)
+    d = float(res.arg_max[0])
+    return {"value": res.max_value, "settings": [0.0, 2 * d, -d - phi2, d - phi2]}
 
 
 _N = (("n",),)
@@ -361,7 +363,8 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
         worst = 0.0
         for _ in range(20):
             r = rng.uniform(0, 2.5)
-            al = rng.normal(0, 0.4, 3) + 1j * rng.normal(0, 0.4, 3)
+            z = rng.normal(0, 0.4, 6)
+            al = z[:3] + 1j * z[3:]
             worst = max(worst, abs(bell_dp.e_dp(gaussian.ghz_state(r), al)
                                    - bell_dp.e_dp_ghz_closed(r, al)))
         return worst < 1e-10, f"max path difference = {worst:.2e}"
@@ -470,12 +473,11 @@ def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
 
     def chk_bounds():
         rng = np.random.default_rng(7)
-        a, ap, pick = [], [], []
-        for _ in range(400):
-            a.append(rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3))
-            ap.append(rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3))
-            pick.append(int(rng.integers(0, 2)))
-        a, ap, pick = np.array(a), np.array(ap), np.array(pick)
+        z, pick = np.empty((400, 12)), np.empty(400, dtype=int)
+        for i in range(400):    # the stream interleaves each row's normals and pick
+            z[i] = rng.normal(0, 0.5, 12)
+            pick[i] = rng.integers(0, 2)
+        a, ap = z[:, 0:3] + 1j * z[:, 3:6], z[:, 6:9] + 1j * z[:, 9:12]
         gs3 = [gaussian.ghz_state(1.2), gaussian.su21_state(phot)]
         b3max = max(np.max(bell_dp.DpRates(
             st, bell_dp.DpSettings(a[pick == i], ap[pick == i])).bell())

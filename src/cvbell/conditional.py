@@ -14,6 +14,7 @@ with phi3 = 0.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -75,7 +76,8 @@ def two_gaussian_form(p: ConditionalParams
     read-only: Q_a is the restricted-then-inverted form, Q_b the
     inverted-then-restricted one.
     ``bell_dp.e_dp`` evaluates it, W(x) = e_dp(p, (x + iy)/sqrt(2)) / pi^2.
-    ``ConditioningError`` where V' or D is too ill-conditioned to invert."""
+    ``ConditioningError`` where V' or D is too ill-conditioned to invert, and
+    ``PrecisionError`` where a weight overflows (pref / eta, at a tiny eta)."""
     _check_click(p)
     V = su21_state(p.photons()).cov
     broaden = (2.0 - p.eta) / p.eta
@@ -86,6 +88,9 @@ def two_gaussian_form(p: ConditionalParams
     pref = (1.0 + p.eta * p.n3) / (4.0 * p.eta * p.n3)
     wa = pref * (2.0 / np.pi) ** 2 / np.sqrt(np.linalg.det(Vp))
     wb = pref * (1.0 / p.eta) * (2.0 / np.pi) ** 2 * 2.0 / np.sqrt(np.linalg.det(D))
+    if not (math.isfinite(wa) and math.isfinite(wb)):
+        raise PrecisionError(f"the heralded Gaussian weights ({wa:.3g}, {wb:.3g}) overflow"
+                             f" at eta = {p.eta:.3g}, n3 = {p.n3:.3g}")
     forms = np.linalg.inv(Vp), np.linalg.inv(D)[np.ix_(_KEEP, _KEEP)]
     for q in forms:
         q.setflags(write=False)

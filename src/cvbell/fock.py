@@ -67,6 +67,15 @@ class FockDensityOperator:
         return self._pair_table(self.cutoff) if size @ size <= self.kets.size else None
 
     @cached_property
+    def _marginals(self) -> tuple[NDArray[np.float64], ...]:
+        """Per mode, the (cutoff,) number distribution sum_i w_i sum |k_i|^2 over
+        the other modes' numbers."""
+        sq = np.abs(self.kets) ** 2
+        modes = range(1, self.n_modes + 1)
+        return tuple(self.weights @ np.sum(sq, axis=tuple(j for j in modes if j != m))
+                     for m in modes)
+
+    @cached_property
     def _blocks(self) -> tuple[NDArray, tuple[NDArray, ...]]:
         return self._pair_table(2)
 
@@ -144,40 +153,49 @@ def _log_factorials(cutoff: int) -> NDArray[np.float64]:
     return np.array([math.lgamma(i + 1) for i in range(cutoff)])
 
 
-def displacement(alpha: complex, cutoff: int) -> NDArray[np.complex128]:
-    """<m|D(alpha)|n> for m, n < cutoff: the exact matrix elements, cropped.
+def displacement(alphas: Sequence[complex], cutoff: int) -> NDArray[np.complex128]:
+    """<m|D(alpha)|n> for m, n < cutoff: the exact matrix elements, cropped, one
+    (cutoff, cutoff) row of the returned (len(alphas), cutoff, cutoff) array per alpha.
 
     For m >= n the element is sqrt(n!/m!) alpha^(m-n) e^(-|alpha|^2/2)
     L_n^(m-n)(|alpha|^2); for m < n, swap m and n and put -alpha* in place of
     alpha (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  The Laguerre
-    values come from the three-term recurrence in the degree, one vector over
-    k = |m-n| per step, and the magnitude prefactor is taken in log space.
+    values come from the three-term recurrence in the degree, one run over an
+    (alpha, k = |m-n|) array per step, and the magnitude prefactor is taken in
+    log space.  alpha = 0 gives the identity exactly, and each row is bit for
+    bit the matrix its alpha gives alone.
     """
-    alpha = complex(alpha)
-    if alpha == 0:
-        return np.eye(cutoff, dtype=complex)
-    r = abs(alpha)
-    x = r * r
+    alphas = [complex(a) for a in alphas]
+    out = np.zeros((len(alphas), cutoff, cutoff), dtype=complex)
+    out[:] = np.eye(cutoff)
+    live = [i for i, a in enumerate(alphas) if a != 0]
+    if not live:
+        return out
+    # |alpha|, its log and alpha/|alpha| in Python scalars, as one alpha alone takes them
+    r = [abs(alphas[i]) for i in live]
+    log_r = np.array([math.log(v) for v in r])[:, None, None]
+    u = np.array([alphas[i] / v for i, v in zip(live, r)])[:, None]
+    x = np.array(r)[:, None, None] ** 2
     k = np.arange(cutoff)
     j = k[:, None]
-    # L_{j+1}^(k) = a[j, k] L_j^(k) - b[j, k] L_{j-1}^(k); forming a and b once
+    # L_{j+1}^(k) = a[., j, k] L_j^(k) - b[j, k] L_{j-1}^(k); forming a and b once
     # leaves two row products per step
     a = (2 * j + 1 + k - x) / (j + 1)
     b = (j + k) / (j + 1)
-    lag = np.empty((cutoff, cutoff))   # lag[j, k] = L_j^(k)(x)
-    lag[0] = 1.0
+    lag = np.empty((len(live), cutoff, cutoff))   # lag[., j, k] = L_j^(k)(x)
+    lag[:, 0] = 1.0
     if cutoff > 1:
-        lag[1] = 1.0 + k - x
+        lag[:, 1] = 1.0 + k - x[:, 0]
     for i in range(1, cutoff - 1):
-        lag[i + 1] = a[i] * lag[i] - b[i] * lag[i - 1]
+        lag[:, i + 1] = a[:, i] * lag[:, i] - b[i] * lag[:, i - 1]
 
     m, n = np.indices((cutoff, cutoff))
     lo, d = np.minimum(m, n), np.abs(m - n)
     log_fact = _log_factorials(cutoff)
-    log_mag = 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * math.log(r) - x / 2
-    u = alpha / r
-    phase = np.where(m >= n, (u**k)[d], ((-u.conjugate()) ** k)[d])
-    return np.exp(log_mag) * lag[lo, d] * phase
+    log_mag = 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * log_r - x / 2
+    phase = np.where(m >= n, (u**k)[:, d], ((-u.conjugate()) ** k)[:, d])
+    out[live] = np.exp(log_mag) * lag[:, lo, d] * phase
+    return out
 
 
 def _pair_sum(table: tuple[NDArray, tuple[NDArray, ...]], ops: Sequence[NDArray]) -> float:
@@ -224,11 +242,7 @@ def displaced_parity_expect(state: FockDensityOperator,
                 f"|alpha|^2 = {abs(a)**2:.3f} exceeds cutoff/10 = {cutoff / 10:.1f}"
             )
     par = (-1.0) ** np.arange(cutoff)
-    ops = []
-    for a in alphas:
-        d = displacement(a, cutoff)
-        ops.append(d @ (par[:, None] * d.conj().T))
-    return _expect(state, ops)
+    return _expect(state, [d @ (par[:, None] * d.conj().T) for d in displacement(alphas, cutoff)])
 
 
 def pseudospin_expect(state: FockDensityOperator,
@@ -257,16 +271,14 @@ def _click_weights(cutoff: int, eta: float) -> NDArray[np.float64]:
 def click_probability(state: FockDensityOperator, mode: int, eta: float) -> float:
     """Probability that an ON/OFF detector of efficiency ``eta`` on ``mode`` fires.
 
-    Weighs the squared norm of each number-outcome slice of ``mode``, summed
-    over the kets with their weights; no conditioned state is formed.
+    Weighs the state's number distribution on ``mode``, which it computes once;
+    no conditioned state is formed.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidParameterError("eta must lie in [0, 1]")
     if not 0 <= mode < state.n_modes:
         raise InvalidParameterError("mode index out of range")
-    others = tuple(j for j in range(1, state.n_modes + 1) if j != mode + 1)
-    slice_norms = state.weights @ np.sum(np.abs(state.kets) ** 2, axis=others)
-    return float(_click_weights(state.cutoff, eta) @ slice_norms)
+    return float(_click_weights(state.cutoff, eta) @ state._marginals[mode])
 
 
 def onoff_condition(state: FockDensityOperator, mode: int, eta: float) -> FockDensityOperator:

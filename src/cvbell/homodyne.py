@@ -22,6 +22,7 @@ from .bell_dp import CHSH_TERMS, _bell_sum
 # columns of [theta, theta', phi, phi'] for the four CHSH terms
 _THETA_COLS = CHSH_TERMS[:, 0]
 _PHI_COLS = 2 + CHSH_TERMS[:, 1]
+_ROWS = 1024   # rows of phases per ``e_h`` call in ``chsh_h``
 
 
 def classical_reference(psi: float) -> float:
@@ -108,9 +109,12 @@ def _e_h_heralded(p: ConditionalParams, psi: NDArray) -> NDArray[np.float64]:
 
 def chsh_h(target: ConditionalParams | GaussianState, angles: ArrayLike) -> NDArray[np.float64]:
     """|E(t, p) + E(t, p') + E(t', p) - E(t', p')| for each row [t, t', p, p']
-    of an (m, 4) array of phases, from one stacked call of ``e_h``."""
+    of an (m, 4) array of phases, one stacked call of ``e_h`` per ``_ROWS``
+    rows, so a long sweep's temporaries stay in cache; each row's value is
+    the one a single call over all rows gives."""
     a = np.asarray(angles, dtype=float)
     if a.ndim != 2 or a.shape[1] != 4:
         raise InvalidParameterError(f"angles must have shape (m, 4), got {a.shape}")
-    e = e_h(target, a.take(_THETA_COLS, axis=1), a.take(_PHI_COLS, axis=1))
-    return _bell_sum(e)
+    return np.concatenate([
+        _bell_sum(e_h(target, b.take(_THETA_COLS, axis=1), b.take(_PHI_COLS, axis=1)))
+        for b in np.split(a, range(_ROWS, len(a), _ROWS))])

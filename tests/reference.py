@@ -7,8 +7,8 @@ map of the interlinked interactions, the three displacement families and the
 large-squeezing residual that only the closed forms' tests assemble, the
 three-mode pseudospin correlator written out, the large-energy relations of the
 optimized displacements, the dense matrix of a Fock-space state, the dense
-pseudospin axis operator, and the interlinked-interaction ket built one
-amplitude at a time.
+pseudospin axis operator, the interlinked-interaction ket built one
+amplitude at a time, and the displacement matrix built for one amplitude alone.
 """
 from __future__ import annotations
 
@@ -258,3 +258,31 @@ def su21_amplitudes(p: TripartitePhotonNumbers, cutoff: int) -> NDArray[np.compl
             amps[pp + q, pp, q] = mag * complex(math.cos(pp * p.phi2 + q * p.phi3),
                                                 -math.sin(pp * p.phi2 + q * p.phi3))
     return amps
+
+
+def displacement_one(alpha: complex, cutoff: int) -> NDArray[np.complex128]:
+    """<m|D(alpha)|n> for m, n < cutoff from one alpha alone: the Laguerre
+    recurrence over k = |m-n| for this alpha only, in the arithmetic order of
+    ``cvbell.fock.displacement``, so each row of that batch equals it bit for bit."""
+    alpha = complex(alpha)
+    if alpha == 0:
+        return np.eye(cutoff, dtype=complex)
+    r = abs(alpha)
+    x = r * r
+    k = np.arange(cutoff)
+    j = k[:, None]
+    a = (2 * j + 1 + k - x) / (j + 1)
+    b = (j + k) / (j + 1)
+    lag = np.empty((cutoff, cutoff))   # lag[j, k] = L_j^(k)(x)
+    lag[0] = 1.0
+    if cutoff > 1:
+        lag[1] = 1.0 + k - x
+    for i in range(1, cutoff - 1):
+        lag[i + 1] = a[i] * lag[i] - b[i] * lag[i - 1]
+    m, n = np.indices((cutoff, cutoff))
+    lo, d = np.minimum(m, n), np.abs(m - n)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(cutoff)])
+    log_mag = 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * math.log(r) - x / 2
+    u = alpha / r
+    phase = np.where(m >= n, (u**k)[d], ((-u.conjugate()) ** k)[d])
+    return np.exp(log_mag) * lag[lo, d] * phase

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,18 @@ class TestLibraryErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: PrecisionError: eta * n3 = ")
 
+    @pytest.mark.parametrize("argv", [["--j", "0.1"], ["--optimize"]], ids=" ".join)
+    def test_heralded_weight_overflow_exits_4(self, argv, capsys):
+        # eta n3 = 1e-307 is a normal float, but w_b = pref / eta is past the largest
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["point", "--state", "conditional", "--test", "dp2", "--n2", "1",
+                         "--n3", "1e-300", "--eta", "1e-7", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: PrecisionError: the heralded Gaussian weights")
+        assert "overflow" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["--state", "conditional", "--test", "dp2", "--n2", "1", "--j", "0.1"],
         ["--state", "conditional", "--test", "ps2", "--n2", "1", "--eta", "0.5"],
@@ -619,6 +632,21 @@ def test_figure_matches_stored_table(figure_id, tmp_path):
     ref = (ROOT / "perfbench" / "ref" / f"{figure_id}.csv").read_text()
     assert _load_checks().check_figure(figure_id, out.read_text(), ref) == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == FIGURE_HASHES[figure_id]
+
+
+# the oracle contract: first 16 hex digits of the sha256 of ``verify`` stdout.
+# A deliberate change to an oracle check updates a hash here and says why in
+# CHANGES.md; a refactor of the oracle leaves both as they are.
+VERIFY_HASHES = {30: "4251baa09b087c81", 40: "e353220d94632330"}
+
+
+@pytest.mark.parametrize("cutoff", VERIFY_HASHES)
+def test_verify_stdout_matches_stored_hash(cutoff, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "--cutoff", str(cutoff)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == VERIFY_HASHES[cutoff]
 
 
 def test_point_pool_passes_the_benchmark_check(capsys):

@@ -58,6 +58,14 @@ class TestClickCheck:
         with pytest.raises(PrecisionError, match=r"eta \* n3 = .* below the smallest normal"):
             fn(ConditionalParams(1.0, n3, eta=1e-10))
 
+    @pytest.mark.parametrize("n3,eta", [(1e-300, 1e-7), (1e-299, 1e-8)])
+    def test_weight_overflow_is_a_precision_error(self, n3, eta):
+        # eta n3 passes the click check, but w_b carries a separate 1/eta and overflows
+        with pytest.raises(PrecisionError, match=r"heralded Gaussian weights .* overflow"):
+            two_gaussian_form(ConditionalParams(1.0, n3, eta=eta))
+        with pytest.raises(PrecisionError, match="overflow"):
+            e_dp(ConditionalParams(1.0, n3, eta=eta), (0.1, 0.2j))
+
     def test_product_just_inside_the_normal_range(self):
         p = ConditionalParams(1.0, 1e-300, eta=1e-7)
         assert math.isfinite(f_conditional(p))

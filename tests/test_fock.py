@@ -31,7 +31,8 @@ from cvbell import (
     wigner_reconstruct,
 )
 from cvbell.fock import _expect, _half_line_matrices, _rotated, displacement
-from reference import matrix, min_eigenvalue, pseudospin_axis_op, su21_amplitudes
+from reference import (displacement_one, matrix, min_eigenvalue, pseudospin_axis_op,
+                       su21_amplitudes)
 
 X_AXIS = (math.pi / 2, 0.0)
 Z_AXIS = (0.0, 0.0)
@@ -162,18 +163,35 @@ def _exact_displacement(alpha: complex, cutoff: int) -> NDArray:
 class TestDisplacementMatrix:
     @pytest.mark.parametrize("alpha", [0.1, 0.5 + 0.5j, 1.5, 3.0, 5.0, -2.0 + 1.0j, 0.0])
     def test_matches_exact_laguerre_sum(self, alpha):
-        got = displacement(alpha, 40)
+        got = displacement([alpha], 40)[0]
         assert np.max(np.abs(got - _exact_displacement(complex(alpha), 40))) < 1e-13
 
     @pytest.mark.parametrize("cutoff", [1, 2, 30, 40])
     def test_zero_is_exactly_identity(self, cutoff):
-        assert np.array_equal(displacement(0.0, cutoff), np.eye(cutoff))
+        assert np.array_equal(displacement([0.0], cutoff), np.eye(cutoff)[None])
+        assert np.array_equal(displacement([0.0, 0j], cutoff), np.stack([np.eye(cutoff)] * 2))
 
     @pytest.mark.parametrize("alpha", [0.3 - 0.8j, 2.0, -1.1 + 2.4j])
     def test_adjoint_is_minus_alpha(self, alpha):
         # <m|D(alpha)|n> = conj(<n|D(-alpha)|m>), since D(alpha)^dag = D(-alpha)
-        d = displacement(alpha, 30)
-        assert np.max(np.abs(d - displacement(-alpha, 30).conj().T)) < 1e-15
+        d, dm = displacement([alpha, -alpha], 30)
+        assert np.max(np.abs(d - dm.conj().T)) < 1e-15
+
+    BATCH = [0.3 - 0.8j, 0.0, 1.7, -0.05j, 0.0, -1.1 + 2.4j]
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 30, 40])
+    def test_batch_rows_are_single_builds(self, cutoff):
+        # one recurrence over every amplitude gives each row bit for bit, zeros included
+        batch = displacement(self.BATCH, cutoff)
+        assert batch.shape == (len(self.BATCH), cutoff, cutoff)
+        for alpha, row in zip(self.BATCH, batch):
+            assert np.array_equal(row, displacement_one(alpha, cutoff))
+            assert np.array_equal(row, displacement([alpha], cutoff)[0])
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 30, 40])
+    def test_batch_rows_match_exact_laguerre_sum(self, cutoff):
+        for alpha, row in zip(self.BATCH[:3], displacement(self.BATCH[:3], cutoff)):
+            assert np.max(np.abs(row - _exact_displacement(complex(alpha), cutoff))) < 1e-13
 
 
 class TestPseudospin:
@@ -463,7 +481,7 @@ class TestWeightedKets:
         rho = FockDensityOperator(2, 16, kets, weights)
         alphas, axes, th, ph = [0.2 + 0.1j, -0.3j], [(0.7, 0.4), (1.9, -1.1)], 0.4, -0.9
         par = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
-        dp_ops = [d @ (par[:, None] * d.conj().T) for d in (displacement(a, 16) for a in alphas)]
+        dp_ops = [d @ (par[:, None] * d.conj().T) for d in displacement(alphas, 16)]
         assert abs(displaced_parity_expect(rho, alphas)
                    - _dense_expect(kets, weights, dp_ops)) < 1e-12
         ps_ops = [pseudospin_axis_op(t, p, 16) for t, p in axes]
@@ -521,6 +539,23 @@ class TestWeightedKets:
                / cutoff for _ in range(n_modes)]
         ops = [op + op.conj().T for op in ops]    # Hermitian, as every observable
         assert abs(_expect(state, ops) - _dense_expect(state.kets, state.weights, ops)) < 1e-13
+
+    @pytest.mark.parametrize("case", ["su21", "heralded", "mixture", "sparse"])
+    def test_cached_marginals_are_the_slice_sums(self, case):
+        # each mode's number distribution, cached once, is the direct sum of the
+        # squared slices over the other modes, and the click probability weighs it
+        state = _pseudospin_states()[case]
+        assert len(state._marginals) == state.n_modes
+        for mode, marginal in enumerate(state._marginals):
+            others = tuple(j for j in range(1, state.n_modes + 1) if j != mode + 1)
+            direct = state.weights @ np.sum(np.abs(state.kets) ** 2, axis=others)
+            assert np.array_equal(marginal, direct)
+            loop = sum(w * np.array([np.sum(np.abs(np.take(k, n, axis=mode)) ** 2)
+                                     for n in range(state.cutoff)])
+                       for w, k in zip(state.weights, state.kets))
+            assert np.max(np.abs(marginal - loop)) < 1e-15
+            click = 1.0 - (1.0 - 0.7) ** np.arange(state.cutoff)
+            assert click_probability(state, mode, 0.7) == float(click @ direct)
 
     def test_pair_table_on_the_oracle_states(self):
         # the heralded state's 20,540 ordered pairs (the n3 = 0 slice has weight 0)

@@ -21,6 +21,8 @@ from cvbell import (
     su21_state,
     twb_state,
 )
+from cvbell.bell_dp import _bell_sum
+from cvbell.homodyne import _PHI_COLS, _ROWS, _THETA_COLS
 from reference import reduce_state
 
 
@@ -255,6 +257,15 @@ class TestBatchedKernel:
         assert values.shape == (300,)
         for row, value in zip(angles, values):
             assert value == pytest.approx(chsh_h(target, [row])[0], abs=1e-15)
+
+    @pytest.mark.parametrize("target", TARGETS, ids=["twb", "su21_reduced", "heralded"])
+    @pytest.mark.parametrize("m", [1, _ROWS, _ROWS + 1, 10_000])
+    def test_blocked_chsh_is_the_whole_array_sum(self, target, m):
+        # the row blocks change only where the temporaries live, not a bit of any row
+        angles = np.random.default_rng(m).uniform(-math.pi, math.pi, (m, 4))
+        whole = _bell_sum(e_h(target, angles.take(_THETA_COLS, axis=1),
+                              angles.take(_PHI_COLS, axis=1)))
+        assert np.array_equal(chsh_h(target, angles), whole)
 
     def test_chsh_rejects_bad_shape(self):
         with pytest.raises(InvalidParameterError):

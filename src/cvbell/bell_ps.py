@@ -6,9 +6,9 @@ n2 + n3 <= 4e6) and the quadrature-sign/point operators (the ``*_pi_coeffs``
 closed forms).
 Coefficient signs follow the closed-form convention in which the all-z
 correlator is +1; the Fock oracle, which uses the ladder definition verbatim
-(odd number states +1), reports the opposite global sign, so oracle
-comparisons are made in absolute value.  Bell maximization depends only on
-the coefficient magnitudes once the azimuthal angles are free.
+(odd number states +1), reports the opposite global sign: -c_k, and -1 for
+the all-z correlator.  Bell maximization depends only on the coefficient
+magnitudes once the azimuthal angles are free.
 """
 from __future__ import annotations
 
@@ -205,7 +205,8 @@ def pi_coeffs_quadrature(state: GaussianState) -> PsCoefficients:
     exponent (restrict the inverse covariance), the untested quadratures are
     marginalized (Schur complement), and the remaining two-variable sign-sign
     average is the bivariate-normal orthant arcsine.  The sign kernel is taken
-    along the y quadrature, which matches the closed forms' orientation.
+    along the y quadrature, which gives the GHZ closed form and the negative of
+    the trilinear one.
     """
     if state.n_modes != 3:
         raise InvalidParameterError("three-mode state required")

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -101,12 +100,13 @@ def _homodyne(target, phi2: float, tol: float) -> dict:
     """CHSH maximum of a state whose correlator is an even function E of
     theta + phi + phi2: the settings [0, 2d, -d - phi2, d - phi2] read E at
     -d, d, d and 3d, so the value is |3E(d) - E(3d)|, maximized over d in
-    [0, pi] to bracket width ``tol`` from one ``e_h`` call per scan."""
+    [0, pi/2] to bracket width ``tol`` from one ``e_h`` call per scan: with
+    E(pi - psi) = -E(psi), d and pi - d give one value, so each peak is scanned once."""
     def value(d: np.ndarray) -> np.ndarray:
         e = homodyne.e_h(target, 0.0, np.stack([d, 3 * d]) - phi2)
         return np.abs(3 * e[0] - e[1])
 
-    res = optim.maximize_scalar(value, 0.0, math.pi, tol)
+    res = optim.maximize_scalar(value, 0.0, math.pi / 2, tol)
     d = float(res.arg_max[0])
     return {"value": res.max_value, "settings": [0.0, 2 * d, -d - phi2, d - phi2]}
 
@@ -191,6 +191,16 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
+def _linspace(lo: float, hi: float, steps: int):
+    """``np.linspace(lo, hi, steps)`` one value at a time, bit for bit, so no step count
+    builds an array: k*step + lo, the last hi, (k/div)*delta + lo if the step underflows."""
+    div, delta = steps - 1, hi - lo
+    step = delta / div if div else 0.0
+    for k in range(div):
+        yield (k * step if step else k / div * delta) + lo
+    yield hi if div else 0 * delta + lo
+
+
 def run_point(state: str, test: str, grid: tuple[float, float, int] | None = None,
               **flags) -> int:
     """Evaluate one query, the ``point`` flags given as keywords, or a
@@ -198,8 +208,8 @@ def run_point(state: str, test: str, grid: tuple[float, float, int] | None = Non
     values = validate(state, test, flags, grid)
     pair = _PAIRS[state, test]
     sweep = pair.groups[0][0][0]
-    steps = [values] if grid is None else [
-        {**values, sweep: float(v)} for v in np.linspace(*grid)]
+    steps = [values] if grid is None else (
+        {**values, sweep: v} for v in _linspace(*grid))
     for p in steps:
         rec = {"state": state, "test": test,
                "params": {k: p[k] for k in _PARAMS if k in p}, **pair.evaluate(p)}
@@ -305,225 +315,173 @@ def run_figure(figure_id: str, out: str | None = None, fmt: str = "csv") -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suite
+# verification suite: rows (name, bound, fn); a row passes iff fn() <= bound
 
-@dataclass
-class _Check:
-    name: str
-    tolerance: str
-    passed: bool
-    detail: str
+def _max_diff(pairs) -> float:
+    """max |a - b| over (a, b) pairs: every oracle-vs-closed-form row's value."""
+    return max(abs(float(a) - float(b)) for a, b in pairs)
 
 
-def _verify_checks(cutoff: int) -> tuple[list[_Check], list[str]]:
-    checks: list[_Check] = []
-    notes: list[str] = []
-
-    def add(name: str, tolerance: str, fn: Callable[[], tuple[bool, str]]):
-        try:
-            ok, detail = fn()
-        except CvBellError as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        checks.append(_Check(name, tolerance, ok, detail))
-
+def _verify_checks(cutoff: int) -> tuple[list[tuple[str, float, Callable[[], float]]],
+                                         Callable[[], str]]:
+    """The rows of ``verify`` at a Fock ``cutoff``, and its one note."""
     phot = gaussian.TripartitePhotonNumbers(0.3, 0.3)
     params = conditional.ConditionalParams(0.3, 0.3, eta=0.8)
-    # Fock states that several checks share, built on first use.  A build that
-    # raises caches nothing, so it fails again, with the same message, in every
-    # check that needs it; each check names the first state it asks for.
+    X, Z = (math.pi / 2, 0.0), (0.0, 0.0)
+    # Work that rows share, done on first use.  A Fock build that raises caches nothing,
+    # so each row that needs it fails with its message, naming the first state it asks
+    # for.  Pseudospin needs an even cutoff: an odd one takes the even one above it.
     su21_st = cache(lambda: fock.su21_fock(phot, cutoff))
     twb_st = cache(lambda: fock.twb_fock(math.tanh(math.asinh(math.sqrt(0.5))), cutoff))
     heralded_st = cache(lambda: fock.onoff_condition(su21_st(), 2, 0.8))
+    ps_st = cache(lambda: su21_st() if cutoff % 2 == 0 else fock.su21_fock(phot, cutoff + 1))
 
-    def chk_dets():
-        worst = 0.0
-        for s in (gaussian.ghz_state(1.0), gaussian.su21_state(phot), gaussian.twb_state(2.0)):
-            worst = max(worst, abs(s.factors[1] - 1.0))
-        return worst < 1e-9, f"max |det-1| = {worst:.2e}"
-    add("pure-state determinants", "1e-9", chk_dets)
+    def dp_oracle():
+        su21, twb = gaussian.su21_state(phot), gaussian.twb_state(1.0)
+        return _max_diff([(fock.displaced_parity_expect(su21_st(), al), bell_dp.e_dp(su21, al))
+                          for al in [(0.1, 0.1j, 0.0), (0.2, -0.1 + 0.05j, 0.1j)]]
+                         + [(fock.displaced_parity_expect(twb_st(), al), bell_dp.e_dp(twb, al))
+                            for al in [(0.2, 0.1), (0.3j, -0.2j)]])
 
-    def chk_dp_oracle():
-        st = su21_st()
-        gs = gaussian.su21_state(phot)
-        worst = 0.0
-        for al in [(0.1, 0.1j, 0.0), (0.2, -0.1 + 0.05j, 0.1j)]:
-            o = fock.displaced_parity_expect(st, al)
-            g = bell_dp.e_dp(gs, al)
-            worst = max(worst, abs(o - g))
-        tw = twb_st()
-        gw = gaussian.twb_state(1.0)
-        for al in [(0.2, 0.1), (0.3j, -0.2j)]:
-            worst = max(worst, abs(fock.displaced_parity_expect(tw, al)
-                                   - bell_dp.e_dp(gw, al)))
-        return worst < 1e-4, f"max |oracle-gaussian| = {worst:.2e}"
-    add("displaced parity vs oracle", "1e-4", chk_dp_oracle)
-
-    def chk_dp_closed():
+    def dp_closed():
         rng = np.random.default_rng(1)
-        worst = 0.0
-        for _ in range(20):
-            r = rng.uniform(0, 2.5)
-            z = rng.normal(0, 0.4, 6)
-            al = z[:3] + 1j * z[3:]
-            worst = max(worst, abs(bell_dp.e_dp(gaussian.ghz_state(r), al)
-                                   - bell_dp.e_dp_ghz_closed(r, al)))
-        return worst < 1e-10, f"max path difference = {worst:.2e}"
-    add("explicit GHZ correlator vs covariance path", "1e-10", chk_dp_closed)
+        draws = [(rng.uniform(0, 2.5), rng.normal(0, 0.4, 6)) for _ in range(20)]
+        return _max_diff((bell_dp.e_dp(gaussian.ghz_state(r), z[:3] + 1j * z[3:]),
+                          bell_dp.e_dp_ghz_closed(r, z[:3] + 1j * z[3:])) for r, z in draws)
 
-    def chk_click():
-        # total photons kept <= 0.8 so the cutoff-30 truncation tail (~3e-11)
-        # stays well inside the 1e-9 comparison
-        worst = 0.0
-        for n3 in (0.1, 0.3, 0.5):
-            st = su21_st() if n3 == phot.n3 else fock.su21_fock(
-                gaussian.TripartitePhotonNumbers(0.3, n3), cutoff)
-            for eta in (0.2, 0.6, 1.0):
-                prob = fock.click_probability(st, 2, eta)
-                closed = conditional.p_click(
-                    conditional.ConditionalParams(0.3, n3, eta=eta))
-                worst = max(worst, abs(prob - closed))
-        return worst < 1e-9, f"max |P1 - oracle| = {worst:.2e}"
-    add("click probability vs oracle", "1e-9", chk_click)
+    def click():
+        # total photons <= 0.8: the cutoff-30 truncation tail (~3e-11) is well inside 1e-9
+        states = {n3: su21_st() if n3 == phot.n3 else fock.su21_fock(
+            gaussian.TripartitePhotonNumbers(0.3, n3), cutoff) for n3 in (0.1, 0.3, 0.5)}
+        return _max_diff((fock.click_probability(st, 2, eta),
+                          conditional.p_click(conditional.ConditionalParams(0.3, n3, eta=eta)))
+                         for n3, st in states.items() for eta in (0.2, 0.6, 1.0))
 
-    def chk_w1():
-        def wigner(p: conditional.ConditionalParams, pts: np.ndarray):
-            # W(x1, x2, y1, y2) = e_dp(p, (x + iy)/sqrt 2) / pi^2, the heralded dp2 values' path
-            return bell_dp.e_dp(p, (pts[..., :2] + 1j * pts[..., 2:]) / math.sqrt(2.0)) / np.pi**2
+    def wigner(p: conditional.ConditionalParams, pts: np.ndarray):
+        # W(x1, x2, y1, y2) = e_dp(p, (x + iy)/sqrt 2) / pi^2, the heralded dp2 values' path
+        return bell_dp.e_dp(p, (pts[..., :2] + 1j * pts[..., 2:]) / math.sqrt(2.0)) / np.pi**2
 
-        rho = heralded_st()
-        worst = max(abs(wigner(params, pt) - fock.wigner_reconstruct(rho, pt)) for pt in np.array(
-            [[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1, 0.4], [0.5, 0.5, -0.3, 0.2]]))
-        # normalization: each Gaussian w exp(-x.Q.x) integrates to w pi^2 / sqrt(det Q)
-        total = float(np.pi**2 * sum(w / np.sqrt(np.linalg.det(q))
-                                     for w, q in zip(*conditional.two_gaussian_form(params))))
-        wmin = float(np.min(wigner(
-            conditional.ConditionalParams(1.0, 0.5, eta=1.0),
-            np.stack(np.meshgrid(np.linspace(-1, 1, 21), np.linspace(-1, 1, 21),
-                                 [0.0], [0.0], indexing="ij"), axis=-1).reshape(-1, 4))))
-        ok = worst < 1e-4 and abs(total - 1.0) < 1e-3 and wmin < 0
-        return ok, f"oracle diff {worst:.2e}, integral {total:.6f}, min {wmin:.4f}"
-    add("heralded Wigner: oracle, normalization, negativity", "1e-4 / 1e-3", chk_w1)
+    def wigner_min():
+        grid = np.meshgrid(np.linspace(-1, 1, 21), np.linspace(-1, 1, 21), [0.0], [0.0],
+                           indexing="ij")
+        return np.min(wigner(conditional.ConditionalParams(1.0, 0.5, eta=1.0),
+                             np.stack(grid, axis=-1).reshape(-1, 4)))
 
-    def chk_ps():
-        st = su21_st() if cutoff % 2 == 0 else fock.su21_fock(phot, cutoff + 1)
-        X, Z = (math.pi / 2, 0.0), (0.0, 0.0)
+    def ps_series():
+        # the ladder oracle (odd number states +1) gives -c_k of the closed
+        # forms, whose all-z correlator is +1, and an all-z correlator of -1
         c = bell_ps.su21_ps_coeffs(0.3, 0.3)
-        o1 = fock.pseudospin_expect(st, [Z, X, X])
-        o2 = fock.pseudospin_expect(st, [X, Z, X])
-        o3 = fock.pseudospin_expect(st, [X, X, Z])
-        zzz = fock.pseudospin_expect(st, [Z, Z, Z])
-        worst = max(abs(abs(o1) - abs(c.c1)), abs(abs(o2) - abs(c.c2)),
-                    abs(abs(o3) - abs(c.c3)))
-        notes.append(
-            "documented finding: all-z pseudospin correlator is "
-            f"{zzz:+.6f} under the ladder definition (odd states +1) while the "
-            "closed forms normalize it to +1; coefficient signs differ globally "
-            "and comparisons are made in absolute value."
-        )
-        rho = heralded_st() if cutoff % 2 == 0 else fock.onoff_condition(st, 2, 0.8)
-        notes.append(
-            "documented finding: the heralded spin-flip coefficient f_conditional is "
-            f"{bell_ps.f_conditional(params):.6f} at (n2, n3, eta) = (0.3, 0.3, 0.8), while "
-            f"the oracle's <s_x s_x> on the heralded state is "
-            f"{fock.pseudospin_expect(rho, [X, X]):.6f}: the closed form sums every n3, the "
-            "oracle only the even n3, so B2PS's f_1 and conditional ps2 are not oracle-checked."
-        )
-        return worst < 1e-4, f"max ||series|-|oracle|| = {worst:.2e}"
-    add("pseudospin series vs oracle (|.|)", "1e-4", chk_ps)
+        return _max_diff(zip([fock.pseudospin_expect(ps_st(), s)
+                              for s in ([Z, X, X], [X, Z, X], [X, X, Z], [Z, Z, Z])],
+                             [-c.c1, -c.c2, -c.c3, -1.0]))
 
-    def chk_ftwb():
-        c = max(cutoff + cutoff % 2, 40)   # pseudospin needs an even cutoff
-        tw = fock.twb_fock(math.tanh(math.asinh(1.0)), c)
-        o = fock.pseudospin_expect(tw, [(math.pi / 2, 0.0), (math.pi / 2, 0.0)])
-        diff = abs(o - bell_ps.f_twb(2.0))
-        return diff < 1e-6, f"|oracle - closed| = {diff:.2e}"
-    add("twin-beam spin-flip coefficient vs oracle", "1e-6", chk_ftwb)
-
-    def chk_pi():
-        cq = bell_ps.pi_coeffs_quadrature(bell_dp.su21_sym_state(1.0))
-        cc = bell_ps.su21_pi_coeffs(1.0)
-        worst = max(abs(abs(cq.c2) - abs(cc.c2)), abs(abs(cq.c3) - abs(cc.c3)),
-                    abs(abs(cq.c1) - abs(cc.c1)))
+    def pi_coeffs():
+        # the y-sign quadrature gives -closed on the trilinear state, +closed on GHZ
+        sq = bell_ps.pi_coeffs_quadrature(bell_dp.su21_sym_state(1.0))
+        sc = bell_ps.su21_pi_coeffs(1.0)
         gq = bell_ps.pi_coeffs_quadrature(gaussian.ghz_state(0.42))
         gc = bell_ps.ghz_pi_coeffs(0.42)
-        worst = max(worst, abs(gq.c1 - gc.c1))
-        return worst < 1e-4, f"max |quadrature - closed| = {worst:.2e}"
-    add("point-operator coefficients vs quadrature", "1e-4", chk_pi)
+        return _max_diff([(sq.c1, -sc.c1), (sq.c2, -sc.c2), (sq.c3, -sc.c3),
+                          (gq.c1, gc.c1), (gq.c2, gc.c2), (gq.c3, gc.c3)])
 
-    def chk_orthant():
-        tw = twb_st()
-        gw = gaussian.twb_state(1.0)
-        worst = 0.0
-        for th, ph in ((0.0, 0.0), (0.4, 0.3), (1.1, -0.6)):
-            worst = max(worst, abs(fock.quadrature_orthant_expect(tw, th, ph)
-                                   - float(homodyne.e_h(gw, th, ph))))
-        rho = heralded_st()
-        worst_c = 0.0
-        for th in (0.0, 0.7, 1.9):
-            worst_c = max(worst_c, abs(fock.quadrature_orthant_expect(rho, th, 0.0)
-                                       - float(homodyne.e_h(params, th, 0.0))))
-        notes.append(
-            "documented finding: the heralded-state homodyne closed form is "
-            "implemented with the overall sign matching the orthant oracle "
-            "(the printed-form sign is opposite)."
-        )
-        ok = worst < 1e-4 and worst_c < 1e-3
-        return ok, f"gaussian {worst:.2e}, heralded {worst_c:.2e}"
-    add("orthant correlators vs oracle", "1e-4 / 1e-3", chk_orthant)
-
-    def chk_bounds():
+    @cache
+    def sweep():
         rng = np.random.default_rng(7)
         z, pick = np.empty((400, 12)), np.empty(400, dtype=int)
         for i in range(400):    # the stream interleaves each row's normals and pick
             z[i] = rng.normal(0, 0.5, 12)
             pick[i] = rng.integers(0, 2)
-        a, ap = z[:, 0:3] + 1j * z[:, 3:6], z[:, 6:9] + 1j * z[:, 9:12]
-        gs3 = [gaussian.ghz_state(1.2), gaussian.su21_state(phot)]
-        b3max = max(np.max(bell_dp.DpRates(
-            st, bell_dp.DpSettings(a[pick == i], ap[pick == i])).bell())
-            for i, st in enumerate(gs3))
+        return z[:, 0:3] + 1j * z[:, 3:6], z[:, 6:9] + 1j * z[:, 9:12], pick
+
+    def b2_max():
+        a, ap, _ = sweep()
         two = bell_dp.DpSettings(a[:, :2], ap[:, :2])
-        b2max = max(np.max(bell_dp.DpRates(t, two).bell())
-                    for t in (gaussian.twb_state(2.0), params))
-        ok = b2max <= 2 * math.sqrt(2) + 1e-9 and b3max <= 4 + 1e-9
-        return ok, f"max B2 = {b2max:.6f}, max B3 = {b3max:.6f}"
-    add("quantum bounds over random sweeps", "2sqrt2 / 4 (+1e-9)", chk_bounds)
+        return max(np.max(bell_dp.DpRates(t, two).bell())
+                   for t in (gaussian.twb_state(2.0), params))
 
-    def chk_sawtooth():
+    def b3_max():
+        a, ap, pick = sweep()
+        return max(np.max(bell_dp.DpRates(st, bell_dp.DpSettings(a[pick == i], ap[pick == i]))
+                          .bell())
+                   for i, st in enumerate([gaussian.ghz_state(1.2), gaussian.su21_state(phot)]))
+
+    @cache
+    def sawtooth():
         psis = np.linspace(-math.pi, math.pi, 200)
-        cl = np.array([homodyne.classical_reference(psi) for psi in psis])
-        eh = np.array([homodyne.e_h(conditional.ConditionalParams(n2=n2, n3=0.5, eta=1.0), psis, 0.0)
-                       for n2 in (0.5, 1.0, 5.0)])
-        mismatch = np.nonzero(eh * cl < -1e-12)[1]   # psi indices, in (n2, psi) order
-        if mismatch.size:
-            return False, f"sign mismatch at psi={psis[mismatch[0]]}"
-        worst = float(np.max(np.abs(eh) - np.abs(cl)))
-        return worst <= 1e-12, f"max(|E_H| - |sawtooth|) = {worst:.2e}"
-    add("heralded homodyne below the classical sawtooth", "<= 0", chk_sawtooth)
+        return np.array([homodyne.classical_reference(psi) for psi in psis]), np.array(
+            [homodyne.e_h(conditional.ConditionalParams(n2=n2, n3=0.5, eta=1.0), psis, 0.0)
+             for n2 in (0.5, 1.0, 5.0)])
 
-    def chk_homodyne_chsh():
+    def homodyne_chsh():
         angles = np.random.default_rng(11).uniform(-math.pi, math.pi, (10000, 4))
-        p = conditional.ConditionalParams(n2=1.0, n3=0.5, eta=1.0)
-        tw = gaussian.twb_state(3.0)
-        mx = max(float(np.max(homodyne.chsh_h(p, angles))),
-                 float(np.max(homodyne.chsh_h(tw, angles))))
-        return mx <= 2.0, f"max CHSH = {mx:.6f} over 1e4 random settings"
-    add("homodyne CHSH never exceeds 2", "2", chk_homodyne_chsh)
+        return max(np.max(homodyne.chsh_h(t, angles)) for t in (
+            conditional.ConditionalParams(n2=1.0, n3=0.5, eta=1.0), gaussian.twb_state(3.0)))
 
-    return checks, notes
+    def note():
+        rho = heralded_st() if cutoff % 2 == 0 else fock.onoff_condition(ps_st(), 2, 0.8)
+        return ("documented finding: the heralded spin-flip coefficient f_conditional is "
+                f"{bell_ps.f_conditional(params):.6f} at (n2, n3, eta) = (0.3, 0.3, 0.8), while "
+                f"the oracle's <s_x s_x> on the heralded state is "
+                f"{fock.pseudospin_expect(rho, [X, X]):.6f}: the closed form sums every n3, "
+                "the oracle only the even n3, so B2PS's f_1 and conditional ps2 are not "
+                "oracle-checked.")
+
+    return [
+        ("pure-state determinants", 1e-9, lambda: max(abs(s.factors[1] - 1.0) for s in (
+            gaussian.ghz_state(1.0), gaussian.su21_state(phot), gaussian.twb_state(2.0)))),
+        ("displaced parity vs oracle", 1e-4, dp_oracle),
+        ("explicit GHZ correlator vs covariance path", 1e-10, dp_closed),
+        ("click probability vs oracle", 1e-9, click),
+        ("heralded Wigner vs oracle", 1e-4, lambda: _max_diff(
+            (wigner(params, pt), fock.wigner_reconstruct(heralded_st(), pt)) for pt in np.array(
+                [[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1, 0.4], [0.5, 0.5, -0.3, 0.2]]))),
+        # each Gaussian w exp(-x.Q.x) integrates to w pi^2 / sqrt(det Q)
+        ("heralded Wigner normalization", 1e-3, lambda: abs(np.pi**2 * sum(
+            w / np.sqrt(np.linalg.det(q)) for w, q in zip(*conditional.two_gaussian_form(params)))
+            - 1.0)),
+        ("heralded Wigner minimum", -math.ulp(0.0), wigner_min),   # that is, min < 0
+        ("pseudospin series vs oracle", 1e-4, ps_series),
+        ("twin-beam spin-flip coefficient vs oracle", 1e-6, lambda: abs(fock.pseudospin_expect(
+            fock.twb_fock(math.tanh(math.asinh(1.0)), max(cutoff + cutoff % 2, 40)), [X, X])
+            - bell_ps.f_twb(2.0))),
+        ("point-operator coefficients vs quadrature", 1e-4, pi_coeffs),
+        ("twin-beam orthant correlator vs oracle", 1e-4, lambda: _max_diff(
+            (fock.quadrature_orthant_expect(twb_st(), th, ph),
+             homodyne.e_h(gaussian.twb_state(1.0), th, ph))
+            for th, ph in ((0.0, 0.0), (0.4, 0.3), (1.1, -0.6)))),
+        ("heralded orthant correlator vs oracle", 1e-3, lambda: _max_diff(
+            (fock.quadrature_orthant_expect(heralded_st(), th, 0.0), homodyne.e_h(params, th, 0.0))
+            for th in (0.0, 0.7, 1.9))),
+        ("max B2 over random dp sweeps", 2 * math.sqrt(2) + 1e-9, b2_max),
+        ("max B3 over random dp sweeps", 4 + 1e-9, b3_max),
+        # |E_H| <= |sawtooth|, with the sawtooth's sign, each to rounding
+        ("heralded homodyne below the classical sawtooth", 1e-12,
+         lambda: np.max(np.abs(sawtooth()[1]) - np.abs(sawtooth()[0]))),
+        ("heralded homodyne with the sawtooth's sign", 1e-12,
+         lambda: np.max(-sawtooth()[1] * sawtooth()[0])),
+        ("homodyne CHSH over 1e4 random settings", 2.0, homodyne_chsh),
+    ], note
 
 
 def run_verify(cutoff: int = 30) -> int:
-    """Run the oracle-equivalence and invariant suite; exit 1 on any failure."""
-    checks, notes = _verify_checks(cutoff)
-    width = max(len(c.name) for c in checks)
-    failures = sum(not c.passed for c in checks)
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"[{status}] {c.name:<{width}}  tol {c.tolerance:<16} {c.detail}")
-    for note in notes:
-        print(f"[NOTE] {note}")
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
+    """Run the oracle-equivalence and invariant suite: one line per row, its
+    value and bound, or the ``CvBellError`` that failed it; exit 1 on any failure."""
+    rows, note = _verify_checks(cutoff)
+    width = max(len(name) for name, _, _ in rows)
+    failures = 0
+    for name, bound, fn in rows:
+        try:
+            value = float(fn())
+            passed, shown = value <= bound, f"{value:>13.6e}  bound {bound:.6e}"
+        except CvBellError as exc:
+            passed, shown = False, f"{type(exc).__name__}: {exc}"
+        failures += not passed
+        print(f"[{'PASS' if passed else 'FAIL'}] {name:<{width}}  {shown}")
+    try:
+        print(f"[NOTE] {note()}")
+    except CvBellError:
+        pass    # the rows that need its states have failed with the message
+    print(f"{len(rows) - failures}/{len(rows)} checks passed")
     return 1 if failures else 0
 
 

@@ -5,7 +5,8 @@ is the bivariate-normal orthant arcsine of the quadrature correlation
 coefficient, so it never beats the two-party local bound.  The heralded
 non-Gaussian state is the traced Gaussian state minus the one heralded by no
 click, so its correlator is two arcsines in the combined angle psi; it stays
-below the classical sawtooth in magnitude everywhere.
+below the classical sawtooth in magnitude everywhere.  Its overall sign is the
+orthant oracle's, which is opposite to the sign of the printed closed form.
 """
 from __future__ import annotations
 

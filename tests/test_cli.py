@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,7 +18,7 @@ import pytest
 from cvbell import (ConditionalParams, DpRates, DpSettings, TripartitePhotonNumbers,
                     b3_su21_closed, chsh_h, conditional_dp_settings, ghz_state, log_j_maximize,
                     su21_state, twb_dp_settings, twb_state)
-from cvbell import cli
+from cvbell import bell_ps, cli
 from cvbell.cli import FIGURE_IDS, UsageError, _PAIRS, main, run_figure, run_point, validate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +31,8 @@ HOMODYNE_4D = [
     pytest.param(row["argv"], row["eta_n3"], float(row["max_value"]), id=row["id"])
     for row in json.loads((ROOT / "tests" / "data" / "homodyne_4d.json").read_text())
 ]
+# the argv of each query in the benchmark's pool
+POOL = [e["argv"] for e in json.loads((ROOT / "perfbench" / "ref" / "points.json").read_text())]
 
 
 class TestFigures:
@@ -181,6 +186,17 @@ class TestPoint:
         rec = json.loads(capsys.readouterr().out)
         assert chsh_h(target, [rec["settings"]])[0] == pytest.approx(rec["value"], abs=1e-15)
 
+    @pytest.mark.parametrize("argv", [a for a in POOL if "homodyne" in a], ids=" ".join)
+    def test_pool_homodyne_settings_in_the_half_range(self, argv, capsys):
+        # E(pi - psi) = -E(psi): the scan over d in [0, pi/2] holds each peak once
+        assert main(argv) == 0
+        rec = json.loads(capsys.readouterr().out)
+        p = rec["params"]
+        target = (twb_state(p["n"]) if rec["state"] == "twb"
+                  else ConditionalParams(p["n2"], p["n3"], phi2=p["phi2"], eta=p["eta"]))
+        assert 0.0 <= rec["settings"][1] / 2 <= math.pi / 2
+        assert chsh_h(target, [rec["settings"]])[0] == pytest.approx(rec["value"], abs=1e-15)
+
     # values printed by the per-correlator loop this stacked path replaced
     @pytest.mark.parametrize("argv,value", [
         (["--state", "twb", "--n", "2"], 2.297248665435837),
@@ -199,6 +215,60 @@ class TestPoint:
             validate("twb", "dp2", {"n2": 1.0, "j": 0.1})
         assert main(["point", "--state", "twb", "--test", "dp2", "--n2", "1", "--j", "0.1"]) == 2
         assert "usage error" in capsys.readouterr().err
+
+
+class TestGridSweep:
+    """``--grid`` builds its sweep one step at a time, each step as np.linspace."""
+
+    @pytest.mark.parametrize("argv", [a for a in POOL if "--grid" in a], ids=" ".join)
+    def test_pool_sweep_is_its_steps_one_by_one(self, argv, capsys):
+        i = argv.index("--grid")
+        lo, hi, steps = argv[i + 1].split(":")
+        sweep = _PAIRS[argv[argv.index("--state") + 1], argv[argv.index("--test") + 1]]
+        flag = sweep.groups[0][0][0]
+        assert main(argv) == 0
+        swept = capsys.readouterr().out
+        for v in np.linspace(float(lo), float(hi), int(steps)).tolist():
+            assert main([*argv[:i], *argv[i + 2:], f"--{flag}", repr(v)]) == 0
+        assert swept == capsys.readouterr().out
+
+    @pytest.mark.parametrize("lo,hi,steps", [
+        (0.1, 1.0, 1), (0.1, 1.0, 2), (2.0, -3.0, 2), (-0.0, 0.0, 1), (-0.0, -0.0, 3),
+        (0.0, 5e-324, 3), (0.0, 2e-323, 101), (1e-310, 1e-310 + 2e-323, 7),  # subnormal widths
+    ])
+    def test_steps_are_linspace_bit_for_bit(self, lo, hi, steps):
+        assert (np.array(list(cli._linspace(lo, hi, steps))).tobytes()
+                == np.linspace(lo, hi, steps).tobytes())
+
+    def test_random_grids_are_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for lo, hi, steps in zip(rng.uniform(-10, 10, 500), rng.uniform(-10, 10, 500),
+                                 rng.integers(1, 100, 500).tolist()):
+            assert (np.array(list(cli._linspace(lo, hi, steps))).tobytes()
+                    == np.linspace(lo, hi, steps).tobytes()), (lo, hi, steps)
+
+    def test_huge_step_count_streams_without_an_array(self, monkeypatch):
+        class Enough(Exception):
+            pass
+
+        class ThreeRecords(io.StringIO):
+            def write(self, text):
+                n = super().write(text)
+                if self.getvalue().count("\n") == 3:
+                    raise Enough
+                return n
+
+        def no_array(*args, **kwargs):
+            raise AssertionError("the sweep built an array")
+
+        out = ThreeRecords()
+        monkeypatch.setattr(np, "linspace", no_array)
+        monkeypatch.setattr(sys, "stdout", out)
+        with pytest.raises(Enough):
+            main(["point", "--state", "twb", "--test", "ps2", "--grid", "0.1:1:1000000000000"])
+        step = 0.9 / (10**12 - 1)
+        assert [json.loads(line)["params"]["n"] for line in out.getvalue().splitlines()] == [
+            k * step + 0.1 for k in range(3)]
 
 
 class TestDp2RateForm:
@@ -414,14 +484,28 @@ class TestLibraryErrors:
         assert captured.err.startswith("usage error: ") and "needs --n3" in captured.err
 
 
+def _verify_rows(out: str) -> dict:
+    """name -> (status, value, bound) of each row of ``verify`` stdout; a row that
+    failed with a library error has its message as the value and no bound."""
+    rows = {}
+    for line in out.splitlines():
+        m = re.fullmatch(r"\[(PASS|FAIL)\] (.+?)  +(\S+)  bound (\S+)", line) or re.fullmatch(
+            r"\[(FAIL)\] (.+?)  +(\w+Error: .*)()", line)
+        if m:
+            rows[m[2]] = (m[1], m[3], m[4])
+    return rows
+
+
 class TestVerify:
     def test_fresh_run_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out
-        # the sign finding is reported, not failed
-        assert "all-z pseudospin correlator" in out
-        assert "max CHSH = 1.919982 over 1e4 random settings" in out
+        rows = _verify_rows(out)
+        assert len(rows) == 17 and {status for status, _, _ in rows.values()} == {"PASS"}
+        assert rows["homodyne CHSH over 1e4 random settings"][1:] == ("1.919982e+00",
+                                                                      "2.000000e+00")
+        # the ladder oracle's all-z correlator of -1 is a compared value, not a note
+        assert "all-z" not in out
 
     @pytest.mark.parametrize("cutoff", ["30", "41"])
     def test_heralded_pseudospin_gap_is_a_note(self, cutoff, capsys):
@@ -429,19 +513,44 @@ class TestVerify:
         assert main(["verify", "--cutoff", cutoff]) == 0
         notes = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("[NOTE] documented finding: ")]
-        assert len(notes) == 3
+        assert len(notes) == 1
         assert ("f_conditional is 0.899670 at (n2, n3, eta) = (0.3, 0.3, 0.8), while the "
-                "oracle's <s_x s_x> on the heralded state is 0.202942") in notes[1]
+                "oracle's <s_x s_x> on the heralded state is 0.202942") in notes[0]
 
     def test_small_cutoff_fails(self, capsys):
         assert main(["verify", "--cutoff", "4"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out
+        failed = {name: value for name, (status, value, _) in _verify_rows(out).items()
+                  if status == "FAIL"}
+        # each Fock row fails with the error that its first state raised
+        assert len(failed) == 6
+        assert failed["displaced parity vs oracle"].startswith("CutoffTooSmallError: ")
+        assert out.endswith("11/17 checks passed\n")
 
     def test_odd_cutoff_passes(self, capsys):
         # the spin-flip check rounds an odd cutoff up to even for the pseudospin
         assert main(["verify", "--cutoff", "41"]) == 0
-        assert capsys.readouterr().out.endswith("12/12 checks passed\n")
+        out = capsys.readouterr().out
+        assert {status for status, _, _ in _verify_rows(out).values()} == {"PASS"}
+        assert out.endswith("17/17 checks passed\n")
+
+    @pytest.mark.parametrize("name,coeffs,field", [
+        ("pseudospin series vs oracle", "su21_ps_coeffs", "c2"),
+        ("point-operator coefficients vs quadrature", "su21_pi_coeffs", "c3"),
+    ])
+    def test_flipped_coefficient_sign_fails(self, name, coeffs, field, monkeypatch, capsys):
+        """Coefficients are compared with their signs: one flipped sign fails its row."""
+        closed = getattr(bell_ps, coeffs)
+
+        def flipped(*args):
+            c = closed(*args)
+            return dataclasses.replace(c, **{field: -getattr(c, field)})
+
+        monkeypatch.setattr(bell_ps, coeffs, flipped)
+        assert main(["verify"]) == 1
+        failed = [n for n, (status, _, _) in _verify_rows(capsys.readouterr().out).items()
+                  if status == "FAIL"]
+        assert failed == [name]
 
     def test_bounds_sweep_matches_the_scalar_loop(self, capsys):
         # the same 400 settings drawn in the same order, one Bell value per call
@@ -458,10 +567,11 @@ class TestVerify:
             for t in (twb_state(2.0), params):
                 two = DpSettings(tuple(a[:2]), tuple(ap[:2]))
                 b2max = max(b2max, DpRates(t, two).bell())
-        line = f"max B2 = {b2max:.6f}, max B3 = {b3max:.6f}"
-        assert line == "max B2 = 1.545497, max B3 = 1.203400"
+        assert (f"{b2max:.6f}", f"{b3max:.6f}") == ("1.545497", "1.203400")
         assert main(["verify"]) == 0
-        assert line in capsys.readouterr().out
+        rows = _verify_rows(capsys.readouterr().out)
+        assert rows["max B2 over random dp sweeps"][1] == f"{b2max:.6e}"
+        assert rows["max B3 over random dp sweeps"][1] == f"{b3max:.6e}"
 
 
 class TestFlagTable:
@@ -636,8 +746,11 @@ def test_figure_matches_stored_table(figure_id, tmp_path):
 
 # the oracle contract: first 16 hex digits of the sha256 of ``verify`` stdout.
 # A deliberate change to an oracle check updates a hash here and says why in
-# CHANGES.md; a refactor of the oracle leaves both as they are.
-VERIFY_HASHES = {30: "4251baa09b087c81", 40: "e353220d94632330"}
+# CHANGES.md; a refactor of the oracle leaves both as they are.  They were
+# 4251baa09b087c81 and e353220d94632330 before verify printed one row per
+# bound, each value against its bound, with coefficients compared with their
+# signs; every old value is still a row's value.
+VERIFY_HASHES = {30: "108df7c2ccca1d86", 40: "7d99099dc717c271"}
 
 
 @pytest.mark.parametrize("cutoff", VERIFY_HASHES)

@@ -42,4 +42,4 @@ def test_verify_runs_with_scipy_unimportable():
         sys.exit(cvbell.cli.main(["verify", "--cutoff", "30"]))
     """)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert sum(line.startswith("[PASS]") for line in out.stdout.splitlines()) == 12
+    assert sum(line.startswith("[PASS]") for line in out.stdout.splitlines()) == 17

@@ -24,6 +24,7 @@ from .fock import (
     FockDensityOperator,
     click_probability,
     displaced_parity_expect,
+    ghz_fock,
     onoff_condition,
     pseudospin_expect,
     quadrature_orthant_expect,
@@ -39,7 +40,6 @@ from .bell_dp import (
     b3_su21_closed,
     conditional_dp_settings,
     e_dp,
-    e_dp_ghz_closed,
     su21_opt_dp_settings,
     su21_opt_state,
     su21_sym_state,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -130,23 +129,6 @@ def e_dp(target: GaussianState | ConditionalParams,
     mode along the last axis: (..., n_modes) gives shape (...), a row a float."""
     out = _evaluate(*_gaussians(target, alphas))
     return float(out) if out.ndim == 0 else out
-
-
-def e_dp_ghz_closed(r: float, alphas: Sequence[complex]) -> float:
-    """Explicit correlator of the GHZ-type state, written out directly.
-
-    Expressed in the orientation of the covariance construction (x-sum and
-    y-difference directions squeezed); an independent code path from ``e_dp``
-    used to cross-check it.
-    """
-    al = np.asarray(alphas, dtype=complex)
-    if al.shape != (3,):
-        raise InvalidParameterError("three displacements required")
-    x, y = al.real, al.imag
-    e2r = math.exp(2.0 * r)
-    quad_fast = (x.sum() ** 2 + (y[1] - y[2]) ** 2 + (y[1] - y[0]) ** 2 + (y[0] - y[2]) ** 2)
-    quad_slow = (y.sum() ** 2 + (x[1] - x[2]) ** 2 + (x[1] - x[0]) ** 2 + (x[0] - x[2]) ** 2)
-    return math.exp(-(2.0 / 3.0) * (e2r * quad_fast + quad_slow / e2r))
 
 
 @dataclass(frozen=True)

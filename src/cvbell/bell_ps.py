@@ -140,9 +140,10 @@ def su21_ps_coeffs(n2: float, n3: float) -> PsCoefficients:
 
 
 def f_twb(n: float) -> float:
-    """Twin-beam spin-flip correlator sqrt(N(N+2))/(1+N); rises monotonically to 1."""
+    """Twin-beam spin-flip correlator sqrt(N(N+2))/(1+N), rising monotonically to 1: formed as
+    sqrt(N) sqrt(N+2), since N(N+2) overflows past 1.3e154, and capped at 1 against rounding."""
     n = float(_nonnegative("photon number", n))
-    return math.sqrt(n * (n + 2.0)) / (1.0 + n)
+    return min(1.0, math.sqrt(n) * math.sqrt(n + 2.0) / (1.0 + n))
 
 
 def f_traced(p: ConditionalParams) -> float:

@@ -1,11 +1,10 @@
 """Brute-force truncated Fock-space engine.
 
-Everything here is an independent numerical oracle: every state is a
-``FockDensityOperator``, weighted kets over a truncated number basis (a pure
-state is one renormalized ket), and all expectation values are computed by
-operator algebra with no reference to the closed forms they are used to check.  The displacement operator is the exact
-number-basis matrix, cropped to the cutoff, from its Laguerre closed form; it
-shares nothing with the Gaussian covariance path.
+Everything here is an independent numerical oracle: every state is a ``FockDensityOperator``
+of weighted kets over a truncated number basis (a pure Gaussian state is one renormalized ket,
+from its A matrix alone), and every expectation is operator algebra, with no reference to the
+closed forms it checks.  The displacement operator is the exact number-basis matrix from its
+Laguerre closed form, cropped to the cutoff; it shares nothing with the covariance path.
 
 An expectation is sum w_i conj(a_s) a_t prod_m O_m[s_m, t_m] over the pairs of
 nonzero amplitudes of one ket k_i, from a table each state builds once, where it
@@ -17,14 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import CutoffTooSmallError, InvalidParameterError, PrecisionError, UndefinedStateError
-from .gaussian import TripartitePhotonNumbers
+from .gaussian import TripartitePhotonNumbers, _nonnegative
 
 TAIL_BUDGET = 1e-6
 
@@ -44,14 +44,15 @@ class FockDensityOperator:
     weights: NDArray[np.float64]
 
     def __post_init__(self):
-        k = np.asarray(self.kets, dtype=complex)
+        k = np.ascontiguousarray(self.kets, dtype=complex)
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or k.shape != w.shape + (self.cutoff,) * self.n_modes:
             raise InvalidParameterError(
                 "kets must have shape (r,) + (cutoff,)*n_modes for r weights")
         if not np.all(np.isfinite(w) & (w >= 0)):
             raise InvalidParameterError("weights must be finite and non-negative")
-        tr = float(w @ np.sum(np.abs(k.reshape(w.size, -1)) ** 2, axis=1))
+        flat = k.reshape(w.size, -1).view(float)     # re, im interleaved
+        tr = float(w @ np.einsum("ij,ij->i", flat, flat))
         if not abs(tr - 1.0) <= 1e-9:
             raise InvalidParameterError(f"trace must be 1, got {tr}")
         k.setflags(write=False)
@@ -99,59 +100,85 @@ class FockDensityOperator:
         return coef, tuple((m[s] % d) * d + m[t] % d for m in n)
 
 
-def su21_fock(p: TripartitePhotonNumbers, cutoff: int) -> FockDensityOperator:
-    """The interlinked-interaction state as one ket, truncated at ``cutoff``
-    and renormalized by its weight.
-
-    Support is |p+q, p, q> with amplitude
-    (1+N1)^{-1/2} x^{p/2} y^{q/2} e^{-i(p phi2 + q phi3)} sqrt((p+q)!/(p! q!)),
-    x = N2/(1+N1), y = N3/(1+N1).
-    """
+def _pure_fock(a: ArrayLike, cutoff: int, log_z: Sequence[complex] = ()) -> FockDensityOperator:
+    """det(I - A^2)^{1/4} exp(a^dag . DAD a^dag / 2)|0> for a real symmetric A, a row per mode,
+    and D = diag(e^{log_z}), |z_j| = 1 to rounding (I by default), as one ket on n_j < ``cutoff``
+    renormalized by its weight.  sqrt(n_k + 1) psi(n + e_k) = sum_j A_kj sqrt(n_j) psi(n - e_j)
+    (Miatto & Quesada, Quantum 4, 366 (2020)) runs in real arithmetic; D then scales psi(n) by
+    prod_j z_j^{n_j}, so a coupling's phase or rounding put in log z_j enters once, not per step.
+    psi(0) is physical, so the tail is 1 - sum |psi|^2.  A's largest singular value rounding to 1
+    is a ``PrecisionError``, a tail past ``TAIL_BUDGET`` a ``CutoffTooSmallError``."""
     if cutoff < 2:
         raise InvalidParameterError("cutoff must be >= 2")
-    n1 = p.n1
-    tail = (n1 / (1 + n1)) ** cutoff if n1 > 0 else 0.0
+    a = np.asarray(a, dtype=float)
+    sv = np.linalg.svd(a, compute_uv=False)
+    if not sv[0] < 1.0:
+        raise PrecisionError(f"A's largest singular value {float(sv[0])!r} is not below 1")
+    m = len(a)
+    psi = np.zeros((cutoff,) * m)
+    psi[(0,) * m] = np.prod(1.0 - sv**2) ** 0.25
+    root = np.sqrt(np.arange(cutoff))
+    for k in reversed(range(m)):
+        f = psi[(0,) * k]       # a view at n_j = 0 for j < k, whose slabs n_k >= 1 fill here
+        # slab n_k = n takes A_kj sqrt(n_j)/sqrt(n) times slab n - 1 one step along mode j's axis
+        shifts = [((slice(None),) * (j - k), (a[k, j] * root[1:] / root[1:, None]).reshape(
+            (cutoff - 1, -1) + (1,) * (m - 1 - j))) for j in range(k + 1, m) if a[k, j] != 0]
+        for n in range(1, cutoff if a[k, k:].any() else 1):
+            slab, prev = f[n:n + 1], f[n - 1:n]     # (1, cutoff, ...): a one-mode slab too
+            if n > 1 and a[k, k] != 0:
+                slab += a[k, k] * root[n - 1] / root[n] * f[n - 2:n - 1]
+            for lead, w in shifts:
+                slab[lead + (slice(1, None),)] += w[n - 1] * prev[lead + (slice(None, -1),)]
+    norm = float(np.sum(psi * psi))
+    tail = 1.0 - norm
     if tail > TAIL_BUDGET:
-        need = math.ceil(math.log(TAIL_BUDGET) / math.log(n1 / (1 + n1)))
+        # q^n, a mode's slowest decay: q = (N + |M|)/(1 + N + |M|), N = <a^dag a>, M = <a a>
+        inv = np.linalg.inv(np.eye(m) - a @ a)
+        big = np.max(np.diagonal(inv) - 1.0 + np.abs(np.diagonal(inv @ a)))
+        # + 1e-6: a crossing at a whole cutoff takes the next, past the tail's rounding
+        need = cutoff + math.ceil(math.log(TAIL_BUDGET / tail) / -math.log1p(1 / big) + 1e-6)
         raise CutoffTooSmallError(
-            f"tail mass {tail:.3e} exceeds {TAIL_BUDGET:.1e}; use cutoff >= {need}", need
-        )
-    x = p.n2 / (1 + n1)
-    y = p.n3 / (1 + n1)
-    k = np.arange(cutoff)
-    pp, q = np.nonzero(np.add.outer(k, k) < cutoff)
-    lf = _log_factorials(cutoff)
-    mag = ((1 + n1) ** -0.5 * x ** (pp / 2) * y ** (q / 2)
-           * np.exp(0.5 * (lf[pp + q] - lf[pp] - lf[q])))
-    amps = np.zeros((cutoff,) * 3, dtype=complex)
-    amps[pp + q, pp, q] = mag * np.exp(-1j * (pp * p.phi2 + q * p.phi3))
-    return FockDensityOperator(3, cutoff, amps[None], [1 / np.sum(np.abs(amps) ** 2)])
+            f"tail mass {tail:.3e} exceeds {TAIL_BUDGET:.1e}; use cutoff >= {need}", need)
+    n, z = np.arange(cutoff), 1.0
+    for j, w in enumerate(log_z):
+        if w:
+            frac, e = math.frexp(w.imag)        # Im w cut to 24 bits, so n * hi is exact
+            hi = math.ldexp(round(frac * 2**24), e - 24)
+            zn = np.exp(1j * (n * hi)) * np.exp(n * complex(w.real, w.imag - hi))
+            z = z * zn.reshape((-1,) + (1,) * (m - 1 - j))
+    return FockDensityOperator(m, cutoff, (psi * z)[None], [1.0 / norm])
+
+
+def su21_fock(p: TripartitePhotonNumbers, cutoff: int) -> FockDensityOperator:
+    """The interlinked-interaction state as one renormalized ket on |p+q, p, q>, n_j < ``cutoff``:
+    A couples mode 1 to mode j = 2, 3 by c_j e^{-i phi_j}, c_j^2 = N_j/(1+N1), and log z_j
+    carries the phase and, from exact rationals, the rounding of c_j."""
+    n2, n3 = Fraction(p.n2), Fraction(p.n3)
+    c, log_z = [0.0], [0j]
+    for nj, phi in ((n2, p.phi2), (n3, p.phi3)):
+        q = nj / (1 + n2 + n3)
+        c.append(math.sqrt(q))
+        # log(sqrt(q)/c_j), to first order in the rounding
+        log_z.append(complex(float(q / Fraction(c[-1]) ** 2 - 1) / 2 if q else 0.0, -phi))
+    return _pure_fock([[0, c[1], c[2]], [c[1], 0, 0], [c[2], 0, 0]], cutoff, log_z)
 
 
 def twb_fock(x: float, cutoff: int) -> FockDensityOperator:
-    """Twin beam sqrt(1-X^2) sum_n X^n |n,n> as one ket, truncated at ``cutoff``
-    and renormalized by its weight."""
+    """Twin beam sqrt(1-X^2) sum_n X^n |n,n>, A = X sigma_x, as one renormalized ket."""
     if not 0.0 <= x < 1.0:
         raise InvalidParameterError("X must lie in [0, 1)")
-    if cutoff < 2:
-        raise InvalidParameterError("cutoff must be >= 2")
-    tail = x ** (2 * cutoff)
-    if tail > TAIL_BUDGET:
-        need = math.ceil(math.log(TAIL_BUDGET) / (2 * math.log(x)))
-        raise CutoffTooSmallError(
-            f"tail mass {tail:.3e} exceeds {TAIL_BUDGET:.1e}; use cutoff >= {need}", need
-        )
-    amps = np.zeros((cutoff, cutoff), dtype=complex)
-    amps[np.arange(cutoff), np.arange(cutoff)] = np.sqrt(1 - x**2) * x ** np.arange(cutoff)
-    return FockDensityOperator(2, cutoff, amps[None], [1 / np.sum(np.abs(amps) ** 2)])
+    return _pure_fock([[0, x], [x, 0]], cutoff)
+
+
+def ghz_fock(r: float, cutoff: int) -> FockDensityOperator:
+    """``ghz_state`` (three modes squeezed by r, mixed by a symmetric tritter) as one renormalized
+    ket on n_j < ``cutoff``: A = tanh(r) (I - 2J/3), J all ones (van Loock & Braunstein, 2000)."""
+    t = math.tanh(float(_nonnegative("squeezing parameter", r)))
+    return _pure_fock(t * (np.eye(3) - 2.0 / 3.0), cutoff)
 
 
 # ---------------------------------------------------------------------------
 # mode operators
-
-def _log_factorials(cutoff: int) -> NDArray[np.float64]:
-    return np.array([math.lgamma(i + 1) for i in range(cutoff)])
-
 
 def displacement(alphas: Sequence[complex], cutoff: int) -> NDArray[np.complex128]:
     """<m|D(alpha)|n> for m, n < cutoff: the exact matrix elements, cropped, one
@@ -191,7 +218,7 @@ def displacement(alphas: Sequence[complex], cutoff: int) -> NDArray[np.complex12
 
     m, n = np.indices((cutoff, cutoff))
     lo, d = np.minimum(m, n), np.abs(m - n)
-    log_fact = _log_factorials(cutoff)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(cutoff)])
     log_mag = 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * log_r - x / 2
     phase = np.where(m >= n, (u**k)[:, d], ((-u.conjugate()) ** k)[:, d])
     out[live] = np.exp(log_mag) * lag[:, lo, d] * phase
@@ -208,14 +235,16 @@ def _pair_sum(table: tuple[NDArray, tuple[NDArray, ...]], ops: Sequence[NDArray]
 
 
 def _expect(state: FockDensityOperator, ops: Sequence[NDArray]) -> float:
-    """sum_i w_i <k_i| (x)ops |k_i> for Hermitian ``ops``, over the state's pair
-    table where it has one, else by contracting each operator into the kets."""
+    """sum_i w_i <k_i| (x)ops |k_i> for Hermitian ``ops``, over the state's pair table where
+    it has one, else by matrix products into the flat kets, which move and copy no axis."""
     if state._pairs is not None:
         return _pair_sum(state._pairs, ops)
-    phi = state.kets
+    c, phi = state.cutoff, state.kets
     for j, op in enumerate(ops, start=1):
-        phi = np.moveaxis(np.tensordot(op, phi, axes=(1, j)), 0, j)
-    per_ket = np.sum((state.kets.conj() * phi).reshape(state.weights.size, -1), axis=1)
+        rest = c ** (state.n_modes - j)     # the numbers of the modes after j
+        phi = phi.reshape(-1, c) @ op.T if rest == 1 else op @ phi.reshape(-1, c, rest)
+    r = state.weights.size
+    per_ket = np.sum(state.kets.reshape(r, -1).conj() * phi.reshape(r, -1), axis=1)
     return float(state.weights @ np.real(per_ket))
 
 

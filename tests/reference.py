@@ -7,13 +7,16 @@ map of the interlinked interactions, the three displacement families and the
 large-squeezing residual that only the closed forms' tests assemble, the
 three-mode pseudospin correlator written out, the large-energy relations of the
 optimized displacements, the dense matrix of a Fock-space state, the dense
-pseudospin axis operator, the interlinked-interaction ket built one
-amplitude at a time, and the displacement matrix built for one amplitude alone.
+pseudospin axis operator, the interlinked-interaction and twin-beam kets exact
+to 50 digits, the GHZ-type state's correlator written out, and the
+displacement matrix built for one amplitude alone.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -120,6 +123,20 @@ def twb_bw_dp_settings(j_mag: ArrayLike) -> DpSettings:
     w = np.sqrt(_nonnegative("J", j_mag))
     zero = np.zeros_like(w)
     return _family((zero, zero), (w, -w))
+
+
+def e_dp_ghz_closed(r: float, alphas) -> float:
+    """Explicit displaced-parity correlator of the GHZ-type state, written out
+    directly in the orientation of ``ghz_state`` (x-sum and y-differences
+    squeezed): a second derivation from the same covariance as ``e_dp``."""
+    al = np.asarray(alphas, dtype=complex)
+    if al.shape != (3,):
+        raise InvalidParameterError("three displacements required")
+    x, y = al.real, al.imag
+    e2r = math.exp(2.0 * r)
+    quad_fast = (x.sum() ** 2 + (y[1] - y[2]) ** 2 + (y[1] - y[0]) ** 2 + (y[0] - y[2]) ** 2)
+    quad_slow = (y.sum() ** 2 + (x[1] - x[2]) ** 2 + (x[1] - x[0]) ** 2 + (x[0] - x[2]) ** 2)
+    return math.exp(-(2.0 / 3.0) * (e2r * quad_fast + quad_slow / e2r))
 
 
 def large_squeezing_residual(settings: DpSettings) -> float:
@@ -244,19 +261,62 @@ def pseudospin_axis_op(theta: float, phi: float, cutoff: int) -> NDArray[np.comp
     return sz * np.cos(theta) + np.sin(theta) * (np.exp(1j * phi) * sm + np.exp(-1j * phi) * sm.T)
 
 
+def _root(f: Fraction) -> decimal.Decimal:
+    return (decimal.Decimal(f.numerator) / f.denominator).sqrt()
+
+
+def _unit(theta: float) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(cos, sin) of the float ``theta``, from the series of e^{i theta}, summed with digits
+    to spare for its largest terms, about e^|theta|."""
+    with decimal.localcontext() as ctx:
+        ctx.prec += math.ceil(abs(theta) / math.log(10)) + 5
+        t = decimal.Decimal(theta)
+        re, im = decimal.Decimal(1), decimal.Decimal(0)
+        term, k = (re, im), 0
+        while abs(term[0]) + abs(term[1]) > decimal.Decimal(10) ** -(ctx.prec + 10):
+            k += 1
+            term = (-term[1] * t / k, term[0] * t / k)
+            re, im = re + term[0], im + term[1]
+    return +re, +im
+
+
 def su21_amplitudes(p: TripartitePhotonNumbers, cutoff: int) -> NDArray[np.complex128]:
-    """Unnormalized amplitudes of the interlinked-interaction ket, one element at
-    a time: (1+N1)^{-1/2} x^{p/2} y^{q/2} e^{-i(p phi2 + q phi3)} sqrt((p+q)!/(p! q!))
-    on |p+q, p, q> for p + q < cutoff, x = N2/(1+N1), y = N3/(1+N1)."""
-    n1 = p.n1
-    x, y = p.n2 / (1 + n1), p.n3 / (1 + n1)
+    """Amplitudes of the interlinked-interaction ket at the float inputs, exact to
+    50 digits before the final rounding: (1+N1)^{-1/2} x^{p/2} y^{q/2}
+    e^{-i(p phi2 + q phi3)} sqrt((p+q)!/(p! q!)) on |p+q, p, q> for p + q < cutoff,
+    x = N2/(1+N1), y = N3/(1+N1); the magnitudes from exact rationals, the phases
+    as powers of e^{-i phi} in decimal."""
+    n2, n3 = Fraction(p.n2), Fraction(p.n3)
+    d = 1 + n2 + n3
     amps = np.zeros((cutoff,) * 3, dtype=complex)
-    for pp in range(cutoff):
-        for q in range(cutoff - pp):
-            lg = 0.5 * (math.lgamma(pp + q + 1) - math.lgamma(pp + 1) - math.lgamma(q + 1))
-            mag = (1 + n1) ** -0.5 * x ** (pp / 2) * y ** (q / 2) * math.exp(lg)
-            amps[pp + q, pp, q] = mag * complex(math.cos(pp * p.phi2 + q * p.phi3),
-                                                -math.sin(pp * p.phi2 + q * p.phi3))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        powers = []
+        for phi in (p.phi2, p.phi3):
+            c, s = _unit(-phi)
+            pw = [(decimal.Decimal(1), decimal.Decimal(0))]
+            for _ in range(cutoff):
+                a, b = pw[-1]
+                pw.append((a * c - b * s, a * s + b * c))
+            powers.append(pw)
+        for pp in range(cutoff):
+            for q in range(cutoff - pp):
+                mag = _root(n2**pp * n3**q * math.comb(pp + q, pp) / d ** (pp + q + 1))
+                (a, b), (c, s) = powers[0][pp], powers[1][q]
+                amps[pp + q, pp, q] = complex(float(mag * (a * c - b * s)),
+                                              float(mag * (a * s + b * c)))
+    return amps
+
+
+def twb_amplitudes(x: float, cutoff: int) -> NDArray[np.complex128]:
+    """Amplitudes sqrt(1-X^2) X^n on |n, n> of the twin beam at the float X, for
+    n < cutoff, exact to 50 digits before the final rounding."""
+    f = Fraction(x)
+    amps = np.zeros((cutoff, cutoff), dtype=complex)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for n in range(cutoff):
+            amps[n, n] = float(_root((1 - f * f) * f ** (2 * n)))
     return amps
 
 

@@ -14,14 +14,14 @@ PUBLIC_NAMES = {
     "GaussianState", "TripartitePhotonNumbers", "ghz_r_from_photons", "ghz_state", "su21_state",
     "twb_state",
     # fock
-    "FockDensityOperator", "click_probability", "displaced_parity_expect",
+    "FockDensityOperator", "click_probability", "displaced_parity_expect", "ghz_fock",
     "onoff_condition", "pseudospin_expect",
     "quadrature_orthant_expect", "su21_fock", "twb_fock", "wigner_reconstruct",
     # conditional
     "ConditionalParams", "p_click",
     # bell_dp
     "DpRates", "DpSettings", "b3_ghz_closed", "b3_su21_closed",
-    "conditional_dp_settings", "e_dp", "e_dp_ghz_closed",
+    "conditional_dp_settings", "e_dp",
     "su21_opt_dp_settings", "su21_opt_state", "su21_sym_state", "twb_dp_settings",
     # bell_ps
     "PsCoefficients", "b2_ps_from_f", "b3_ps_from_coeffs",

@@ -15,7 +15,6 @@ from cvbell import (
     conditional_dp_settings,
     displaced_parity_expect,
     e_dp,
-    e_dp_ghz_closed,
     e_h,
     ghz_r_from_photons,
     ghz_state,
@@ -31,8 +30,8 @@ from cvbell import (
     UndefinedStateError,
 )
 from cvbell.bell_dp import _bell
-from reference import (ghz_dp_settings, large_squeezing_residual, su21_sym_dp_settings,
-                       twb_bw_dp_settings)
+from reference import (e_dp_ghz_closed, ghz_dp_settings, large_squeezing_residual,
+                       su21_sym_dp_settings, twb_bw_dp_settings)
 
 SQRT2 = math.sqrt(2.0)
 

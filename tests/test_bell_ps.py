@@ -270,6 +270,16 @@ class TestFFunctions:
         assert vals[-1] < 1.0
         assert f_twb(1e6) == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("n", [1e154, 1.3e154, 1e155, 1e300, 1.7976931348623157e308])
+    def test_f_twb_is_one_where_the_square_overflows(self, n):
+        # N (N + 2) overflows above N = 1.3e154; f rounds to 1 there, and its two
+        # square roots leave it at most one float below
+        assert 1.0 - 2.0**-53 <= f_twb(n) <= 1.0
+
+    def test_f_twb_never_passes_one(self):
+        ns = np.logspace(-3, 308, 3000)
+        assert all(0.0 < f_twb(n) <= 1.0 for n in ns)
+
     @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, -1.0])
     def test_f_twb_rejects_bad_photon_number(self, n):
         with pytest.raises(InvalidParameterError, match="photon number"):

@@ -18,7 +18,7 @@ import pytest
 from cvbell import (ConditionalParams, DpRates, DpSettings, TripartitePhotonNumbers,
                     b3_su21_closed, chsh_h, conditional_dp_settings, ghz_state, log_j_maximize,
                     su21_state, twb_dp_settings, twb_state)
-from cvbell import bell_ps, cli
+from cvbell import bell_ps, cli, gaussian
 from cvbell.cli import FIGURE_IDS, UsageError, _PAIRS, main, run_figure, run_point, validate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,6 +121,15 @@ class TestPoint:
         assert run_point("twb", "ps2", n=0.0) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("argv", [["--n", "1e155"], ["--n", "1.7e308"],
+                                      ["--grid", "0:1e308:2"]], ids=" ".join)
+    def test_twb_ps2_past_the_square_overflow(self, argv, capsys):
+        # N (N + 2) overflows above N = 1.3e154; f is 1 there, to a float
+        assert main(["point", "--state", "twb", "--test", "ps2", *argv]) == 0
+        rec = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert 1.0 - 2.0**-53 <= rec["f"] <= 1.0
+        assert rec["value"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
 
     def test_conditional_homodyne_below_two(self, capsys):
         assert run_point("conditional", "homodyne", n2=1.0, n3=0.5, eta=1.0) == 0
@@ -523,9 +532,10 @@ class TestVerify:
         failed = {name: value for name, (status, value, _) in _verify_rows(out).items()
                   if status == "FAIL"}
         # each Fock row fails with the error that its first state raised
-        assert len(failed) == 6
+        assert len(failed) == 7
         assert failed["displaced parity vs oracle"].startswith("CutoffTooSmallError: ")
-        assert out.endswith("11/17 checks passed\n")
+        assert failed["GHZ displaced parity vs oracle"].startswith("CutoffTooSmallError: ")
+        assert out.endswith("10/17 checks passed\n")
 
     def test_odd_cutoff_passes(self, capsys):
         # the spin-flip check rounds an odd cutoff up to even for the pseudospin
@@ -551,6 +561,30 @@ class TestVerify:
         failed = [n for n, (status, _, _) in _verify_rows(capsys.readouterr().out).items()
                   if status == "FAIL"]
         assert failed == [name]
+
+    @pytest.mark.parametrize("mutation", ["S flipped", "x and y blocks swapped"])
+    def test_wrong_ghz_covariance_fails(self, mutation, monkeypatch, capsys):
+        """The GHZ row's oracle is built from the tritter's A matrix, not from
+        ``ghz_state``, so a wrong covariance fails the row: with S flipped it is
+        not positive definite at r = 0.42, and with the blocks swapped it is -A's."""
+        right = gaussian.ghz_state
+
+        def wrong(r):
+            cov = right(r).cov.copy()
+            if mutation == "S flipped":
+                cov[~np.eye(6, dtype=bool)] *= -1.0
+            else:
+                cov = cov[np.ix_(np.r_[3:6, 0:3], np.r_[3:6, 0:3])]
+            return gaussian.GaussianState(3, cov)
+
+        monkeypatch.setattr(gaussian, "ghz_state", wrong)
+        assert main(["verify"]) == 1
+        status, value, _ = _verify_rows(capsys.readouterr().out)["GHZ displaced parity vs oracle"]
+        assert status == "FAIL"
+        if mutation == "S flipped":
+            assert value == "InvalidParameterError: covariance must be positive definite"
+        else:
+            assert float(value) > 1e-2
 
     def test_bounds_sweep_matches_the_scalar_loop(self, capsys):
         # the same 400 settings drawn in the same order, one Bell value per call
@@ -749,8 +783,11 @@ def test_figure_matches_stored_table(figure_id, tmp_path):
 # CHANGES.md; a refactor of the oracle leaves both as they are.  They were
 # 4251baa09b087c81 and e353220d94632330 before verify printed one row per
 # bound, each value against its bound, with coefficients compared with their
-# signs; every old value is still a row's value.
-VERIFY_HASHES = {30: "108df7c2ccca1d86", 40: "7d99099dc717c271"}
+# signs; every old value is still a row's value.  They were 108df7c2ccca1d86
+# and 7d99099dc717c271 before the GHZ row compared the Fock oracle's tritter ket
+# with the covariance path, in place of a closed form from the same covariance,
+# and the su21 and twin-beam kets came from the one Bargmann-matrix recurrence.
+VERIFY_HASHES = {30: "b4378d96f29c1267", 40: "013d97c292872549"}
 
 
 @pytest.mark.parametrize("cutoff", VERIFY_HASHES)

@@ -21,6 +21,8 @@ from cvbell import (
     displaced_parity_expect,
     e_dp,
     f_twb,
+    ghz_fock,
+    ghz_state,
     onoff_condition,
     pseudospin_expect,
     quadrature_orthant_expect,
@@ -30,9 +32,9 @@ from cvbell import (
     twb_fock,
     wigner_reconstruct,
 )
-from cvbell.fock import _expect, _half_line_matrices, _rotated, displacement
+from cvbell.fock import _expect, _half_line_matrices, _pure_fock, _rotated, displacement
 from reference import (displacement_one, matrix, min_eigenvalue, pseudospin_axis_op,
-                       su21_amplitudes)
+                       su21_amplitudes, twb_amplitudes)
 
 X_AXIS = (math.pi / 2, 0.0)
 Z_AXIS = (0.0, 0.0)
@@ -54,16 +56,87 @@ class TestBuilders:
         st = su21_fock(TripartitePhotonNumbers(0.5, 0.5), 25)
         assert np.sum(np.abs(st.kets[0]) ** 2) >= 1.0 - 1e-6
 
-    @pytest.mark.parametrize("cutoff", [30, 40, 60])
+    @staticmethod
+    def _assert_exact(ket, ref):
+        """The same support, and each amplitude within 4e-15 of its exact value, relative."""
+        assert np.array_equal(ket != 0, ref != 0)
+        assert np.all(np.abs(ket - ref) <= 4e-15 * np.abs(ref))
+
+    @pytest.mark.parametrize("cutoff", [30, 40, 41, 60])
     @pytest.mark.parametrize("photons", [(0.3, 0.3, 0.4, -1.1), (1.0, 0.0, 0.7, 0.0),
-                                         (0.0, 0.8, 0.0, 2.3)], ids=["both", "n3=0", "n2=0"])
-    def test_su21_matches_per_element_reference(self, cutoff, photons):
+                                         (0.0, 0.8, 0.0, 2.3), (0.3, 0.3, 100.7, -51.3)],
+                             ids=["both", "n3=0", "n2=0", "large-phases"])
+    def test_su21_matches_exact_amplitudes(self, cutoff, photons):
         p = TripartitePhotonNumbers(*photons)
         ref = su21_amplitudes(p, cutoff)
         state = su21_fock(p, cutoff)
-        assert np.array_equal(state.kets[0] != 0, ref != 0)
-        assert np.all(np.abs(state.kets[0] - ref) <= 1e-15 * np.abs(ref))
+        self._assert_exact(state.kets[0], ref)
         assert state.weights[0] == pytest.approx(1 / np.sum(np.abs(ref) ** 2), rel=1e-15)
+
+    def test_su21_matches_exact_amplitudes_at_four_photons(self):
+        # N1 = 4: a rounding of A's singular values moves the vacuum amplitude four-fold
+        p = TripartitePhotonNumbers(2.0, 2.0, 0.5, 0.2)
+        self._assert_exact(su21_fock(p, 64).kets[0], su21_amplitudes(p, 64))
+
+    @pytest.mark.parametrize("cutoff", [30, 40, 41, 60])
+    @pytest.mark.parametrize("x", [0.3, math.tanh(math.asinh(math.sqrt(0.5))), 0.7])
+    def test_twb_matches_exact_amplitudes(self, cutoff, x):
+        self._assert_exact(twb_fock(x, cutoff).kets[0], twb_amplitudes(x, cutoff))
+
+    @pytest.mark.parametrize("cutoff", [30, 40])
+    def test_su21_support_takes_the_same_paths(self, cutoff):
+        # p + q < cutoff on |p+q, p, q>: too many pairs for the pure ket, few for the heralded
+        state = su21_fock(TripartitePhotonNumbers(0.3, 0.3), cutoff)
+        assert np.count_nonzero(state.kets) == cutoff * (cutoff + 1) // 2
+        assert state._pairs is None
+        if cutoff == 40:
+            rho = onoff_condition(state, 2, 0.8)
+            size = np.count_nonzero(rho.kets.reshape(rho.weights.size, -1), axis=1)
+            assert size @ size == 22140 and rho._pairs is not None
+
+    @pytest.mark.parametrize("build,vacuum,tail", [
+        (lambda: twb_fock(0.7, 20), math.sqrt(1 - 0.49), 0.49**20),
+        (lambda: su21_fock(TripartitePhotonNumbers(1.0, 1.0), 40), 1 / math.sqrt(3), (2 / 3)**40),
+        (lambda: ghz_fock(0.42, 30), math.cosh(0.42) ** -1.5, 0.0),
+    ], ids=["twb", "su21", "ghz"])
+    def test_vacuum_amplitude_is_physical_and_tail_exact(self, build, vacuum, tail):
+        st = build()
+        k = st.kets[0]
+        assert k.flat[0] == pytest.approx(vacuum, rel=1e-15)
+        assert 1.0 - np.vdot(k, k).real == pytest.approx(tail, rel=1e-9, abs=1e-14)
+
+    @pytest.mark.parametrize("build,error", [
+        (lambda: su21_fock(TripartitePhotonNumbers(1e17, 0.0), 30), PrecisionError),
+        (lambda: su21_fock(TripartitePhotonNumbers(1e300, 1e300), 30), PrecisionError),
+        (lambda: su21_fock(TripartitePhotonNumbers(1e308, 1e308), 30), PrecisionError),
+        (lambda: ghz_fock(20.0, 30), PrecisionError),
+        (lambda: ghz_fock(1e300, 30), PrecisionError),
+        (lambda: twb_fock(float(np.nextafter(1.0, 0.0)), 30), CutoffTooSmallError),
+    ], ids=["su21-1e17", "su21-1e300", "su21-sum-overflows", "ghz-20", "ghz-1e300",
+            "twb-below-1"])
+    def test_squeezing_at_the_end_of_double_precision(self, build, error):
+        # where A's largest singular value rounds to 1 the state is a precision error;
+        # just below it, the cutoff needed is finite and named
+        with pytest.raises(error) as err:
+            build()
+        if error is CutoffTooSmallError:
+            assert 1e16 < err.value.suggested_cutoff < 1e17
+
+    @pytest.mark.parametrize("build,cutoffs", [
+        (lambda c: twb_fock(0.1, c), [2, 3]),
+        (lambda c: twb_fock(0.9, c), [10, 40, 65]),
+        (lambda c: su21_fock(TripartitePhotonNumbers(0.3, 0.3, 0.4, -1.1), c), [4, 14]),
+        (lambda c: su21_fock(TripartitePhotonNumbers(2.0, 2.0), c), [10, 40]),
+        (lambda c: ghz_fock(0.42, c), [2, 4, 9]),
+        (lambda c: ghz_fock(0.8, c), [4, 12, 20]),
+        (lambda c: ghz_fock(1.2, c), [4, 20, 40, 48]),
+    ], ids=["twb-0.1", "twb-0.9", "su21-0.3", "su21-2", "ghz-0.42", "ghz-0.8", "ghz-1.2"])
+    def test_suggested_cutoff_succeeds(self, build, cutoffs):
+        for cutoff in cutoffs:
+            with pytest.raises(CutoffTooSmallError) as err:
+                build(cutoff)
+            st = build(err.value.suggested_cutoff)
+            assert 1.0 - np.vdot(st.kets[0], st.kets[0]).real <= 1e-6
 
     def test_su21_cutoff_guard(self):
         with pytest.raises(CutoffTooSmallError) as err:
@@ -97,6 +170,32 @@ class TestBuilders:
         st = build()
         assert st.kets.shape[0] == 1 and st.weights[0] >= 1.0
         assert abs(st.weights[0] * np.sum(np.abs(st.kets[0]) ** 2) - 1.0) < 1e-15
+
+
+GHZ_SETTINGS = [(0.3 + 0.2j, -0.25 + 0.1j, 0.15 - 0.3j), (0.1j, 0.2, -0.3 - 0.1j),
+                (-0.4 + 0.1j, 0.05 - 0.35j, 0.2 + 0.25j)]
+
+
+class TestGhzFock:
+    """The tritter ket, built from A alone, against ghz_state's covariance."""
+
+    @pytest.mark.parametrize("r", [0.1, 0.42, 0.8])
+    def test_displaced_parity_matches_covariance_path(self, r):
+        st = ghz_fock(r, 50)
+        for al in GHZ_SETTINGS:
+            assert abs(displaced_parity_expect(st, al) - e_dp(ghz_state(r), al)) <= 1e-12
+
+    @pytest.mark.parametrize("r", [0.1, 0.42, 0.8])
+    def test_opposite_orientation_misses(self, r):
+        # -A squeezes the x-differences and the y-sum instead
+        st = _pure_fock(-math.tanh(r) * (np.eye(3) - 2.0 / 3.0), 50)
+        assert max(abs(displaced_parity_expect(st, al) - e_dp(ghz_state(r), al))
+                   for al in GHZ_SETTINGS) > 1e-2
+
+    def test_rejects_bad_squeezing(self):
+        for r in (-0.1, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                ghz_fock(r, 20)
 
 
 class TestDisplacedParity:

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .conditional import ConditionalParams, two_gaussian_form
+from .conditional import ConditionalParams, _heralded_forms, two_gaussian_form
 from .errors import InvalidParameterError
 from .gaussian import GaussianState, TripartitePhotonNumbers, _nonnegative, su21_state
 
@@ -71,7 +71,7 @@ def _bell(value: ArrayLike, n_parties: int) -> float | NDArray[np.float64]:
     bound, is an ``InvalidParameterError``."""
     value = np.asarray(value, dtype=float)
     bound = _B2_BOUND if n_parties == 2 else _B3_BOUND
-    peak = np.max(np.abs(value), initial=0.0)     # NaN if any entry is NaN
+    peak = np.abs(value).max(initial=0.0)     # NaN if any entry is NaN
     if not peak <= bound:
         bad = ~np.isfinite(value)
         if bad.any():
@@ -104,29 +104,63 @@ def _gaussians(target: GaussianState | ConditionalParams, alphas: ArrayLike
     the cached inverse, and ``vecmat``/``vecdot`` keep each row's summation
     order, so a batch is bit-identical to row-by-row calls.  The heralded
     state has two, ``two_gaussian_form``'s pi^2 (w_a, -w_b) at x = sqrt(2) u,
-    with exponents -x.Q.x.  Any other target is an ``InvalidParameterError``."""
+    with exponents -x.Q.x.  Any other target is an ``InvalidParameterError``.
+
+    A batch of states (a ``GaussianState`` of stacked covariances, or
+    ``ConditionalParams`` of arrays) of batch shape (b...) reads ``alphas`` as
+    (..., k, n_modes): (b...) broadcasts against (...), and the k points of a
+    row share its state.  Each entry is bit for bit that of its own state."""
     if isinstance(target, ConditionalParams):
-        weights, forms = two_gaussian_form(target)
+        batch = any(isinstance(v, np.ndarray)
+                    for v in (target.n2, target.n3, target.phi2, target.eta))
+        weights, forms = _heralded_forms(target) if batch else two_gaussian_form(target)
         x = _SQRT2 * _phase_space(alphas, 2)
-        return np.pi**2, weights, tuple(-np.einsum("...i,ij,...j->...", x, q, x) for q in forms)
+        if batch:
+            _broadcasts(np.shape(weights[0]), x.shape)
+            weights, forms = [w[..., None] for w in weights], [q[..., None, :, :] for q in forms]
+        return np.pi**2, tuple(weights), tuple(-np.einsum("...i,...ij,...j->...", x, q, x)
+                                               for q in forms)
     if not isinstance(target, GaussianState):
         raise InvalidParameterError("the target must be a GaussianState or ConditionalParams,"
                                     f" got {type(target).__name__}")
     u = _phase_space(alphas, target.n_modes)
     inv, det = target.factors
-    return 1.0, (det ** -0.5,), (np.vecdot(np.vecmat(-2.0 * u, inv), u),)
+    if np.ndim(det) == 0:
+        weight = det ** -0.5
+    else:
+        _broadcasts(det.shape, u.shape)
+        # Python's float pow per row: numpy's array power can differ in the last bit
+        weight = np.reshape([d ** -0.5 for d in det.ravel().tolist()], (*det.shape, 1))
+        inv = inv[..., None, :, :]
+    return 1.0, (weight,), (np.vecdot(np.vecmat(-2.0 * u, inv), u),)
+
+
+def _broadcasts(batch: tuple[int, ...], points: tuple[int, ...]) -> None:
+    """``InvalidParameterError`` unless a batch of states broadcasts against
+    (..., k, 2 n_modes) displacements."""
+    try:
+        np.broadcast_shapes(batch, points[:-2])
+    except ValueError:
+        raise InvalidParameterError(f"states of batch shape {batch} do not broadcast against"
+                                    f" displacements of batch shape {points[:-2]}") from None
 
 
 def _evaluate(scale, weights, exponents, j: ArrayLike = 1.0):
-    """scale sum_g w_g exp(J k_g): the correlator at displacements sqrt(J) alpha."""
-    return scale * sum(w * np.exp(j * k) for w, k in zip(weights, exponents))
+    """scale sum_g w_g exp(J k_g): the correlator at displacements sqrt(J) alpha.
+    Every k_g is <= 0, so a product J k_g past the float range is -inf, whose
+    exponential is the limit, 0."""
+    with np.errstate(over="ignore"):
+        terms = [w * np.exp(j * k) for w, k in zip(weights, exponents)]
+    return scale * sum(terms[1:], terms[0])
 
 
 def e_dp(target: GaussianState | ConditionalParams,
          alphas: ArrayLike) -> float | NDArray[np.float64]:
     """Displaced-parity correlator of a Gaussian state (in (0, 1]) or of the
     heralded two-mode state (in [-1, 1]) at ``alphas``, one displacement per
-    mode along the last axis: (..., n_modes) gives shape (...), a row a float."""
+    mode along the last axis: (..., n_modes) gives shape (...), a row a float.
+    A batch of states (see ``DpRates``) reads ``alphas`` as (..., k, n_modes),
+    each of its states at the k points of a row, and gives the broadcast (..., k)."""
     out = _evaluate(*_gaussians(target, alphas))
     return float(out) if out.ndim == 0 else out
 
@@ -144,7 +178,12 @@ class DpRates:
     is computed at the first ``bell`` call, after its J is checked, so the
     state's errors raise there, as does a target whose mode count is not the
     settings' party count, or that is neither a ``GaussianState`` nor
-    ``ConditionalParams`` (``InvalidParameterError``)."""
+    ``ConditionalParams`` (``InvalidParameterError``).
+
+    A batch of states, ``su21_state`` of array parameters or
+    ``ConditionalParams`` of arrays, broadcasts its batch shape against the
+    settings' batch shape: states of shape (S, 1) at settings of shape (M,)
+    give (S, M) values, each bit for bit that of its own state."""
 
     target: GaussianState | ConditionalParams
     settings: DpSettings
@@ -163,18 +202,20 @@ class DpRates:
                           np.where(terms == 0, s.unprimed[..., None, :], s.primed[..., None, :]))
 
     def bell(self, j_mag: ArrayLike = 1.0) -> float | NDArray[np.float64]:
-        """B at J of any shape, broadcast against the settings' batch shape;
-        a scalar J on unbatched settings gives a float value.  Values are
-        bit-identical to one call per J, and J = 1 is the value at
-        ``settings`` itself."""
-        j, batch = _nonnegative("J", j_mag), self.settings.unprimed.shape[:-1]
-        try:   # a scalar J, or unbatched settings, always broadcasts
+        """B at J of any shape, broadcast against the batch shape of the
+        states and settings; a scalar J on an unbatched state and settings
+        gives a float value.  Values are bit-identical to one call per J, and
+        J = 1 is the value at ``settings`` itself."""
+        j = _nonnegative("J", j_mag)
+        scale, weights, exponents = self.rates
+        batch = exponents[0].shape[:-1]
+        try:   # a scalar J, or an unbatched state and settings, always broadcasts
             if j.ndim and batch:
                 np.broadcast_shapes(j.shape, batch)
         except ValueError:
             raise InvalidParameterError(f"J of shape {j.shape} does not broadcast against "
-                                        f"settings of batch shape {batch}") from None
-        return _bell(_bell_sum(_evaluate(*self.rates, j[..., None])),
+                                        f"states and settings of batch shape {batch}") from None
+        return _bell(_bell_sum(_evaluate(scale, weights, exponents, j[..., None])),
                      self.settings.unprimed.shape[-1])
 
 
@@ -199,9 +240,12 @@ def b3_ghz_closed(r: ArrayLike, j_mag: ArrayLike) -> float | NDArray[np.float64]
     e_minus = math.exp(-2.0 * r) if r.ndim == 0 else np.array(
         [math.exp(-2.0 * x) for x in r.ravel().tolist()]).reshape(r.shape)
     # 24 e^{2r} J is formed in log space so that it cannot overflow; past
-    # e^7 its exponential underflows to 0 anyway
-    log_second = 2.0 * r + np.log(24.0 * j, out=np.full_like(j, -np.inf), where=j > 0.0)
-    val = 3.0 * np.exp(-12.0 * e_minus * j) - np.exp(-np.exp(np.minimum(log_second, 7.0)))
+    # e^7 its exponential underflows to 0 anyway, and log(24 J) is -inf at
+    # J = 0.  A J near the top of the float range overflows 24 J or
+    # 12 e^{-2r} J to inf, whose terms are then their limits, exactly 0
+    with np.errstate(over="ignore", divide="ignore"):
+        log_second = 2.0 * r + np.log(24.0 * j)
+        val = 3.0 * np.exp(-12.0 * e_minus * j) - np.exp(-np.exp(np.minimum(log_second, 7.0)))
     return _bell(np.abs(val), 3)
 
 

@@ -231,11 +231,13 @@ def _b3dpvlbgen():
                                              axis=-1).reshape(-1, 3)
 
 
-def _dp_rows(xs, target, family, js) -> list:
+def _dp_rows(xs, target, family, js) -> np.ndarray:
     """Rows (x, J, B) of the Bell value of ``target(x)`` at ``family(J)``: one
-    ``DpRates`` per x, on settings batched over J."""
-    return [[x, j, v] for x in xs
-            for j, v in zip(js, bell_dp.DpRates(target(x), family(js)).bell())]
+    ``DpRates`` of the batch of states at the xs, a column, against the
+    settings' batch over J."""
+    x, j = np.meshgrid(xs, js, indexing="ij")
+    values = bell_dp.DpRates(target(xs[:, None]), family(js)).bell()
+    return np.stack([x, j, values], axis=-1).reshape(-1, 3)
 
 
 def _b3dpt():

@@ -23,26 +23,27 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError, PrecisionError, UndefinedStateError
-from .gaussian import TripartitePhotonNumbers, _check_condition, su21_state
-
-_KEEP = (0, 1, 3, 4)  # x1, x2, y1, y2 of the 6x6 (x1 x2 x3 y1 y2 y3) ordering
-
+from .gaussian import TripartitePhotonNumbers, _check_condition, _entries, su21_state
 
 @dataclass(frozen=True)
 class ConditionalParams:
-    """Source photon numbers, the mode-2 phase, and the ON/OFF detector efficiency."""
+    """Source photon numbers, the mode-2 phase, and the ON/OFF detector
+    efficiency: floats, or arrays that broadcast together for a batch of
+    heralded states (``bell_dp.DpRates`` reads one; the cached
+    ``two_gaussian_form`` takes floats)."""
 
-    n2: float
-    n3: float
-    phi2: float = 0.0
-    eta: float = 1.0
+    n2: float | NDArray[np.float64]
+    n3: float | NDArray[np.float64]
+    phi2: float | NDArray[np.float64] = 0.0
+    eta: float | NDArray[np.float64] = 1.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.n2, self.n3, self.phi2, self.eta])):
+        n2, n3, phi2, eta = _entries(self.n2, self.n3, self.phi2, self.eta)
+        if not all(map(math.isfinite, n2 + n3 + phi2 + eta)):
             raise InvalidParameterError("parameters must be finite")
-        if self.n2 < 0 or self.n3 < 0:
+        if min(n2 + n3) < 0:
             raise InvalidParameterError("photon numbers must be >= 0")
-        if not 0.0 <= self.eta <= 1.0:
+        if not 0.0 <= min(eta) <= max(eta) <= 1.0:
             raise InvalidParameterError("eta must lie in [0, 1]")
 
     def photons(self) -> TripartitePhotonNumbers:
@@ -57,14 +58,52 @@ def p_click(p: ConditionalParams) -> float:
 def _check_click(p: ConditionalParams) -> None:
     """Raise ``UndefinedStateError`` where no click is possible (eta = 0 or
     n3 = 0), so the heralded state does not exist, and ``PrecisionError`` where
-    eta n3, which the heralded prefactors divide by, is below the normal floats."""
-    if p.eta == 0.0:
+    eta n3, which the heralded prefactors divide by, is below the normal floats;
+    for a batch, where any row is."""
+    eta, n3, product = _entries(p.eta, p.n3, p.eta * p.n3)
+    if 0.0 in eta:
         raise UndefinedStateError("eta = 0 admits no click; the heralded state is undefined")
-    if p.n3 == 0.0:
+    if 0.0 in n3:
         raise UndefinedStateError("n3 = 0 admits no click; the heralded state is undefined")
-    if p.eta * p.n3 < sys.float_info.min:
-        raise PrecisionError(f"eta * n3 = {p.eta * p.n3:.3g} is below the smallest normal float"
+    small = min(product)
+    if small < sys.float_info.min:
+        raise PrecisionError(f"eta * n3 = {small:.3g} is below the smallest normal float"
                              f" {sys.float_info.min:.3g}; the heralded prefactors divide by it")
+
+
+_BROADEN = np.diag([0.0, 0.0, 1.0, 0.0, 0.0, 1.0]) == 1.0     # the x3 and y3 variances
+_KEEP = np.array([0, 1, 3, 4])  # x1, x2, y1, y2 of the 6x6 (x1 x2 x3 y1 y2 y3) ordering
+_ROWS, _COLS = _KEEP[:, None], _KEEP
+
+
+def _heralded_forms(p: ConditionalParams
+                    ) -> tuple[tuple[float, float], tuple[NDArray[np.float64], NDArray[np.float64]]]:
+    """``two_gaussian_form`` of ``p``, whose parameters may be arrays: their
+    broadcast shape (...) gives weights of shape (...) and (..., 4, 4) forms,
+    from one stacked LAPACK call per check, determinant and inverse, each row
+    bit for bit the form of its own parameters."""
+    _check_click(p)
+    V = su21_state(p.photons()).cov
+    broaden = np.asarray((2.0 - p.eta) / p.eta)
+    # V + diag(0, 0, b, 0, 0, b), the zeros added too: they turn V's -0.0 entries into +0.0
+    D = V + np.where(_BROADEN, broaden[..., None, None], 0.0)
+    Vp = V[..., _ROWS, _COLS]
+    _check_condition(Vp)
+    _check_condition(D)
+    pref = (1.0 + p.eta * p.n3) / (4.0 * p.eta * p.n3)
+    with np.errstate(over="ignore"):    # an overflow is caught below
+        wa = pref * (2.0 / np.pi) ** 2 / np.sqrt(np.linalg.det(Vp))
+        wb = pref * (1.0 / p.eta) * (2.0 / np.pi) ** 2 * 2.0 / np.sqrt(np.linalg.det(D))
+    bad = ~(np.isfinite(wa) & np.isfinite(wb))
+    if np.count_nonzero(bad):
+        k = np.flatnonzero(bad)[0]
+        raise PrecisionError(
+            "the heralded Gaussian weights ({:.3g}, {:.3g}) overflow at eta = {:.3g}, n3 = {:.3g}"
+            .format(*(np.broadcast_to(v, bad.shape).flat[k] for v in (wa, wb, p.eta, p.n3))))
+    forms = np.linalg.inv(Vp), np.linalg.inv(D)[..., _ROWS, _COLS]
+    for q in forms:
+        q.setflags(write=False)
+    return (wa, -wb), forms
 
 
 @lru_cache(maxsize=256)
@@ -77,21 +116,6 @@ def two_gaussian_form(p: ConditionalParams
     inverted-then-restricted one.
     ``bell_dp.e_dp`` evaluates it, W(x) = e_dp(p, (x + iy)/sqrt(2)) / pi^2.
     ``ConditioningError`` where V' or D is too ill-conditioned to invert, and
-    ``PrecisionError`` where a weight overflows (pref / eta, at a tiny eta)."""
-    _check_click(p)
-    V = su21_state(p.photons()).cov
-    broaden = (2.0 - p.eta) / p.eta
-    D = V + np.diag([0.0, 0.0, broaden, 0.0, 0.0, broaden])
-    Vp = V[np.ix_(_KEEP, _KEEP)]
-    _check_condition(Vp)
-    _check_condition(D)
-    pref = (1.0 + p.eta * p.n3) / (4.0 * p.eta * p.n3)
-    wa = pref * (2.0 / np.pi) ** 2 / np.sqrt(np.linalg.det(Vp))
-    wb = pref * (1.0 / p.eta) * (2.0 / np.pi) ** 2 * 2.0 / np.sqrt(np.linalg.det(D))
-    if not (math.isfinite(wa) and math.isfinite(wb)):
-        raise PrecisionError(f"the heralded Gaussian weights ({wa:.3g}, {wb:.3g}) overflow"
-                             f" at eta = {p.eta:.3g}, n3 = {p.n3:.3g}")
-    forms = np.linalg.inv(Vp), np.linalg.inv(D)[np.ix_(_KEEP, _KEEP)]
-    for q in forms:
-        q.setflags(write=False)
-    return (wa, -wb), forms
+    ``PrecisionError`` where a weight overflows (pref / eta, at a tiny eta).
+    Params of floats only: arrays, a batch, go through ``bell_dp.DpRates``."""
+    return _heralded_forms(p)

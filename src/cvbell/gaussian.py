@@ -11,8 +11,10 @@ pure states with det(C) = 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
@@ -22,11 +24,14 @@ COND_LIMIT = 1e12
 
 
 def _check_condition(cov: NDArray[np.float64]) -> None:
-    """Raise ``ConditioningError`` if ``cov``'s condition number exceeds ``COND_LIMIT``."""
+    """Raise ``ConditioningError`` if the condition number of ``cov``, or of
+    any matrix of a (..., d, d) stack, exceeds ``COND_LIMIT``."""
     cond = np.linalg.cond(cov)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    ok = cond <= COND_LIMIT     # False for NaN too
+    if np.count_nonzero(ok) < np.size(ok):
+        worst = np.ravel(cond)[~np.ravel(ok)][0]
         raise ConditioningError(
-            f"covariance condition number {cond:.3e} exceeds guard {COND_LIMIT:.0e}")
+            f"covariance condition number {worst:.3e} exceeds guard {COND_LIMIT:.0e}")
 
 
 def _nonnegative(name: str, x: ArrayLike) -> NDArray[np.float64]:
@@ -41,12 +46,19 @@ def _nonnegative(name: str, x: ArrayLike) -> NDArray[np.float64]:
     return a
 
 
+def _entries(*fields: ArrayLike) -> list[list[float]]:
+    """Each float or array field as a list of its entries, for a parameter
+    dataclass's checks: Python comparisons, as fast for a float as for a batch."""
+    return [[f] if isinstance(f, (int, float)) else np.ravel(f).tolist() for f in fields]
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Zero-mean Gaussian state of ``n_modes`` modes.
 
     ``cov`` is the 2n x 2n symmetric positive-definite covariance matrix in
-    the (x_1..x_n, y_1..y_n) ordering, dimensionless with vacuum = identity.
+    the (x_1..x_n, y_1..y_n) ordering, dimensionless with vacuum = identity,
+    or a (..., 2n, 2n) stack of them: a batch of states, one per row.
     Construction checks it; the inverse and determinant that correlators
     read are computed on first use and cached, so an ill-conditioned state
     constructs and raises ``ConditioningError`` at its first correlator.
@@ -58,16 +70,23 @@ class GaussianState:
     def __post_init__(self):
         if self.n_modes < 1:
             raise InvalidParameterError("n_modes must be a positive integer")
-        cov = np.asarray(self.cov, dtype=float)
+        cov = np.array(self.cov, dtype=float)
         d = 2 * self.n_modes
-        if cov.shape != (d, d):
+        if cov.shape[-2:] != (d, d):
             raise InvalidParameterError(f"covariance must be {d}x{d}, got {cov.shape}")
-        if not np.all(np.isfinite(cov)):
+        if np.count_nonzero(np.isfinite(cov)) < cov.size:
             raise InvalidParameterError("covariance has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > 1e-9 * scale:
-            raise InvalidParameterError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
+        cov_t = np.swapaxes(cov, -1, -2)
+        if np.count_nonzero(cov != cov_t):
+            # symmetrized only when it is not exactly symmetric, where the sum is
+            # a no-op that overflows for entries above half the float range
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))
+                if not np.all(np.max(np.abs(cov - cov_t), axis=(-2, -1)) <= 1e-9 * scale):
+                    raise InvalidParameterError("covariance must be symmetric")
+                cov = 0.5 * (cov + cov_t)
+            if not np.isfinite(cov).all():
+                raise InvalidParameterError("covariance overflows when symmetrized")
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -76,37 +95,41 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
 
     @cached_property
-    def factors(self) -> tuple[NDArray[np.float64], float]:
-        """``(inverse, det)`` of ``cov``; ``ConditioningError`` above ``COND_LIMIT``."""
+    def factors(self) -> tuple[NDArray[np.float64], float | NDArray[np.float64]]:
+        """``(inverse, det)`` of ``cov``, one stacked LAPACK call each for a
+        batch, whose ``det`` is an array; ``ConditioningError`` above
+        ``COND_LIMIT``."""
         _check_condition(self.cov)
         # SPD inverse through Cholesky
         inv_chol = np.linalg.inv(np.linalg.cholesky(self.cov))
-        inv = inv_chol.T @ inv_chol
+        inv = np.swapaxes(inv_chol, -1, -2) @ inv_chol
         inv.setflags(write=False)
-        return inv, float(np.linalg.det(self.cov))
+        det = np.linalg.det(self.cov)
+        return inv, float(det) if det.ndim == 0 else det
 
 
 @dataclass(frozen=True)
 class TripartitePhotonNumbers:
-    """Mean photon numbers of modes 2 and 3, plus their phases.
+    """Mean photon numbers of modes 2 and 3, plus their phases: floats, or
+    arrays that broadcast together for a batch of states.
 
     Mode 1 always carries n1 = n2 + n3 photons.
     """
 
-    n2: float
-    n3: float
-    phi2: float = 0.0
-    phi3: float = 0.0
+    n2: float | NDArray[np.float64]
+    n3: float | NDArray[np.float64]
+    phi2: float | NDArray[np.float64] = 0.0
+    phi3: float | NDArray[np.float64] = 0.0
 
     def __post_init__(self):
-        vals = (self.n2, self.n3, self.phi2, self.phi3)
-        if not np.all(np.isfinite(vals)):
+        n2, n3, phi2, phi3 = _entries(self.n2, self.n3, self.phi2, self.phi3)
+        if not all(map(math.isfinite, n2 + n3 + phi2 + phi3)):
             raise InvalidParameterError("photon numbers and phases must be finite")
-        if self.n2 < 0 or self.n3 < 0:
+        if min(n2 + n3) < 0:
             raise InvalidParameterError("photon numbers must be >= 0")
 
     @property
-    def n1(self) -> float:
+    def n1(self) -> float | NDArray[np.float64]:
         return self.n2 + self.n3
 
 
@@ -144,28 +167,39 @@ def su21_state(p: TripartitePhotonNumbers) -> GaussianState:
     Mode 1 is perfectly photon-number correlated with modes 2 and 3
     (n1 = n2 + n3).  Covariance entries follow the pairwise two-mode-squeezing
     (modes 1-2, 1-3) and beam-splitter-like (modes 2-3) correlations.
+    Parameters of broadcast shape (...) give one state of (..., 6, 6) stacked
+    covariances, each row bit for bit the state of its own parameters.
     """
+    try:
+        shape = np.broadcast(p.n2, p.n3, p.phi2, p.phi3).shape
+    except ValueError:
+        raise InvalidParameterError("photon numbers and phases must broadcast together") from None
     n1 = p.n1
-    A = 2 * np.sqrt(p.n2 * (1 + n1)) * np.cos(p.phi2)
-    D = 2 * np.sqrt(p.n2 * (1 + n1)) * np.sin(p.phi2)
-    F = 2 * n1 + 1
-    B = 2 * np.sqrt(p.n3 * (1 + n1)) * np.cos(p.phi3)
-    E = 2 * np.sqrt(p.n3 * (1 + n1)) * np.sin(p.phi3)
-    G = 2 * p.n2 + 1
-    C = 2 * np.sqrt(p.n2 * p.n3) * np.cos(p.phi2 - p.phi3)
-    L = 2 * np.sqrt(p.n2 * p.n3) * np.sin(p.phi2 - p.phi3)
-    H = 2 * p.n3 + 1
+    # past the float range an entry is inf or NaN, which GaussianState rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = 2 * np.sqrt(p.n2 * (1 + n1)) * np.cos(p.phi2)
+        D = 2 * np.sqrt(p.n2 * (1 + n1)) * np.sin(p.phi2)
+        F = 2 * n1 + 1
+        B = 2 * np.sqrt(p.n3 * (1 + n1)) * np.cos(p.phi3)
+        E = 2 * np.sqrt(p.n3 * (1 + n1)) * np.sin(p.phi3)
+        G = 2 * p.n2 + 1
+        C = 2 * np.sqrt(p.n2 * p.n3) * np.cos(p.phi2 - p.phi3)
+        L = 2 * np.sqrt(p.n2 * p.n3) * np.sin(p.phi2 - p.phi3)
+        H = 2 * p.n3 + 1
+    Z = 0.0
+    if shape:   # a batch: every entry takes its shape
+        A, B, C, D, E, F, G, H, L, Z = np.broadcast_arrays(A, B, C, D, E, F, G, H, L, Z)
     cov = np.array(
         [
-            [F, A, B, 0, -D, -E],
-            [A, G, C, -D, 0, L],
-            [B, C, H, -E, -L, 0],
-            [0, -D, -E, F, -A, -B],
-            [-D, 0, -L, -A, G, C],
-            [-E, L, 0, -B, C, H],
+            [F, A, B, Z, -D, -E],
+            [A, G, C, -D, Z, L],
+            [B, C, H, -E, -L, Z],
+            [Z, -D, -E, F, -A, -B],
+            [-D, Z, -L, -A, G, C],
+            [-E, L, Z, -B, C, H],
         ]
     )
-    return GaussianState(3, cov)
+    return GaussianState(3, np.moveaxis(cov, (0, 1), (-2, -1)) if shape else cov)
 
 
 def twb_state(n: float) -> GaussianState:

@@ -56,7 +56,8 @@ def e_h(target: ConditionalParams | GaussianState,
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+    if (np.count_nonzero(np.isfinite(theta)) < theta.size
+            or np.count_nonzero(np.isfinite(phi)) < phi.size):
         raise InvalidParameterError("phases must be finite")
     if isinstance(target, ConditionalParams):
         return _e_h_heralded(target, theta + phi + target.phi2)
@@ -75,7 +76,7 @@ def _e_h_orthant(s: GaussianState, theta: NDArray, phi: NDArray) -> NDArray[np.f
     var2 = c11 * c2 * c2 + 2.0 * c13 * c2 * s2 + c33 * s2 * s2
     cov = c01 * c1 * c2 + c03 * c1 * s2 + c12 * s1 * c2 + c23 * s1 * s2
     rho = cov / np.sqrt(var1 * var2)
-    worst = np.max(np.abs(rho), initial=0.0)
+    worst = np.abs(rho).max(initial=0.0)
     if worst > 1.0 + 1e-12:
         raise PrecisionError(f"quadrature correlation {worst} outside [-1, 1]")
     return (2.0 / math.pi) * np.arcsin(np.clip(rho, -1.0, 1.0))

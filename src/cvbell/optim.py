@@ -4,7 +4,7 @@
 narrowing the bracket to the neighbours of its best point.  Its objective takes
 a 1-D array of points and returns one value per point, so each scan is a single
 call; m independent brackets scan in lockstep, one call per scan on the points
-of those still scanning, each bracket with its own bookkeeping.
+of those still scanning, with one set of array operations for all of them.
 ``log_j_maximize`` runs it in log J over an objective that takes an array of
 J; the Klyshko sum has its own exact per-angle and Newton steps.  No
 stochastic search anywhere, ties break toward the lowest index, and identical
@@ -13,7 +13,7 @@ inputs give bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,35 +42,23 @@ def _check_tol(tol: float) -> None:
 
 _SCAN = 256         # points per scan of ``maximize_scalar``
 _RAMP = np.arange(float(_SCAN))
+# scan index -> (left neighbour, itself, right neighbour), each end its own neighbour
+_NEIGHBOURS = np.stack([np.maximum(np.arange(_SCAN) - 1, 0), np.arange(_SCAN),
+                        np.minimum(np.arange(_SCAN) + 1, _SCAN - 1)], axis=1)
 
 
-def _scan_points(a: float, b: float) -> NDArray[np.float64]:
-    """``np.linspace(a, b, 256)``, bit for bit, without its per-call overhead."""
-    step = (b - a) / (_SCAN - 1)
-    if step == 0.0:     # a subnormal width: linspace divides before it multiplies
-        xs = _RAMP / (_SCAN - 1) * (b - a) + a
-    else:
-        xs = _RAMP * step + a
-    xs[-1] = b
+def _scan_points(a: NDArray[np.float64], b: NDArray[np.float64],
+                 widths: list[float]) -> NDArray[np.float64]:
+    """``np.linspace(a_k, b_k, 256)`` for each row k of the (m,) bracket
+    ends, whose widths b_k - a_k are given, bit for bit, as one (m, 256) array."""
+    steps = [w / (_SCAN - 1) for w in widths]
+    xs = np.multiply.outer(steps, _RAMP)
+    xs += a[:, None]
+    if 0.0 in steps:    # a subnormal width: linspace divides before it multiplies
+        for k in [k for k, step in enumerate(steps) if step == 0.0]:
+            xs[k] = _RAMP / (_SCAN - 1) * widths[k] + a[k]
+    xs[:, -1] = b
     return xs
-
-
-def _bracket(lo: float, hi: float, tol: float):
-    """One bracket's scans: yields each scan's points, takes their values by
-    ``send`` and returns ``(best_x, best_v, evaluations, converged)``."""
-    a, b = lo, hi
-    best_x, best_v = lo, -math.inf
-    evals = 0
-    while True:
-        xs = _scan_points(a, b)
-        vals = yield xs
-        evals += _SCAN
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_x, best_v = float(xs[i]), float(vals[i])
-        width, a, b = b - a, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, _SCAN - 1)])
-        if not tol < b - a < width:
-            return best_x, best_v, evals, 0.0 < b - a <= tol
 
 
 def maximize_scalar(f: Callable[..., ArrayLike], lo: ArrayLike, hi: ArrayLike,
@@ -88,44 +76,61 @@ def maximize_scalar(f: Callable[..., ArrayLike], lo: ArrayLike, hi: ArrayLike,
     (256,) points.  Or they are 1-D arrays of m brackets, scanned in
     lockstep: ``f(xs, rows)`` takes the (k, 256) points of the k brackets
     still scanning and ``rows``, their indices into ``lo``, so each scan is
-    one call.  Every bracket keeps its own bookkeeping, so its entry is bit
-    for bit the result of its own call.  An objective that does not return one
-    finite value per point raises ``InvalidParameterError``.
+    one call.  One bracket is the case k = 1 of the same scan: its points,
+    argmax and next bracket are array operations over the k live brackets,
+    and one pass over their best values keeps each bracket's best point and
+    stop test, so each bracket's entry is bit for bit the result of its own
+    call.  An objective that does not return one finite value per point
+    raises ``InvalidParameterError``.
     """
     _check_tol(tol)
     los, his = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if los.ndim > 1 or los.shape != his.shape or los.size == 0:
         raise InvalidParameterError("need lo and hi of one shape: floats or 1-D arrays")
-    brackets = list(zip(los.ravel().tolist(), his.ravel().tolist()))
-    if not all(a < b for a, b in brackets):
+    a, b = los.ravel(), his.ravel()     # the brackets of the live rows
+    if not all(x < y for x, y in zip(a.tolist(), b.tolist())):
         raise InvalidParameterError("need lo < hi")
     batch = los.ndim == 1
-    scans = [_bracket(a, b, tol) for a, b in brackets]
-    points = [next(s) for s in scans]
-    live = list(range(len(scans)))
-    results = [None] * len(scans)
-    while live:
-        xs = np.stack(points) if batch else points[0]
-        vals = np.asarray(f(xs, np.array(live)) if batch else f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise InvalidParameterError(
-                f"objective must return one value per point: {xs.size} points gave shape {vals.shape}")
-        if not np.isfinite(vals).all():
+    widths = (b - a).tolist()
+    live = list(range(a.size))
+    best = [(x, -math.inf) for x in a.tolist()]     # (point, value) per row
+    converged = [False] * a.size
+    at = np.arange(0, a.size * _SCAN, _SCAN)[:, None]    # each live row's flat offset
+    evaluations = 0
+    while True:
+        xs = _scan_points(a, b, widths)
+        vals = np.asarray(f(xs, np.array(live)) if batch else f(xs[0]), dtype=float)
+        if vals.shape != (xs.shape if batch else xs.shape[1:]):
+            raise InvalidParameterError(f"objective must return one value per point:"
+                                        f" {xs.size} points gave shape {vals.shape}")
+        if np.count_nonzero(np.isfinite(vals)) < vals.size:
             raise InvalidParameterError("objective returned non-finite values")
-        still, points = [], []
-        for row, v in zip(live, vals if batch else (vals,)):
-            try:
-                points.append(scans[row].send(v))
-                still.append(row)
-            except StopIteration as done:
-                results[row] = done.value
-        live = still
-    best_x, best_v, evals, converged = zip(*results)
+        evaluations += xs.size
+        # flat indices of each row's best point and its two neighbours: the next bracket
+        near = _NEIGHBOURS[vals.argmax(axis=-1)] + at
+        brackets = xs.take(near)
+        keep, narrowed = [], []
+        for k, (row, (x_lo, x, x_hi), v, width) in enumerate(zip(
+                live, brackets.tolist(), vals.take(near[:, 1]).tolist(), widths)):
+            if v > best[row][1]:
+                best[row] = x, v
+            if tol < x_hi - x_lo < width:
+                keep.append(k)
+                narrowed.append(x_hi - x_lo)
+            else:
+                converged[row] = 0.0 < x_hi - x_lo <= tol
+        widths = narrowed
+        if len(keep) < len(live):
+            if not keep:
+                break
+            brackets, live, at = brackets[keep], [live[k] for k in keep], at[:len(keep)]
+        a, b = brackets[:, 0], brackets[:, 2]
+    arg_max, max_value = zip(*best)
     if not batch:
-        return ScanResult(arg_max=np.array(best_x), max_value=best_v[0], evaluations=evals[0],
-                          converged=converged[0])
-    return ScanResult(arg_max=np.array(best_x), max_value=np.array(best_v),
-                      evaluations=sum(evals), converged=np.array(converged))
+        return ScanResult(arg_max=np.array(arg_max), max_value=max_value[0],
+                          evaluations=evaluations, converged=converged[0])
+    return ScanResult(arg_max=np.array(arg_max), max_value=np.array(max_value),
+                      evaluations=evaluations, converged=np.array(converged))
 
 
 # The Klyshko sum (``bell_dp.KLYSHKO_TERMS``) over theta = (a, b, c, a', b', c'):
@@ -273,4 +278,4 @@ def log_j_maximize(f_of_j: Callable[..., ArrayLike], j_lo: ArrayLike, j_hi: Arra
                               np.reshape(log_lo, lo.shape), np.reshape(log_hi, lo.shape), tol)
     else:
         res = maximize_scalar(lambda us: f_of_j(np.exp(us)), log_lo[0], log_hi[0], tol)
-    return replace(res, arg_max=np.exp(res.arg_max))
+    return ScanResult(np.exp(res.arg_max), res.max_value, res.evaluations, res.converged)

@@ -9,7 +9,8 @@ three-mode pseudospin correlator written out, the large-energy relations of the
 optimized displacements, the dense matrix of a Fock-space state, the dense
 pseudospin axis operator, the interlinked-interaction and twin-beam kets exact
 to 50 digits, the GHZ-type state's correlator written out, and the
-displacement matrix built for one amplitude alone.
+displacement matrix built for one amplitude alone, and the one-bracket scan
+maximizer in plain floats.
 """
 from __future__ import annotations
 
@@ -346,3 +347,25 @@ def displacement_one(alpha: complex, cutoff: int) -> NDArray[np.complex128]:
     u = alpha / r
     phase = np.where(m >= n, (u**k)[d], ((-u.conjugate()) ** k)[d])
     return np.exp(log_mag) * lag[lo, d] * phase
+
+
+# ---------------------------------------------------------------------------
+# maximizer
+
+def scan_maximize(f, lo: float, hi: float, tol: float) -> tuple[float, float, int, bool]:
+    """``(arg_max, max_value, evaluations, converged)`` of repeated 256-point
+    ``np.linspace`` scans of one bracket, each narrowing it to its best
+    point's two neighbours until it is at most ``tol`` or stops shrinking:
+    ``optim.maximize_scalar``'s algorithm, one bracket at a time in floats."""
+    a, b = lo, hi
+    best_x, best_v, evaluations = lo, -math.inf, 0
+    while True:
+        xs = np.linspace(a, b, 256)
+        vals = f(xs)
+        evaluations += 256
+        i = int(np.argmax(vals))
+        if vals[i] > best_v:
+            best_x, best_v = float(xs[i]), float(vals[i])
+        width, a, b = b - a, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 255)])
+        if not tol < b - a < width:
+            return best_x, best_v, evaluations, 0.0 < b - a <= tol

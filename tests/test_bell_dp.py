@@ -626,3 +626,87 @@ class TestRateForm:
         rates = DpRates(twb_state(2.0), twb_dp_settings([0.01, 0.02, 0.03]))
         with pytest.raises(InvalidParameterError, match="does not broadcast"):
             rates.bell(j)
+
+
+class TestBatchedStates:
+    """``DpRates`` of a batch of states broadcasts it against the settings'
+    batch, each value bit for bit that of its own state."""
+
+    JS = np.logspace(-5, 0, 9)
+
+    def test_gaussian_rows_are_their_own_states(self):
+        rng = np.random.default_rng(8)
+        n2, n3 = 10.0 ** rng.uniform(-1.0, 2.0, (2, 5, 1))
+        phi2, phi3 = rng.uniform(-3.0, 3.0, (2, 5, 1))
+        batch = DpRates(su21_state(TripartitePhotonNumbers(n2, n3, phi2, phi3)),
+                        su21_opt_dp_settings(self.JS)).bell()
+        assert batch.shape == (5, 9)
+        for i in range(5):
+            one = su21_state(TripartitePhotonNumbers(
+                *(float(v[i, 0]) for v in (n2, n3, phi2, phi3))))
+            assert batch[i].tolist() == DpRates(one, su21_opt_dp_settings(self.JS)).bell().tolist()
+
+    def test_heralded_rows_are_their_own_states(self):
+        n2 = np.logspace(0, 3, 4)[:, None]
+        eta = np.array([[0.3], [0.6], [0.9], [1.0]])
+        rates = DpRates(ConditionalParams(n2, 1e-2 / n2, 0.4, eta), conditional_dp_settings(1.0))
+        batch = rates.bell(self.JS)
+        assert batch.shape == (4, 9)
+        for i in range(4):
+            one = ConditionalParams(float(n2[i, 0]), 1e-2 / float(n2[i, 0]), 0.4, float(eta[i, 0]))
+            assert batch[i].tolist() == DpRates(one, conditional_dp_settings(1.0)).bell(
+                self.JS).tolist()
+        # e_dp reads a batch's alphas as (..., k, modes), each state at its k points
+        alphas = np.array([[0.1, 0.2j], [0.3, -0.1]])
+        e = e_dp(ConditionalParams(n2, 1e-2 / n2, 0.4, eta), alphas)
+        assert e.shape == (4, 1, 2)
+        assert e[2, 0].tolist() == e_dp(ConditionalParams(100.0, 1e-4, 0.4, 0.9), alphas).tolist()
+
+    @pytest.mark.parametrize("batch", [
+        lambda n2: (su21_state(TripartitePhotonNumbers(n2, 0.5)), su21_opt_dp_settings),
+        lambda n2: (ConditionalParams(n2, 0.5), conditional_dp_settings),
+    ], ids=["gaussian", "heralded"])
+    def test_batches_that_do_not_broadcast(self, batch):
+        target, family = batch(np.ones((3, 1)))
+        # states (3, 1) against settings (2, 4), and then J (2,) against (3, 4)
+        with pytest.raises(InvalidParameterError, match="do not broadcast"):
+            DpRates(target, family(self.JS[:8].reshape(2, 4))).bell()
+        with pytest.raises(InvalidParameterError, match="does not broadcast"):
+            DpRates(target, family(self.JS[:4])).bell(np.ones(2))
+
+
+def _b3_ghz_masked_log(r, j):
+    """``b3_ghz_closed`` as it formed log(24 J) before, under a mask for J = 0."""
+    e_minus = math.exp(-2.0 * r)
+    log_second = 2.0 * r + np.log(24.0 * j, out=np.full_like(j, -np.inf), where=j > 0.0)
+    return np.abs(3.0 * np.exp(-12.0 * e_minus * j)
+                  - np.exp(-np.exp(np.minimum(log_second, 7.0))))
+
+
+class TestHugeJ:
+    """A J near the top of the float range gives the limit value, 0, with no
+    RuntimeWarning (an error in this suite); in range nothing moves."""
+
+    @pytest.mark.parametrize("target,family,limit", [
+        (twb_state(1.0), twb_dp_settings, 0.0),
+        (ConditionalParams(1.0, 0.5), conditional_dp_settings, 0.0),
+        # one Klyshko term of this family does not decay: its exponent is 0
+        (su21_opt_state(3.0), su21_opt_dp_settings, None),
+    ], ids=["twb", "conditional", "su21"])
+    def test_rate_form_limit(self, target, family, limit):
+        rates = DpRates(target, family(1.0))
+        limit = rates.bell(1e290) if limit is None else limit
+        assert rates.bell(1e308) == limit
+        assert rates.bell([1e-3, 1.7e308]).tolist() == [rates.bell(1e-3), limit]
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 5.0, 300.0])
+    def test_ghz_closed_limit(self, r):
+        assert b3_ghz_closed(r, 1e308) == 0.0
+        assert b3_ghz_closed(r, 1.7976931348623157e308) == 0.0
+
+    def test_ghz_closed_in_range_is_unchanged(self):
+        rng = np.random.default_rng(9)
+        j = np.concatenate([[0.0, 5e-324, 1e-300, 1e300],
+                            10.0 ** rng.uniform(-12.0, 3.0, 4000)])
+        for r in (0.0, 0.3, 1.7, 4.0, 400.0):
+            assert b3_ghz_closed(r, j).tolist() == _b3_ghz_masked_log(r, j).tolist()

@@ -89,6 +89,46 @@ class TestFigures:
                 assert main(argv) == 0
                 assert json.loads(capsys.readouterr().out)["value"] == value, (state, n)
 
+    @pytest.mark.parametrize("figure_id,rows,shapes", [
+        ("B3DPT", 33, {"inv": [(33, 1, 6, 6)], "cholesky": [(33, 1, 6, 6)] * 2,
+                       "det": [(33, 1, 6, 6)], "cond": [(33, 1, 6, 6)]}),
+        ("B2DPTWBA", 25, {"inv": [(25, 1, 4, 4), (25, 1, 6, 6)], "cholesky": [(25, 1, 6, 6)],
+                          "det": [(25, 1, 4, 4), (25, 1, 6, 6)],
+                          "cond": [(25, 1, 4, 4), (25, 1, 6, 6)]}),
+    ])
+    def test_dp_rows_factor_every_state_in_one_stacked_call(self, figure_id, rows, shapes,
+                                                            monkeypatch):
+        """Each state of the column is one row of one stacked LAPACK call per
+        check, determinant and inverse, not one call per state."""
+        calls = {name: [] for name in shapes}
+        for name in shapes:
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, fn=fn, name=name: (
+                calls[name].append(np.shape(m)) or fn(m)))
+        cli.conditional.two_gaussian_form.cache_clear()
+        _, _, table = cli._FIGURES[figure_id]()
+        assert calls == shapes
+        assert isinstance(table, np.ndarray) and table.shape == (rows * 33, 3)
+
+    def test_b3dpn_scans_each_state_in_one_call_per_scan(self, monkeypatch):
+        """Each state's 71 brackets share one objective call per scan."""
+        runs = []
+        maximize = cli.optim.maximize_scalar
+
+        def counted(f, lo, hi, tol):
+            rows = []
+            res = maximize(lambda x, live: rows.append(len(live)) or f(x, live), lo, hi, tol)
+            runs.append((rows, res.evaluations))
+            return res
+
+        monkeypatch.setattr(cli.optim, "maximize_scalar", counted)
+        cli._FIGURES["B3DPN"]()
+        assert len(runs) == 2
+        for rows, evaluations in runs:
+            assert rows[0] == 71 and len(rows) <= 8
+            assert rows == sorted(rows, reverse=True)
+            assert 256 * sum(rows) == evaluations
+
     def test_b2ps_curve_ordering(self, tmp_path):
         out = tmp_path / "B2PS.csv"
         run_figure("B2PS", str(out))
@@ -96,6 +136,39 @@ class TestFigures:
                 if ln and not ln.startswith("#")][1:]
         for _, f_twb, f_1, f_tr in rows:
             assert float(f_1) >= float(f_tr) - 1e-12
+
+
+class TestTopOfTheFloatRange:
+    """Queries at the top of the float range, with every RuntimeWarning an
+    error: a huge finite J prints the limit value, and a state past the range
+    is a library error (exit 4) that prints nothing to stdout, where LAPACK
+    once printed its DLASCL message."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--state", "twb", "--test", "dp2", "--n", "1", "--j", "1e308"],
+        ["--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", "0.5", "--j", "1e308"],
+        ["--state", "ghz", "--test", "dp3", "--r", "1", "--j", "1e308"],
+        ["--state", "ghz", "--test", "dp3", "--r", "0", "--j", "1.7e308"],
+    ], ids=" ".join)
+    def test_huge_j_is_the_limit(self, argv, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["point", *argv]) == 0
+        assert json.loads(capfd.readouterr().out)["value"] == 0.0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--state", "twb", "--test", "dp2", "--n", "1e308", "--j", "0.1"], "positive definite"),
+        (["--state", "twb", "--test", "homodyne", "--n", "1e308"], "positive definite"),
+        (["--state", "conditional", "--test", "dp2", "--n2", "1e200", "--n3", "0.5",
+          "--j", "0.1"], "non-finite entries"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_state_past_the_range_is_a_library_error(self, argv, message, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["point", *argv]) == 4
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: InvalidParameterError: covariance") and message in err
 
 
 class TestPoint:

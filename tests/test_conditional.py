@@ -5,6 +5,7 @@ import pytest
 
 from cvbell import (
     ConditionalParams,
+    InvalidParameterError,
     PrecisionError,
     TripartitePhotonNumbers,
     UndefinedStateError,
@@ -18,7 +19,8 @@ from cvbell import (
     su21_state,
     wigner_reconstruct,
 )
-from cvbell.conditional import two_gaussian_form
+from cvbell import conditional
+from cvbell.conditional import _heralded_forms, two_gaussian_form
 from reference import heralded_wigner, reduce_state, wigner_eval
 
 
@@ -160,3 +162,54 @@ class TestTracedState:
         rng = np.random.default_rng(9)
         pts = rng.normal(0, 2, size=(200, 4))
         assert np.all(wigner_eval(s, pts) > 0)
+
+
+class TestBatchedForms:
+    """The heralded form of ``ConditionalParams`` of arrays: one stacked
+    computation whose rows are bit for bit the forms of their own params."""
+
+    @staticmethod
+    def _params(seed):
+        rng = np.random.default_rng(seed)
+        n2 = 10.0 ** rng.uniform(-2.0, 3.0, (7, 1))
+        # eta < 1, and eta n3 down to 1e-6
+        return n2, 10.0 ** rng.uniform(-4.0, 0.5, (7, 1)), rng.uniform(-3.0, 3.0, (1, 3)), \
+            rng.uniform(0.01, 1.0, (7, 1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_are_their_own_forms(self, seed):
+        n2, n3, phi2, eta = self._params(seed)
+        n3[-1, 0], eta[-1, 0] = 1e-290, 1e-7     # eta n3 = 1e-297, near the click check's edge
+        (wa, wb), (qa, qb) = _heralded_forms(ConditionalParams(n2, n3, phi2, eta))
+        assert wa.shape == wb.shape == (7, 3) and qa.shape == qb.shape == (7, 3, 4, 4)
+        for i, k in np.ndindex(7, 3):
+            p = ConditionalParams(float(n2[i, 0]), float(n3[i, 0]), float(phi2[0, k]),
+                                  float(eta[i, 0]))
+            (one_wa, one_wb), (one_qa, one_qb) = two_gaussian_form(p)
+            assert (wa[i, k], wb[i, k]) == (one_wa, one_wb)
+            assert qa[i, k].tobytes() == one_qa.tobytes()
+            assert qb[i, k].tobytes() == one_qb.tobytes()
+
+    def test_cached_scalar_entry_is_a_wrapper_of_the_batched_core(self):
+        # the benchmark harness reads cache_info and clears every cache_clear
+        two_gaussian_form.cache_clear()
+        p = ConditionalParams(1.0, 0.5, 0.3, 0.8)
+        first = two_gaussian_form(p)
+        assert two_gaussian_form(ConditionalParams(1.0, 0.5, 0.3, 0.8)) is first
+        assert two_gaussian_form.cache_info().hits == 1
+        assert conditional.two_gaussian_form is two_gaussian_form
+        core = _heralded_forms(ConditionalParams(np.array([1.0]), 0.5, 0.3, 0.8))
+        assert [w[0] for w in core[0]] == list(first[0])
+        assert all(q[0].tobytes() == one.tobytes() for q, one in zip(core[1], first[1]))
+
+    def test_one_bad_row_rejects_the_batch(self):
+        n2, n3, phi2, eta = self._params(0)
+        n3[4, 0] = 0.0
+        with pytest.raises(UndefinedStateError, match="n3 = 0"):
+            _heralded_forms(ConditionalParams(n2, n3, phi2, eta))
+        n3[4, 0], eta[4, 0] = 1e-300, 1e-7
+        with pytest.raises(PrecisionError, match="overflow at eta = 1e-07, n3 = 1e-300"):
+            _heralded_forms(ConditionalParams(n2, n3, phi2, eta))
+        eta[4, 0] = 1.5
+        with pytest.raises(InvalidParameterError, match="eta must lie"):
+            ConditionalParams(n2, n3, phi2, eta)

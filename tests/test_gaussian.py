@@ -261,3 +261,76 @@ class TestStateValidation:
                   twb_state(n2)):
             np.linalg.cholesky(s.cov)  # raises if not PD
             assert s.factors[1] == pytest.approx(1.0, abs=1e-8)
+
+
+class TestTopOfTheFloatRange:
+    """Covariances near the top of the float range: a documented
+    ``InvalidParameterError``, with no warning and no LAPACK message."""
+
+    def test_exactly_symmetric_is_stored_as_given(self):
+        # the symmetrizing sum is skipped: it is a no-op that overflows here
+        m = np.array([[1.5e308, 1e307], [1e307, 1.5e308]])
+        assert GaussianState(1, m).cov.tobytes() == m.tobytes()
+
+    def test_nearly_symmetric_is_symmetrized(self):
+        m = np.array([[2.0, 0.5], [0.5 + 1e-12, 2.0]])
+        assert GaussianState(1, m).cov.tolist() == (0.5 * (m + m.T)).tolist()
+
+    def test_twin_beam_past_the_range(self, capfd):
+        # its entries are about 1e308, so their sum overflowed before any check
+        with pytest.raises(InvalidParameterError, match="positive definite"):
+            twb_state(1e308)
+        assert capfd.readouterr() == ("", "")
+
+    def test_nearly_symmetric_sum_that_overflows(self, capfd):
+        m = np.array([[1.7e308, 1.0], [1.0 + 1e-9, 1.7e308]])
+        with pytest.raises(InvalidParameterError, match="overflows when symmetrized"):
+            GaussianState(1, m)
+        assert capfd.readouterr() == ("", "")
+
+    def test_su21_entries_past_the_range(self):
+        # sqrt(n2 (1 + n1)) is inf, and inf sin 0 was NaN with a RuntimeWarning
+        with pytest.raises(InvalidParameterError, match="non-finite entries"):
+            su21_state(TripartitePhotonNumbers(1e200, 0.5))
+
+
+class TestBatchedStates:
+    """``su21_state`` of array parameters is one state of stacked covariances,
+    each row bit for bit the state of its own parameters."""
+
+    @staticmethod
+    def _params(seed):
+        rng = np.random.default_rng(seed)
+        n2 = 10.0 ** rng.uniform(-3.0, 3.0, (6, 1))
+        n3 = 10.0 ** rng.uniform(-3.0, 3.0, (6, 1))
+        return n2, n3, rng.uniform(-4.0, 4.0, (1, 5)), rng.uniform(-4.0, 4.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_are_their_own_states(self, seed):
+        n2, n3, phi2, phi3 = self._params(seed)
+        batch = su21_state(TripartitePhotonNumbers(n2, n3, phi2, phi3))
+        assert batch.cov.shape == (6, 5, 6, 6)
+        inv, det = batch.factors
+        for i, k in np.ndindex(6, 5):
+            one = su21_state(TripartitePhotonNumbers(float(n2[i, 0]), float(n3[i, 0]),
+                                                     float(phi2[0, k]), phi3))
+            one_inv, one_det = one.factors
+            assert batch.cov[i, k].tobytes() == one.cov.tobytes()
+            assert inv[i, k].tobytes() == one_inv.tobytes()
+            assert det[i, k] == one_det
+
+    def test_one_bad_row_rejects_the_batch(self):
+        n2, n3, phi2, phi3 = self._params(0)
+        n2[3, 0] = -1.0
+        with pytest.raises(InvalidParameterError, match=">= 0"):
+            TripartitePhotonNumbers(n2, n3, phi2, phi3)
+        phi2[0, 2] = math.nan
+        with pytest.raises(InvalidParameterError, match="finite"):
+            TripartitePhotonNumbers(n3, n3, phi2, phi3)
+        with pytest.raises(InvalidParameterError, match="broadcast"):
+            su21_state(TripartitePhotonNumbers(np.ones(3), np.ones(4)))
+
+    def test_condition_guard_names_the_bad_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1e7, 1e-7]), np.eye(2)])
+        with pytest.raises(ConditioningError, match="1.000e\\+14"):
+            GaussianState(1, stack).factors

@@ -17,7 +17,7 @@ from cvbell import (
     su21_pi_coeffs,
     twb_state,
 )
-from reference import asymptote_relations
+from reference import asymptote_relations, scan_maximize
 
 
 def klyshko_sum(theta, g):
@@ -207,6 +207,36 @@ class TestLockstepBrackets:
         assert [len(rows) for rows in calls] == [
             sum(one.evaluations > 256 * k for one in singles) for k in range(len(calls))]
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-300], ids=["default", "below-spacing"])
+    def test_rows_match_the_float_reference(self, tol):
+        """Each bracket of one lockstep run, and each run of one bracket, is
+        the plain-float scan of its own bracket in all four fields, with
+        brackets of subnormal width and brackets that stop by rounding."""
+        lo, hi = _brackets(5, 40)
+        lo = np.concatenate([lo, [0.0, -1e-310, 1.0, 0.0]])
+        hi = np.concatenate([hi, [5e-324, 1e-310, 1.0 + 2.0**-40, 1e-320]])
+        centres = np.random.default_rng(6).uniform(-3.0, 3.0, lo.size)
+        res = maximize_scalar(lambda x, rows: _bumpy(x, centres[rows, None]), lo, hi, tol=tol)
+        refs = [scan_maximize(lambda x, c=c: _bumpy(x, c), a, b, tol)
+                for a, b, c in zip(lo.tolist(), hi.tolist(), centres.tolist())]
+        assert res.arg_max.tolist() == [r[0] for r in refs]
+        assert res.max_value.tolist() == [r[1] for r in refs]
+        assert res.evaluations == sum(r[2] for r in refs)
+        assert type(res.evaluations) is int
+        assert res.converged.tolist() == [r[3] for r in refs]
+        if tol == 1e-300:   # the brackets of normal width stop by rounding
+            assert not res.converged[:40].any() and res.converged[43]
+        for k in (0, 40, 41, 43):       # one bracket, a float or an array of one
+            ref = refs[k]
+            f = lambda x, c=centres[k]: _bumpy(x, c)
+            one = maximize_scalar(f, lo[k], hi[k], tol=tol)
+            assert (one.arg_max.tolist(), one.max_value, one.evaluations, one.converged) == (
+                [ref[0]], ref[1], ref[2], ref[3])
+            assert type(one.max_value) is float and type(one.converged) is bool
+            row = maximize_scalar(lambda x, rows: f(x), lo[k:k + 1], hi[k:k + 1], tol=tol)
+            assert (row.arg_max.tolist(), row.max_value.tolist(), row.evaluations,
+                    row.converged.tolist()) == ([ref[0]], [ref[1]], ref[2], [ref[3]])
+
     def test_log_j_rows_are_their_own_calls(self):
         j_lo = np.logspace(-9, -3, 8)
         centres = np.linspace(-8.0, -1.0, 8)
@@ -230,9 +260,12 @@ class TestLockstepBrackets:
         rng = np.random.default_rng(seed)
         lo = rng.uniform(-1e3, 1e3, 50) * 10.0 ** rng.integers(-300, 300, 50)
         hi = lo + np.abs(lo) * 10.0 ** rng.uniform(-15.0, 1.0, 50) + 5e-324
-        for a, b in [*zip(lo.tolist(), hi.tolist()), (0.0, 5e-324), (0.0, 1e-320),
-                     (-1e-310, 1e-310), (1.0, 1.0 + 2.0**-52)]:
-            assert np.array_equal(optim._scan_points(a, b), np.linspace(a, b, 256)), (a, b)
+        brackets = [*zip(lo.tolist(), hi.tolist()), (0.0, 5e-324), (0.0, 1e-320),
+                    (-1e-310, 1e-310), (1.0, 1.0 + 2.0**-52)]
+        # one call scans every bracket, normal and subnormal widths mixed
+        rows = optim._scan_points(*map(np.array, zip(*brackets)), [b - a for a, b in brackets])
+        for (a, b), xs in zip(brackets, rows):
+            assert np.array_equal(xs, np.linspace(a, b, 256)), (a, b)
 
     @pytest.mark.parametrize("objective", [
         lambda x, rows: np.zeros((len(rows), 255)),

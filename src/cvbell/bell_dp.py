@@ -205,8 +205,13 @@ class DpRates:
         """B at J of any shape, broadcast against the batch shape of the
         states and settings; a scalar J on an unbatched state and settings
         gives a float value.  Values are bit-identical to one call per J, and
-        J = 1 is the value at ``settings`` itself."""
-        j = _nonnegative("J", j_mag)
+        J = 1 is the value at ``settings`` itself: J is checked, ``_core``
+        evaluates B, and ``_bell`` checks its values."""
+        return _bell(self._core(_nonnegative("J", j_mag)), self.settings.unprimed.shape[-1])
+
+    def _core(self, j: NDArray[np.float64]) -> NDArray[np.float64]:
+        """B at a float array ``j`` already checked finite and >= 0, its
+        values unchecked: a scan evaluates this, and checks its maximum once."""
         scale, weights, exponents = self.rates
         batch = exponents[0].shape[:-1]
         try:   # a scalar J, or an unbatched state and settings, always broadcasts
@@ -215,8 +220,7 @@ class DpRates:
         except ValueError:
             raise InvalidParameterError(f"J of shape {j.shape} does not broadcast against "
                                         f"states and settings of batch shape {batch}") from None
-        return _bell(_bell_sum(_evaluate(scale, weights, exponents, j[..., None])),
-                     self.settings.unprimed.shape[-1])
+        return _bell_sum(_evaluate(scale, weights, exponents, j[..., None]))
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,20 @@ def _heralded(p: dict) -> conditional.ConditionalParams:
     return conditional.ConditionalParams(p["n2"], p["n3"], p["phi2"], p["eta"])
 
 
-def _dp(target: Callable[[dict], object], value: Callable[[object, np.ndarray], np.ndarray]):
+def _dp(target: Callable[[dict], object], value: Callable[[object, np.ndarray], np.ndarray],
+        n_parties: int):
     """A displaced-parity evaluator: ``value(target(p), j)`` at ``--j``, or its
     maximum over J with ``--optimize``; ``value`` takes J of any shape.
     ``target`` runs once per query and every J reuses it; for dp2 it is
     ``bell_dp.DpRates`` of the state at its family's J = 1 setting, the one
     engine every displaced-parity Bell value comes from, so a J costs 4 (twin
     beam) or 8 (heralded) exponentials and no quadratic form.
+
+    The query is checked at its boundary: ``--j`` once, after the target,
+    and the value at ``--j``, or the maximum over J, once as an
+    ``n_parties`` Bell value.  ``value`` may leave both unchecked: the scan's
+    J are finite, and its maximum is the largest value it evaluated.  For dp2
+    it is ``DpRates``' unchecked core; the dp3 closed forms check their own.
 
     The scan runs over [1e-9, 10], or over [1e-4/N, 10] for a photon number N
     (``--n``, or ``--n2``) above 1e5: the optima fall as about 1/N (0.17/N for
@@ -75,15 +82,17 @@ def _dp(target: Callable[[dict], object], value: Callable[[object, np.ndarray], 
     def evaluate(p: dict) -> dict:
         t = target(p)
         if "j" in p:
-            return {"value": value(t, p["j"])}
+            j = gaussian._nonnegative("J", p["j"])
+            return {"value": bell_dp._bell(value(t, j), n_parties)}
         n = p.get("n", p.get("n2", 0.0))
         if np.ndim(n):
             res = optim.log_j_maximize(lambda j, rows: value(t[rows, None], j),
                                        [j_lo(x) for x in n.tolist()], 10.0, tol=p["tol"])
-            return {"value": res.max_value, "j_opt": res.arg_max, "evaluations": res.evaluations}
+            return {"value": bell_dp._bell(res.max_value, n_parties), "j_opt": res.arg_max,
+                    "evaluations": res.evaluations}
         res = optim.log_j_maximize(lambda j: value(t, j), j_lo(n), 10.0, tol=p["tol"])
-        return {"value": res.max_value, "j_opt": float(res.arg_max[0]),
-                "evaluations": res.evaluations}
+        return {"value": bell_dp._bell(res.max_value, n_parties),
+                "j_opt": float(res.arg_max[0]), "evaluations": res.evaluations}
     return evaluate
 
 
@@ -100,10 +109,14 @@ def _homodyne(target, phi2: float, tol: float) -> dict:
     """CHSH maximum of a state whose correlator is an even function E of
     theta + phi + phi2: the settings [0, 2d, -d - phi2, d - phi2] read E at
     -d, d, d and 3d, so the value is |3E(d) - E(3d)|, maximized over d in
-    [0, pi/2] to bracket width ``tol`` from one ``e_h`` call per scan: with
-    E(pi - psi) = -E(psi), d and pi - d give one value, so each peak is scanned once."""
+    [0, pi/2] to bracket width ``tol`` from one correlator call per scan: with
+    E(pi - psi) = -E(psi), d and pi - d give one value, so each peak is scanned once.
+    The target is checked once, at the first scan (after the maximizer's
+    ``tol``), and the scans call its correlator on their finite phases unchecked."""
+    correlator = cache(lambda: homodyne._correlator(target))
+
     def value(d: np.ndarray) -> np.ndarray:
-        e = homodyne.e_h(target, 0.0, np.stack([d, 3 * d]) - phi2)
+        e = correlator()(0.0, np.stack([d, 3 * d]) - phi2)
         return np.abs(3 * e[0] - e[1])
 
     res = optim.maximize_scalar(value, 0.0, math.pi / 2, tol)
@@ -118,17 +131,25 @@ _CLICK = (("n2", "n3", "eta"),)
 _DP = (("j",), ("optimize", "tol"))
 _TOL = (("tol",),)
 
+# each dp2 family is sqrt(J) times its J = 1 setting: one rate form per query,
+# from settings built once, read-only
+_TWB_DP = bell_dp.twb_dp_settings(1.0)
+_HERALDED_DP = bell_dp.conditional_dp_settings(1.0)
+for _a in (_TWB_DP.unprimed, _TWB_DP.primed, _HERALDED_DP.unprimed, _HERALDED_DP.primed):
+    _a.setflags(write=False)
+
 _PAIRS = {
-    ("ghz", "dp3"): _Pair((_GHZ, _DP), _dp(_ghz_r, bell_dp.b3_ghz_closed)),
+    # each closed form's magnitude is checked before --j, as the closed form does
+    ("ghz", "dp3"): _Pair((_GHZ, _DP), _dp(lambda p: gaussian._nonnegative("r", _ghz_r(p)),
+                                           bell_dp.b3_ghz_closed, 3)),
     # the trilinear closed form is the symmetric one: it reads the total N only
-    ("su21", "dp3"): _Pair((_N, _DP), _dp(lambda p: p["n"], bell_dp.b3_su21_closed)),
-    # each dp2 family is sqrt(J) times its J = 1 setting: one rate form per query
+    ("su21", "dp3"): _Pair((_N, _DP), _dp(lambda p: gaussian._nonnegative("N", p["n"]),
+                                          bell_dp.b3_su21_closed, 3)),
     ("twb", "dp2"): _Pair((_N, _DP), _dp(
-        lambda p: bell_dp.DpRates(gaussian.twb_state(p["n"]), bell_dp.twb_dp_settings(1.0)),
-        bell_dp.DpRates.bell)),
+        lambda p: bell_dp.DpRates(gaussian.twb_state(p["n"]), _TWB_DP),
+        bell_dp.DpRates._core, 2)),
     ("conditional", "dp2"): _Pair((_HERALDED, _DP), _dp(
-        lambda p: bell_dp.DpRates(_heralded(p), bell_dp.conditional_dp_settings(1.0)),
-        bell_dp.DpRates.bell)),
+        lambda p: bell_dp.DpRates(_heralded(p), _HERALDED_DP), bell_dp.DpRates._core, 2)),
     ("ghz", "ps3"): _Pair((_GHZ,), lambda p: {
         "value": bell_ps.b3_ps_from_coeffs(bell_ps.ghz_pi_coeffs(_ghz_r(p)))}),
     ("su21", "ps3"): _Pair(((("n",), ("n2", "n3")),), _su21_ps3),

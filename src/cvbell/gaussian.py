@@ -25,10 +25,16 @@ COND_LIMIT = 1e12
 
 def _check_condition(cov: NDArray[np.float64]) -> None:
     """Raise ``ConditioningError`` if the condition number of ``cov``, or of
-    any matrix of a (..., d, d) stack, exceeds ``COND_LIMIT``."""
-    cond = np.linalg.cond(cov)
+    any matrix of a (..., d, d) stack, exceeds ``COND_LIMIT``: the ratio of
+    the extreme singular values of one stacked SVD, which passes and fails
+    the matrices ``np.linalg.cond`` does, with its message."""
+    s = np.linalg.svd(cov, compute_uv=False)
+    with np.errstate(all="ignore"):     # np.linalg.cond's 2-norm ratio, exactly
+        cond = s[..., 0] / s[..., -1]
     ok = cond <= COND_LIMIT     # False for NaN too
     if np.count_nonzero(ok) < np.size(ok):
+        # as np.linalg.cond reports it: a NaN ratio (0/0) is inf unless cov has a NaN
+        cond = np.where(np.isnan(cond) & ~np.isnan(cov).any(axis=(-2, -1)), np.inf, cond)
         worst = np.ravel(cond)[~np.ravel(ok)][0]
         raise ConditioningError(
             f"covariance condition number {worst:.3e} exceeds guard {COND_LIMIT:.0e}")
@@ -59,9 +65,11 @@ class GaussianState:
     ``cov`` is the 2n x 2n symmetric positive-definite covariance matrix in
     the (x_1..x_n, y_1..y_n) ordering, dimensionless with vacuum = identity,
     or a (..., 2n, 2n) stack of them: a batch of states, one per row.
-    Construction checks it; the inverse and determinant that correlators
-    read are computed on first use and cached, so an ill-conditioned state
-    constructs and raises ``ConditioningError`` at its first correlator.
+    Construction checks it and keeps the Cholesky factor of its
+    positive-definiteness check; the inverse (through that factor) and the
+    determinant that correlators read are computed on first use and cached,
+    so an ill-conditioned state constructs and raises ``ConditioningError``
+    at its first correlator.
     """
 
     n_modes: int
@@ -88,11 +96,12 @@ class GaussianState:
             if not np.isfinite(cov).all():
                 raise InvalidParameterError("covariance overflows when symmetrized")
         try:
-            np.linalg.cholesky(cov)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise InvalidParameterError("covariance must be positive definite") from None
         cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_chol", chol)     # the factor ``factors`` inverts
 
     @cached_property
     def factors(self) -> tuple[NDArray[np.float64], float | NDArray[np.float64]]:
@@ -100,8 +109,8 @@ class GaussianState:
         batch, whose ``det`` is an array; ``ConditioningError`` above
         ``COND_LIMIT``."""
         _check_condition(self.cov)
-        # SPD inverse through Cholesky
-        inv_chol = np.linalg.inv(np.linalg.cholesky(self.cov))
+        # SPD inverse through the Cholesky factor of the construction's check
+        inv_chol = np.linalg.inv(self._chol)
         inv = np.swapaxes(inv_chol, -1, -2) @ inv_chol
         inv.setflags(write=False)
         det = np.linalg.det(self.cov)

@@ -11,6 +11,7 @@ orthant oracle's, which is opposite to the sign of the printed closed form.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -59,16 +60,26 @@ def e_h(target: ConditionalParams | GaussianState,
     if (np.count_nonzero(np.isfinite(theta)) < theta.size
             or np.count_nonzero(np.isfinite(phi)) < phi.size):
         raise InvalidParameterError("phases must be finite")
+    return _correlator(target)(theta, phi)
+
+
+def _correlator(target: ConditionalParams | GaussianState
+                ) -> Callable[[ArrayLike, ArrayLike], NDArray[np.float64]]:
+    """``target``'s correlator as a function of finite phases (theta, phi),
+    the target checked once, here: a heralded state must admit a click, and
+    any other target must have ``n_modes`` = 2.  ``e_h`` checks the phases
+    and calls it; a scan over phases it generates calls it directly."""
     if isinstance(target, ConditionalParams):
-        return _e_h_heralded(target, theta + phi + target.phi2)
-    return _e_h_orthant(target, theta, phi)
-
-
-def _e_h_orthant(s: GaussianState, theta: NDArray, phi: NDArray) -> NDArray[np.float64]:
-    modes = getattr(s, "n_modes", None)     # not a class check: any two-mode target with a cov
+        _check_click(target)
+        return lambda theta, phi: _e_h_heralded(target, theta + phi + target.phi2)
+    modes = getattr(target, "n_modes", None)     # not a class check: any two-mode target with a cov
     if modes != 2:
-        raise InvalidParameterError(
-            f"two-mode Gaussian state required, got {type(s).__name__} with n_modes = {modes}")
+        raise InvalidParameterError(f"two-mode Gaussian state required, got"
+                                    f" {type(target).__name__} with n_modes = {modes}")
+    return lambda theta, phi: _e_h_orthant(target, theta, phi)
+
+
+def _e_h_orthant(s: GaussianState, theta: ArrayLike, phi: ArrayLike) -> NDArray[np.float64]:
     (c00, c01, c02, c03), (_, c11, c12, c13), (_, _, c22, c23), (_, _, _, c33) = s.cov.tolist()
     c1, s1 = np.cos(theta), np.sin(theta)     # mode 1 quadrature x1 cos + y1 sin
     c2, s2 = np.cos(phi), np.sin(phi)         # mode 2 quadrature x2 cos + y2 sin
@@ -89,7 +100,6 @@ def _e_h_heralded(p: ConditionalParams, psi: NDArray) -> NDArray[np.float64]:
     # E = (4/pi) [arcsin(y_tr) + arcsin(w) / (eta n3)], w = y_tr k_off - y_off k_tr,
     # k = sqrt(1 - y^2), written through rho_tr - rho_off = rho_tr (2 - eta) eta n3^2 /
     # (a_off b_off), so that nothing cancels as |r cos psi| -> 1 or eta n3 -> 0
-    _check_click(p)
     n2, n3, eta, en3 = p.n2, p.n3, p.eta, p.eta * p.n3
     cs, sn2 = np.cos(psi), np.sin(psi) ** 2
     a_tr, b_tr, c_tr = 1 + 2 * (n2 + n3), 1 + 2 * n2, 1 + 2 * n3

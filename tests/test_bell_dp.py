@@ -297,10 +297,12 @@ class TestBatchedCorrelators:
 
 class TestFactorization:
     def test_factored_once(self, monkeypatch):
-        s = twb_state(2.0)
+        """One Cholesky per state, at construction: ``factors`` inverts the kept factor."""
         calls = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+        s = twb_state(2.0)
+        assert len(calls) == 1
         first = e_dp(s, [0.1, -0.2j])
         assert len(calls) == 1
         b2_twb = DpRates(s, twb_dp_settings(0.01)).bell()
@@ -308,6 +310,7 @@ class TestFactorization:
         assert s.factors[1] == pytest.approx(1.0, abs=1e-9)
         assert len(calls) == 1
         assert b2_twb == DpRates(twb_state(2.0), twb_dp_settings(0.01)).bell()
+        assert len(calls) == 2
 
     def test_ill_conditioned_state_raises_at_first_correlator(self):
         s = twb_state(1e6)
@@ -587,15 +590,44 @@ class TestRateForm:
                             rates.bell()
 
     def test_factored_once(self, monkeypatch):
+        """The state's one Cholesky is its construction's: the rates add none."""
         calls = []
         cholesky = np.linalg.cholesky
-        s = twb_state(2.0)
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
-        rates = DpRates(s, twb_dp_settings(1.0))
-        assert calls == []
+        rates = DpRates(twb_state(2.0), twb_dp_settings(1.0))
+        assert len(calls) == 1
         first = rates.bell(self.JS)
         assert rates.bell(self.JS).tolist() == first.tolist()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("target,settings", [
+        pytest.param(twb_state(1.0), twb_dp_settings(1.0), id="twb"),
+        pytest.param(ConditionalParams(1.0, 0.5, 0.7, 0.8), conditional_dp_settings(1.0),
+                     id="heralded"),
+    ])
+    @pytest.mark.parametrize("lo", [1e-9, np.array([1e-9, 1e-4, 0.05, 1.0])],
+                             ids=["one-bracket", "lockstep"])
+    def test_core_scan_is_the_checked_scan(self, target, settings, lo):
+        """Maximizing the unchecked core gives every ``ScanResult`` field of
+        maximizing ``bell``, bit for bit, for one bracket and in lockstep."""
+        rates = DpRates(target, settings)
+        if np.ndim(lo):
+            core = log_j_maximize(lambda j, rows: rates._core(j), lo, 10.0)
+            checked = log_j_maximize(lambda j, rows: rates.bell(j), lo, 10.0)
+        else:
+            core = log_j_maximize(rates._core, lo, 10.0)
+            checked = log_j_maximize(rates.bell, lo, 10.0)
+        for name in ("arg_max", "max_value", "evaluations", "converged"):
+            got, want = getattr(core, name), getattr(checked, name)
+            assert type(got) is type(want), name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+    def test_core_leaves_its_values_unchecked(self):
+        # the covariance below the vacuum's of ``test_a_producer_checks_its_value``
+        rates = DpRates(GaussianState(2, 0.1 * np.eye(4)), twb_dp_settings(1.0))
+        assert float(rates._core(np.asarray(1e-3))) == pytest.approx(190.057, abs=1e-3)
+        with pytest.raises(InvalidParameterError, match="exceeds the 2-party quantum bound"):
+            rates.bell(1e-3)
 
     @pytest.mark.parametrize("state,family", [
         *(pytest.param(su21_opt_state(n), su21_opt_dp_settings, id=f"su21-opt-{n:g}")

@@ -90,21 +90,22 @@ class TestFigures:
                 assert json.loads(capsys.readouterr().out)["value"] == value, (state, n)
 
     @pytest.mark.parametrize("figure_id,rows,shapes", [
-        ("B3DPT", 33, {"inv": [(33, 1, 6, 6)], "cholesky": [(33, 1, 6, 6)] * 2,
-                       "det": [(33, 1, 6, 6)], "cond": [(33, 1, 6, 6)]}),
+        ("B3DPT", 33, {"inv": [(33, 1, 6, 6)], "cholesky": [(33, 1, 6, 6)],
+                       "det": [(33, 1, 6, 6)], "svd": [(33, 1, 6, 6)], "cond": []}),
         ("B2DPTWBA", 25, {"inv": [(25, 1, 4, 4), (25, 1, 6, 6)], "cholesky": [(25, 1, 6, 6)],
                           "det": [(25, 1, 4, 4), (25, 1, 6, 6)],
-                          "cond": [(25, 1, 4, 4), (25, 1, 6, 6)]}),
+                          "svd": [(25, 1, 4, 4), (25, 1, 6, 6)], "cond": []}),
     ])
     def test_dp_rows_factor_every_state_in_one_stacked_call(self, figure_id, rows, shapes,
                                                             monkeypatch):
         """Each state of the column is one row of one stacked LAPACK call per
-        check, determinant and inverse, not one call per state."""
+        check, determinant and inverse, not one call per state: one Cholesky,
+        at construction, and one SVD per condition check."""
         calls = {name: [] for name in shapes}
         for name in shapes:
             fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda m, fn=fn, name=name: (
-                calls[name].append(np.shape(m)) or fn(m)))
+            monkeypatch.setattr(np.linalg, name, lambda m, fn=fn, name=name, **kw: (
+                calls[name].append(np.shape(m)) or fn(m, **kw)))
         cli.conditional.two_gaussian_form.cache_clear()
         _, _, table = cli._FIGURES[figure_id]()
         assert calls == shapes
@@ -390,6 +391,69 @@ class TestDp2RateForm:
         old = log_j_maximize(lambda j: DpRates(target, family(j)).bell(), 1e-9, 10.0)
         assert best["value"] == pytest.approx(old.max_value, abs=1e-12)
         assert best["evaluations"] == old.evaluations
+
+
+class TestCheckedOnce:
+    """A dp2 or homodyne point query checks its input and its value once, at
+    its boundary, while its scans evaluate bare cores; each covariance is
+    factored once."""
+
+    DP2 = [["--state", "twb", "--n", "1"],
+           ["--state", "conditional", "--n2", "1", "--n3", "0.5", "--phi2", "0.7", "--eta", "0.8"]]
+
+    @pytest.mark.parametrize("argv", DP2, ids=" ".join)
+    def test_the_maximum_is_checked_against_the_bound(self, argv, monkeypatch, capsys):
+        gaussians = cli.bell_dp._gaussians
+        # a rate form four times too large: its maximum is past 2 sqrt 2
+        monkeypatch.setattr(cli.bell_dp, "_gaussians", lambda target, alphas: (
+            lambda scale, weights, exponents: (4.0 * scale, weights, exponents))(
+                *gaussians(target, alphas)))
+        assert main(["point", "--test", "dp2", *argv, "--optimize"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidParameterError: |B| = ")
+        assert "exceeds the 2-party quantum bound" in captured.err
+
+    @pytest.mark.parametrize("j", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", DP2, ids=" ".join)
+    def test_j_is_checked_at_the_boundary(self, argv, j, capsys):
+        assert main(["point", "--test", "dp2", *argv, "--j", j]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidParameterError: J must be finite and >= 0")
+
+    @pytest.mark.parametrize("mode", [["--j", "0.1"], ["--optimize"]], ids=" ".join)
+    @pytest.mark.parametrize("n3,eta", [("1", "1e-200"), ("1e10", "1e-310")], ids=" ".join)
+    def test_condition_guard_when_a_singular_value_underflows(self, n3, eta, mode, capfd):
+        """D's smallest singular value is 0 at eta = 1e-200: the ratio is inf,
+        formed with no divide warning, and the guard names it.  At a subnormal
+        eta the broadening is inf and every singular value NaN, a NaN ratio
+        that the guard names inf, as ``np.linalg.cond`` does."""
+        argv = ["point", "--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", n3,
+                "--eta", eta, *mode]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 4
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "error: ConditioningError: covariance condition number inf exceeds guard 1e+12\n"
+
+    @pytest.mark.parametrize("argv,counts", [
+        (DP2[0], {"cholesky": 1, "svd": 1, "cond": 0}),
+        (DP2[1], {"cholesky": 1, "svd": 2, "cond": 0}),
+    ], ids=["twb", "conditional"])
+    def test_factorizations_per_query(self, argv, counts, monkeypatch, capsys):
+        """One ``--optimize`` query: one Cholesky, of the state's construction,
+        and one SVD per condition check (the heralded form checks V' and D)."""
+        calls = dict.fromkeys(counts, 0)
+        for name in counts:
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, fn=fn, name=name, **kw: (
+                calls.__setitem__(name, calls[name] + 1) or fn(m, **kw)))
+        cli.conditional.two_gaussian_form.cache_clear()
+        assert main(["point", "--test", "dp2", *argv, "--optimize"]) == 0
+        assert json.loads(capsys.readouterr().out)["evaluations"] > 0
+        assert calls == counts
 
 
 class TestLibraryErrors:

@@ -15,6 +15,8 @@ from cvbell import (
     chsh_h,
     classical_reference,
     e_h,
+    ghz_state,
+    maximize_scalar,
     onoff_condition,
     quadrature_orthant_expect,
     su21_fock,
@@ -22,7 +24,7 @@ from cvbell import (
     twb_state,
 )
 from cvbell.bell_dp import _bell_sum
-from cvbell.homodyne import _PHI_COLS, _ROWS, _THETA_COLS
+from cvbell.homodyne import _PHI_COLS, _ROWS, _THETA_COLS, _correlator
 from reference import reduce_state
 
 
@@ -305,3 +307,38 @@ class TestBatchedKernel:
     def test_three_mode_state_rejected(self):
         with pytest.raises(InvalidParameterError):
             e_h(su21_state(TripartitePhotonNumbers(0.3, 0.3)), np.zeros(2), 0.0)
+
+
+class TestCorrelatorDispatch:
+    """``_correlator`` checks a target once and returns its bare correlator,
+    which a scan over its own finite phases calls directly."""
+
+    @pytest.mark.parametrize("target", [twb_state(1.5), ConditionalParams(1.0, 0.5, 0.7, 0.8)],
+                             ids=["twb", "heralded"])
+    def test_scan_matches_e_h(self, target):
+        """The CLI's CHSH scan over the bare correlator gives every
+        ``ScanResult`` field of the scan over ``e_h``, bit for bit."""
+        phi2 = getattr(target, "phi2", 0.0)
+
+        def scan(correlator):
+            def value(d):
+                e = correlator(0.0, np.stack([d, 3 * d]) - phi2)
+                return np.abs(3 * e[0] - e[1])
+            return maximize_scalar(value, 0.0, math.pi / 2)
+
+        bare = scan(_correlator(target))
+        checked = scan(lambda theta, phi: e_h(target, theta, phi))
+        for name in ("arg_max", "max_value", "evaluations", "converged"):
+            got, want = getattr(bare, name), getattr(checked, name)
+            assert type(got) is type(want), name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+    def test_target_is_checked_at_dispatch(self):
+        with pytest.raises(UndefinedStateError, match="n3 = 0"):
+            _correlator(ConditionalParams(1.0, 0.0))
+        with pytest.raises(PrecisionError, match="eta \\* n3"):
+            _correlator(ConditionalParams(1.0, 5e-324, eta=1e-10))
+        with pytest.raises(InvalidParameterError, match="two-mode Gaussian state required"):
+            _correlator(ghz_state(0.5))
+        with pytest.raises(InvalidParameterError, match="got SimpleNamespace with n_modes = None"):
+            _correlator(SimpleNamespace())

@@ -3,17 +3,20 @@
 Output tables are byte-stable across runs: fixed grids, deterministic
 optimizers, and 12-significant-digit formatting.
 
-The argument parser is built once, when this module is imported, and never
-changed after; ``main`` only parses with it, so it may be called many times in
+One table of commands, ``_COMMANDS``, drives the parse, the dispatch and
+``--help``; ``point`` takes its flags from ``_FLAGS`` and each (state, test)
+pair's from ``_PAIRS``, which ``validate`` checks.  An option is ``--name
+value`` or ``--name=value``, spelled in full and given at most once; anything
+else is a usage error.  ``--grid`` sets the swept flag over any value given
+for it.  Nothing is built per call, so ``main`` may be called many times in
 one process.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
-from functools import cache
+from functools import cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -206,9 +209,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, steps = text.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad --grid {text!r}, expected lo:hi:steps") from exc
+        raise UsageError(f"bad --grid {text!r}, expected lo:hi:steps") from exc
     if not math.isfinite(lo) or not math.isfinite(hi):
-        raise argparse.ArgumentTypeError(f"bad --grid {text!r}, bounds must be finite")
+        raise UsageError(f"bad --grid {text!r}, bounds must be finite")
     return lo, hi, steps
 
 
@@ -316,6 +319,8 @@ def run_figure(figure_id: str, out: str | None = None, fmt: str = "csv") -> int:
     """Write one figure's data table to ``out`` (default <id>.<fmt>)."""
     if figure_id not in _FIGURES:
         raise UsageError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"unknown format {fmt!r}; choose from csv, json")
     meta, cols, rows = _FIGURES[figure_id]()
     path = out or f"{figure_id}.{fmt}"
     try:
@@ -506,47 +511,104 @@ def run_verify(cutoff: int = 30) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command line: one table of commands, read by the parse, the dispatch and --help
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cvbell",
-                                 description="Bell tests for two- and three-mode CV states")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    fig = sub.add_parser("figure", help="write one figure's data table")
-    fig.add_argument("id", choices=FIGURE_IDS)
-    fig.add_argument("--out", default=None)
-    fig.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    pt = sub.add_parser("point", help="evaluate one configuration")
-    pt.add_argument("--state", required=True, choices=sorted({s for s, _ in _PAIRS}))
-    pt.add_argument("--test", required=True, choices=sorted({t for _, t in _PAIRS}))
-    # an unset flag is left out of the namespace, so it holds only the given ones
-    for flag in (*_PARAMS, "tol"):
-        pt.add_argument(f"--{flag}", type=float, default=argparse.SUPPRESS)
-    pt.add_argument("--optimize", action="store_true", default=argparse.SUPPRESS)
-    pt.add_argument("--grid", type=_parse_grid, default=argparse.SUPPRESS,
-                    help="lo:hi:steps sweep of --n, or of --n2")
-
-    ver = sub.add_parser("verify", help="run the oracle-equivalence suite")
-    ver.add_argument("--cutoff", type=int, default=30)
-    return ap
+class _Command(NamedTuple):
+    """A command's help line, its positional arguments, its options as name ->
+    (converter, metavar), or None for a bare flag, the options it needs, and
+    the function it calls with them all."""
+    summary: str
+    args: tuple[str, ...]
+    options: dict[str, tuple[Callable[[str], object], str] | None]
+    needs: tuple[str, ...]
+    run: Callable[..., int]
 
 
-_PARSER = _build_parser()
+_COMMANDS = {
+    "figure": _Command("write one figure's table, csv by default, to ID.FORMAT unless --out",
+                       ("id",), {"out": (str, "PATH"), "format": (str, "csv|json")}, (),
+                       lambda figure_id, out=None, format="csv": run_figure(figure_id, out, format)),
+    "point": _Command("evaluate one configuration, or a --grid sweep of it", (),
+                      {"state": (str, "STATE"), "test": (str, "TEST"),
+                       **{k: None if k == "optimize" else (float, "X") for k in _FLAGS},
+                       "grid": (_parse_grid, "LO:HI:STEPS")}, ("state", "test"), run_point),
+    "verify": _Command("run the oracle-equivalence suite at a Fock --cutoff, default 30", (),
+                       {"cutoff": (int, "INT")}, (), run_verify),
+}
+_HELP = ("-h", "--help")
+
+
+def _help(name: str | None = None) -> int:
+    """Print the usage of the command ``name``, or of all, from the tables."""
+    lines = ["usage: cvbell COMMAND; each option is --name VALUE or --name=VALUE, "
+             "spelled in full and given at most once"]
+    for key, cmd in _COMMANDS.items() if name is None else [(name, _COMMANDS[name])]:
+        lines += ["", " ".join(["cvbell", key, *map(str.upper, cmd.args), *(
+            f"--{k} {spec[1]}" if k in cmd.needs else f"[--{k}{' ' + spec[1] if spec else ''}]"
+            for k, spec in cmd.options.items())]), f"  {cmd.summary}"]
+        if key == "figure":
+            lines.append("  ID: " + ", ".join(FIGURE_IDS))
+        if key == "point":
+            lines.append("  each (state, test) pair reads these flags (a | b: exactly one):")
+            for (s, t), pair in _PAIRS.items():
+                lines.append(f"    {s} {t}: " + "; ".join(" | ".join(" ".join(
+                    f"[--{k}]" if k in _DEFAULTS else f"--{k}" for k in form) for form in forms)
+                    for forms in pair.groups))
+            lines += ["  defaults: " + ", ".join(f"--{k} {v:g}" for k, v in _DEFAULTS.items()),
+                      "  --grid sets a pair's first flag, --n or --n2, to each of "
+                      "np.linspace(LO, HI, STEPS) in turn, over any value given"]
+    print("\n".join(lines))
+    return 0
+
+
+def _parse(argv: Sequence[str]) -> Callable[[], int]:
+    """The call ``argv`` asks for: its command's function on the positional
+    arguments and the given options, converted, or ``_help`` at ``-h`` or
+    ``--help``.  The first thing its table entry does not take, an option
+    spelled otherwise or given twice included, is a ``UsageError``."""
+    if argv and argv[0] in _HELP:
+        return _help
+    if not argv or argv[0] not in _COMMANDS:
+        raise UsageError((f"unknown command {argv[0]!r}" if argv else "no command")
+                         + "; choose from " + ", ".join(_COMMANDS))
+    name, tokens = argv[0], iter(argv[1:])
+    cmd, args, given = _COMMANDS[name], [], {}
+    for token in tokens:
+        key, eq, text = token[2:].partition("=")
+        if token in _HELP:
+            return partial(_help, name)
+        if not token.startswith("--"):
+            args.append(token)
+        elif key not in cmd.options:
+            raise UsageError(f"{name} has no option --{key}")
+        elif key in given:
+            raise UsageError(f"--{key} is given twice")
+        elif cmd.options[key] is None:
+            if eq:
+                raise UsageError(f"--{key} takes no value")
+            given[key] = True
+        else:
+            convert, metavar = cmd.options[key]
+            text = text if eq else next(tokens, None)
+            if text is None:
+                raise UsageError(f"--{key} needs a value")
+            try:
+                given[key] = convert(text)
+            except ValueError:
+                raise UsageError(f"--{key} takes {metavar}, not {text!r}") from None
+    if len(args) > len(cmd.args):
+        raise UsageError(f"stray argument {args[len(cmd.args)]!r}")
+    missing = [*map(str.upper, cmd.args[len(args):]),
+               *(f"--{k}" for k in cmd.needs if k not in given)]
+    if missing:
+        raise UsageError(f"{name} needs " + ", ".join(missing))
+    return partial(cmd.run, *args, **given)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line, ``sys.argv[1:]`` by default; return its exit code."""
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        if args.command == "figure":
-            return run_figure(args.id, args.out, args.format)
-        if args.command == "point":
-            return run_point(**{k: v for k, v in vars(args).items() if k != "command"})
-        return run_verify(args.cutoff)
+        return _parse(sys.argv[1:] if argv is None else argv)()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -84,7 +84,11 @@ def _heralded_forms(p: ConditionalParams
     bit for bit the form of its own parameters."""
     _check_click(p)
     V = su21_state(p.photons()).cov
-    broaden = np.asarray((2.0 - p.eta) / p.eta)
+    with np.errstate(over="ignore"):    # at a subnormal eta; caught here
+        broaden = np.asarray((2.0 - p.eta) / p.eta)
+    if not np.isfinite(broaden).all():
+        eta = np.broadcast_to(p.eta, broaden.shape)[~np.isfinite(broaden)][0]
+        raise PrecisionError(f"the detector broadening (2 - eta)/eta overflows at eta = {eta:.3g}")
     # V + diag(0, 0, b, 0, 0, b), the zeros added too: they turn V's -0.0 entries into +0.0
     D = V + np.where(_BROADEN, broaden[..., None, None], 0.0)
     Vp = V[..., _ROWS, _COLS]
@@ -116,6 +120,7 @@ def two_gaussian_form(p: ConditionalParams
     inverted-then-restricted one.
     ``bell_dp.e_dp`` evaluates it, W(x) = e_dp(p, (x + iy)/sqrt(2)) / pi^2.
     ``ConditioningError`` where V' or D is too ill-conditioned to invert, and
-    ``PrecisionError`` where a weight overflows (pref / eta, at a tiny eta).
+    ``PrecisionError`` where the broadening (2 - eta)/eta (at a subnormal eta)
+    or a weight (pref / eta, at a tiny eta) overflows.
     Params of floats only: arrays, a batch, go through ``bell_dp.DpRates``."""
     return _heralded_forms(p)

@@ -27,6 +27,8 @@ from .errors import CutoffTooSmallError, InvalidParameterError, PrecisionError, 
 from .gaussian import TripartitePhotonNumbers, _nonnegative
 
 TAIL_BUDGET = 1e-6
+# the most amplitudes, cutoff**n_modes, a built ket holds: cutoff <= 100 on three modes, 1000 on two
+MAX_AMPLITUDES = 10**6
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,14 @@ def _pure_fock(a: ArrayLike, cutoff: int, log_z: Sequence[complex] = ()) -> Fock
     (Miatto & Quesada, Quantum 4, 366 (2020)) runs in real arithmetic; D then scales psi(n) by
     prod_j z_j^{n_j}, so a coupling's phase or rounding put in log z_j enters once, not per step.
     psi(0) is physical, so the tail is 1 - sum |psi|^2.  A's largest singular value rounding to 1
-    is a ``PrecisionError``, a tail past ``TAIL_BUDGET`` a ``CutoffTooSmallError``."""
+    is a ``PrecisionError``, a tail past ``TAIL_BUDGET`` a ``CutoffTooSmallError``, and a ket
+    of more than ``MAX_AMPLITUDES`` an ``InvalidParameterError``, raised before any allocation."""
     if cutoff < 2:
         raise InvalidParameterError("cutoff must be >= 2")
     a = np.asarray(a, dtype=float)
+    if cutoff ** len(a) > MAX_AMPLITUDES:
+        raise InvalidParameterError(f"cutoff {cutoff} on {len(a)} modes gives {cutoff ** len(a):.3g}"
+                                    f" amplitudes, above the limit {MAX_AMPLITUDES}")
     sv = np.linalg.svd(a, compute_uv=False)
     if not sv[0] < 1.0:
         raise PrecisionError(f"A's largest singular value {float(sv[0])!r} is not below 1")

@@ -311,8 +311,13 @@ class TestGridSweep:
         flag = sweep.groups[0][0][0]
         assert main(argv) == 0
         swept = capsys.readouterr().out
+        # the sweep sets the flag over any value given, which a step's query leaves out
+        rest = [*argv[:i], *argv[i + 2:]]
+        if f"--{flag}" in rest:
+            k = rest.index(f"--{flag}")
+            del rest[k:k + 2]
         for v in np.linspace(float(lo), float(hi), int(steps)).tolist():
-            assert main([*argv[:i], *argv[i + 2:], f"--{flag}", repr(v)]) == 0
+            assert main([*rest, f"--{flag}", repr(v)]) == 0
         assert swept == capsys.readouterr().out
 
     @pytest.mark.parametrize("lo,hi,steps", [
@@ -423,20 +428,32 @@ class TestCheckedOnce:
         assert captured.err.startswith("error: InvalidParameterError: J must be finite and >= 0")
 
     @pytest.mark.parametrize("mode", [["--j", "0.1"], ["--optimize"]], ids=" ".join)
-    @pytest.mark.parametrize("n3,eta", [("1", "1e-200"), ("1e10", "1e-310")], ids=" ".join)
-    def test_condition_guard_when_a_singular_value_underflows(self, n3, eta, mode, capfd):
+    def test_condition_guard_when_a_singular_value_underflows(self, mode, capfd):
         """D's smallest singular value is 0 at eta = 1e-200: the ratio is inf,
-        formed with no divide warning, and the guard names it.  At a subnormal
-        eta the broadening is inf and every singular value NaN, a NaN ratio
-        that the guard names inf, as ``np.linalg.cond`` does."""
-        argv = ["point", "--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", n3,
-                "--eta", eta, *mode]
+        formed with no divide warning, and the guard names it."""
+        argv = ["point", "--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", "1",
+                "--eta", "1e-200", *mode]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 4
         out, err = capfd.readouterr()
         assert out == ""
         assert err == "error: ConditioningError: covariance condition number inf exceeds guard 1e+12\n"
+
+    @pytest.mark.parametrize("mode", [["--j", "0.1"], ["--optimize"]], ids=" ".join)
+    def test_subnormal_eta_is_a_precision_error(self, mode, capfd):
+        """At a subnormal eta the broadening (2 - eta)/eta overflows, with eta n3
+        still a normal float; it is named before D's condition is checked, which
+        read it as a NaN condition number."""
+        argv = ["point", "--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", "1e10",
+                "--eta", "1e-310", *mode]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 4
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == ("error: PrecisionError: the detector broadening (2 - eta)/eta overflows "
+                       "at eta = 1e-310\n")
 
     @pytest.mark.parametrize("argv,counts", [
         (DP2[0], {"cholesky": 1, "svd": 1, "cond": 0}),
@@ -674,6 +691,19 @@ class TestVerify:
         assert failed["GHZ displaced parity vs oracle"].startswith("CutoffTooSmallError: ")
         assert out.endswith("10/17 checks passed\n")
 
+    @pytest.mark.parametrize("cutoff", ["3000", "100000000"])
+    def test_oversized_cutoff_fails_each_fock_row(self, cutoff, capsys):
+        # each Fock build is refused before it allocates, so every Fock row prints the error
+        assert main(["verify", "--cutoff", cutoff]) == 1
+        out = capsys.readouterr().out
+        failed = {name: value for name, (status, value, _) in _verify_rows(out).items()
+                  if status == "FAIL"}
+        assert len(failed) == 8
+        assert all(re.fullmatch(rf"InvalidParameterError: cutoff {cutoff} on [23] modes gives "
+                                r"\S+ amplitudes, above the limit 1000000", v)
+                   for v in failed.values())
+        assert out.endswith("9/17 checks passed\n")
+
     def test_odd_cutoff_passes(self, capsys):
         # the spin-flip check rounds an odd cutoff up to even for the pseudospin
         assert main(["verify", "--cutoff", "41"]) == 0
@@ -811,7 +841,8 @@ class TestFlagTable:
 
 
 class TestSharedParser:
-    """``main`` parses with the one parser built when ``cvbell.cli`` is imported."""
+    """``main`` parses from the command table built when ``cvbell.cli`` is
+    imported; it builds no parser and imports none."""
 
     MIXED = [
         (["point", "--state", "twb", "--test", "ps2", "--n", "1"], 0),
@@ -838,17 +869,11 @@ class TestSharedParser:
     ]
 
     def test_main_constructs_no_parser(self, tmp_path, monkeypatch):
+        # with argparse unimportable, every command still gets its exit code
         monkeypatch.chdir(tmp_path)
-        built = []
-        init = cli.argparse.ArgumentParser.__init__
-
-        def counting_init(parser, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(parser, *args, **kwargs)
-
-        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setitem(sys.modules, "argparse", None)
+        assert not hasattr(cli, "argparse")
         assert [main(argv) for argv, _ in self.MIXED] == [rc for _, rc in self.MIXED]
-        assert built == []
 
     @staticmethod
     def _env() -> dict:
@@ -857,8 +882,6 @@ class TestSharedParser:
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
     def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
-        # help text wraps at the terminal width, so both sides get the same one
-        monkeypatch.setenv("COLUMNS", "80")
         monkeypatch.chdir(tmp_path)
         sequence = [
             ["point", "--state", "twb", "--test", "dp3", "--n", "1"],
@@ -878,12 +901,131 @@ class TestSharedParser:
                                    cwd=tmp_path, capture_output=True, text=True, timeout=300)
             assert seen == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
-    def test_package_import_loads_no_parser(self):
-        code = "import sys, cvbell; print(sorted({'argparse', 'cvbell.cli'} & set(sys.modules)))"
+    @pytest.mark.parametrize("module", ["cvbell", "cvbell.cli"])
+    def test_package_import_loads_no_parser(self, module):
+        # the CLI parses from its own table: no argparse, nor the gettext it loads
+        code = (f"import sys, {module}; "
+                "print(sorted({'argparse', 'gettext', 'cvbell.cli'} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], env=self._env(),
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.strip() == ("[]" if module == "cvbell" else "['cvbell.cli']")
+
+
+class TestCommandTable:
+    """Each option is ``--name value`` or ``--name=value``, spelled in full and
+    given at most once; anything else is a usage error, exit 2, with nothing
+    on stdout and nothing written."""
+
+    @pytest.mark.parametrize("argv,name", [
+        (["point", "--state", "twb", "--test", "ps2", "--n", "1", "--n", "2"], "--n"),
+        (["point", "--state", "twb", "--test", "ps2", "--n", "1", "--state", "twb"], "--state"),
+        (["point", "--state", "twb", "--test", "dp2", "--n", "1", "--optimize", "--optimize"],
+         "--optimize"),
+        (["point", "--state", "twb", "--test", "ps2", "--n=1", "--n", "1"], "--n"),
+        (["figure", "E2H", "--out", "a.csv", "--out", "b.csv"], "--out"),
+        (["figure", "E2H", "--format", "csv", "--format=json"], "--format"),
+        (["verify", "--cutoff", "30", "--cutoff", "40"], "--cutoff"),
+    ], ids=" ".join)
+    def test_repeated_option_is_usage_error(self, argv, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"usage error: {name} is given twice\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["point", "--state", "twb", "--te", "ps2", "--n", "1"], "point has no option --te"),
+        (["point", "--state", "twb", "--test", "dp2", "--n", "1", "--opt"],
+         "point has no option --opt"),
+        (["point", "--st", "twb", "--test", "ps2", "--n", "1"], "point has no option --st"),
+        (["figure", "E2H", "--form", "json"], "figure has no option --form"),
+        (["verify", "--cut", "30"], "verify has no option --cut"),
+        (["point", "--state", "twb", "--test", "ps2", "--n", "1", "--cutoff", "7"],
+         "point has no option --cutoff"),
+        (["point", "--state", "twb", "--test", "ps2", "--n", "x"], "--n takes X, not 'x'"),
+        (["point", "--state", "twb", "--test", "ps2", "--n="], "--n takes X, not ''"),
+        (["verify", "--cutoff", "1e8"], "--cutoff takes INT, not '1e8'"),
+        (["figure", "E2H", "--format", "xml"], "unknown format 'xml'; choose from csv, json"),
+        (["point", "--state", "twb", "--test", "ps2", "--n"], "--n needs a value"),
+        (["point", "--state", "twb", "--test", "dp2", "--n", "1", "--optimize=1"],
+         "--optimize takes no value"),
+        (["point", "--state", "twb", "--test", "ps2", "--n", "1", "extra"],
+         "stray argument 'extra'"),
+        (["point", "--state", "twb", "--test", "ps2", "-n", "1"], "stray argument '-n'"),
+        (["figure", "E2H", "B2PS"], "stray argument 'B2PS'"),
+        (["verify", "30"], "stray argument '30'"),
+        (["figure"], "figure needs ID"),
+        (["figure", "--format", "json"], "figure needs ID"),
+        (["point", "--test", "ps2", "--n", "1"], "point needs --state"),
+        (["point", "--n", "1"], "point needs --state, --test"),
+        (["poin", "--state", "twb"], "unknown command 'poin'; choose from figure, point, verify"),
+        ([], "no command; choose from figure, point, verify"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_malformed_command_line_is_usage_error(self, argv, message, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spaced,joined", [
+        (["point", "--state", "twb", "--test", "ps2", "--n", "1"],
+         ["point", "--state=twb", "--test=ps2", "--n=1"]),
+        (["point", "--state", "conditional", "--test", "dp2", "--n2", "1", "--n3", "0.5",
+          "--eta", "0.8", "--optimize", "--tol", "1e-6"],
+         ["point", "--state", "conditional", "--test", "dp2", "--n2=1", "--n3=0.5",
+          "--eta=0.8", "--optimize", "--tol=1e-6"]),
+        (["point", "--state", "twb", "--test", "ps2", "--grid", "0:4:9"],
+         ["point", "--state", "twb", "--test", "ps2", "--grid=0:4:9"]),
+        (["point", "--state", "twb", "--test", "dp2", "--n", "1", "--j", "-1"],
+         ["point", "--state", "twb", "--test", "dp2", "--n", "1", "--j=-1"]),
+        (["verify", "--cutoff", "4"], ["verify", "--cutoff=4"]),
+    ], ids=lambda v: " ".join(v))
+    def test_joined_value_is_the_spaced_one(self, spaced, joined, capsys):
+        rc = main(spaced)
+        expected = capsys.readouterr()
+        assert main(joined) == rc
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("value", ["-1e5", "-inf", "-1"])
+    def test_value_may_start_with_a_dash(self, value, capsys):
+        # the token after an option is its value, so the library names the bad photon number
+        assert main(["point", "--state", "twb", "--test", "ps2", "--n", value]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: InvalidParameterError: photon number must be finite and >= 0")
+
+    def test_joined_value_keeps_its_equals_signs(self, tmp_path):
+        path = tmp_path / "a=b.json"
+        assert main(["figure", "E2H", f"--out={path}", "--format=json"]) == 0
+        assert path.is_file()
+
+    @pytest.mark.parametrize("argv", [["point", "--help"], ["point", "-h"],
+                                      ["point", "--state", "twb", "--help"]],
+                             ids=" ".join)
+    def test_point_help_lists_every_pair(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        listed = [tuple(line.split(":")[0].split()) for line in out.splitlines()
+                  if line.startswith("    ")]
+        assert listed == list(_PAIRS)
+        assert "    conditional dp2: --n2 --n3 [--phi2] [--eta]; --j | --optimize [--tol]" in out
+        assert "defaults: --phi2 0, --eta 1, --tol 1e-08" in out
+        assert "figure" not in out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--help", "point"]], ids=" ".join)
+    def test_top_level_help_lists_every_command(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("cvbell ")] == [
+            "figure", "point", "verify"]
+        assert "ID: " + ", ".join(FIGURE_IDS) in out
+
+    def test_help_after_an_error_is_not_reached(self, capsys):
+        # the parse stops at the first thing it cannot take
+        assert main(["point", "--n", "x", "--help"]) == 2
+        assert capsys.readouterr() == ("", "usage error: --n takes X, not 'x'\n")
 
 
 def _load_checks():

@@ -210,6 +210,10 @@ class TestBatchedForms:
         n3[4, 0], eta[4, 0] = 1e-300, 1e-7
         with pytest.raises(PrecisionError, match="overflow at eta = 1e-07, n3 = 1e-300"):
             _heralded_forms(ConditionalParams(n2, n3, phi2, eta))
+        # a subnormal eta overflows the broadening, with eta n3 a normal float
+        n3[4, 0], eta[4, 0] = 1e3, 1e-310
+        with pytest.raises(PrecisionError, match=r"broadening \(2 - eta\)/eta overflows at eta = 1e-310$"):
+            _heralded_forms(ConditionalParams(n2, n3, phi2, eta))
         eta[4, 0] = 1.5
         with pytest.raises(InvalidParameterError, match="eta must lie"):
             ConditionalParams(n2, n3, phi2, eta)

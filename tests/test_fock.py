@@ -32,6 +32,7 @@ from cvbell import (
     twb_fock,
     wigner_reconstruct,
 )
+from cvbell import fock
 from cvbell.fock import _expect, _half_line_matrices, _pure_fock, _rotated, displacement
 from reference import (displacement_one, matrix, min_eigenvalue, pseudospin_axis_op,
                        su21_amplitudes, twb_amplitudes)
@@ -41,6 +42,34 @@ Z_AXIS = (0.0, 0.0)
 
 
 class TestBuilders:
+    @pytest.mark.parametrize("build", [
+        lambda c: su21_fock(TripartitePhotonNumbers(0.3, 0.3), c),
+        lambda c: twb_fock(0.5, c),
+        lambda c: ghz_fock(0.42, c),
+    ], ids=["su21", "twb", "ghz"])
+    @pytest.mark.parametrize("cutoff", [3000, 10**8])
+    def test_oversized_cutoff_is_rejected_before_allocating(self, build, cutoff, monkeypatch):
+        def no_array(*args, **kwargs):
+            raise AssertionError("the builder allocated")
+
+        for name in ("zeros", "empty", "ones", "arange", "full"):
+            monkeypatch.setattr(np, name, no_array)
+        with pytest.raises(InvalidParameterError, match=rf"^cutoff {cutoff} on [23] modes gives "
+                                                        r".* amplitudes, above the limit 1000000$"):
+            build(cutoff)
+
+    def test_amplitude_limit_is_inclusive(self, monkeypatch):
+        # a two-mode cutoff-6 ket holds 36 amplitudes
+        monkeypatch.setattr(fock, "MAX_AMPLITUDES", 36)
+        assert twb_fock(0.1, 6).kets.size == 36
+        monkeypatch.setattr(fock, "MAX_AMPLITUDES", 35)
+        with pytest.raises(InvalidParameterError, match="gives 36 amplitudes, above the limit 35"):
+            twb_fock(0.1, 6)
+
+    def test_amplitude_limit_admits_the_largest_checked_cutoffs(self):
+        # verify passes at every cutoff up to 100; CI runs it at 80
+        assert 100**3 <= fock.MAX_AMPLITUDES < 101**3 and 1000**2 <= fock.MAX_AMPLITUDES
+
     def test_su21_vacuum(self):
         st = su21_fock(TripartitePhotonNumbers(0.0, 0.0), 8)
         assert st.kets[0, 0, 0, 0] == pytest.approx(1.0)

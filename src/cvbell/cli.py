@@ -247,12 +247,27 @@ def run_point(state: str, test: str, grid: tuple[float, float, int] | None = Non
 _CELL = "%.12g"   # every figure cell, in the CSV and the JSON tables
 
 
+def _cell_lines(rows) -> list[str]:
+    """Each row's ``_CELL`` texts, comma-joined, with a newline.  A column at most half
+    distinct formats each distinct value once, keyed on its float bits: -0.0 is not 0.0."""
+    columns = []
+    for col in np.asarray(rows, dtype=float).T:
+        bits = np.sort(col.view(np.int64))
+        new = bits[1:] != bits[:-1]
+        if 2 * (1 + np.count_nonzero(new)) <= len(col):
+            keys = bits[np.append(True, new)]
+            texts = np.array([_CELL % v for v in keys.view(float).tolist()], dtype=object)
+            col = texts[np.searchsorted(keys, col.view(np.int64))]
+        columns.append(col)
+    line = ",".join(_CELL if c.dtype == float else "%s" for c in columns) + "\n"
+    return [line % row for row in zip(*(c.tolist() for c in columns))]
+
+
 def _b3dpvlbgen():
-    rs = np.linspace(0.0, 3.0, 61)
+    rs = np.linspace(0.0, 3.0, 61)[:, None]     # one exponential per r
     js = np.concatenate([[0.0], np.logspace(-4, 0, 40)])
-    r, j = np.meshgrid(rs, js, indexing="ij")
-    return {}, ["r", "j", "b3_dp"], np.stack([r, j, bell_dp.b3_ghz_closed(r, j)],
-                                             axis=-1).reshape(-1, 3)
+    return {}, ["r", "j", "b3_dp"], np.stack(
+        np.broadcast_arrays(rs, js, bell_dp.b3_ghz_closed(rs, js)), axis=-1).reshape(-1, 3)
 
 
 def _dp_rows(xs, target, family, js) -> np.ndarray:
@@ -321,20 +336,20 @@ def run_figure(figure_id: str, out: str | None = None, fmt: str = "csv") -> int:
         raise UsageError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}; choose from csv, json")
+    if out == "":
+        raise UsageError("--out needs a path, not ''")
     meta, cols, rows = _FIGURES[figure_id]()
     path = out or f"{figure_id}.{fmt}"
     try:
         with open(path, "w") as fh:
-            if fmt == "json":
-                for row in rows:
-                    fh.write(json.dumps({c: float(_CELL % v) for c, v in zip(cols, row)},
-                                        sort_keys=True) + "\n")
+            if fmt == "json":       # each value the float of its CSV text
+                fh.writelines(json.dumps(dict(zip(cols, map(float, line[:-1].split(",")))),
+                                         sort_keys=True) + "\n" for line in _cell_lines(rows))
             else:
                 for k, v in sorted({"figure": figure_id, **meta}.items()):
                     fh.write(f"# {k}={v}\n")
                 fh.write(",".join(cols) + "\n")
-                line = ",".join([_CELL] * len(cols)) + "\n"   # one %-format per row
-                fh.writelines(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
+                fh.writelines(_cell_lines(rows))
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 3

@@ -9,12 +9,14 @@ three-mode pseudospin correlator written out, the large-energy relations of the
 optimized displacements, the dense matrix of a Fock-space state, the dense
 pseudospin axis operator, the interlinked-interaction and twin-beam kets exact
 to 50 digits, the GHZ-type state's correlator written out, and the
-displacement matrix built for one amplitude alone, and the one-bracket scan
-maximizer in plain floats.
+displacement matrix built for one amplitude alone, the one-bracket scan
+maximizer in plain floats, and the figure-table writers that format every cell,
+repeated or not.
 """
 from __future__ import annotations
 
 import decimal
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -369,3 +371,22 @@ def scan_maximize(f, lo: float, hi: float, tol: float) -> tuple[float, float, in
         width, a, b = b - a, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 255)])
         if not tol < b - a < width:
             return best_x, best_v, evaluations, 0.0 < b - a <= tol
+
+
+# ---------------------------------------------------------------------------
+# figure tables
+
+def figure_csv(figure_id: str, meta: dict, cols: list[str], rows) -> str:
+    """A figure's CSV text, each row's cells formatted by one ``%.12g`` %-format
+    of the whole row: the metadata comments, the header, then the rows."""
+    head = "".join(f"# {k}={v}\n" for k, v in sorted({"figure": figure_id, **meta}.items()))
+    line = ",".join(["%.12g"] * len(cols)) + "\n"
+    return head + ",".join(cols) + "\n" + "".join(
+        line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
+
+
+def figure_json(cols: list[str], rows) -> str:
+    """A figure's JSON-lines text: one record per row, each cell the float of
+    its own ``%.12g`` text."""
+    return "".join(json.dumps({c: float("%.12g" % v) for c, v in zip(cols, row)},
+                              sort_keys=True) + "\n" for row in rows)

@@ -20,6 +20,7 @@ from cvbell import (ConditionalParams, DpRates, DpSettings, TripartitePhotonNumb
                     su21_state, twb_dp_settings, twb_state)
 from cvbell import bell_ps, cli, gaussian
 from cvbell.cli import FIGURE_IDS, UsageError, _PAIRS, main, run_figure, run_point, validate
+from reference import figure_csv, figure_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,6 +67,29 @@ class TestFigures:
 
     def test_unknown_id_is_usage_error(self, tmp_path):
         assert main(["figure", "NOPE"]) == 2
+
+    # an edge table for the writer: in "zeros", -0.0 and 0.0 side by side with nan
+    # of either sign, +-inf and the smallest subnormal, at most half its cells
+    # distinct, so each distinct value is formatted once; "same" is all equal;
+    # "spread" has no repeat and is formatted row by row
+    EDGE = {
+        "zeros": [-0.0, 0.0] * 4 + [math.nan, -math.nan, math.inf, -math.inf, 5e-324, 5e-324,
+                                    5e-324, 0.0],
+        "same": [1e300] * 16,
+        "spread": [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300, 1.0 / 3,
+                   2.0 / 3, 1e-5, 123456789012345.0, 0.1, 1e16, -2.5, 7.0],
+    }
+
+    @pytest.mark.parametrize("n_rows", [16, 1])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_matches_the_reference_writers(self, fmt, n_rows, tmp_path, monkeypatch):
+        cols, meta = list(self.EDGE), {"note": "edge"}
+        rows = np.array([self.EDGE[c][:n_rows] for c in cols]).T
+        monkeypatch.setitem(cli._FIGURES, "E2H", lambda: (meta, cols, rows))
+        out = tmp_path / f"edge.{fmt}"
+        assert run_figure("E2H", str(out), fmt) == 0
+        expected = figure_csv("E2H", meta, cols, rows) if fmt == "csv" else figure_json(cols, rows)
+        assert out.read_bytes() == expected.encode()
 
     def test_unwritable_path_is_io_error(self):
         assert run_figure("B2PS", "/nonexistent-dir/x.csv") == 3
@@ -915,7 +939,7 @@ class TestSharedParser:
 class TestCommandTable:
     """Each option is ``--name value`` or ``--name=value``, spelled in full and
     given at most once; anything else is a usage error, exit 2, with nothing
-    on stdout and nothing written."""
+    on stdout, no table built and nothing written."""
 
     @pytest.mark.parametrize("argv,name", [
         (["point", "--state", "twb", "--test", "ps2", "--n", "1", "--n", "2"], "--n"),
@@ -946,6 +970,8 @@ class TestCommandTable:
         (["point", "--state", "twb", "--test", "ps2", "--n="], "--n takes X, not ''"),
         (["verify", "--cutoff", "1e8"], "--cutoff takes INT, not '1e8'"),
         (["figure", "E2H", "--format", "xml"], "unknown format 'xml'; choose from csv, json"),
+        (["figure", "E2H", "--out", ""], "--out needs a path, not ''"),
+        (["figure", "E2H", "--out="], "--out needs a path, not ''"),
         (["point", "--state", "twb", "--test", "ps2", "--n"], "--n needs a value"),
         (["point", "--state", "twb", "--test", "dp2", "--n", "1", "--optimize=1"],
          "--optimize takes no value"),
@@ -964,6 +990,8 @@ class TestCommandTable:
     def test_malformed_command_line_is_usage_error(self, argv, message, tmp_path, monkeypatch,
                                                    capsys):
         monkeypatch.chdir(tmp_path)
+        for figure_id in FIGURE_IDS:
+            monkeypatch.setitem(cli._FIGURES, figure_id, lambda: pytest.fail("a table was built"))
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"usage error: {message}\n")
         assert list(tmp_path.iterdir()) == []
@@ -1055,6 +1083,22 @@ def test_figure_matches_stored_table(figure_id, tmp_path):
     ref = (ROOT / "perfbench" / "ref" / f"{figure_id}.csv").read_text()
     assert _load_checks().check_figure(figure_id, out.read_text(), ref) == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == FIGURE_HASHES[figure_id]
+
+
+# the same contract for each ``--format json`` table, pinned when the CSV hashes
+# above were current
+FIGURE_JSON_HASHES = {
+    "B3DPVLBGen": "cc53db3e5c68ce5c", "B3DPT": "4365997a50af428c", "B3DPN": "88d357a81e4a7066",
+    "B3PS": "531ffd2d083217e1", "B2DPTWBA": "28969b828066141e", "B2PS": "d4a659c3b520add3",
+    "E2H": "382ba9cbdf963a74",
+}
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_figure_json_matches_stored_hash(figure_id, tmp_path):
+    out = tmp_path / f"{figure_id}.json"
+    assert run_figure(figure_id, str(out), fmt="json") == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == FIGURE_JSON_HASHES[figure_id]
 
 
 # the oracle contract: first 16 hex digits of the sha256 of ``verify`` stdout.

@@ -53,7 +53,6 @@ from .bell_ps import (
     f_traced,
     f_twb,
     ghz_pi_coeffs,
-    pi_coeffs_quadrature,
     su21_pi_coeffs,
     su21_ps_coeffs,
 )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .conditional import ConditionalParams, _check_click
 from .errors import InvalidParameterError, PrecisionError
-from .gaussian import GaussianState, _nonnegative
+from .gaussian import _nonnegative
 from .bell_dp import _bell
 from .optim import klyshko_max
 
@@ -196,38 +196,6 @@ def ghz_pi_coeffs(r: float) -> PsCoefficients:
     num = -6.0 * math.atan((1.0 - q) / math.sqrt(3.0 * (1.0 + 2.0 * q)))
     c = num * math.exp(-2.0 * r) / (math.pi * math.sqrt(2.0 + 5.0 * q + 2.0 * q * q))
     return PsCoefficients(c, c, c)
-
-
-def pi_coeffs_quadrature(state: GaussianState) -> PsCoefficients:
-    """Phase-space quadrature oracle for the point-operator coefficients.
-
-    Correlator pattern: a point operator (delta kernel) on one mode against
-    sign-of-quadrature kernels on the other two.  The delta slices the Wigner
-    exponent (restrict the inverse covariance), the untested quadratures are
-    marginalized (Schur complement), and the remaining two-variable sign-sign
-    average is the bivariate-normal orthant arcsine.  The sign kernel is taken
-    along the y quadrature, which gives the GHZ closed form and the negative of
-    the trilinear one.
-    """
-    if state.n_modes != 3:
-        raise InvalidParameterError("three-mode state required")
-    vi = np.linalg.inv(state.cov)
-    det_v = state.factors[1]
-    out = []
-    for z in range(3):
-        keep = [i for i in range(6) if i not in (z, z + 3)]
-        m = vi[np.ix_(keep, keep)]
-        # keep-order: the two x's then the two y's; sign kernels act on y
-        sgn, marg = [2, 3], [0, 1]
-        mss = m[np.ix_(sgn, sgn)]
-        msm = m[np.ix_(sgn, marg)]
-        mmm = m[np.ix_(marg, marg)]
-        schur = mss - msm @ np.linalg.inv(mmm) @ msm.T
-        sinv = np.linalg.inv(schur)
-        rho = sinv[0, 1] / math.sqrt(sinv[0, 0] * sinv[1, 1])
-        val = -(2.0 / math.pi) * det_v**-0.5 * np.linalg.det(m) ** -0.5 * math.asin(rho)
-        out.append(float(val))
-    return PsCoefficients(*out)
 
 
 # ---------------------------------------------------------------------------

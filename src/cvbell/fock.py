@@ -282,14 +282,13 @@ def displaced_parity_expect(state: FockDensityOperator,
 
 def pseudospin_expect(state: FockDensityOperator,
                       axes: Sequence[tuple[float, float]]) -> float:
-    """<prod_j d_j . s_j> for one finite (theta, phi) pair per mode; even cutoff only.
+    """<prod_j d_j . s_j> for one finite (theta, phi) pair per mode, at any cutoff.
 
     d.s = s_z cos(theta) + sin(theta)(e^{i phi} s_- + e^{-i phi} s_+) is one 2x2 block
     on each {|2k>, |2k+1>}, s_z = diag(-1, +1) (odd states +1, as defined) and
-    s_- = |2k><2k+1| (Chen, Pan, Hou & Zhang, PRL 88, 040406 (2002)).
+    s_- = |2k><2k+1| (Chen, Pan, Hou & Zhang, PRL 88, 040406 (2002)).  At an odd cutoff the
+    top level's partner is cut off, so its block is s_z's entry alone: the exact expectation.
     """
-    if state.cutoff % 2 != 0:
-        raise InvalidParameterError("pseudospin requires an even cutoff")
     if len(axes) != state.n_modes:
         raise InvalidParameterError("one (theta, phi) pair per mode required")
     _check_finite("pseudospin axes", axes)

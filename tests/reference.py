@@ -385,8 +385,9 @@ def figure_csv(figure_id: str, meta: dict, cols: list[str], rows) -> str:
         line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
 
 
-def figure_json(cols: list[str], rows) -> str:
-    """A figure's JSON-lines text: one record per row, each cell the float of
-    its own ``%.12g`` text."""
-    return "".join(json.dumps({c: float("%.12g" % v) for c, v in zip(cols, row)},
-                              sort_keys=True) + "\n" for row in rows)
+def figure_json(figure_id: str, meta: dict, cols: list[str], rows) -> str:
+    """A figure's JSON-lines text: one object of the figure id and the metadata,
+    then one record per row, each cell the float of its own ``%.12g`` text."""
+    return json.dumps({"figure": figure_id, **meta}, sort_keys=True) + "\n" + "".join(
+        json.dumps({c: float("%.12g" % v) for c, v in zip(cols, row)}, sort_keys=True) + "\n"
+        for row in rows)

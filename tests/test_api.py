@@ -25,8 +25,7 @@ PUBLIC_NAMES = {
     "su21_opt_dp_settings", "su21_opt_state", "su21_sym_state", "twb_dp_settings",
     # bell_ps
     "PsCoefficients", "b2_ps_from_f", "b3_ps_from_coeffs",
-    "f_conditional", "f_traced", "f_twb", "ghz_pi_coeffs", "pi_coeffs_quadrature",
-    "su21_pi_coeffs", "su21_ps_coeffs",
+    "f_conditional", "f_traced", "f_twb", "ghz_pi_coeffs", "su21_pi_coeffs", "su21_ps_coeffs",
     # homodyne
     "chsh_h", "classical_reference", "e_h",
     # optim

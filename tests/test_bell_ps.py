@@ -25,7 +25,6 @@ from cvbell import (
     klyshko_max,
     maximize_scalar,
     onoff_condition,
-    pi_coeffs_quadrature,
     pseudospin_expect,
     su21_fock,
     su21_pi_coeffs,
@@ -33,6 +32,7 @@ from cvbell import (
     twb_fock,
 )
 from cvbell.bell_dp import su21_sym_state
+from cvbell.verify import _pi_coeffs_quadrature
 from reference import e_ps3
 
 SQRT2 = math.sqrt(2.0)
@@ -222,7 +222,7 @@ class TestPiCoefficients:
         assert abs(c.c2) == pytest.approx(1.0 / 3.0)
 
     def test_su21_quadrature_oracle(self):
-        cq = pi_coeffs_quadrature(su21_sym_state(1.0))
+        cq = _pi_coeffs_quadrature(su21_sym_state(1.0))
         cc = su21_pi_coeffs(1.0)
         for a, b in zip(cq.magnitudes(), cc.magnitudes()):
             assert a == pytest.approx(b, abs=1e-4)
@@ -233,7 +233,7 @@ class TestPiCoefficients:
 
     def test_ghz_quadrature_oracle(self):
         for r in (0.3, 0.42, 0.8):
-            cq = pi_coeffs_quadrature(ghz_state(r))
+            cq = _pi_coeffs_quadrature(ghz_state(r))
             cc = ghz_pi_coeffs(r)
             assert cq.c1 == pytest.approx(cc.c1, abs=1e-10)
             assert cq.c2 == pytest.approx(cc.c2, abs=1e-10)

@@ -60,9 +60,12 @@ class TestFigures:
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, tmp_path):
+        # a leading object holds the figure id and the metadata of the CSV's comment lines
         out = tmp_path / "t.json"
         assert run_figure("B2PS", str(out), fmt="json") == 0
-        rec = json.loads(out.read_text().splitlines()[0])
+        head, rec = map(json.loads, out.read_text().splitlines()[:2])
+        assert head == {"eta": 0.8, "figure": "B2PS", "n3": 0.1,
+                        "note": "f_1/f_tr swept in n2 at fixed n3"}
         assert set(rec) == {"n", "f_twb", "f_1", "f_tr"}
 
     def test_unknown_id_is_usage_error(self, tmp_path):
@@ -88,7 +91,7 @@ class TestFigures:
         monkeypatch.setitem(cli._FIGURES, "E2H", lambda: (meta, cols, rows))
         out = tmp_path / f"edge.{fmt}"
         assert run_figure("E2H", str(out), fmt) == 0
-        expected = figure_csv("E2H", meta, cols, rows) if fmt == "csv" else figure_json(cols, rows)
+        expected = (figure_csv if fmt == "csv" else figure_json)("E2H", meta, cols, rows)
         assert out.read_bytes() == expected.encode()
 
     def test_unwritable_path_is_io_error(self):
@@ -696,7 +699,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("cutoff", ["30", "41"])
     def test_heralded_pseudospin_gap_is_a_note(self, cutoff, capsys):
-        # the gap is reported with both numbers, at an odd cutoff from the even one above it
+        # the gap is reported with both numbers, at an odd cutoff too, from its own heralded state
         assert main(["verify", "--cutoff", cutoff]) == 0
         notes = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("[NOTE] documented finding: ")]
@@ -729,7 +732,7 @@ class TestVerify:
         assert out.endswith("9/17 checks passed\n")
 
     def test_odd_cutoff_passes(self, capsys):
-        # the spin-flip check rounds an odd cutoff up to even for the pseudospin
+        # pseudospin reads an odd cutoff as it is: the top level, unpaired, is a block of its own
         assert main(["verify", "--cutoff", "41"]) == 0
         out = capsys.readouterr().out
         assert {status for status, _, _ in _verify_rows(out).values()} == {"PASS"}
@@ -925,15 +928,18 @@ class TestSharedParser:
                                    cwd=tmp_path, capture_output=True, text=True, timeout=300)
             assert seen == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
-    @pytest.mark.parametrize("module", ["cvbell", "cvbell.cli"])
-    def test_package_import_loads_no_parser(self, module):
-        # the CLI parses from its own table: no argparse, nor the gettext it loads
-        code = (f"import sys, {module}; "
-                "print(sorted({'argparse', 'gettext', 'cvbell.cli'} & set(sys.modules)))")
+    @pytest.mark.parametrize("module,loaded", [
+        ("cvbell", []), ("cvbell.cli", ["cvbell.cli", "cvbell.verify"]),
+        ("cvbell.verify", ["cvbell.verify"])])
+    def test_package_import_loads_no_parser(self, module, loaded):
+        # the CLI parses from its own table: no argparse, nor the gettext it loads; the
+        # package loads neither command module, and the verify suite does not load the CLI
+        code = (f"import sys, {module}; print(sorted("
+                "{'argparse', 'gettext', 'cvbell.cli', 'cvbell.verify'} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], env=self._env(),
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == ("[]" if module == "cvbell" else "['cvbell.cli']")
+        assert out.stdout.strip() == str(loaded)
 
 
 class TestCommandTable:
@@ -1086,11 +1092,14 @@ def test_figure_matches_stored_table(figure_id, tmp_path):
 
 
 # the same contract for each ``--format json`` table, pinned when the CSV hashes
-# above were current
+# above were current.  Each JSON table gained a leading object of its figure id and
+# metadata; its records are unchanged from the tables that hashed to cc53db3e5c68ce5c,
+# 4365997a50af428c, 88d357a81e4a7066, 531ffd2d083217e1, 28969b828066141e,
+# d4a659c3b520add3 and 382ba9cbdf963a74, in the order below.
 FIGURE_JSON_HASHES = {
-    "B3DPVLBGen": "cc53db3e5c68ce5c", "B3DPT": "4365997a50af428c", "B3DPN": "88d357a81e4a7066",
-    "B3PS": "531ffd2d083217e1", "B2DPTWBA": "28969b828066141e", "B2PS": "d4a659c3b520add3",
-    "E2H": "382ba9cbdf963a74",
+    "B3DPVLBGen": "b5d89c7230ab8226", "B3DPT": "8074d71523722c08", "B3DPN": "2eb35fd9c9274a37",
+    "B3PS": "2322f969a8423dbb", "B2DPTWBA": "cb39788da8c5f088", "B2PS": "0921c31e4e96cb3b",
+    "E2H": "a33f32793765c124",
 }
 
 

@@ -370,10 +370,36 @@ class TestPseudospin:
         assert np.count_nonzero(state.kets) == 820
         assert state._blocks[0].size == 1450
 
-    def test_odd_cutoff_rejected(self, photons_03):
-        st = su21_fock(photons_03, 21)
-        with pytest.raises(InvalidParameterError):
-            pseudospin_expect(st, [Z_AXIS, Z_AXIS, Z_AXIS])
+    ODD_AXES = [[Z_AXIS] * 3, [X_AXIS] * 3, [(0.7, 0.4), (1.9, -1.1), (2.6, 0.3)]]
+
+    @pytest.mark.parametrize("name,cutoff", [("su21", 21), ("su21", 41), ("heralded", 41)])
+    def test_odd_cutoff_matches_dense_axis_operator(self, name, cutoff, photons_03):
+        # the dense operator leaves an odd cutoff's top level unpaired, as the blocks do
+        state = su21_fock(photons_03, cutoff)
+        if name == "heralded":
+            state = onoff_condition(state, 2, 0.8)
+        for axes in self.ODD_AXES:
+            axes = axes[:state.n_modes]
+            ops = [pseudospin_axis_op(th, ph, cutoff) for th, ph in axes]
+            assert abs(pseudospin_expect(state, axes)
+                       - _dense_expect(state.kets, state.weights, ops)) < 1e-13
+
+    @pytest.mark.parametrize("cutoff", [1, 3, 5, 7])
+    def test_unpaired_top_level(self, cutoff):
+        # weight on every level, |cutoff - 1> included, whose partner |cutoff> is cut off
+        rng = np.random.default_rng(cutoff)
+        kets = rng.normal(size=(2, cutoff, cutoff)) + 1j * rng.normal(size=(2, cutoff, cutoff))
+        state = FockDensityOperator(2, cutoff, kets, _unit_trace(kets, np.array([0.4, 0.9])))
+        for axes in self.ODD_AXES:
+            axes = axes[:2]
+            ops = [pseudospin_axis_op(th, ph, cutoff) for th, ph in axes]
+            assert abs(pseudospin_expect(state, axes)
+                       - _dense_expect(state.kets, state.weights, ops)) < 1e-13
+        # |cutoff - 1> alone is even: s_z's -cos(theta), and no s_+- term
+        top = np.zeros((1, cutoff), dtype=complex)
+        top[0, -1] = 1.0
+        assert pseudospin_expect(FockDensityOperator(1, cutoff, top, [1.0]),
+                                 [(0.7, 0.4)]) == -math.cos(0.7)
 
 
 class TestOnOffCondition:
